@@ -21,7 +21,6 @@ from spinstep import (
     eta_dagger,
     numeric_eigensystem,
     qm_reference,
-    solve_linear_4x4,
 )
 
 REP = EtaRepresentation.REP2
@@ -51,7 +50,7 @@ def scatter_totals(energy, v0, mass, incident_coefficients):
     incident *= np.sqrt(2.0) / np.linalg.norm(incident)
     reflected_basis = eigenspace_basis(energy, mass, -1)
     transmitted_basis = eigenspace_basis(energy - v0, mass, +1)
-    solution = solve_linear_4x4(
+    solution = np.linalg.solve(
         np.column_stack([reflected_basis, -transmitted_basis]), -incident
     )
     reflected = reflected_basis @ solution[:2]

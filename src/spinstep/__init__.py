@@ -5,7 +5,7 @@ The engine is organized around a symmetric nilpotent 4x4 generator pair
 (eta, eta^dagger) whose algebra reproduces the free Schrodinger equation on
 squaring.  Submodules:
 
-  algebra      matrix constructors, identity verification, 4x4 linear solve
+  algebra      matrix constructors, identity verification
   eigensystem  momentum-space operator and its plane-wave eigenstates
   scattering   step-potential amplitudes, probabilities, currents
   threed       3D operator algebra and continuity-equation identities
@@ -17,7 +17,6 @@ from .algebra import (
     AlgebraCheck,
     AlgebraReport,
     EtaRepresentation,
-    SingularMatrixError,
     anticommutator,
     char_poly_coeffs,
     commutator,
@@ -26,7 +25,6 @@ from .algebra import (
     eta_dagger,
     gamma,
     pauli,
-    solve_linear_4x4,
     verify_eta_algebra,
     verify_eta_matrix,
 )
@@ -34,7 +32,6 @@ from .eigensystem import (
     ELECTRON_MASS_EV,
     Direction,
     EigenDecomposition,
-    PhysicalParams,
     PlaneWaveState,
     Spin,
     analytic_eigenstate,

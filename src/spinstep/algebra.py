@@ -3,8 +3,8 @@
 Constructors for the Pauli and Dirac gamma matrices and for the symmetric
 nilpotent generator pair (eta, eta^dagger) that factorizes the free
 Schrodinger equation, together with structural predicates, characteristic
-polynomial coefficients, a partial-pivot linear solve, and a verification
-report covering every algebraic identity the generator pair must satisfy:
+polynomial coefficients, and a verification report covering every
+algebraic identity the generator pair must satisfy:
 
     eta^2 = 0,  (eta^dagger)^2 = 0,  {eta, eta^dagger} = 2I,
     eta symmetric, traceless, singular, all eigenvalues zero.
@@ -23,11 +23,9 @@ import numpy as np
 
 __all__ = [
     "EtaRepresentation",
-    "SingularMatrixError",
     "AlgebraCheck",
     "AlgebraReport",
     "IDENTITY_TOL",
-    "SOLVE_PIVOT_FACTOR",
     "pauli",
     "gamma",
     "eta",
@@ -41,7 +39,6 @@ __all__ = [
     "is_zero",
     "max_abs",
     "char_poly_coeffs",
-    "solve_linear_4x4",
     "verify_eta_matrix",
     "verify_eta_algebra",
 ]
@@ -51,9 +48,6 @@ SQRT2 = float(np.sqrt(2.0))
 # Default absolute tolerance for exact algebraic identities.  Entries of the
 # generator matrices are 0 and +-1/sqrt(2), so any deviation is pure rounding.
 IDENTITY_TOL = 1e-14
-
-# Pivot screen for the 4x4 solve, relative to the largest row sum.
-SOLVE_PIVOT_FACTOR = 1e-13
 
 
 class EtaRepresentation(Enum):
@@ -65,10 +59,6 @@ class EtaRepresentation(Enum):
 
     REP1 = "rep1"
     REP2 = "rep2"
-
-
-class SingularMatrixError(ValueError):
-    """Raised by solve_linear_4x4 when a pivot falls below the screen."""
 
 
 def _readonly(m: np.ndarray) -> np.ndarray:
@@ -207,43 +197,6 @@ def char_poly_coeffs(m: np.ndarray) -> np.ndarray:
         if k < 4:
             mk = m @ (mk + ck * eye)
     return np.array(coeffs)
-
-
-def solve_linear_4x4(
-    matrix: np.ndarray,
-    rhs: np.ndarray,
-    singular_tol_factor: float = SOLVE_PIVOT_FACTOR,
-) -> np.ndarray:
-    """Solve the 4x4 complex system matrix @ x = rhs by Gaussian elimination
-    with partial pivoting.
-
-    Raises SingularMatrixError when the selected pivot magnitude falls below
-    singular_tol_factor times the largest row 1-norm (scale-invariant screen).
-    """
-    a = np.array(matrix, dtype=complex)
-    b = np.array(rhs, dtype=complex)
-    if a.shape != (4, 4) or b.shape != (4,):
-        raise ValueError(f"expected shapes (4,4) and (4,), got {a.shape} and {b.shape}")
-    scale = float(np.abs(a).sum(axis=1).max())
-    pivot_floor = singular_tol_factor * max(scale, np.finfo(float).tiny)
-    for col in range(4):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[piv, col]) < pivot_floor:
-            raise SingularMatrixError(
-                f"pivot magnitude {abs(a[piv, col]):.3e} below screen "
-                f"{pivot_floor:.3e} at column {col}"
-            )
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        for row in range(col + 1, 4):
-            f = a[row, col] / a[col, col]
-            a[row, col:] -= f * a[col, col:]
-            b[row] -= f * b[col]
-    x = np.zeros(4, dtype=complex)
-    for row in range(3, -1, -1):
-        x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
-    return x
 
 
 @dataclass(frozen=True)

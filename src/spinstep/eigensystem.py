@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .algebra import (
+    SQRT2,
     AlgebraCheck,
     AlgebraReport,
     EtaRepresentation,
@@ -32,11 +33,9 @@ from .algebra import (
 
 __all__ = [
     "ELECTRON_MASS_EV",
-    "ON_SHELL_TOL",
     "NORMALIZATION_TOL",
     "Spin",
     "Direction",
-    "PhysicalParams",
     "PlaneWaveState",
     "EigenDecomposition",
     "momentum_operator",
@@ -48,11 +47,7 @@ __all__ = [
 
 ELECTRON_MASS_EV = 510998.95
 
-ON_SHELL_TOL = 1e-12
 NORMALIZATION_TOL = 1e-12
-
-# Residual bound for numeric eigenpairs, relative to |M| * |v|.
-EIGEN_RESIDUAL_TOL = 1e-10
 
 # Below this smallest singular value of the eigenvector matrix the
 # decomposition cannot resolve four independent directions.
@@ -69,37 +64,13 @@ class Direction(Enum):
     NEGATIVE_Z = "-z"
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Energy/mass/potential bundle with the derived kinematic quantities."""
-
-    energy: float
-    mass: float
-    potential: float = 0.0
-
-    def __post_init__(self):
-        if not (self.energy > 0 and np.isfinite(self.energy)):
-            raise ValueError(f"energy must be positive and finite, got {self.energy}")
-        if not (self.mass > 0 and np.isfinite(self.mass)):
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not np.isfinite(self.alpha):
-            raise ValueError("1/(energy + mass) is not finite")
-
-    @property
-    def alpha(self) -> float:
-        return 1.0 / (self.energy + self.mass)
-
-    @property
-    def momentum(self) -> float:
-        return float(np.sqrt(2.0 * self.energy * self.mass))
-
-
 @dataclass(frozen=True, eq=False)
 class PlaneWaveState:
     """One on-shell plane-wave mode: spinor amplitude plus quantum numbers.
 
-    Invariants checked on construction: momentum^2 = 2*energy*mass to
-    ON_SHELL_TOL (relative) and u^dagger u = 2 to NORMALIZATION_TOL.
+    Checked on construction: a finite 4-component spinor with u^dagger u = 2
+    to NORMALIZATION_TOL.  The on-shell condition momentum^2 = 2*energy*mass
+    is not checked here; on_shell_deviation measures it.
     """
 
     spinor: np.ndarray
@@ -154,20 +125,17 @@ def momentum_operator(
     return energy * eta(rep) + mass * eta_dagger(rep)
 
 
-_SQRT2 = float(np.sqrt(2.0))
-
-
 def _eigen_spinor(kind: int, energy: float, mass: float, momentum: float) -> np.ndarray:
     a = 1.0 / (energy + mass)
     e_minus_m = energy - mass
     if kind == 1:
-        return np.array([1, 0, 1j * a * e_minus_m, -_SQRT2 * a * momentum], dtype=complex)
+        return np.array([1, 0, 1j * a * e_minus_m, -SQRT2 * a * momentum], dtype=complex)
     if kind == 2:
-        return np.array([0, 1, _SQRT2 * a * momentum, -1j * a * e_minus_m], dtype=complex)
+        return np.array([0, 1, SQRT2 * a * momentum, -1j * a * e_minus_m], dtype=complex)
     if kind == 3:
-        return np.array([1, 0, 1j * a * e_minus_m, _SQRT2 * a * momentum], dtype=complex)
+        return np.array([1, 0, 1j * a * e_minus_m, SQRT2 * a * momentum], dtype=complex)
     if kind == 4:
-        return np.array([0, 1, -_SQRT2 * a * momentum, -1j * a * e_minus_m], dtype=complex)
+        return np.array([0, 1, -SQRT2 * a * momentum, -1j * a * e_minus_m], dtype=complex)
     raise ValueError(f"eigenstate kind must be 1..4, got {kind}")
 
 
@@ -213,9 +181,6 @@ class EigenDecomposition:
     vectors: np.ndarray
     residuals: np.ndarray
     defective: bool
-
-    def pairs(self) -> list[tuple[complex, np.ndarray]]:
-        return [(complex(self.values[k]), self.vectors[:, k]) for k in range(4)]
 
 
 def numeric_eigensystem(matrix: np.ndarray) -> EigenDecomposition:

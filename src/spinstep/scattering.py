@@ -14,11 +14,13 @@ both energy regimes:
   R2' = 4*E*m/(E+m)^2, independent of the barrier height.
 
 Amplitudes are produced by two independent routes that cross-check each
-other: a partial-pivot linear solve of the wavefunction continuity condition
-at z = 0 (the primary path, uniformly well conditioned away from E = V0) and
-closed-form ratios (which suffer cancellation as V0/E -> 0).  Probability
-currents are evaluated both as bilinears u^dagger (eta + eta^dagger) u and
-against their closed forms.
+other: an LU solve (LAPACK, via numpy) of the wavefunction continuity
+condition at z = 0, the primary path, and closed-form ratios (which suffer
+cancellation as V0/E -> 0).  Below the step the solve spans the decaying
+modes with a pole-free basis, so it stays well conditioned through the mass
+pole V0 - E = m, and every solution is judged by its relative backward
+error.  Probability currents are evaluated both as bilinears
+u^dagger (eta + eta^dagger) u and against their closed forms.
 """
 
 from __future__ import annotations
@@ -29,12 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .algebra import (
-    EtaRepresentation,
-    eta,
-    eta_dagger,
-    solve_linear_4x4,
-)
+from .algebra import SQRT2, EtaRepresentation, eta, eta_dagger
 from .eigensystem import (
     ELECTRON_MASS_EV,
     PlaneWaveState,
@@ -83,14 +80,12 @@ SMALL_V0_FLOOR = 1e-6
 # transmitted-spinor normalization 1/(V0 - E - m) has a pole there.
 MASS_POLE_EPS = 1e-12
 
-# Post-solve wavefunction continuity requirement at z = 0 (incident
-# amplitude normalized to 1).
+# Bound on the relative backward error |Mx - b| / (|M| |x| + |b|), infinity
+# norms, of the z = 0 continuity solve M x = b.
 CONTINUITY_TOL = 1e-11
 
 COEFFICIENT_SUM_TOL = 1e-12
 CLAMP_EPS = 1e-12
-
-_SQRT2 = float(np.sqrt(2.0))
 
 
 class Branch(Enum):
@@ -181,11 +176,11 @@ def _evanescent_spinor(problem: StepProblem, spin: Spin) -> np.ndarray:
     p2p = problem.transmitted_momentum
     if spin is Spin.UP:
         return np.array(
-            [1, 0, 1j * rho * (gap + problem.mass), _SQRT2 * 1j * rho * p2p],
+            [1, 0, 1j * rho * (gap + problem.mass), SQRT2 * 1j * rho * p2p],
             dtype=complex,
         )
     return np.array(
-        [0, 1, -_SQRT2 * 1j * rho * p2p, -1j * rho * (gap + problem.mass)],
+        [0, 1, -SQRT2 * 1j * rho * p2p, -1j * rho * (gap + problem.mass)],
         dtype=complex,
     )
 
@@ -233,12 +228,11 @@ class AmplitudeSet:
 
     b and b_prime multiply the spin-up and spin-down reflected modes; c and
     c_prime multiply the spin-up and spin-down region-II modes (transmitted
-    plane waves when propagating, decaying modes when evanescent; the d /
-    d_prime aliases name the latter).  For the default spin-up incidence, b
-    preserves the spin and b_prime flips it.  Every propagating solution has
-    equal amplitudes on both sides of the step in the spin channel carrying
-    no incident wave (b_prime == c_prime for spin-up incidence, b == c for
-    spin-down), which is enforced here.
+    plane waves when propagating, decaying modes when evanescent).  For the
+    default spin-up incidence, b preserves the spin and b_prime flips it.
+    Every propagating solution has equal amplitudes on both sides of the
+    step in the spin channel carrying no incident wave (b_prime == c_prime
+    for spin-up incidence, b == c for spin-down), which is enforced here.
     """
 
     branch: Branch
@@ -262,65 +256,65 @@ class AmplitudeSet:
                     f"got difference {mismatch:.3e}"
                 )
 
-    @property
-    def d(self) -> complex:
-        if self.branch is not Branch.EVANESCENT:
-            raise AttributeError("d is the evanescent-branch alias for c")
-        return self.c
-
-    @property
-    def d_prime(self) -> complex:
-        if self.branch is not Branch.EVANESCENT:
-            raise AttributeError("d_prime is the evanescent-branch alias for c_prime")
-        return self.c_prime
-
 
 def _continuity_matrix(problem: StepProblem, waves: RegionWaves):
-    """Columns of the z = 0 continuity system and its right-hand side.
+    """Matrix and right-hand side of the z = 0 continuity system.
 
-    In the evanescent branch the transmitted columns are rescaled by
-    (V0 - E - m), which removes the spinor-normalization pole; the returned
-    scale converts the solved amplitudes back to the reference
-    normalization of region_wavefunctions.
+    The unknowns are the reflected amplitudes b, b' and the coefficients of
+    two region-II columns.  When propagating these are the transmitted
+    spinors, whose coefficients are c and c'.  When evanescent, the
+    reference spinors of region_wavefunctions diverge at V0 - E = m and turn
+    parallel there once rescaled, so the decaying space is spanned instead
+    by the pole-free pair (s = sqrt(V0 - E), r = sqrt(m))
+
+        v1 = [s+r, s+r, i(s-r), -i(s-r)],  v2 = [s-r, r-s, i(s+r), i(s+r)],
+
+    which stay at least 60 degrees apart for every V0 - E and m.
     """
     r_up, r_down = (w.spinor for w in waves.reflected)
-    t_up, t_down = (w.spinor for w in waves.transmitted)
     if problem.branch is Branch.PROPAGATING:
-        scale = 1.0
+        v1, v2 = (w.spinor for w in waves.transmitted)
     else:
-        scale = problem.v0 - problem.energy - problem.mass
-        t_up = scale * t_up
-        t_down = scale * t_down
-    matrix = np.column_stack([r_up, r_down, -t_up, -t_down])
+        s = np.sqrt(problem.v0 - problem.energy)
+        r = np.sqrt(problem.mass)
+        v1 = np.array([s + r, s + r, 1j * (s - r), -1j * (s - r)])
+        v2 = np.array([s - r, r - s, 1j * (s + r), 1j * (s + r)])
+    matrix = np.column_stack([r_up, r_down, -v1, -v2])
     rhs = -waves.incident.spinor
-    return matrix, rhs, scale
+    return matrix, rhs
 
 
 def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
-    """Amplitudes from a direct partial-pivot solve of the continuity
+    """Amplitudes from an LU solve (LAPACK, via numpy) of the continuity
     condition psi_I(0) + psi_I_reflected(0) = psi_II(0).
 
-    This is the primary computation path: it stays accurate for arbitrarily
-    small V0/E and across the evanescent pole region (thanks to the rescaled
-    transmitted basis).  The solution is rejected if the residual of the
-    solved system exceeds CONTINUITY_TOL, which would signal a solver bug.
+    This is the primary computation path.  Below the step it solves on the
+    pole-free basis of _continuity_matrix, whose conditioning stays flat
+    through V0 - E = m.  c and c' are read off the first two components of
+    psi_II(0): the reference region-II spinors start [1, 0] and [0, 1], so
+    this gives them in the normalization of region_wavefunctions in both
+    branches (on the pole-free basis, c = alpha(s+r) + beta(s-r) and
+    c' = alpha(s+r) - beta(s-r)).  The solution is rejected if its relative
+    backward error exceeds CONTINUITY_TOL, which would signal a solver bug.
     """
     waves = region_wavefunctions(problem)
-    matrix, rhs, scale = _continuity_matrix(problem, waves)
-    x = solve_linear_4x4(matrix, rhs)
-    residual = float(np.abs(matrix @ x - rhs).max())
-    if residual > CONTINUITY_TOL:
+    matrix, rhs = _continuity_matrix(problem, waves)
+    x = np.linalg.solve(matrix, rhs)
+    backward_error = float(np.abs(matrix @ x - rhs).max()) / (
+        np.linalg.norm(matrix, np.inf) * np.abs(x).max() + np.abs(rhs).max()
+    )
+    if not backward_error <= CONTINUITY_TOL:
         raise RuntimeError(
-            f"continuity residual {residual:.3e} exceeds {CONTINUITY_TOL:g} "
-            "after linear solve"
+            f"continuity backward error {backward_error:.3e} exceeds "
+            f"{CONTINUITY_TOL:g} after linear solve"
         )
-    b, b_prime, c_scaled, c_prime_scaled = x
+    c, c_prime = -(matrix[:2, 2:] @ x[2:])
     return AmplitudeSet(
         branch=problem.branch,
-        b=complex(b),
-        b_prime=complex(b_prime),
-        c=complex(scale * c_scaled),
-        c_prime=complex(scale * c_prime_scaled),
+        b=complex(x[0]),
+        b_prime=complex(x[1]),
+        c=complex(c),
+        c_prime=complex(c_prime),
         incident_spin=problem.incident_spin,
     )
 

@@ -34,6 +34,7 @@ from .algebra import (
     AlgebraCheck,
     AlgebraReport,
     EtaRepresentation,
+    _readonly,
     anticommutator,
     commutator,
     dagger,
@@ -94,11 +95,6 @@ class ContinuityObjects:
     @property
     def sigmas(self):
         return (self.sigma1, self.sigma2, self.sigma3)
-
-
-def _readonly(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
 
 
 def _block_forms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

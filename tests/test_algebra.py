@@ -2,12 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spinstep.algebra import (
     EtaRepresentation,
-    SingularMatrixError,
     anticommutator,
     char_poly_coeffs,
     commutator,
@@ -17,7 +14,6 @@ from spinstep.algebra import (
     gamma,
     max_abs,
     pauli,
-    solve_linear_4x4,
     verify_eta_algebra,
     verify_eta_matrix,
 )
@@ -182,39 +178,9 @@ def test_commutator_anticommutator_definitions():
     assert max_abs(dagger(a) - a.conj().T) == 0.0
 
 
-def test_solve_identity_system():
-    v = np.array([1.0, -2.0, 3.0 + 1j, 0.5], dtype=complex)
-    assert max_abs(solve_linear_4x4(I4, v) - v) == 0.0
-
-
 def test_solve_against_anticommutator_example():
     m, md = eta(EtaRepresentation.REP1), eta_dagger(EtaRepresentation.REP1)
     assert max_abs(anticommutator(m, md) - 2 * I4) <= 1e-15
-
-
-def test_solve_rejects_singular_matrix():
-    singular = np.ones((4, 4), dtype=complex)
-    with pytest.raises(SingularMatrixError):
-        solve_linear_4x4(singular, np.ones(4, dtype=complex))
-
-
-def test_solve_pivot_screen_scales_with_matrix():
-    # a well-scaled system whose pivots are tiny relative to its row norms
-    m = np.diag([1.0, 1.0, 1.0, 1e-16]).astype(complex)
-    m[0, 3] = 1e3
-    with pytest.raises(SingularMatrixError):
-        solve_linear_4x4(m, np.ones(4, dtype=complex))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_solve_round_trip_random_well_conditioned(seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    m += 4.0 * I4  # keep it comfortably nonsingular
-    x = rng.normal(size=4) + 1j * rng.normal(size=4)
-    recovered = solve_linear_4x4(m, m @ x)
-    assert np.linalg.norm(recovered - x) <= 1e-12 * np.linalg.norm(x)
 
 
 def test_returned_matrices_are_readonly():

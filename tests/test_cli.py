@@ -6,6 +6,8 @@ import pytest
 
 from spinstep import algebra
 from spinstep.cli import main, parse_energy
+from spinstep.eigensystem import ELECTRON_MASS_EV, Spin
+from spinstep.scattering import StepProblem, coefficients, solve_amplitudes_linear
 
 
 def run_cli(capsys, *argv):
@@ -87,6 +89,25 @@ def test_coefficients_mass_pole_exit_2(capsys):
     )
     assert code == 2
     assert "mass pole" in err
+
+
+def test_coefficients_near_mass_pole_spin_down(capsys):
+    # a near-pole spin-down point (|V0-E-m|/m = 8.3e-6) of perfbench's
+    # seed-2 point-query stream
+    energy, v0, m = 7734.886177844446, 518729.61389051046, ELECTRON_MASS_EV
+    keep = (energy - m) ** 2 / (energy + m) ** 2
+    flip = 4 * energy * m / (energy + m) ** 2
+    problem = StepProblem(energy=energy, v0=v0, incident_spin=Spin.DOWN)
+    coeff = coefficients(problem, solve_amplitudes_linear(problem))
+    assert coeff.r1_prime == pytest.approx(flip, abs=1e-13)
+    assert coeff.r2_prime == pytest.approx(keep, abs=1e-13)
+    code, out, _ = run_cli(
+        capsys, "coefficients", "--e", str(energy), "--v0", str(v0), "--spin", "down"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["r1_prime"] == pytest.approx(flip, abs=1e-13)
+    assert payload["r2_prime"] == pytest.approx(keep, abs=1e-13)
 
 
 def test_currents_command(capsys):

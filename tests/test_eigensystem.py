@@ -5,7 +5,6 @@ from spinstep.algebra import EtaRepresentation, eta, eta_dagger, max_abs
 from spinstep.eigensystem import (
     ELECTRON_MASS_EV,
     Direction,
-    PhysicalParams,
     PlaneWaveState,
     Spin,
     analytic_eigenstate,
@@ -168,16 +167,6 @@ def test_state_json_shape():
     assert payload["direction"] == "+z"
     assert len(payload["components"]) == 4
     assert all(len(pair) == 2 for pair in payload["components"])
-
-
-def test_physical_params():
-    params = PhysicalParams(energy=100.0, mass=ME, potential=50.0)
-    assert params.alpha == pytest.approx(1.0 / (100.0 + ME), rel=1e-15)
-    assert params.momentum == pytest.approx(10109.391178503283, rel=1e-14)
-    with pytest.raises(ValueError):
-        PhysicalParams(energy=-1.0, mass=ME)
-    with pytest.raises(ValueError):
-        PhysicalParams(energy=1.0, mass=0.0)
 
 
 def test_eigenstate_kind_validation():

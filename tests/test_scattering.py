@@ -162,19 +162,12 @@ def test_evanescent_amplitudes_and_reflection():
     problem = StepProblem(energy=50.0, v0=100.0, mass=ME)
     for amps in (solve_amplitudes_linear(problem), closed_form_amplitudes(problem)):
         assert abs(amps.b) ** 2 + abs(amps.b_prime) ** 2 == pytest.approx(1.0, abs=1e-12)
-        # region-II amplitude continuity rows: d = 1 + b, d' = b'
-        assert amps.d == pytest.approx(1 + amps.b, abs=1e-12)
-        assert amps.d_prime == amps.c_prime
+        # region-II amplitude continuity rows: c = 1 + b, c' = b'
+        assert amps.c == pytest.approx(1 + amps.b, abs=1e-12)
+        assert amps.c_prime == pytest.approx(amps.b_prime, abs=1e-12)
         # frozen closed forms of the reflection probabilities
         assert abs(amps.b) ** 2 == pytest.approx((50.0 - ME) ** 2 / (50.0 + ME) ** 2, abs=1e-12)
         assert abs(amps.b_prime) ** 2 == pytest.approx(4 * 50.0 * ME / (50.0 + ME) ** 2, abs=1e-12)
-
-
-def test_amplitude_aliases_only_for_evanescent():
-    problem = StepProblem(energy=200.0, v0=100.0)
-    amps = solve_amplitudes_linear(problem)
-    with pytest.raises(AttributeError):
-        _ = amps.d
 
 
 def test_amplitude_set_enforces_bprime_equals_cprime():
@@ -295,9 +288,8 @@ def test_property_unitarity_and_qm_reduction(x, v0, mass):
 def test_property_evanescent_reflection_formulas(x, v0, mass):
     energy = x * v0
     if abs(v0 - energy - mass) <= 1e-4 * mass:
-        # the boundary system loses accuracy quadratically approaching the
-        # transmitted-spinor pole; that band is covered at its own tolerance
-        # by test_reflection_formulas_across_mass_pole
+        # the band next to the mass pole is drawn log-uniformly by
+        # test_property_evanescent_near_mass_pole
         return
     problem = StepProblem(energy=energy, v0=v0, mass=mass)
     coeff = coefficients(problem, solve_amplitudes_linear(problem))
@@ -343,6 +335,41 @@ def test_reflection_formulas_across_mass_pole():
         assert coeff.r2_prime == pytest.approx(
             4 * energy * ME / (energy + ME) ** 2, abs=1e-12
         )
+
+
+# electron, muon, proton and a 1 eV mass
+POLE_MASSES = (ME, 105.6583755e6, 938.27208816e6, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    log_delta=st.floats(min_value=np.log(2e-12), max_value=np.log(1e-3)),
+    sign=st.sampled_from((1.0, -1.0)),
+    mass=st.sampled_from(POLE_MASSES),
+    log_ratio=st.floats(min_value=np.log(1e-6), max_value=np.log(0.999)),
+    spin=st.sampled_from((Spin.UP, Spin.DOWN)),
+)
+def test_property_evanescent_near_mass_pole(log_delta, sign, mass, log_ratio, spin):
+    # V0 - E = m * (1 + sign * delta) with E / V0 = ratio; the reference
+    # transmitted spinors diverge there, the reflection closed forms do not
+    gap = mass * (1.0 + sign * np.exp(log_delta))
+    ratio = np.exp(log_ratio)
+    energy = ratio * gap / (1.0 - ratio)
+    problem = StepProblem(energy=energy, v0=energy + gap, mass=mass, incident_spin=spin)
+    amps = solve_amplitudes_linear(problem)
+    coeff = coefficients(problem, amps)
+    keep = (energy - mass) ** 2 / (energy + mass) ** 2
+    flip = 4 * energy * mass / (energy + mass) ** 2
+    assert abs(abs(amps.b) ** 2 + abs(amps.b_prime) ** 2 - 1.0) <= 1e-12
+    if spin is Spin.UP:
+        expected, rows = (keep, flip), ((amps.c, 1 + amps.b), (amps.c_prime, amps.b_prime))
+    else:
+        expected, rows = (flip, keep), ((amps.c, amps.b), (amps.c_prime, 1 + amps.b_prime))
+    assert coeff.r1_prime == pytest.approx(expected[0], abs=1e-13)
+    assert coeff.r2_prime == pytest.approx(expected[1], abs=1e-13)
+    # the first two continuity rows, in the reference normalization
+    for got, want in rows:
+        assert abs(got - want) <= 1e-13
 
 
 def test_reflection_spin_dominance_crossover():
