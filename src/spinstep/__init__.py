@@ -7,7 +7,8 @@ squaring.  Submodules:
 
   algebra      matrix constructors, identity verification
   eigensystem  momentum-space operator and its plane-wave eigenstates
-  scattering   step-potential amplitudes, probabilities, currents
+  scattering   step-potential amplitudes (factored closed forms over arrays,
+               with a continuity-solve oracle), probabilities, currents
   threed       3D operator algebra and continuity-equation identities
   sweep_io     energy-grid sweeps, CSV/JSON/SVG emission
   cli          command-line interface (`spinstep ...` or `python -m spinstep`)
@@ -43,7 +44,6 @@ from .eigensystem import (
 from .scattering import (
     AmplitudeSet,
     Branch,
-    CancellationRiskWarning,
     CurrentDensities,
     EvanescentState,
     MassPoleError,

@@ -28,10 +28,10 @@ from .scattering import (
     MassPoleError,
     StepProblem,
     ThresholdDegeneracyError,
+    closed_form_amplitudes,
     coefficients,
     currents,
     qm_reference,
-    solve_amplitudes_linear,
 )
 from .sweep_io import Regime, Spacing, SweepSpec, run_sweep
 
@@ -146,7 +146,7 @@ def _point_payload(args, want_coefficients: bool) -> dict:
         mass=args.mass,
         incident_spin=Spin.UP if args.spin == "up" else Spin.DOWN,
     )
-    amps = solve_amplitudes_linear(problem)
+    amps = closed_form_amplitudes(problem)
     payload: dict = {}
     if want_coefficients:
         payload.update(coefficients(problem, amps).to_json_dict())

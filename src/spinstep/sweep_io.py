@@ -18,11 +18,10 @@ import numpy as np
 from .eigensystem import ELECTRON_MASS_EV, Spin
 from .scattering import (
     Branch,
-    StepProblem,
     ThresholdDegeneracyError,
-    coefficients,
-    qm_reference,
-    solve_amplitudes_linear,
+    _amplitude_columns,
+    _probabilities,
+    _spinless,
 )
 
 __all__ = [
@@ -182,62 +181,49 @@ class SweepResult:
         return tuple(r for r in self.rows if isinstance(r, EvanescentRow))
 
 
-def _evaluate_point(spec: SweepSpec, x: float):
-    energy = x * spec.v0
-    problem = StepProblem(
-        energy=energy, v0=spec.v0, mass=spec.mass, incident_spin=spec.incident_spin
-    )
-    amps = solve_amplitudes_linear(problem)
-    coeff = coefficients(problem, amps)
-    if problem.branch is Branch.PROPAGATING:
-        t_qm, r_qm = qm_reference(energy, spec.v0)
-        row = PropagatingRow(
-            e_ev=energy,
-            e_over_v0=x,
-            t1=coeff.t1,
-            t2=coeff.t2,
-            r1=coeff.r1,
-            r2=coeff.r2,
-            total=coeff.t1 + coeff.t2 + coeff.r1 + coeff.r2,
-            t_qm=t_qm,
-            r_qm=r_qm,
-        )
-    else:
-        row = EvanescentRow(
-            e_ev=energy,
-            e_over_v0=x,
-            r1_prime=coeff.r1_prime,
-            r2_prime=coeff.r2_prime,
-            total=coeff.r1_prime + coeff.r2_prime,
-        )
-    if abs(row.total - 1.0) > ROW_SUM_TOL:
-        raise ValueError(
-            f"row at E/V0 = {x!r} violates the unit-sum invariant: {row.total!r}"
-        )
-    return row
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep grid through the linear-solve scattering path.
+    """Evaluate the sweep grid in one pass of the closed-form amplitudes.
 
     Grid points inside the threshold band |E/V0 - 1| <= THRESHOLD_BAND are
     skipped and counted; a sweep whose every point is degenerate raises
-    ThresholdDegeneracyError.  Rows come out in strictly increasing energy,
-    each satisfying its unit-sum invariant to ROW_SUM_TOL.
+    ThresholdDegeneracyError, and one with an evanescent point on the mass
+    pole raises MassPoleError.  The columns are computed by the code that
+    closed_form_amplitudes, coefficients and qm_reference run for one point,
+    so every row equals its point query bit for bit.  Rows come out in
+    strictly increasing energy, each satisfying its unit-sum invariant to
+    ROW_SUM_TOL.
     """
-    rows = []
-    skipped = 0
-    for x in spec.grid():
-        x = float(x)
-        if abs(x - 1.0) <= THRESHOLD_BAND:
-            skipped += 1
-            continue
-        rows.append(_evaluate_point(spec, x))
-    if not rows:
+    x = spec.grid()
+    inside = np.abs(x - 1.0) <= THRESHOLD_BAND
+    x = x[~inside]
+    if not x.size:
         raise ThresholdDegeneracyError(
             "every grid point fell inside the threshold band around E = V0"
         )
-    return SweepResult(spec=spec, rows=tuple(rows), skipped=skipped)
+    energy = x * spec.v0
+    amps = _amplitude_columns(energy, spec.v0, spec.mass, spec.incident_spin)
+    rows = []
+    for row_type, branch, where in (
+        (EvanescentRow, Branch.EVANESCENT, energy < spec.v0),
+        (PropagatingRow, Branch.PROPAGATING, energy > spec.v0),
+    ):
+        if not where.any():
+            continue
+        e = energy[where]
+        probs = _probabilities(branch, e, spec.v0, spec.mass, [a[where] for a in amps])
+        total = sum(probs.values())
+        bad = np.abs(total - 1.0) > ROW_SUM_TOL
+        if bad.any():
+            first = np.argmax(bad)
+            raise ValueError(
+                f"row at E/V0 = {x[where][first]} violates the unit-sum "
+                f"invariant: {total[first]}"
+            )
+        columns = [e, x[where], *probs.values(), total]
+        if branch is Branch.PROPAGATING:
+            columns += _spinless(e, spec.v0)
+        rows += [row_type(*values) for values in zip(*(c.tolist() for c in columns))]
+    return SweepResult(spec=spec, rows=tuple(rows), skipped=int(inside.sum()))
 
 
 def format_float(value: float) -> str:

@@ -91,6 +91,17 @@ def test_coefficients_mass_pole_exit_2(capsys):
     assert "mass pole" in err
 
 
+def test_sweep_mass_pole_exit_2(capsys, tmp_path):
+    out = tmp_path / "pole.csv"
+    code, _, err = run_cli(
+        capsys, "sweep", "--v0", "1021997.9", "--from", "0.25", "--to", "0.75",
+        "--points", "3", "--spacing", "linear", "--regime", "evanescent", "--out", str(out),
+    )
+    assert code == 2
+    assert "invalid sweep" in err
+    assert not out.exists()
+
+
 def test_coefficients_near_mass_pole_spin_down(capsys):
     # a near-pole spin-down point (|V0-E-m|/m = 8.3e-6) of perfbench's
     # seed-2 point-query stream

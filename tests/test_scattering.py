@@ -1,13 +1,15 @@
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinstep.eigensystem import ELECTRON_MASS_EV, Spin
 from spinstep.scattering import (
+    MASS_POLE_EPS,
+    THRESHOLD_EPS,
     AmplitudeSet,
     Branch,
-    CancellationRiskWarning,
     EvanescentState,
     MassPoleError,
     StepProblem,
@@ -140,12 +142,6 @@ def test_small_v0_limit_transparent():
     assert coeff.t1 >= 1.0 - 1e-5
 
 
-def test_closed_form_warns_in_cancellation_region():
-    problem = StepProblem(energy=100.0, v0=100.0 * 1e-7, mass=ME)
-    with pytest.warns(CancellationRiskWarning):
-        closed_form_amplitudes(problem)
-
-
 def test_closed_form_b_vanishes_at_equal_energy_mass():
     problem = StepProblem(energy=ME, v0=ME / 2, mass=ME)
     assert closed_form_amplitudes(problem).b == 0
@@ -202,6 +198,17 @@ def test_qm_reference_limits():
     assert t_near <= 1e-5 and r_near >= 1 - 1e-5
     t_free, _ = qm_reference(100.0, 1e-9)
     assert t_free == pytest.approx(1.0, abs=1e-5)
+
+
+def test_qm_reference_small_step_relative_accuracy():
+    # R = ((k1-k2)/(k1+k2))^2 cancels as V0/E -> 0; (V0/(k1+k2)^2)^2 does not
+    for energy, v0 in [(1e6, 1e-3), (1e9, 1e-3)]:
+        with mpmath.workdps(50):
+            k1 = mpmath.sqrt(energy)
+            k2 = mpmath.sqrt(mpmath.mpf(energy) - v0)
+            want = float(((k1 - k2) / (k1 + k2)) ** 2)
+        _, r_qm = qm_reference(energy, v0)
+        assert abs(r_qm - want) <= 1e-13 * want
 
 
 def test_spin_sums_reduce_to_qm():
@@ -312,10 +319,55 @@ def test_incident_spin_down_symmetry():
     assert coeff.t1 + coeff.t2 == pytest.approx(t_qm, abs=1e-10)
 
 
-def test_closed_forms_reject_spin_down():
-    problem = StepProblem(energy=250.0, v0=100.0, incident_spin=Spin.DOWN)
-    with pytest.raises(ValueError):
-        closed_form_amplitudes(problem)
+def _unfactored_probabilities(energy, v0, mass, spin):
+    """Spin-up closed forms as first written (before factoring), evaluated at
+    50 digits; spin down relabels (b, b', c, c') as (b', b, c', c)."""
+    with mpmath.workdps(50):
+        e, v0, m = mpmath.mpf(energy), mpmath.mpf(v0), mpmath.mpf(mass)
+        if e > v0:
+            root = mpmath.sqrt(e * (e - v0))
+            denom = (e + m) * (2 * e + 2 * root - v0)
+            b = (m - e) * v0 / denom
+            b_prime = 2j * mpmath.sqrt(e * m) * v0 / denom
+            c = (-2 * e**2 - 2 * m * root + 2 * e * (m + root + v0)) / ((e + m) * v0)
+            flux = (e + m) * mpmath.sqrt(e - v0) / ((e - v0 + m) * mpmath.sqrt(e))
+            if spin is Spin.DOWN:
+                b, b_prime, c, c_prime = b_prime, b, b_prime, c
+            else:
+                c_prime = b_prime
+            probs = {
+                "t1": flux * abs(c) ** 2,
+                "t2": flux * abs(c_prime) ** 2,
+                "r1": abs(b) ** 2,
+                "r2": abs(b_prime) ** 2,
+            }
+        else:
+            root = mpmath.sqrt(e * (v0 - e))
+            b = (m - e) * v0 / ((e + m) * (2 * e - v0 + 2j * root))
+            b_prime = 2 * mpmath.sqrt(e * m) * v0 / ((e + m) * (-2j * e + 1j * v0 + 2 * root))
+            if spin is Spin.DOWN:
+                b, b_prime = b_prime, b
+            probs = {"r1_prime": abs(b) ** 2, "r2_prime": abs(b_prime) ** 2}
+        return {name: float(value) for name, value in probs.items()}
+
+
+log_ev = st.floats(min_value=-6.0, max_value=12.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_e=log_ev, log_v0=log_ev, log_m=log_ev, spin=st.sampled_from((Spin.UP, Spin.DOWN)))
+def test_property_closed_forms_relative_accuracy(log_e, log_v0, log_m, spin):
+    # E, V0 and m log-uniform on 1e-6..1e12 eV: every reported probability
+    # within 1e-13 relative of the unfactored closed forms at 50 digits
+    energy, v0, mass = 10.0**log_e, 10.0**log_v0, 10.0**log_m
+    assume(abs(energy - v0) > THRESHOLD_EPS * v0)
+    assume(not (energy < v0 and abs(v0 - energy - mass) <= MASS_POLE_EPS * mass))
+    problem = StepProblem(energy=energy, v0=v0, mass=mass, incident_spin=spin)
+    got = coefficients(problem, closed_form_amplitudes(problem)).to_json_dict()
+    want = _unfactored_probabilities(energy, v0, mass, spin)
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-13 * value, name
 
 
 # ------------------------------------------------------- around the pole
@@ -446,6 +498,37 @@ def test_property_current_conservation(x, v0):
     problem = StepProblem(energy=x * v0, v0=v0)
     j = currents(problem, solve_amplitudes_linear(problem))
     assert j.conservation_sum == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    log_ratio=st.floats(min_value=-4.0, max_value=2.0),
+    log_v0=st.floats(min_value=-2.0, max_value=7.0),
+    mass=st.sampled_from(POLE_MASSES),
+    spin=st.sampled_from((Spin.UP, Spin.DOWN)),
+    route=st.sampled_from((closed_form_amplitudes, solve_amplitudes_linear)),
+)
+def test_property_currents_equal_bilinears(log_ratio, log_v0, mass, spin, route):
+    # each closed-form current equals the bilinear u^dagger (eta+eta^dagger) u
+    # of its boundary mode, weighted by the mode's |amplitude|^2
+    v0 = 10.0**log_v0
+    energy = v0 * 10.0**log_ratio
+    assume(abs(energy - v0) > THRESHOLD_EPS * v0)
+    assume(not (energy < v0 and abs(v0 - energy - mass) <= MASS_POLE_EPS * mass))
+    problem = StepProblem(energy=energy, v0=v0, mass=mass, incident_spin=spin)
+    amps = route(problem)
+    waves = region_wavefunctions(problem)
+    bilinear = {
+        "j_inc": probability_current(waves.incident.spinor),
+        "j_refl_up": abs(amps.b) ** 2 * probability_current(waves.reflected[0].spinor),
+        "j_refl_down": abs(amps.b_prime) ** 2 * probability_current(waves.reflected[1].spinor),
+        "j_trans_up": abs(amps.c) ** 2 * probability_current(waves.transmitted[0].spinor),
+        "j_trans_down": abs(amps.c_prime) ** 2 * probability_current(waves.transmitted[1].spinor),
+    }
+    closed = currents(problem, amps).to_json_dict()
+    for name, want in bilinear.items():
+        scale = max(abs(want), abs(closed[name]), bilinear["j_inc"])
+        assert abs(closed[name] - want) <= 1e-12 * scale, name
 
 
 # --------------------------------------------------------------- boundary

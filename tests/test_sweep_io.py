@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from spinstep.scattering import ThresholdDegeneracyError
+from spinstep.eigensystem import ELECTRON_MASS_EV
+from spinstep.scattering import (
+    MassPoleError,
+    StepProblem,
+    ThresholdDegeneracyError,
+    closed_form_amplitudes,
+    coefficients,
+    qm_reference,
+)
 from spinstep.sweep_io import (
     EVANESCENT_CSV_HEADER,
     PROPAGATING_CSV_HEADER,
@@ -83,6 +91,38 @@ def test_auto_sweep_splits_and_skips_threshold():
     assert len(result.rows) == 30
     assert len(result.evanescent_rows) == 10
     assert len(result.propagating_rows) == 20
+
+
+def test_sweep_refuses_mass_pole():
+    # the middle grid point has E = m and V0 - E = m
+    spec = SweepSpec(
+        v0=2 * ELECTRON_MASS_EV, mass=ELECTRON_MASS_EV, e_over_v0_min=0.25,
+        e_over_v0_max=0.75, points=3, spacing=Spacing.LINEAR, regime=Regime.EVANESCENT,
+    )
+    with pytest.raises(MassPoleError):
+        run_sweep(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    SweepSpec(v0=100.0, e_over_v0_min=1.001, e_over_v0_max=10.0, points=500,
+              spacing=Spacing.LOG, regime=Regime.PROPAGATING),
+    SweepSpec(v0=1e6, e_over_v0_min=1.001, e_over_v0_max=3.0, points=200,
+              spacing=Spacing.LOG, regime=Regime.PROPAGATING),
+    SweepSpec(v0=100.0, e_over_v0_min=0.01, e_over_v0_max=0.99, points=100,
+              spacing=Spacing.LINEAR, regime=Regime.EVANESCENT),
+], ids=["fig2", "fig3", "fig4"])
+def test_sweep_rows_equal_point_queries(spec):
+    # the vectorized sweep and the scalar point route agree bit for bit
+    for row in run_sweep(spec).rows:
+        problem = StepProblem(energy=row.e_ev, v0=spec.v0, mass=spec.mass)
+        coeff = coefficients(problem, closed_form_amplitudes(problem))
+        point = coeff.to_json_dict()
+        point["sum"] = coeff.total
+        if isinstance(row, PropagatingRow):
+            point["t_qm"], point["r_qm"] = qm_reference(row.e_ev, spec.v0)
+        fields = row.json_dict()
+        del fields["e_ev"], fields["e_over_v0"]
+        assert fields == point
 
 
 def test_entirely_degenerate_grid_raises():
