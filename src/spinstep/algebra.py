@@ -33,10 +33,6 @@ __all__ = [
     "dagger",
     "anticommutator",
     "commutator",
-    "is_symmetric",
-    "is_hermitian",
-    "is_nilpotent_order2",
-    "is_zero",
     "max_abs",
     "char_poly_coeffs",
     "verify_eta_matrix",
@@ -159,23 +155,6 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def max_abs(m: np.ndarray) -> float:
     """Largest entry magnitude; the deviation measure used by all reports."""
     return float(np.abs(np.asarray(m)).max())
-
-
-def is_symmetric(m: np.ndarray, tol: float = IDENTITY_TOL) -> bool:
-    return max_abs(m - np.asarray(m).T) <= tol
-
-
-def is_hermitian(m: np.ndarray, tol: float = IDENTITY_TOL) -> bool:
-    return max_abs(m - dagger(m)) <= tol
-
-
-def is_nilpotent_order2(m: np.ndarray, tol: float = IDENTITY_TOL) -> bool:
-    m = np.asarray(m)
-    return max_abs(m @ m) <= tol
-
-
-def is_zero(m: np.ndarray, tol: float = IDENTITY_TOL) -> bool:
-    return max_abs(m) <= tol
 
 
 def char_poly_coeffs(m: np.ndarray) -> np.ndarray:

@@ -164,10 +164,7 @@ def _print_payload(payload: dict, pretty: bool):
         for key, value in payload.items():
             print(f"{key:<{width}}  {sweep_io.format_float(value)}")
     else:
-        fields = ", ".join(
-            f'"{key}": {sweep_io.format_float(value)}' for key, value in payload.items()
-        )
-        print("{" + fields + "}")
+        print(sweep_io._json_object(payload.items()))
 
 
 def _cmd_point(args, want_coefficients: bool) -> int:
@@ -199,8 +196,7 @@ def _emit(rows, path, fmt: str, columns):
     elif fmt == "json":
         sweep_io.emit_json(rows, path)
     else:
-        selected = columns or sorted(set(rows[0].json_dict()) - {"e_ev", "e_over_v0", "sum"})
-        sweep_io.emit_svg(rows, path, selected)
+        sweep_io.emit_svg(rows, path, columns)
 
 
 def _cmd_sweep(args) -> int:
@@ -215,24 +211,29 @@ def _cmd_sweep(args) -> int:
             regime=Regime(args.regime),
         )
         result = run_sweep(spec)
+        groups = [g for g in (result.evanescent_rows, result.propagating_rows) if g]
+        fmt = _infer_format(args)
+        # check the SVG columns against every regime before any file is opened
+        requested = args.columns.split(",") if args.columns else None
+        columns = [
+            sweep_io._svg_columns(type(rows[0]), requested) if fmt == "svg" else None
+            for rows in groups
+        ]
     except (ThresholdDegeneracyError, MassPoleError, ValueError) as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    fmt = _infer_format(args)
-    columns = args.columns.split(",") if args.columns else None
-    groups = [g for g in (result.evanescent_rows, result.propagating_rows) if g]
     try:
         if len(groups) == 1:
-            _emit(groups[0], args.out, fmt, columns)
+            _emit(groups[0], args.out, fmt, columns[0])
             files = [str(args.out)]
         else:
             # straddling sweep: one file per regime
             out = Path(args.out)
             files = []
-            for rows, tag in zip(groups, ("evanescent", "propagating")):
+            for rows, cols, tag in zip(groups, columns, ("evanescent", "propagating")):
                 target = out.with_name(f"{out.stem}_{tag}{out.suffix}")
-                _emit(rows, target, fmt, columns)
+                _emit(rows, target, fmt, cols)
                 files.append(str(target))
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)

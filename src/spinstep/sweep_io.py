@@ -1,16 +1,25 @@
 """Energy-grid sweeps and deterministic CSV/JSON/SVG emission.
 
 A sweep evaluates the spin-resolved step coefficients over a grid of E/V0
-ratios and emits the rows as data files.  Emission is deterministic: the
-same spec always produces byte-identical output.  Numbers are printed with
-17 significant digits, which round-trips IEEE doubles exactly, so emitted
-files double as golden files.
+ratios and returns one row per grid point: a PropagatingRow (T1, T2, R1, R2
+and the spinless T_QM, R_QM) above the step, an EvanescentRow (R1', R2')
+below it.  Each row type carries one ordered field table, FIELDS, naming
+every column's attribute, CSV header and SVG colour; the CSV header line,
+the JSON keys (the attribute, except `total`, written as "sum"), the SVG
+column names and colours and the CLI's default SVG columns all read it.  A
+row checks its unit-sum invariant once, when it is built, so every row that
+exists can be emitted.
+
+Emission is deterministic: the same spec always produces byte-identical
+output.  Numbers are printed with 17 significant digits, which round-trips
+IEEE doubles exactly, so emitted files double as golden files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -42,14 +51,11 @@ __all__ = [
     "EVANESCENT_CSV_HEADER",
 ]
 
-# Every emitted row must satisfy its unit-sum invariant this tightly.
+# Every row must satisfy its unit-sum invariant this tightly.
 ROW_SUM_TOL = 1e-12
 
 # Grid points with |E/V0 - 1| inside this band are skipped, not errors.
 THRESHOLD_BAND = 1e-9
-
-PROPAGATING_CSV_HEADER = "E_eV,E_over_V0,T1,T2,R1,R2,sum,T_QM,R_QM"
-EVANESCENT_CSV_HEADER = "E_eV,E_over_V0,R1_prime,R2_prime,sum"
 
 
 class Spacing(Enum):
@@ -107,8 +113,48 @@ class SweepSpec:
         )
 
 
+def _key(attr: str) -> str:
+    """JSON key and SVG column name of a row attribute."""
+    return "sum" if attr == "total" else attr
+
+
+# The grid columns that lead every row; the columns after them are curves.
+_GRID_FIELDS = (("e_ev", "E_eV", None), ("e_over_v0", "E_over_V0", None))
+
+
 @dataclass(frozen=True)
-class PropagatingRow:
+class _Row:
+    """Behaviour shared by the row types, driven by their FIELDS table of
+    (attribute, CSV header, SVG colour or None) in emission order."""
+
+    FIELDS = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.CSV_HEADER = ",".join(header for _, header, _ in cls.FIELDS)
+        cls._KEYS = tuple(_key(attr) for attr, _, _ in cls.FIELDS)
+        cls._VALUES = attrgetter(*(attr for attr, _, _ in cls.FIELDS))
+        # SVG column name -> (attribute, colour), for the curve columns
+        cls._CURVES = {
+            _key(attr): (attr, colour) for attr, _, colour in cls.FIELDS[len(_GRID_FIELDS):]
+        }
+
+    def __post_init__(self):
+        if not abs(self.total - 1.0) <= ROW_SUM_TOL:
+            raise ValueError(
+                f"row at E/V0 = {self.e_over_v0!r} violates the unit-sum "
+                f"invariant: {self.total!r}"
+            )
+
+    def csv_values(self) -> tuple:
+        return self._VALUES(self)
+
+    def json_dict(self) -> dict:
+        return dict(zip(self._KEYS, self._VALUES(self)))
+
+
+@dataclass(frozen=True)
+class PropagatingRow(_Row):
     e_ev: float
     e_over_v0: float
     t1: float
@@ -119,49 +165,34 @@ class PropagatingRow:
     t_qm: float
     r_qm: float
 
-    CSV_HEADER = PROPAGATING_CSV_HEADER
-
-    def csv_values(self):
-        return (
-            self.e_ev, self.e_over_v0, self.t1, self.t2, self.r1, self.r2,
-            self.total, self.t_qm, self.r_qm,
-        )
-
-    def json_dict(self) -> dict:
-        return {
-            "e_ev": self.e_ev,
-            "e_over_v0": self.e_over_v0,
-            "t1": self.t1,
-            "t2": self.t2,
-            "r1": self.r1,
-            "r2": self.r2,
-            "sum": self.total,
-            "t_qm": self.t_qm,
-            "r_qm": self.r_qm,
-        }
+    FIELDS = _GRID_FIELDS + (
+        ("t1", "T1", "red"),
+        ("t2", "T2", "blue"),
+        ("r1", "R1", "red"),
+        ("r2", "R2", "blue"),
+        ("total", "sum", None),
+        ("t_qm", "T_QM", None),
+        ("r_qm", "R_QM", None),
+    )
 
 
 @dataclass(frozen=True)
-class EvanescentRow:
+class EvanescentRow(_Row):
     e_ev: float
     e_over_v0: float
     r1_prime: float
     r2_prime: float
     total: float
 
-    CSV_HEADER = EVANESCENT_CSV_HEADER
+    FIELDS = _GRID_FIELDS + (
+        ("r1_prime", "R1_prime", "red"),
+        ("r2_prime", "R2_prime", "blue"),
+        ("total", "sum", None),
+    )
 
-    def csv_values(self):
-        return (self.e_ev, self.e_over_v0, self.r1_prime, self.r2_prime, self.total)
 
-    def json_dict(self) -> dict:
-        return {
-            "e_ev": self.e_ev,
-            "e_over_v0": self.e_over_v0,
-            "r1_prime": self.r1_prime,
-            "r2_prime": self.r2_prime,
-            "sum": self.total,
-        }
+PROPAGATING_CSV_HEADER = PropagatingRow.CSV_HEADER
+EVANESCENT_CSV_HEADER = EvanescentRow.CSV_HEADER
 
 
 @dataclass(frozen=True)
@@ -190,8 +221,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     pole raises MassPoleError.  The columns are computed by the code that
     closed_form_amplitudes, coefficients and qm_reference run for one point,
     so every row equals its point query bit for bit.  Rows come out in
-    strictly increasing energy, each satisfying its unit-sum invariant to
-    ROW_SUM_TOL.
+    strictly increasing energy; building a row checks its unit sum.
     """
     x = spec.grid()
     inside = np.abs(x - 1.0) <= THRESHOLD_BAND
@@ -211,15 +241,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             continue
         e = energy[where]
         probs = _probabilities(branch, e, spec.v0, spec.mass, [a[where] for a in amps])
-        total = sum(probs.values())
-        bad = np.abs(total - 1.0) > ROW_SUM_TOL
-        if bad.any():
-            first = np.argmax(bad)
-            raise ValueError(
-                f"row at E/V0 = {x[where][first]} violates the unit-sum "
-                f"invariant: {total[first]}"
-            )
-        columns = [e, x[where], *probs.values(), total]
+        columns = [e, x[where], *probs.values(), sum(probs.values())]
         if branch is Branch.PROPAGATING:
             columns += _spinless(e, spec.v0)
         rows += [row_type(*values) for values in zip(*(c.tolist() for c in columns))]
@@ -232,7 +254,7 @@ def format_float(value: float) -> str:
 
 
 def _homogeneous_rows(rows) -> type:
-    rows = list(rows)
+    """The row type shared by every row, which emission requires."""
     if not rows:
         raise ValueError("no rows to emit")
     kind = type(rows[0])
@@ -246,76 +268,62 @@ def _homogeneous_rows(rows) -> type:
     return kind
 
 
-def _validate_rows(rows):
-    for row in rows:
-        if abs(row.total - 1.0) > ROW_SUM_TOL:
-            raise ValueError(
-                f"row at E = {row.e_ev!r} violates the unit-sum invariant; "
-                "emission aborted"
-            )
-
-
 def _write_text(path, text: str):
     Path(path).write_text(text, encoding="utf-8")
+
+
+def _json_object(items) -> str:
+    """One-line JSON object of (key, number) pairs, numbers as format_float."""
+    return "{" + ", ".join(f'"{key}": {format_float(value)}' for key, value in items) + "}"
+
+
+def _svg_columns(kind: type, columns=None) -> list:
+    """The SVG columns to draw for rows of `kind`: `columns`, lower-cased and
+    checked against its field table, or by default every curve but the sum
+    in alphabetical order."""
+    if columns is None:
+        return sorted(key for key in kind._CURVES if key != "sum")
+    columns = [c.lower() for c in columns]
+    if not columns:
+        raise ValueError("no columns selected")
+    unknown = [c for c in columns if c not in kind._CURVES]
+    if unknown:
+        raise ValueError(f"unknown columns for {kind.__name__}: {unknown}")
+    return columns
 
 
 def emit_csv(rows, path) -> None:
     """Write rows as CSV with the exact per-regime header line.
 
-    All rows are validated before anything is written, so a violating row
-    never leaves a partial file behind.
+    The rows are checked to share one regime before anything is written, so
+    a refused list never leaves a partial file behind.
     """
     kind = _homogeneous_rows(rows)
-    _validate_rows(rows)
     lines = [kind.CSV_HEADER]
-    lines.extend(",".join(format_float(v) for v in row.csv_values()) for row in rows)
+    lines.extend(",".join(map(format_float, row.csv_values())) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def emit_json(rows, path) -> None:
     """Write rows as a JSON array of row objects (17-significant-digit
     numbers, deterministic key order)."""
-    _homogeneous_rows(rows)
-    _validate_rows(rows)
-    parts = []
-    for row in rows:
-        fields = ", ".join(
-            f'"{key}": {format_float(value)}' for key, value in row.json_dict().items()
-        )
-        parts.append("  {" + fields + "}")
+    keys = _homogeneous_rows(rows)._KEYS
+    parts = ["  " + _json_object(zip(keys, row.csv_values())) for row in rows]
     _write_text(path, "[\n" + ",\n".join(parts) + "\n]\n")
 
 
-_SPIN_UP_COLOR = "red"
-_SPIN_DOWN_COLOR = "blue"
 _NEUTRAL_COLORS = ("black", "green", "orange", "purple")
-
-_COLUMN_COLOR = {
-    "t1": _SPIN_UP_COLOR,
-    "r1": _SPIN_UP_COLOR,
-    "r1_prime": _SPIN_UP_COLOR,
-    "t2": _SPIN_DOWN_COLOR,
-    "r2": _SPIN_DOWN_COLOR,
-    "r2_prime": _SPIN_DOWN_COLOR,
-}
 
 
 def emit_svg(rows, path, columns) -> None:
     """Write a self-contained SVG line chart of the selected columns against
     E/V0 (fixed 800x600 viewBox, no external assets).
 
-    Spin-up columns (t1, r1, r1_prime) draw in red, spin-down columns in
-    blue, anything else in neutral colors.
+    Each column draws in its field-table colour (spin up red, spin down
+    blue); columns without one take the neutral colours in turn.
     """
     kind = _homogeneous_rows(rows)
-    _validate_rows(rows)
-    columns = [c.lower() for c in columns]
-    if not columns:
-        raise ValueError("no columns selected")
-    valid = set(rows[0].json_dict()) - {"e_ev", "e_over_v0"}
-    unknown = [c for c in columns if c not in valid]
-    if unknown:
-        raise ValueError(f"unknown columns for {kind.__name__}: {unknown}")
+    columns = _svg_columns(kind, columns)
 
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
@@ -325,7 +333,7 @@ def emit_svg(rows, path, columns) -> None:
     xs = [row.e_over_v0 for row in rows]
     x_min, x_max = min(xs), max(xs)
     x_span = (x_max - x_min) or 1.0
-    series = {c: [row.json_dict()[c] for row in rows] for c in columns}
+    series = {c: [getattr(row, kind._CURVES[c][0]) for row in rows] for c in columns}
     y_min = min(min(v) for v in series.values())
     y_max = max(max(v) for v in series.values())
     y_min = min(y_min, 0.0)
@@ -373,7 +381,7 @@ def emit_svg(rows, path, columns) -> None:
     )
     neutral = iter(_NEUTRAL_COLORS)
     for idx, column in enumerate(columns):
-        color = _COLUMN_COLOR.get(column) or next(neutral, "gray")
+        color = kind._CURVES[column][1] or next(neutral, "gray")
         points = " ".join(
             f"{px(x):.3f},{py(y):.3f}" for x, y in zip(xs, series[column])
         )

@@ -198,6 +198,25 @@ def test_sweep_svg_format(tmp_path, capsys):
     assert text.count("<polyline") == 2
 
 
+@pytest.mark.parametrize("x_min, columns", [
+    ("1.001", "foo"),
+    ("1.001", ","),
+    # straddling: r1_prime exists below the step only, so the propagating
+    # file would fail; neither file may be written
+    ("0.5", "r1_prime"),
+], ids=["unknown", "empty", "straddling"])
+def test_sweep_bad_svg_columns_exit_2_and_write_nothing(tmp_path, capsys, x_min, columns):
+    code, out, err = run_cli(
+        capsys, "sweep", "--v0", "100", "--from", x_min, "--to", "2",
+        "--points", "10", "--spacing", "linear", "--out", str(tmp_path / "x.svg"),
+        "--columns", columns,
+    )
+    assert code == 2
+    assert err.startswith("invalid sweep: ")
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_invalid_grid_exit_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--v0", "100", "--from", "5", "--to", "2",
@@ -244,3 +263,45 @@ def test_module_entry_point_subprocess(tmp_path):
     assert result.returncode == 0
     payload = json.loads(result.stdout)
     assert "r1_prime" in payload
+
+
+# exact stdout of the README's point commands
+README_POINT_STDOUT = {
+    ("coefficients", "--e", "200", "--v0", "100"): (
+        '{"t1": 0.97053018001037106, "t2": 3.256846676948649e-05, '
+        '"r1": 0.029391201765397841, "r2": 4.6049757461571702e-05, '
+        '"t_qm": 0.97056274847714064, "r_qm": 0.029437251522859413, '
+        '"j_inc": 0.11186907259472477, "j_refl_up": -0.0032879664839394938, '
+        '"j_refl_down": -5.151543660438033e-06, "j_trans_up": 0.10857231116295152, '
+        '"j_trans_down": 3.6434041733345661e-06}\n'
+    ),
+    ("coefficients", "--e", "50", "--v0", "100"): (
+        '{"r1_prime": 0.99960868634520661, "r2_prime": 0.00039131365479335399, '
+        '"j_inc": 0.055950953864494855, "j_refl_up": -0.05592905949224896, '
+        '"j_refl_down": -2.1894372245889814e-05, "j_trans_up": 0, "j_trans_down": 0}\n'
+    ),
+    ("currents", "--e", "200", "--v0", "100"): (
+        '{"j_inc": 0.11186907259472477, "j_refl_up": -0.0032879664839394938, '
+        '"j_refl_down": -5.151543660438033e-06, "j_trans_up": 0.10857231116295152, '
+        '"j_trans_down": 3.6434041733345661e-06}\n'
+    ),
+    ("coefficients", "--e", "200", "--v0", "100", "--pretty"): (
+        "t1            0.97053018001037106\n"
+        "t2            3.256846676948649e-05\n"
+        "r1            0.029391201765397841\n"
+        "r2            4.6049757461571702e-05\n"
+        "t_qm          0.97056274847714064\n"
+        "r_qm          0.029437251522859413\n"
+        "j_inc         0.11186907259472477\n"
+        "j_refl_up     -0.0032879664839394938\n"
+        "j_refl_down   -5.151543660438033e-06\n"
+        "j_trans_up    0.10857231116295152\n"
+        "j_trans_down  3.6434041733345661e-06\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(README_POINT_STDOUT), ids=" ".join)
+def test_readme_point_commands_stdout(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, README_POINT_STDOUT[argv], "")

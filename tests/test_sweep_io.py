@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -200,13 +201,19 @@ def test_emit_rejects_empty_and_mixed(tmp_path):
 
 def test_emission_aborts_on_bad_row_without_partial_file(tmp_path):
     rows = list(run_sweep(small_prop_spec(points=3)).rows)
-    bad = PropagatingRow(
-        e_ev=1.0, e_over_v0=1.5, t1=0.5, t2=0.0, r1=0.0, r2=0.0,
-        total=0.5, t_qm=0.5, r_qm=0.5,
-    )
+    # a row that violates the unit sum cannot be built
+    with pytest.raises(ValueError):
+        PropagatingRow(
+            e_ev=1.0, e_over_v0=1.5, t1=0.5, t2=0.0, r1=0.0, r2=0.0,
+            total=0.5, t_qm=0.5, r_qm=0.5,
+        )
+    evan = run_sweep(SweepSpec(
+        v0=100.0, e_over_v0_min=0.1, e_over_v0_max=0.9, points=3,
+        spacing=Spacing.LINEAR, regime=Regime.EVANESCENT,
+    )).rows
     target = tmp_path / "never.csv"
     with pytest.raises(ValueError):
-        emit_csv(rows + [bad], target)
+        emit_csv(rows + list(evan), target)
     assert not target.exists()
 
 
@@ -237,3 +244,34 @@ def test_rows_match_qm_reference_columns():
     for row in result.rows:
         assert row.t1 + row.t2 == pytest.approx(row.t_qm, abs=1e-10)
         assert row.r1 + row.r2 == pytest.approx(row.r_qm, abs=1e-10)
+
+
+# sha256 prefixes of the JSON and SVG files of the README figure sweeps; the
+# SVGs draw the CLI's default columns
+FIGURE_DIGESTS = {
+    "fig2": (
+        SweepSpec(v0=100.0, e_over_v0_min=1.001, e_over_v0_max=10.0, points=500,
+                  spacing=Spacing.LOG, regime=Regime.PROPAGATING),
+        ["r1", "r2", "r_qm", "t1", "t2", "t_qm"], "9c934fd961bc", "d6d55d287de8",
+    ),
+    "fig3": (
+        SweepSpec(v0=1e6, e_over_v0_min=1.001, e_over_v0_max=3.0, points=200,
+                  spacing=Spacing.LOG, regime=Regime.PROPAGATING),
+        ["r1", "r2", "r_qm", "t1", "t2", "t_qm"], "db6c2922d584", "9646c7e29a85",
+    ),
+    "fig4": (
+        SweepSpec(v0=100.0, e_over_v0_min=0.01, e_over_v0_max=0.99, points=100,
+                  spacing=Spacing.LINEAR, regime=Regime.EVANESCENT),
+        ["r1_prime", "r2_prime"], "a0eaf6d1042a", "3bd884784d13",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_DIGESTS))
+def test_json_and_svg_bytes_are_pinned(name, tmp_path):
+    spec, columns, json_digest, svg_digest = FIGURE_DIGESTS[name]
+    rows = run_sweep(spec).rows
+    emit_json(rows, tmp_path / "out.json")
+    emit_svg(rows, tmp_path / "out.svg", columns)
+    for path, want in ((tmp_path / "out.json", json_digest), (tmp_path / "out.svg", svg_digest)):
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == want
