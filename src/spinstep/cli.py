@@ -20,12 +20,12 @@ import json
 import sys
 from pathlib import Path
 
-from . import algebra, eigensystem, sweep_io, threed
-from .algebra import AlgebraReport, EtaRepresentation
-from .eigensystem import ELECTRON_MASS_EV, Spin
+from . import sweep_io
 from .scattering import (
+    ELECTRON_MASS_EV,
     Branch,
     MassPoleError,
+    Spin,
     StepProblem,
     ThresholdDegeneracyError,
     closed_form_amplitudes,
@@ -34,6 +34,10 @@ from .scattering import (
     qm_reference,
 )
 from .sweep_io import Regime, Spacing, SweepSpec, run_sweep
+
+# algebra, eigensystem and threed import numpy when they load, so only the
+# commands that run the verification suites import them: the point commands
+# run without numpy.
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -52,7 +56,9 @@ def parse_energy(text: str) -> float:
     return float(raw)
 
 
-def _rep(value: str) -> EtaRepresentation:
+def _rep(value: str):
+    from .algebra import EtaRepresentation
+
     return EtaRepresentation.REP1 if value == "rep1" else EtaRepresentation.REP2
 
 
@@ -100,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--columns", default=None,
-        help="comma-separated SVG columns (e.g. t1,t2); default all",
+        help="comma-separated SVG columns (e.g. t1,t2), SVG output only; default all",
     )
     p_sweep.add_argument("--pretty", action="store_true")
 
@@ -110,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_report(report: AlgebraReport, pretty: bool):
+def _print_report(report, pretty: bool):
     if pretty:
         width = max(len(c.name) for c in report.checks)
         for c in report.checks:
@@ -122,8 +128,10 @@ def _print_report(report: AlgebraReport, pretty: bool):
 
 
 def _cmd_verify(args) -> int:
+    from . import algebra, eigensystem, threed
+
     rep = _rep(args.rep)
-    report = AlgebraReport.merge(
+    report = algebra.AlgebraReport.merge(
         algebra.verify_eta_algebra(rep),
         eigensystem.verify_dispersion(rep),
         threed.verify_continuity_identities(rep),
@@ -134,6 +142,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_threed_check(args) -> int:
+    from . import threed
+
     report = threed.verify_continuity_identities(_rep(args.rep))
     _print_report(report, args.pretty)
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
@@ -210,9 +220,11 @@ def _cmd_sweep(args) -> int:
             spacing=Spacing(args.spacing),
             regime=Regime(args.regime),
         )
+        fmt = _infer_format(args)
+        if args.columns is not None and fmt != "svg":
+            raise ValueError(f"--columns selects SVG curves; the output format is {fmt}")
         result = run_sweep(spec)
         groups = [g for g in (result.evanescent_rows, result.propagating_rows) if g]
-        fmt = _infer_format(args)
         # check the SVG columns against every regime before any file is opened
         requested = args.columns.split(",") if args.columns else None
         columns = [

@@ -14,31 +14,35 @@ both energy regimes:
   R2' = 4*E*m/(E+m)^2, independent of the barrier height.
 
 Amplitudes come from closed forms factored over k1 = sqrt(E) and
-k2 = sqrt(E - V0) (k2 = i*sqrt(V0 - E) below the step), written once as
-array expressions: a sweep evaluates its whole grid in one pass and a
-single point is the same code on one element.  The factored forms subtract
-no nearly equal numbers, so every amplitude is accurate to a few ulps over
-the whole domain, through the mass pole V0 - E = m and for arbitrarily
-small V0/E.  An LU solve (LAPACK, via numpy) of the wavefunction continuity
-condition at z = 0 is kept as the independent oracle the tests compare
-against.  Probability currents come from their closed forms; the bilinears
-u^dagger (eta + eta^dagger) u they equal are checked in the tests.
+k2 = sqrt(E - V0) (k2 = i*sqrt(V0 - E) below the step), written once per
+branch in real arithmetic: the same expressions run on Python floats for a
+point and on numpy arrays for a sweep grid, and give the same bits.  The
+factored forms subtract no nearly equal numbers, so every amplitude is
+accurate to a few ulps over the whole domain, through the mass pole
+V0 - E = m and for arbitrarily small V0/E.  An LU solve (LAPACK, via numpy)
+of the wavefunction continuity condition at z = 0 is kept as the
+independent oracle the tests compare against.  Probability currents come
+from their closed forms; the bilinears u^dagger (eta + eta^dagger) u they
+equal are checked in the tests.
+
+numpy is imported only by the code that builds arrays (the mode basis, the
+continuity oracle and the current bilinears), so that StepProblem,
+closed_form_amplitudes, coefficients, currents and qm_reference run
+without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .algebra import SQRT2, EtaRepresentation, eta, eta_dagger
-from .eigensystem import (
-    ELECTRON_MASS_EV,
-    PlaneWaveState,
-    Spin,
-    analytic_eigenstate,
-)
+    from .algebra import EtaRepresentation
+    from .eigensystem import PlaneWaveState
 
 __all__ = [
     "THRESHOLD_EPS",
@@ -84,6 +88,13 @@ CONTINUITY_TOL = 1e-11
 COEFFICIENT_SUM_TOL = 1e-12
 CLAMP_EPS = 1e-12
 
+ELECTRON_MASS_EV = 510998.95
+
+
+class Spin(Enum):
+    UP = "up"
+    DOWN = "down"
+
 
 class Branch(Enum):
     PROPAGATING = "propagating"  # E > V0
@@ -98,14 +109,11 @@ class MassPoleError(ValueError):
     """Evanescent configuration sits on the transmitted-spinor pole V0 - E = m."""
 
 
-def _check_mass_pole(energy, v0, mass):
-    """Refuse evanescent energies on V0 - E = m; energy may be an array."""
-    gap = v0 - energy
-    on_pole = (gap > 0) & (np.abs(gap - mass) <= MASS_POLE_EPS * mass)
-    if np.any(on_pole):
+def _check_mass_pole(gap: float, mass: float):
+    """Refuse an evanescent gap V0 - E on the pole V0 - E = m."""
+    if abs(gap - mass) <= MASS_POLE_EPS * mass:
         raise MassPoleError(
-            f"V0 - E = {np.extract(on_pole, gap)[0]} sits on the transmitted-"
-            f"spinor pole at the mass m = {mass}"
+            f"V0 - E = {gap} sits on the transmitted-spinor pole at the mass m = {mass}"
         )
 
 
@@ -121,7 +129,7 @@ class StepProblem:
     def __post_init__(self):
         for name in ("energy", "v0", "mass"):
             value = getattr(self, name)
-            if not (value > 0 and np.isfinite(value)):
+            if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if abs(self.energy - self.v0) <= THRESHOLD_EPS * self.v0:
             raise ThresholdDegeneracyError(
@@ -135,12 +143,12 @@ class StepProblem:
 
     @property
     def incident_momentum(self) -> float:
-        return float(np.sqrt(2.0 * self.energy * self.mass))
+        return math.sqrt(2.0 * self.energy * self.mass)
 
     @property
     def transmitted_momentum(self) -> float:
         """Real momentum p2 (propagating) or decay constant p2' (evanescent)."""
-        return float(np.sqrt(2.0 * abs(self.energy - self.v0) * self.mass))
+        return math.sqrt(2.0 * abs(self.energy - self.v0) * self.mass)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,12 +164,14 @@ class EvanescentState:
     spin: Spin
 
     def __post_init__(self):
+        import numpy as np
+
         u = np.array(self.spinor, dtype=complex)
         u.setflags(write=False)
         object.__setattr__(self, "spinor", u)
         if u.shape != (4,):
             raise ValueError("spinor must be a 4-vector")
-        if not (self.decay_constant > 0 and np.isfinite(self.decay_constant)):
+        if not (self.decay_constant > 0 and math.isfinite(self.decay_constant)):
             raise ValueError("decay_constant must be positive and finite")
 
 
@@ -175,6 +185,10 @@ class RegionWaves:
 
 
 def _evanescent_spinor(problem: StepProblem, spin: Spin) -> np.ndarray:
+    import numpy as np
+
+    from .algebra import SQRT2
+
     gap = problem.v0 - problem.energy  # > 0 in this branch
     rho = 1.0 / (gap - problem.mass)
     p2p = problem.transmitted_momentum
@@ -197,6 +211,8 @@ def region_wavefunctions(problem: StepProblem) -> RegionWaves:
     transmitted modes: on-shell plane waves at kinetic energy E - V0 when
     propagating, or decaying EvanescentState modes when E < V0.
     """
+    from .eigensystem import analytic_eigenstate
+
     incident_kind = 1 if problem.incident_spin is Spin.UP else 2
     incident = analytic_eigenstate(incident_kind, problem.energy, problem.mass)
     reflected = (
@@ -209,7 +225,7 @@ def region_wavefunctions(problem: StepProblem) -> RegionWaves:
             analytic_eigenstate(2, problem.energy - problem.v0, problem.mass),
         )
     else:
-        _check_mass_pole(problem.energy, problem.v0, problem.mass)
+        _check_mass_pole(problem.v0 - problem.energy, problem.mass)
         p2p = problem.transmitted_momentum
         transmitted = (
             EvanescentState(_evanescent_spinor(problem, Spin.UP), p2p, Spin.UP),
@@ -253,7 +269,7 @@ class AmplitudeSet:
                 )
 
 
-def _continuity_matrix(problem: StepProblem, waves: RegionWaves):
+def _continuity_matrix(problem: StepProblem):
     """Matrix and right-hand side of the z = 0 continuity system.
 
     The unknowns are the reflected amplitudes b, b' and the coefficients of
@@ -265,18 +281,26 @@ def _continuity_matrix(problem: StepProblem, waves: RegionWaves):
 
         v1 = [s+r, s+r, i(s-r), -i(s-r)],  v2 = [s-r, r-s, i(s+r), i(s+r)],
 
-    which stay at least 60 degrees apart for every V0 - E and m.
+    which stay at least 60 degrees apart for every V0 - E and m.  The
+    evanescent mass pole is refused, as region_wavefunctions refuses it.
     """
-    r_up, r_down = (w.spinor for w in waves.reflected)
+    import numpy as np
+
+    from .eigensystem import analytic_eigenstate
+
+    e, v0, m = problem.energy, problem.v0, problem.mass
+    incident = analytic_eigenstate(1 if problem.incident_spin is Spin.UP else 2, e, m)
+    r_up, r_down = (analytic_eigenstate(kind, e, m).spinor for kind in (3, 4))
     if problem.branch is Branch.PROPAGATING:
-        v1, v2 = (w.spinor for w in waves.transmitted)
+        v1, v2 = (analytic_eigenstate(kind, e - v0, m).spinor for kind in (1, 2))
     else:
-        s = np.sqrt(problem.v0 - problem.energy)
-        r = np.sqrt(problem.mass)
+        _check_mass_pole(v0 - e, m)
+        s = math.sqrt(v0 - e)
+        r = math.sqrt(m)
         v1 = np.array([s + r, s + r, 1j * (s - r), -1j * (s - r)])
         v2 = np.array([s - r, r - s, 1j * (s + r), 1j * (s + r)])
     matrix = np.column_stack([r_up, r_down, -v1, -v2])
-    rhs = -waves.incident.spinor
+    rhs = -incident.spinor
     return matrix, rhs
 
 
@@ -297,8 +321,9 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
     backward, not relative: small amplitudes (V0 << E, or E, V0 and m
     decades apart) can carry large relative errors.
     """
-    waves = region_wavefunctions(problem)
-    matrix, rhs = _continuity_matrix(problem, waves)
+    import numpy as np
+
+    matrix, rhs = _continuity_matrix(problem)
     x = np.linalg.solve(matrix, rhs)
     backward_error = float(np.abs(matrix @ x - rhs).max()) / (
         np.linalg.norm(matrix, np.inf) * np.abs(x).max() + np.abs(rhs).max()
@@ -319,47 +344,67 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
     )
 
 
-def _amplitude_columns(energy, v0: float, mass: float, spin: Spin):
-    """Closed-form amplitudes (b, b', c, c') over an array of energies.
+def _amplitudes(branch: Branch, energy, v0, mass, spin: Spin, sqrt):
+    """Closed-form amplitudes (b, b', c, c') as (real, imaginary) pairs.
 
-    With k1 = sqrt(E), k2 = sqrt(E - V0) above the step and
-    k2 = i*sqrt(V0 - E) below it, both branches take one form:
+    energy is a float, with sqrt = math.sqrt, or an array of energies of one
+    branch, with sqrt = numpy.sqrt.  The arithmetic is real, so both give
+    the same bits.  For spin-up incidence, with k1 = sqrt(E): above the
+    step, with k2 = sqrt(E - V0),
 
-        b = (m - E)*V0 / ((E+m)(k1+k2)^2)
-        b' = c' = 2i*sqrt(E*m)*V0 / ((E+m)(k1+k2)^2)
-        c = 2*k1*(m + k1*k2) / ((E+m)(k1+k2))
+        b = (m - E) V0 / ((E+m)(k1+k2)^2)
+        b' = c' = i 2 sqrt(E m) V0 / ((E+m)(k1+k2)^2)
+        c = 2 k1 (m + k1 k2) / ((E+m)(k1+k2));
 
-    for spin-up incidence; spin-down incidence relabels (b, b', c, c') as
-    (b', b, c', c).  c is in the normalization of region_wavefunctions.
-    Evanescent energies on the mass pole are refused, as region_wavefunctions
-    refuses them.
+    below it, with s = sqrt(V0 - E), so that k2 = i s and |k1 + i s|^2 = V0,
+
+        b = (m - E) [(2E - V0) - 2i k1 s] / ((E+m) V0)
+        b' = c' = 2 sqrt(E m) [2 k1 s + i (2E - V0)] / ((E+m) V0)
+        c = 2 k1 [k1 (m + V0 - E) + i s (E - m)] / ((E+m) V0).
+
+    Spin-down incidence relabels (b, b', c, c') as (b', b, c', c).  c is in
+    the normalization of region_wavefunctions.  The caller refuses the
+    evanescent mass pole.
     """
-    _check_mass_pole(energy, v0, mass)
-    gap = energy - v0
-    k1 = np.sqrt(energy)
-    k2 = np.where(gap > 0, 1.0, 1j) * np.sqrt(np.abs(gap))
-    k_sum = k1 + k2
-    denom = (energy + mass) * (k_sum * k_sum)
-    b = (mass - energy) * v0 / denom
-    b_prime = 2j * np.sqrt(energy * mass) * v0 / denom
-    c = 2.0 * k1 * (mass + k1 * k2) / ((energy + mass) * k_sum)
+    k1 = sqrt(energy)
+    if branch is Branch.PROPAGATING:
+        k2 = sqrt(energy - v0)
+        k_sum = k1 + k2
+        denom = (energy + mass) * (k_sum * k_sum)
+        b = ((mass - energy) * v0 / denom, 0.0)
+        b_prime = (0.0, 2.0 * sqrt(energy * mass) * v0 / denom)
+        c = (2.0 * k1 * (mass + k1 * k2) / ((energy + mass) * k_sum), 0.0)
+    else:
+        gap = v0 - energy
+        scale = (energy + mass) * v0
+        re_sq = 2.0 * energy - v0  # (k1 + k2)^2 = re_sq + i im_sq
+        im_sq = 2.0 * sqrt(energy * gap)
+        keep = (mass - energy) / scale
+        flip = 2.0 * sqrt(energy * mass) / scale
+        b = (keep * re_sq, -keep * im_sq)
+        b_prime = (flip * im_sq, flip * re_sq)
+        c = (2.0 * energy * (mass + gap) / scale, im_sq * (energy - mass) / scale)
     if spin is Spin.UP:
         return b, b_prime, c, b_prime
     return b_prime, b, b_prime, c
 
 
 def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
-    """Amplitudes from the factored closed forms of _amplitude_columns.
+    """Amplitudes from the factored closed forms of _amplitudes.
 
     This is the primary route, for either incident spin: accurate to a few
     ulps relative over the whole domain, with solve_amplitudes_linear as its
-    oracle.  It evaluates the same array code run_sweep runs over a grid, on
-    one element, so a point and its sweep row agree bit for bit.
+    oracle.  It evaluates on floats the expressions run_sweep evaluates on
+    a grid, so a point and its sweep row agree bit for bit.  The evanescent
+    mass pole is refused, as on every route.
     """
+    if problem.branch is Branch.EVANESCENT:
+        _check_mass_pole(problem.v0 - problem.energy, problem.mass)
     b, b_prime, c, c_prime = (
-        complex(column[0])
-        for column in _amplitude_columns(
-            np.array([problem.energy]), problem.v0, problem.mass, problem.incident_spin
+        complex(*pair)
+        for pair in _amplitudes(
+            problem.branch, problem.energy, problem.v0, problem.mass,
+            problem.incident_spin, math.sqrt,
         )
     )
     return AmplitudeSet(
@@ -372,38 +417,34 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
     )
 
 
-def _abs2(z):
-    """|z|^2 in real arithmetic, identical for Python complex and arrays."""
-    return z.real * z.real + z.imag * z.imag
+def _abs2(re, im):
+    """|z|^2 of z = re + i*im, in the same operations for floats and arrays."""
+    return re * re + im * im
 
 
-def _probabilities(branch: Branch, energy, v0: float, mass: float, amps) -> dict:
-    """The probabilities of coefficients from amplitudes (b, b', c, c'), by
-    ScatteringCoefficients field; energy and amplitudes may be scalars or
-    arrays."""
-    b, b_prime, c, c_prime = amps
+def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> dict:
+    """The probabilities of coefficients by ScatteringCoefficients field,
+    from abs2 = (|b|^2, |b'|^2, |c|^2, |c'|^2).  energy and abs2 are floats
+    (sqrt = math.sqrt) or arrays (sqrt = numpy.sqrt), as for _amplitudes."""
+    r_up, r_down, t_up, t_down = abs2
     if branch is Branch.PROPAGATING:
-        flux = (energy + mass) * np.sqrt(energy - v0) / (
-            (energy - v0 + mass) * np.sqrt(energy)
-        )
-        parts = {
-            "t1": flux * _abs2(c),
-            "t2": flux * _abs2(c_prime),
-            "r1": _abs2(b),
-            "r2": _abs2(b_prime),
-        }
+        flux = (energy + mass) * sqrt(energy - v0) / ((energy - v0 + mass) * sqrt(energy))
+        parts = {"t1": flux * t_up, "t2": flux * t_down, "r1": r_up, "r2": r_down}
     else:
-        parts = {"r1_prime": _abs2(b), "r2_prime": _abs2(b_prime)}
+        parts = {"r1_prime": r_up, "r2_prime": r_down}
     total = sum(parts.values())
     valid = abs(total - 1.0) <= COEFFICIENT_SUM_TOL
     for value in parts.values():
         valid = valid & (value >= -CLAMP_EPS) & (value <= 1.0 + CLAMP_EPS)
-    if not np.all(valid):
+    arrays = hasattr(total, "clip")  # numpy arrays (or numpy scalars)
+    if not (valid.all() if arrays else valid):
         raise ValueError(
             f"probabilities {parts} violate unitarity: the sum must be within "
             f"{COEFFICIENT_SUM_TOL:g} of 1 and each within {CLAMP_EPS:g} of [0, 1]"
         )
-    return {name: np.minimum(np.maximum(v, 0.0), 1.0) for name, v in parts.items()}
+    if arrays:
+        return {name: v.clip(0.0, 1.0) for name, v in parts.items()}
+    return {name: min(max(v, 0.0), 1.0) for name, v in parts.items()}
 
 
 @dataclass(frozen=True)
@@ -446,17 +487,19 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> ScatteringCoeffici
         raise ValueError("amplitude set was produced for a different problem")
     values = _probabilities(
         problem.branch, problem.energy, problem.v0, problem.mass,
-        (amps.b, amps.b_prime, amps.c, amps.c_prime),
+        [_abs2(z.real, z.imag) for z in (amps.b, amps.b_prime, amps.c, amps.c_prime)],
+        math.sqrt,
     )
     return ScatteringCoefficients(
         branch=problem.branch, **{name: float(v) for name, v in values.items()}
     )
 
 
-def _spinless(energy, v0):
-    """(T, R) of qm_reference; energy may be an array."""
-    k1 = np.sqrt(energy)
-    k2 = np.sqrt(energy - v0)
+def _spinless(energy, v0, sqrt):
+    """(T, R) of qm_reference; energy is a float (sqrt = math.sqrt) or an
+    array (sqrt = numpy.sqrt)."""
+    k1 = sqrt(energy)
+    k2 = sqrt(energy - v0)
     k_sum2 = (k1 + k2) * (k1 + k2)
     ratio = v0 / k_sum2
     return 4.0 * k1 * k2 / k_sum2, ratio * ratio
@@ -473,17 +516,24 @@ def qm_reference(energy: float, v0: float) -> tuple[float, float]:
     """
     if not (energy > v0 > 0):
         raise ValueError(f"requires E > V0 > 0, got E={energy}, V0={v0}")
-    t_qm, r_qm = _spinless(energy, v0)
+    t_qm, r_qm = _spinless(energy, v0, math.sqrt)
     return float(t_qm), float(r_qm)
 
 
-def current_kernel(rep: EtaRepresentation = EtaRepresentation.REP1) -> np.ndarray:
-    """Hermitian kernel eta + eta^dagger of the 1D probability current."""
+def current_kernel(rep: EtaRepresentation | None = None) -> np.ndarray:
+    """Hermitian kernel eta + eta^dagger of the 1D probability current, in
+    the representation rep (default REP1)."""
+    from .algebra import EtaRepresentation, eta, eta_dagger
+
+    rep = rep or EtaRepresentation.REP1
     return eta(rep) + eta_dagger(rep)
 
 
-def probability_current(spinor: np.ndarray, rep: EtaRepresentation = EtaRepresentation.REP1) -> float:
-    """Probability current u^dagger (eta + eta^dagger) u of a mode."""
+def probability_current(spinor: np.ndarray, rep: EtaRepresentation | None = None) -> float:
+    """Probability current u^dagger (eta + eta^dagger) u of a mode, in the
+    representation rep (default REP1)."""
+    import numpy as np
+
     u = np.asarray(spinor, dtype=complex)
     return float(np.vdot(u, current_kernel(rep) @ u).real)
 
@@ -537,12 +587,12 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
     j_trans_up = j_trans_down = 0.0
     if problem.branch is Branch.PROPAGATING:
         per_amplitude = 4.0 * problem.transmitted_momentum / (e + m - v0)
-        j_trans_up = per_amplitude * _abs2(amps.c)
-        j_trans_down = per_amplitude * _abs2(amps.c_prime)
+        j_trans_up = per_amplitude * _abs2(amps.c.real, amps.c.imag)
+        j_trans_down = per_amplitude * _abs2(amps.c_prime.real, amps.c_prime.imag)
     return CurrentDensities(
         j_inc=j_inc,
-        j_refl_up=-j_inc * _abs2(amps.b),
-        j_refl_down=-j_inc * _abs2(amps.b_prime),
+        j_refl_up=-j_inc * _abs2(amps.b.real, amps.b.imag),
+        j_refl_down=-j_inc * _abs2(amps.b_prime.real, amps.b_prime.imag),
         j_trans_up=j_trans_up,
         j_trans_down=j_trans_down,
     )
@@ -567,4 +617,6 @@ def boundary_values(
 
 def continuity_residual_1d(psi_left: np.ndarray, psi_right: np.ndarray) -> float:
     """Largest component magnitude of the boundary mismatch at z = 0."""
+    import numpy as np
+
     return float(np.abs(np.asarray(psi_left) - np.asarray(psi_right)).max())

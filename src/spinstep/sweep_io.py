@@ -17,21 +17,27 @@ IEEE doubles exactly, so emitted files double as golden files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .eigensystem import ELECTRON_MASS_EV, Spin
 from .scattering import (
+    ELECTRON_MASS_EV,
     Branch,
+    Spin,
     ThresholdDegeneracyError,
-    _amplitude_columns,
+    _abs2,
+    _amplitudes,
+    _check_mass_pole,
     _probabilities,
     _spinless,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ROW_SUM_TOL",
@@ -88,9 +94,9 @@ class SweepSpec:
     incident_spin: Spin = Spin.UP
 
     def __post_init__(self):
-        if not (self.v0 > 0 and np.isfinite(self.v0)):
+        if not (self.v0 > 0 and math.isfinite(self.v0)):
             raise ValueError(f"v0 must be positive and finite, got {self.v0}")
-        if not (self.mass > 0 and np.isfinite(self.mass)):
+        if not (self.mass > 0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not self.e_over_v0_min < self.e_over_v0_max:
             raise ValueError(
@@ -106,6 +112,8 @@ class SweepSpec:
             raise ValueError("evanescent sweeps require e_over_v0_max < 1")
 
     def grid(self) -> np.ndarray:
+        import numpy as np
+
         if self.spacing is Spacing.LINEAR:
             return np.linspace(self.e_over_v0_min, self.e_over_v0_max, self.points)
         return np.logspace(
@@ -213,16 +221,20 @@ class SweepResult:
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep grid in one pass of the closed-form amplitudes.
+    """Evaluate the sweep grid in one pass of the closed-form amplitudes per
+    branch.
 
     Grid points inside the threshold band |E/V0 - 1| <= THRESHOLD_BAND are
     skipped and counted; a sweep whose every point is degenerate raises
     ThresholdDegeneracyError, and one with an evanescent point on the mass
-    pole raises MassPoleError.  The columns are computed by the code that
-    closed_form_amplitudes, coefficients and qm_reference run for one point,
-    so every row equals its point query bit for bit.  Rows come out in
-    strictly increasing energy; building a row checks its unit sum.
+    pole raises MassPoleError.  The columns are computed on arrays by the
+    expressions that closed_form_amplitudes, coefficients and qm_reference
+    evaluate on floats for one point, so every row equals its point query
+    bit for bit.  Rows come out in strictly increasing energy; building a
+    row checks its unit sum.
     """
+    import numpy as np
+
     x = spec.grid()
     inside = np.abs(x - 1.0) <= THRESHOLD_BAND
     x = x[~inside]
@@ -231,19 +243,23 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             "every grid point fell inside the threshold band around E = V0"
         )
     energy = x * spec.v0
-    amps = _amplitude_columns(energy, spec.v0, spec.mass, spec.incident_spin)
+    v0, mass = spec.v0, spec.mass
     rows = []
     for row_type, branch, where in (
-        (EvanescentRow, Branch.EVANESCENT, energy < spec.v0),
-        (PropagatingRow, Branch.PROPAGATING, energy > spec.v0),
+        (EvanescentRow, Branch.EVANESCENT, energy < v0),
+        (PropagatingRow, Branch.PROPAGATING, energy > v0),
     ):
         if not where.any():
             continue
         e = energy[where]
-        probs = _probabilities(branch, e, spec.v0, spec.mass, [a[where] for a in amps])
+        if branch is Branch.EVANESCENT:
+            gap = v0 - e
+            _check_mass_pole(gap[np.abs(gap - mass).argmin()], mass)
+        amps = _amplitudes(branch, e, v0, mass, spec.incident_spin, np.sqrt)
+        probs = _probabilities(branch, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
         columns = [e, x[where], *probs.values(), sum(probs.values())]
         if branch is Branch.PROPAGATING:
-            columns += _spinless(e, spec.v0)
+            columns += _spinless(e, v0, np.sqrt)
         rows += [row_type(*values) for values in zip(*(c.tolist() for c in columns))]
     return SweepResult(spec=spec, rows=tuple(rows), skipped=int(inside.sum()))
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,17 +200,20 @@ def test_sweep_svg_format(tmp_path, capsys):
     assert text.count("<polyline") == 2
 
 
-@pytest.mark.parametrize("x_min, columns", [
-    ("1.001", "foo"),
-    ("1.001", ","),
+@pytest.mark.parametrize("x_min, columns, target", [
+    ("1.001", "foo", "x.svg"),
+    ("1.001", ",", "x.svg"),
     # straddling: r1_prime exists below the step only, so the propagating
     # file would fail; neither file may be written
-    ("0.5", "r1_prime"),
-], ids=["unknown", "empty", "straddling"])
-def test_sweep_bad_svg_columns_exit_2_and_write_nothing(tmp_path, capsys, x_min, columns):
+    ("0.5", "r1_prime", "x.svg"),
+    # --columns selects SVG curves and is refused for the other formats
+    ("1.001", "foo", "x.csv"),
+    ("1.001", "t1", "x.json"),
+], ids=["unknown", "empty", "straddling", "csv", "json"])
+def test_sweep_bad_svg_columns_exit_2_and_write_nothing(tmp_path, capsys, x_min, columns, target):
     code, out, err = run_cli(
         capsys, "sweep", "--v0", "100", "--from", x_min, "--to", "2",
-        "--points", "10", "--spacing", "linear", "--out", str(tmp_path / "x.svg"),
+        "--points", "10", "--spacing", "linear", "--out", str(tmp_path / target),
         "--columns", columns,
     )
     assert code == 2
@@ -269,34 +274,34 @@ def test_module_entry_point_subprocess(tmp_path):
 README_POINT_STDOUT = {
     ("coefficients", "--e", "200", "--v0", "100"): (
         '{"t1": 0.97053018001037106, "t2": 3.256846676948649e-05, '
-        '"r1": 0.029391201765397841, "r2": 4.6049757461571702e-05, '
+        '"r1": 0.029391201765397841, "r2": 4.6049757461571695e-05, '
         '"t_qm": 0.97056274847714064, "r_qm": 0.029437251522859413, '
         '"j_inc": 0.11186907259472477, "j_refl_up": -0.0032879664839394938, '
-        '"j_refl_down": -5.151543660438033e-06, "j_trans_up": 0.10857231116295152, '
-        '"j_trans_down": 3.6434041733345661e-06}\n'
+        '"j_refl_down": -5.1515436604380322e-06, "j_trans_up": 0.10857231116295152, '
+        '"j_trans_down": 3.6434041733345657e-06}\n'
     ),
     ("coefficients", "--e", "50", "--v0", "100"): (
-        '{"r1_prime": 0.99960868634520661, "r2_prime": 0.00039131365479335399, '
-        '"j_inc": 0.055950953864494855, "j_refl_up": -0.05592905949224896, '
+        '{"r1_prime": 0.99960868634520683, "r2_prime": 0.00039131365479335399, '
+        '"j_inc": 0.055950953864494855, "j_refl_up": -0.055929059492248974, '
         '"j_refl_down": -2.1894372245889814e-05, "j_trans_up": 0, "j_trans_down": 0}\n'
     ),
     ("currents", "--e", "200", "--v0", "100"): (
         '{"j_inc": 0.11186907259472477, "j_refl_up": -0.0032879664839394938, '
-        '"j_refl_down": -5.151543660438033e-06, "j_trans_up": 0.10857231116295152, '
-        '"j_trans_down": 3.6434041733345661e-06}\n'
+        '"j_refl_down": -5.1515436604380322e-06, "j_trans_up": 0.10857231116295152, '
+        '"j_trans_down": 3.6434041733345657e-06}\n'
     ),
     ("coefficients", "--e", "200", "--v0", "100", "--pretty"): (
         "t1            0.97053018001037106\n"
         "t2            3.256846676948649e-05\n"
         "r1            0.029391201765397841\n"
-        "r2            4.6049757461571702e-05\n"
+        "r2            4.6049757461571695e-05\n"
         "t_qm          0.97056274847714064\n"
         "r_qm          0.029437251522859413\n"
         "j_inc         0.11186907259472477\n"
         "j_refl_up     -0.0032879664839394938\n"
-        "j_refl_down   -5.151543660438033e-06\n"
+        "j_refl_down   -5.1515436604380322e-06\n"
         "j_trans_up    0.10857231116295152\n"
-        "j_trans_down  3.6434041733345661e-06\n"
+        "j_trans_down  3.6434041733345657e-06\n"
     ),
 }
 
@@ -305,3 +310,27 @@ README_POINT_STDOUT = {
 def test_readme_point_commands_stdout(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (0, README_POINT_STDOUT[argv], "")
+
+
+COLD_POINT_STDOUT = {
+    **{argv: README_POINT_STDOUT[argv] for argv in list(README_POINT_STDOUT)[:3]},
+    ("currents", "--e", "50", "--v0", "100"): (
+        '{"j_inc": 0.055950953864494855, "j_refl_up": -0.055929059492248974, '
+        '"j_refl_down": -2.1894372245889814e-05, "j_trans_up": 0, "j_trans_down": 0}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(COLD_POINT_STDOUT), ids=" ".join)
+def test_point_commands_never_import_numpy(argv):
+    # a fresh interpreter, as a user runs it; -X importtime lists every
+    # module imported, on stderr
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "spinstep", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (result.returncode, result.stdout) == (0, COLD_POINT_STDOUT[argv])
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    assert "spinstep.cli" in imported
+    assert not [m for m in imported if m == "numpy" or m.startswith("numpy.")]

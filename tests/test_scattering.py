@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from spinstep.scattering import (
     coefficients,
     continuity_residual_1d,
     currents,
+    _abs2,
+    _amplitudes,
+    _probabilities,
     probability_current,
     qm_reference,
     region_wavefunctions,
@@ -368,6 +373,45 @@ def test_property_closed_forms_relative_accuracy(log_e, log_v0, log_m, spin):
     assert got.keys() == want.keys()
     for name, value in want.items():
         assert abs(got[name] - value) <= 1e-13 * value, name
+
+
+def _bits(value) -> bytes:
+    """The IEEE bytes of a float or of a one-element array."""
+    return np.asarray(value, dtype=float).reshape(-1).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_e=log_ev, log_v0=log_ev, log_m=log_ev,
+    spin=st.sampled_from((Spin.UP, Spin.DOWN)),
+    near_pole=st.booleans(),
+    log_delta=st.floats(min_value=np.log(2e-12), max_value=np.log(1e-3)),
+    sign=st.sampled_from((1.0, -1.0)),
+)
+def test_property_kernel_bits_equal_on_floats_and_arrays(
+    log_e, log_v0, log_m, spin, near_pole, log_delta, sign
+):
+    # the point route (floats, math.sqrt) and the sweep route (arrays,
+    # np.sqrt) run the same real arithmetic; near_pole puts V0 - E at
+    # m * (1 + sign * delta)
+    energy, v0, mass = 10.0**log_e, 10.0**log_v0, 10.0**log_m
+    if near_pole:
+        v0 = energy + mass * (1.0 + sign * np.exp(log_delta))
+    assume(abs(energy - v0) > THRESHOLD_EPS * v0)
+    branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT
+    point = _amplitudes(branch, energy, v0, mass, spin, math.sqrt)
+    grid = _amplitudes(branch, np.array([energy]), v0, mass, spin, np.sqrt)
+    for scalar, array in zip(point, grid):
+        assert [_bits(part) for part in scalar] == [_bits(part) for part in array]
+    point_probs = _probabilities(
+        branch, energy, v0, mass, [_abs2(*pair) for pair in point], math.sqrt
+    )
+    grid_probs = _probabilities(
+        branch, np.array([energy]), v0, mass, [_abs2(*pair) for pair in grid], np.sqrt
+    )
+    assert point_probs.keys() == grid_probs.keys()
+    for name, value in point_probs.items():
+        assert _bits(value) == _bits(grid_probs[name]), name
 
 
 # ------------------------------------------------------- around the pole

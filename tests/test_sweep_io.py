@@ -252,17 +252,17 @@ FIGURE_DIGESTS = {
     "fig2": (
         SweepSpec(v0=100.0, e_over_v0_min=1.001, e_over_v0_max=10.0, points=500,
                   spacing=Spacing.LOG, regime=Regime.PROPAGATING),
-        ["r1", "r2", "r_qm", "t1", "t2", "t_qm"], "9c934fd961bc", "d6d55d287de8",
+        ["r1", "r2", "r_qm", "t1", "t2", "t_qm"], "40a18090f748", "d6d55d287de8",
     ),
     "fig3": (
         SweepSpec(v0=1e6, e_over_v0_min=1.001, e_over_v0_max=3.0, points=200,
                   spacing=Spacing.LOG, regime=Regime.PROPAGATING),
-        ["r1", "r2", "r_qm", "t1", "t2", "t_qm"], "db6c2922d584", "9646c7e29a85",
+        ["r1", "r2", "r_qm", "t1", "t2", "t_qm"], "0ab4b242a84f", "9646c7e29a85",
     ),
     "fig4": (
         SweepSpec(v0=100.0, e_over_v0_min=0.01, e_over_v0_max=0.99, points=100,
                   spacing=Spacing.LINEAR, regime=Regime.EVANESCENT),
-        ["r1_prime", "r2_prime"], "a0eaf6d1042a", "3bd884784d13",
+        ["r1_prime", "r2_prime"], "957f149b1dd0", "3bd884784d13",
     ),
 }
 
