@@ -33,18 +33,17 @@ _EXPORTS = {
     ),
     "scattering": (
         "ELECTRON_MASS_EV", "Spin", "AmplitudeSet", "Branch", "CurrentDensities",
-        "EvanescentState", "MassPoleError", "RegionWaves", "ScatteringCoefficients",
-        "StepProblem", "ThresholdDegeneracyError", "boundary_values",
-        "closed_form_amplitudes", "coefficients", "continuity_residual_1d",
-        "currents", "current_kernel", "probability_current", "qm_reference",
-        "region_wavefunctions", "solve_amplitudes_linear",
+        "MassPoleError", "ScatteringCoefficients", "StepProblem",
+        "ThresholdDegeneracyError", "closed_form_amplitudes", "coefficients",
+        "continuity_residual", "currents", "current_kernel", "probability_current",
+        "qm_reference", "solve_amplitudes_linear",
     ),
     "sweep_io": (
         "EvanescentRow", "PropagatingRow", "Regime", "Spacing", "SweepResult",
         "SweepSpec", "emit_csv", "emit_json", "emit_svg", "run_sweep",
     ),
     "threed": (
-        "ContinuityObjects", "ConventionMismatchWarning", "MuTriple",
+        "ContinuityObjects", "MuTriple",
         "continuity_objects", "mu_matrices", "schrodinger_reduction_check",
         "shell_determinant", "squared_operator_check", "verify_continuity_identities",
     ),

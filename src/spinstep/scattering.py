@@ -19,16 +19,18 @@ branch in real arithmetic: the same expressions run on Python floats for a
 point and on numpy arrays for a sweep grid, and give the same bits.  The
 factored forms subtract no nearly equal numbers, so every amplitude is
 accurate to a few ulps over the whole domain, through the mass pole
-V0 - E = m and for arbitrarily small V0/E.  An LU solve (LAPACK, via numpy)
-of the wavefunction continuity condition at z = 0 is kept as the
-independent oracle the tests compare against.  Probability currents come
-from their closed forms; the bilinears u^dagger (eta + eta^dagger) u they
-equal are checked in the tests.
+V0 - E = m and for arbitrarily small V0/E.  c and c' are the upper
+components of psi_II(0) in both branches.  An LU solve (LAPACK, via numpy)
+of the wavefunction continuity condition at z = 0, on one pole-free mode
+basis, is kept as the independent oracle the tests compare against, and
+continuity_residual measures any amplitudes against the same basis.
+Probability currents come from their closed forms; the bilinears
+u^dagger (eta + eta^dagger) u they equal are checked in the tests.
 
 numpy is imported only by the code that builds arrays (the mode basis, the
-continuity oracle and the current bilinears), so that StepProblem,
-closed_form_amplitudes, coefficients, currents and qm_reference run
-without it.
+continuity oracle and residual, and the current bilinears), so that
+StepProblem, closed_form_amplitudes, coefficients, currents and
+qm_reference run without it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .algebra import EtaRepresentation
-    from .eigensystem import PlaneWaveState
 
 __all__ = [
     "THRESHOLD_EPS",
@@ -54,31 +55,27 @@ __all__ = [
     "ThresholdDegeneracyError",
     "MassPoleError",
     "StepProblem",
-    "EvanescentState",
-    "RegionWaves",
     "AmplitudeSet",
     "ScatteringCoefficients",
     "CurrentDensities",
     "current_kernel",
     "probability_current",
-    "region_wavefunctions",
     "solve_amplitudes_linear",
     "closed_form_amplitudes",
     "coefficients",
     "qm_reference",
     "currents",
-    "boundary_values",
-    "continuity_residual_1d",
+    "continuity_residual",
 ]
 
 # Inputs with |E - V0| <= THRESHOLD_EPS * V0 are rejected: the transmitted
 # momentum vanishes and both regimes' formulas are singular there.
 THRESHOLD_EPS = 1e-9
 
-# Evanescent inputs with |V0 - E - m| <= MASS_POLE_EPS * m are rejected: the
-# transmitted-spinor normalization 1/(V0 - E - m) has a pole there.  The
-# closed forms are regular there but refuse the same band, so that every
-# route accepts one domain.
+# Evanescent inputs with |V0 - E - m| <= MASS_POLE_EPS * m are rejected: a
+# decaying spinor normalized to unit upper components has a pole there.  The
+# closed forms and the pole-free oracle are regular there but refuse the
+# same band, so that every route accepts one domain.
 MASS_POLE_EPS = 1e-12
 
 # Bound on the relative backward error |Mx - b| / (|M| |x| + |b|), infinity
@@ -151,97 +148,14 @@ class StepProblem:
         return math.sqrt(2.0 * abs(self.energy - self.v0) * self.mass)
 
 
-@dataclass(frozen=True, eq=False)
-class EvanescentState:
-    """A decaying region-II mode exp(-decay_constant * z), z > 0.
-
-    Not a PlaneWaveState: its momentum is imaginary and its spinor is
-    neither on-shell nor normalized to 2.
-    """
-
-    spinor: np.ndarray
-    decay_constant: float
-    spin: Spin
-
-    def __post_init__(self):
-        import numpy as np
-
-        u = np.array(self.spinor, dtype=complex)
-        u.setflags(write=False)
-        object.__setattr__(self, "spinor", u)
-        if u.shape != (4,):
-            raise ValueError("spinor must be a 4-vector")
-        if not (self.decay_constant > 0 and math.isfinite(self.decay_constant)):
-            raise ValueError("decay_constant must be positive and finite")
-
-
-@dataclass(frozen=True, eq=False)
-class RegionWaves:
-    """Boundary-mode basis: incident, two reflected, two transmitted."""
-
-    incident: PlaneWaveState
-    reflected: tuple[PlaneWaveState, PlaneWaveState]
-    transmitted: tuple
-
-
-def _evanescent_spinor(problem: StepProblem, spin: Spin) -> np.ndarray:
-    import numpy as np
-
-    from .algebra import SQRT2
-
-    gap = problem.v0 - problem.energy  # > 0 in this branch
-    rho = 1.0 / (gap - problem.mass)
-    p2p = problem.transmitted_momentum
-    if spin is Spin.UP:
-        return np.array(
-            [1, 0, 1j * rho * (gap + problem.mass), SQRT2 * 1j * rho * p2p],
-            dtype=complex,
-        )
-    return np.array(
-        [0, 1, -SQRT2 * 1j * rho * p2p, -1j * rho * (gap + problem.mass)],
-        dtype=complex,
-    )
-
-
-def region_wavefunctions(problem: StepProblem) -> RegionWaves:
-    """Boundary-mode basis for the step problem.
-
-    Region I always holds the incident mode (+z, chosen spin) and both
-    reflected modes (-z, spin up and down).  Region II holds the two
-    transmitted modes: on-shell plane waves at kinetic energy E - V0 when
-    propagating, or decaying EvanescentState modes when E < V0.
-    """
-    from .eigensystem import analytic_eigenstate
-
-    incident_kind = 1 if problem.incident_spin is Spin.UP else 2
-    incident = analytic_eigenstate(incident_kind, problem.energy, problem.mass)
-    reflected = (
-        analytic_eigenstate(3, problem.energy, problem.mass),
-        analytic_eigenstate(4, problem.energy, problem.mass),
-    )
-    if problem.branch is Branch.PROPAGATING:
-        transmitted = (
-            analytic_eigenstate(1, problem.energy - problem.v0, problem.mass),
-            analytic_eigenstate(2, problem.energy - problem.v0, problem.mass),
-        )
-    else:
-        _check_mass_pole(problem.v0 - problem.energy, problem.mass)
-        p2p = problem.transmitted_momentum
-        transmitted = (
-            EvanescentState(_evanescent_spinor(problem, Spin.UP), p2p, Spin.UP),
-            EvanescentState(_evanescent_spinor(problem, Spin.DOWN), p2p, Spin.DOWN),
-        )
-    return RegionWaves(incident=incident, reflected=reflected, transmitted=transmitted)
-
-
 @dataclass(frozen=True)
 class AmplitudeSet:
     """Mode amplitudes relative to a unit incident amplitude.
 
     b and b_prime multiply the spin-up and spin-down reflected modes; c and
-    c_prime multiply the spin-up and spin-down region-II modes (transmitted
-    plane waves when propagating, decaying modes when evanescent).  For the
-    default spin-up incidence, b preserves the spin and b_prime flips it.
+    c_prime are the upper components of psi_II(0), the region-II wave at
+    the step (the transmitted plane-wave amplitudes when propagating).  For
+    the default spin-up incidence, b preserves the spin and b_prime flips it.
     Every propagating solution has equal amplitudes on both sides of the
     step in the spin channel carrying no incident wave (b_prime == c_prime
     for spin-up incidence, b == c for spin-down), which is enforced here.
@@ -270,38 +184,41 @@ class AmplitudeSet:
 
 
 def _continuity_matrix(problem: StepProblem):
-    """Matrix and right-hand side of the z = 0 continuity system.
+    """Matrix and right-hand side of the z = 0 continuity system: the one
+    mode basis of the step.
 
-    The unknowns are the reflected amplitudes b, b' and the coefficients of
-    two region-II columns.  When propagating these are the transmitted
-    spinors, whose coefficients are c and c'.  When evanescent, the
-    reference spinors of region_wavefunctions diverge at V0 - E = m and turn
-    parallel there once rescaled, so the decaying space is spanned instead
-    by the pole-free pair (s = sqrt(V0 - E), r = sqrt(m))
+    The columns are the reflected modes u^(3), u^(4) at E, whose
+    coefficients are b and b', then two region-II columns, negated.  Above
+    the step these are the transmitted modes u^(1), u^(2) at E - V0, whose
+    coefficients are c and c'.  Below it a decaying mode normalized to the
+    upper components [1, 0] or [0, 1] diverges at V0 - E = m, so the
+    decaying space is spanned instead by the pole-free pair
+    (s = sqrt(V0 - E), r = sqrt(m))
 
         v1 = [s+r, s+r, i(s-r), -i(s-r)],  v2 = [s-r, r-s, i(s+r), i(s+r)],
 
     which stay at least 60 degrees apart for every V0 - E and m.  The
-    evanescent mass pole is refused, as region_wavefunctions refuses it.
+    right-hand side is minus the incident mode.  The evanescent mass pole
+    is refused, as on every route.
     """
     import numpy as np
 
-    from .eigensystem import analytic_eigenstate
+    from .eigensystem import _eigen_spinor
 
     e, v0, m = problem.energy, problem.v0, problem.mass
-    incident = analytic_eigenstate(1 if problem.incident_spin is Spin.UP else 2, e, m)
-    r_up, r_down = (analytic_eigenstate(kind, e, m).spinor for kind in (3, 4))
+    p1 = problem.incident_momentum
+    incident = _eigen_spinor(1 if problem.incident_spin is Spin.UP else 2, e, m, p1)
+    r_up, r_down = (_eigen_spinor(kind, e, m, p1) for kind in (3, 4))
     if problem.branch is Branch.PROPAGATING:
-        v1, v2 = (analytic_eigenstate(kind, e - v0, m).spinor for kind in (1, 2))
+        p2 = problem.transmitted_momentum
+        v1, v2 = (_eigen_spinor(kind, e - v0, m, p2) for kind in (1, 2))
     else:
         _check_mass_pole(v0 - e, m)
         s = math.sqrt(v0 - e)
         r = math.sqrt(m)
         v1 = np.array([s + r, s + r, 1j * (s - r), -1j * (s - r)])
         v2 = np.array([s - r, r - s, 1j * (s + r), 1j * (s + r)])
-    matrix = np.column_stack([r_up, r_down, -v1, -v2])
-    rhs = -incident.spinor
-    return matrix, rhs
+    return np.column_stack([r_up, r_down, -v1, -v2]), -incident
 
 
 def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
@@ -309,17 +226,14 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
     condition psi_I(0) + psi_I_reflected(0) = psi_II(0).
 
     This is the independent oracle for closed_form_amplitudes: it matches
-    the boundary modes numerically instead of evaluating a formula.  Below
-    the step it solves on the pole-free basis of _continuity_matrix, whose
-    conditioning stays flat through V0 - E = m.  c and c' are read off the
-    first two components of psi_II(0): the reference region-II spinors
-    start [1, 0] and [0, 1], so this gives them in the normalization of
-    region_wavefunctions in both branches (on the pole-free basis,
-    c = alpha(s+r) + beta(s-r) and c' = alpha(s+r) - beta(s-r)).  The
-    solution is rejected if its relative backward error exceeds
-    CONTINUITY_TOL, which would signal a solver bug.  Its accuracy is
-    backward, not relative: small amplitudes (V0 << E, or E, V0 and m
-    decades apart) can carry large relative errors.
+    the boundary modes of _continuity_matrix numerically instead of
+    evaluating a formula, and its conditioning stays flat through
+    V0 - E = m.  c and c' are the upper components of psi_II(0), read off
+    the solution (on the pole-free basis, c = alpha(s+r) + beta(s-r) and
+    c' = alpha(s+r) - beta(s-r)).  The solution is rejected if its relative
+    backward error exceeds CONTINUITY_TOL, which would signal a solver bug.
+    Its accuracy is backward, not relative: small amplitudes (V0 << E, or
+    E, V0 and m decades apart) can carry large relative errors.
     """
     import numpy as np
 
@@ -362,8 +276,8 @@ def _amplitudes(branch: Branch, energy, v0, mass, spin: Spin, sqrt):
         b' = c' = 2 sqrt(E m) [2 k1 s + i (2E - V0)] / ((E+m) V0)
         c = 2 k1 [k1 (m + V0 - E) + i s (E - m)] / ((E+m) V0).
 
-    Spin-down incidence relabels (b, b', c, c') as (b', b, c', c).  c is in
-    the normalization of region_wavefunctions.  The caller refuses the
+    Spin-down incidence relabels (b, b', c, c') as (b', b, c', c).  c and
+    c' are the upper components of psi_II(0).  The caller refuses the
     evanescent mass pole.
     """
     k1 = sqrt(energy)
@@ -395,8 +309,9 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
     This is the primary route, for either incident spin: accurate to a few
     ulps relative over the whole domain, with solve_amplitudes_linear as its
     oracle.  It evaluates on floats the expressions run_sweep evaluates on
-    a grid, so a point and its sweep row agree bit for bit.  The evanescent
-    mass pole is refused, as on every route.
+    a grid, so a point and its sweep row agree bit for bit.  c and c' are
+    the upper components of psi_II(0).  The evanescent mass pole is
+    refused, as on every route.
     """
     if problem.branch is Branch.EVANESCENT:
         _check_mass_pole(problem.v0 - problem.energy, problem.mass)
@@ -598,25 +513,21 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
     )
 
 
-def boundary_values(
-    problem: StepProblem,
-    amps: AmplitudeSet,
-    waves: RegionWaves | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Wavefunction values at z = 0 on both sides of the step."""
-    if waves is None:
-        waves = region_wavefunctions(problem)
-    left = (
-        waves.incident.spinor
-        + amps.b * waves.reflected[0].spinor
-        + amps.b_prime * waves.reflected[1].spinor
-    )
-    right = amps.c * waves.transmitted[0].spinor + amps.c_prime * waves.transmitted[1].spinor
-    return left, right
+def continuity_residual(problem: StepProblem, amps: AmplitudeSet) -> float:
+    """Continuity mismatch of amps at z = 0, on the basis of the oracle.
 
-
-def continuity_residual_1d(psi_left: np.ndarray, psi_right: np.ndarray) -> float:
-    """Largest component magnitude of the boundary mismatch at z = 0."""
+    With left = psi_I(0), the incident mode plus b and b' times the
+    reflected modes, this is the larger of the distance of left from the
+    span of the region-II columns (by orthogonal projection) and
+    |left[:2] - (c, c')|, since c and c' are the upper components of
+    psi_II(0).  Nothing divides by V0 - E - m, so the residual stays at the
+    rounding level through the mass pole.  Zero amplitudes give 1.
+    """
     import numpy as np
 
-    return float(np.abs(np.asarray(psi_left) - np.asarray(psi_right)).max())
+    matrix, rhs = _continuity_matrix(problem)
+    left = matrix[:, :2] @ [amps.b, amps.b_prime] - rhs
+    q, _ = np.linalg.qr(matrix[:, 2:])
+    off_span = left - q @ (q.conj().T @ left)
+    upper = left[:2] - [amps.c, amps.c_prime]
+    return float(max(np.linalg.norm(off_span), np.linalg.norm(upper)))

@@ -207,7 +207,6 @@ EVANESCENT_CSV_HEADER = EvanescentRow.CSV_HEADER
 class SweepResult:
     """Rows in strictly increasing energy plus grid bookkeeping."""
 
-    spec: SweepSpec
     rows: tuple
     skipped: int
 
@@ -261,7 +260,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         if branch is Branch.PROPAGATING:
             columns += _spinless(e, v0, np.sqrt)
         rows += [row_type(*values) for values in zip(*(c.tolist() for c in columns))]
-    return SweepResult(spec=spec, rows=tuple(rows), skipped=int(inside.sum()))
+    return SweepResult(rows=tuple(rows), skipped=int(inside.sum()))
 
 
 def format_float(value: float) -> str:

@@ -3,8 +3,8 @@
 The 3D form of the first-order equation replaces the plain z-derivative with
 mu_i d_i, where the three Hermitian 4x4 matrices mu_i obey the Clifford
 relation {mu_i, mu_j} = 2*delta_ij*I.  This module builds the mu triple
-(both from gamma-matrix products and from their explicit block forms, which
-must agree), the Hermitian kernels of the 3D continuity equation
+from gamma-matrix products (checked against their explicit block forms),
+the Hermitian kernels of the 3D continuity equation
 
     Sigma_i = i * mu_i * (eta + eta^dagger) * gamma3,
     Gamma   = i * eta^dagger * eta * gamma3,
@@ -25,7 +25,6 @@ be inspected directly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,9 +45,7 @@ from .algebra import (
 )
 
 __all__ = [
-    "MU_IDENTITY_TOL",
     "SINGULARITY_TOL",
-    "ConventionMismatchWarning",
     "MuTriple",
     "ContinuityObjects",
     "mu_matrices",
@@ -59,15 +56,9 @@ __all__ = [
     "squared_operator_check",
 ]
 
-MU_IDENTITY_TOL = 1e-15
-
 # A determinant normalized by the product of row norms below this value
 # counts as singular.
 SINGULARITY_TOL = 1e-10
-
-
-class ConventionMismatchWarning(UserWarning):
-    """Gamma-product and block-form constructions of mu disagree."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,34 +98,17 @@ def _block_forms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def mu_matrices() -> MuTriple:
-    """Construct mu1 = i*gamma1*gamma2, mu2 = gamma0*gamma2,
-    mu3 = gamma2*gamma5 and assert their explicit block forms
-    diag(sigma3, sigma3), antidiag(sigma2, sigma2), diag(sigma2, -sigma2).
+    """mu1 = i*gamma1*gamma2, mu2 = gamma0*gamma2, mu3 = gamma2*gamma5.
 
-    The block forms are authoritative: if the gamma products ever disagree
-    beyond MU_IDENTITY_TOL (a gamma-basis sign issue), a
-    ConventionMismatchWarning is issued and the block forms are returned.
+    Their block forms diag(sigma3, sigma3), antidiag(sigma2, sigma2) and
+    diag(sigma2, -sigma2) are compared with these products by
+    verify_continuity_identities.
     """
-    products = (
-        1j * gamma(1) @ gamma(2),
-        gamma(0) @ gamma(2),
-        gamma(2) @ gamma(5),
+    return MuTriple(
+        _readonly(1j * gamma(1) @ gamma(2)),
+        _readonly(gamma(0) @ gamma(2)),
+        _readonly(gamma(2) @ gamma(5)),
     )
-    blocks = _block_forms()
-    chosen = []
-    for k, (prod, block) in enumerate(zip(products, blocks), start=1):
-        deviation = max_abs(prod - block)
-        if deviation > MU_IDENTITY_TOL:
-            warnings.warn(
-                f"mu{k}: gamma-product form deviates from its block form by "
-                f"{deviation:.3e}; using the block form",
-                ConventionMismatchWarning,
-                stacklevel=2,
-            )
-            chosen.append(_readonly(block.copy()))
-        else:
-            chosen.append(_readonly(prod.copy()))
-    return MuTriple(*chosen)
 
 
 def continuity_objects(rep: EtaRepresentation = EtaRepresentation.REP1) -> ContinuityObjects:

@@ -27,10 +27,9 @@ from spinstep.eigensystem import (
 )
 from spinstep.scattering import (
     StepProblem,
-    boundary_values,
     closed_form_amplitudes,
     coefficients,
-    continuity_residual_1d,
+    continuity_residual,
     currents,
     qm_reference,
     solve_amplitudes_linear,
@@ -371,7 +370,7 @@ def test_criterion_9_continuity_residual():
         for x in list(RATIO_GRID[::8]) + [0.02, 0.3, 0.7, 0.95]:
             problem = StepProblem(energy=float(x) * v0, v0=v0, mass=ME)
             amps = solve_amplitudes_linear(problem)
-            residual = continuity_residual_1d(*boundary_values(problem, amps))
+            residual = continuity_residual(problem, amps)
             worst = max(worst, residual)
             if residual > 1e-11:
                 failures.append(f"V0={v0:g} x={x:.4f}: residual {residual:.3e}")

@@ -6,27 +6,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spinstep.eigensystem import ELECTRON_MASS_EV, Spin
+from spinstep.eigensystem import ELECTRON_MASS_EV, Spin, analytic_eigenstate
 from spinstep.scattering import (
     MASS_POLE_EPS,
     THRESHOLD_EPS,
     AmplitudeSet,
     Branch,
-    EvanescentState,
     MassPoleError,
     StepProblem,
     ThresholdDegeneracyError,
-    boundary_values,
+    _continuity_matrix,
     closed_form_amplitudes,
     coefficients,
-    continuity_residual_1d,
+    continuity_residual,
     currents,
     _abs2,
     _amplitudes,
     _probabilities,
     probability_current,
     qm_reference,
-    region_wavefunctions,
     solve_amplitudes_linear,
 )
 
@@ -62,54 +60,25 @@ def test_positivity_validation():
             StepProblem(**kwargs)
 
 
-# ----------------------------------------------------- region wavefunctions
+# ------------------------------------------------------ transmitted momenta
 
 
 def test_transmitted_momentum_propagating():
     problem = StepProblem(energy=200.0, v0=100.0, mass=ME)
     # frozen oracle: sqrt(2*(200-100)*510998.95)
     assert problem.transmitted_momentum == pytest.approx(10109.391178503283, rel=1e-14)
-    waves = region_wavefunctions(problem)
-    assert waves.transmitted[0].momentum == pytest.approx(10109.391178503283, rel=1e-14)
-    assert waves.transmitted[0].energy == pytest.approx(100.0)
 
 
 def test_decay_constant_evanescent():
     problem = StepProblem(energy=50.0, v0=100.0, mass=ME)
     # frozen oracle: sqrt(2*510998.95*50)
     assert problem.transmitted_momentum == pytest.approx(7148.419055987135, rel=1e-14)
-    waves = region_wavefunctions(problem)
-    up, down = waves.transmitted
-    assert isinstance(up, EvanescentState)
-    assert up.decay_constant == pytest.approx(7148.419055987135, rel=1e-14)
-    # upper components of the decaying basis spinors
-    assert up.spinor[0] == 1 and up.spinor[1] == 0
-    assert down.spinor[0] == 0 and down.spinor[1] == 1
-
-
-def test_evanescent_spinor_components():
-    problem = StepProblem(energy=50.0, v0=100.0, mass=ME)
-    up = region_wavefunctions(problem).transmitted[0]
-    gap = problem.v0 - problem.energy
-    rho = 1.0 / (gap - problem.mass)
-    p2p = problem.transmitted_momentum
-    assert up.spinor[2] == 1j * rho * (gap + problem.mass)
-    assert up.spinor[3] == np.sqrt(2) * 1j * rho * p2p
 
 
 def test_mass_pole_rejected():
     energy = 1000.0
     with pytest.raises(MassPoleError):
-        region_wavefunctions(StepProblem(energy=energy, v0=energy + ME, mass=ME))
-    with pytest.raises(MassPoleError):
         solve_amplitudes_linear(StepProblem(energy=energy, v0=energy + ME, mass=ME))
-
-
-def test_incident_spin_selects_mode():
-    problem = StepProblem(energy=200.0, v0=100.0, incident_spin=Spin.DOWN)
-    waves = region_wavefunctions(problem)
-    assert waves.incident.spin is Spin.DOWN
-    assert waves.incident.spinor[0] == 0 and waves.incident.spinor[1] == 1
 
 
 # ------------------------------------------------------------- amplitudes
@@ -119,8 +88,7 @@ def test_linear_solve_continuity_and_bprime_cprime():
     problem = StepProblem(energy=200.0, v0=100.0)
     amps = solve_amplitudes_linear(problem)
     assert amps.b_prime == amps.c_prime  # row of the continuity system
-    left, right = boundary_values(problem, amps)
-    assert continuity_residual_1d(left, right) <= 1e-12
+    assert continuity_residual(problem, amps) <= 1e-12
 
 
 def test_linear_matches_closed_form():
@@ -446,8 +414,9 @@ POLE_MASSES = (ME, 105.6583755e6, 938.27208816e6, 1.0)
     spin=st.sampled_from((Spin.UP, Spin.DOWN)),
 )
 def test_property_evanescent_near_mass_pole(log_delta, sign, mass, log_ratio, spin):
-    # V0 - E = m * (1 + sign * delta) with E / V0 = ratio; the reference
-    # transmitted spinors diverge there, the reflection closed forms do not
+    # V0 - E = m * (1 + sign * delta) with E / V0 = ratio; a decaying spinor
+    # normalized to unit upper components diverges there, while the
+    # reflection closed forms and the pole-free continuity basis do not
     gap = mass * (1.0 + sign * np.exp(log_delta))
     ratio = np.exp(log_ratio)
     energy = ratio * gap / (1.0 - ratio)
@@ -463,9 +432,12 @@ def test_property_evanescent_near_mass_pole(log_delta, sign, mass, log_ratio, sp
         expected, rows = (flip, keep), ((amps.c, amps.b), (amps.c_prime, 1 + amps.b_prime))
     assert coeff.r1_prime == pytest.approx(expected[0], abs=1e-13)
     assert coeff.r2_prime == pytest.approx(expected[1], abs=1e-13)
-    # the first two continuity rows, in the reference normalization
+    # the first two continuity rows: c and c' are the upper components of
+    # psi_II(0)
     for got, want in rows:
         assert abs(got - want) <= 1e-13
+    assert continuity_residual(problem, amps) <= 1e-12
+    assert continuity_residual(problem, closed_form_amplitudes(problem)) <= 1e-12
 
 
 def test_reflection_spin_dominance_crossover():
@@ -527,10 +499,11 @@ def test_evanescent_transmitted_current_exactly_zero():
     assert j.j_trans_up == 0.0
     assert j.j_trans_down == 0.0
     assert j.conservation_sum == pytest.approx(1.0, abs=1e-12)
-    # the decaying modes carry no current even before amplitude weighting
-    waves = region_wavefunctions(problem)
-    assert probability_current(waves.transmitted[0].spinor) == 0.0
-    assert probability_current(waves.transmitted[1].spinor) == 0.0
+    # the pole-free decaying columns carry no current before amplitude
+    # weighting
+    matrix, _ = _continuity_matrix(problem)
+    assert probability_current(matrix[:, 2]) == 0.0
+    assert probability_current(matrix[:, 3]) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -554,21 +527,29 @@ def test_property_current_conservation(x, v0):
 )
 def test_property_currents_equal_bilinears(log_ratio, log_v0, mass, spin, route):
     # each closed-form current equals the bilinear u^dagger (eta+eta^dagger) u
-    # of its boundary mode, weighted by the mode's |amplitude|^2
+    # of its boundary mode, weighted by the mode's |amplitude|^2; decaying
+    # modes carry none (test_evanescent_transmitted_current_exactly_zero)
     v0 = 10.0**log_v0
     energy = v0 * 10.0**log_ratio
     assume(abs(energy - v0) > THRESHOLD_EPS * v0)
     assume(not (energy < v0 and abs(v0 - energy - mass) <= MASS_POLE_EPS * mass))
     problem = StepProblem(energy=energy, v0=v0, mass=mass, incident_spin=spin)
     amps = route(problem)
-    waves = region_wavefunctions(problem)
+
+    def mode_current(kind, kinetic_energy):
+        return probability_current(analytic_eigenstate(kind, kinetic_energy, mass).spinor)
+
+    incident_kind = 1 if spin is Spin.UP else 2
     bilinear = {
-        "j_inc": probability_current(waves.incident.spinor),
-        "j_refl_up": abs(amps.b) ** 2 * probability_current(waves.reflected[0].spinor),
-        "j_refl_down": abs(amps.b_prime) ** 2 * probability_current(waves.reflected[1].spinor),
-        "j_trans_up": abs(amps.c) ** 2 * probability_current(waves.transmitted[0].spinor),
-        "j_trans_down": abs(amps.c_prime) ** 2 * probability_current(waves.transmitted[1].spinor),
+        "j_inc": mode_current(incident_kind, energy),
+        "j_refl_up": abs(amps.b) ** 2 * mode_current(3, energy),
+        "j_refl_down": abs(amps.b_prime) ** 2 * mode_current(4, energy),
+        "j_trans_up": 0.0,
+        "j_trans_down": 0.0,
     }
+    if energy > v0:
+        bilinear["j_trans_up"] = abs(amps.c) ** 2 * mode_current(1, energy - v0)
+        bilinear["j_trans_down"] = abs(amps.c_prime) ** 2 * mode_current(2, energy - v0)
     closed = currents(problem, amps).to_json_dict()
     for name, want in bilinear.items():
         scale = max(abs(want), abs(closed[name]), bilinear["j_inc"])
@@ -581,13 +562,11 @@ def test_property_currents_equal_bilinears(log_ratio, log_v0, mass, spin, route)
 def test_continuity_residual_zero_amplitudes():
     problem = StepProblem(energy=200.0, v0=100.0)
     zero = AmplitudeSet(branch=Branch.PROPAGATING, b=0.0, b_prime=0.0, c=0.0, c_prime=0.0)
-    left, right = boundary_values(problem, zero)
-    assert continuity_residual_1d(left, right) >= 1.0
+    assert continuity_residual(problem, zero) >= 1.0
 
 
 def test_continuity_residual_closed_form_path():
     for energy, v0 in [(200.0, 100.0), (50.0, 100.0), (2e6, 1e6)]:
         problem = StepProblem(energy=energy, v0=v0)
         closed = closed_form_amplitudes(problem)
-        left, right = boundary_values(problem, closed)
-        assert continuity_residual_1d(left, right) <= 1e-10
+        assert continuity_residual(problem, closed) <= 1e-10
