@@ -353,8 +353,13 @@ def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> dict:
         valid = valid & (value >= -CLAMP_EPS) & (value <= 1.0 + CLAMP_EPS)
     arrays = hasattr(total, "clip")  # numpy arrays (or numpy scalars)
     if not (valid.all() if arrays else valid):
+        at = ""
+        if arrays and total.ndim:  # name the first failing grid point, not whole columns
+            i = (~valid).argmax()
+            parts = {name: float(v[i]) for name, v in parts.items()}
+            at = f" at E = {float(energy[i])!r} eV"
         raise ValueError(
-            f"probabilities {parts} violate unitarity: the sum must be within "
+            f"probabilities {parts}{at} violate unitarity: the sum must be within "
             f"{COEFFICIENT_SUM_TOL:g} of 1 and each within {CLAMP_EPS:g} of [0, 1]"
         )
     if arrays:

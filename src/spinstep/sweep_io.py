@@ -12,7 +12,9 @@ exists can be emitted.
 
 Emission is deterministic: the same spec always produces byte-identical
 output.  Numbers are printed with 17 significant digits, which round-trips
-IEEE doubles exactly, so emitted files double as golden files.
+IEEE doubles exactly, so emitted files double as golden files.  Each field
+table yields one %-template for a CSV line and one for a JSON line: a row's
+CSV text is rendered once, by one call, and its JSON line reuses the strings.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -98,9 +101,9 @@ class SweepSpec:
             raise ValueError(f"v0 must be positive and finite, got {self.v0}")
         if not (self.mass > 0 and math.isfinite(self.mass)):
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not self.e_over_v0_min < self.e_over_v0_max:
+        if not -math.inf < self.e_over_v0_min < self.e_over_v0_max < math.inf:
             raise ValueError(
-                f"grid range is empty: [{self.e_over_v0_min}, {self.e_over_v0_max}]"
+                f"grid range is empty or not finite: [{self.e_over_v0_min}, {self.e_over_v0_max}]"
             )
         if self.e_over_v0_min <= 0:
             raise ValueError("e_over_v0_min must be positive")
@@ -142,6 +145,9 @@ class _Row:
         cls.CSV_HEADER = ",".join(header for _, header, _ in cls.FIELDS)
         cls._KEYS = tuple(_key(attr) for attr, _, _ in cls.FIELDS)
         cls._VALUES = attrgetter(*(attr for attr, _, _ in cls.FIELDS))
+        # %.17g renders as format_float does (one CPython routine)
+        cls._CSV_LINE = ",".join(["%.17g"] * len(cls.FIELDS))
+        cls._JSON_LINE = "  {" + ", ".join(f'"{key}": %s' for key in cls._KEYS) + "}"
         # SVG column name -> (attribute, colour), for the curve columns
         cls._CURVES = {
             _key(attr): (attr, colour) for attr, _, colour in cls.FIELDS[len(_GRID_FIELDS):]
@@ -159,6 +165,10 @@ class _Row:
 
     def json_dict(self) -> dict:
         return dict(zip(self._KEYS, self._VALUES(self)))
+
+    @cached_property
+    def _csv_text(self) -> str:  # emit_json reuses it
+        return self._CSV_LINE % self._VALUES(self)
 
 
 @dataclass(frozen=True)
@@ -241,25 +251,27 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         raise ThresholdDegeneracyError(
             "every grid point fell inside the threshold band around E = V0"
         )
-    energy = x * spec.v0
     v0, mass = spec.v0, spec.mass
     rows = []
-    for row_type, branch, where in (
-        (EvanescentRow, Branch.EVANESCENT, energy < v0),
-        (PropagatingRow, Branch.PROPAGATING, energy > v0),
-    ):
-        if not where.any():
-            continue
-        e = energy[where]
-        if branch is Branch.EVANESCENT:
-            gap = v0 - e
-            _check_mass_pole(gap[np.abs(gap - mass).argmin()], mass)
-        amps = _amplitudes(branch, e, v0, mass, spec.incident_spin, np.sqrt)
-        probs = _probabilities(branch, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
-        columns = [e, x[where], *probs.values(), sum(probs.values())]
-        if branch is Branch.PROPAGATING:
-            columns += _spinless(e, v0, np.sqrt)
-        rows += [row_type(*values) for values in zip(*(c.tolist() for c in columns))]
+    # overflow leaves non-finite columns; the unitarity refusal reports it
+    with np.errstate(all="ignore"):
+        energy = x * v0
+        for row_type, branch, where in (
+            (EvanescentRow, Branch.EVANESCENT, energy < v0),
+            (PropagatingRow, Branch.PROPAGATING, energy > v0),
+        ):
+            if not where.any():
+                continue
+            e = energy[where]
+            if branch is Branch.EVANESCENT:
+                gap = v0 - e
+                _check_mass_pole(gap[np.abs(gap - mass).argmin()], mass)
+            amps = _amplitudes(branch, e, v0, mass, spec.incident_spin, np.sqrt)
+            probs = _probabilities(branch, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
+            columns = [e, x[where], *probs.values(), sum(probs.values())]
+            if branch is Branch.PROPAGATING:
+                columns += _spinless(e, v0, np.sqrt)
+            rows += [row_type(*values) for values in zip(*(c.tolist() for c in columns))]
     return SweepResult(rows=tuple(rows), skipped=int(inside.sum()))
 
 
@@ -314,16 +326,14 @@ def emit_csv(rows, path) -> None:
     a refused list never leaves a partial file behind.
     """
     kind = _homogeneous_rows(rows)
-    lines = [kind.CSV_HEADER]
-    lines.extend(",".join(map(format_float, row.csv_values())) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join([kind.CSV_HEADER, *(row._csv_text for row in rows)]) + "\n")
 
 
 def emit_json(rows, path) -> None:
     """Write rows as a JSON array of row objects (17-significant-digit
     numbers, deterministic key order)."""
-    keys = _homogeneous_rows(rows)._KEYS
-    parts = ["  " + _json_object(zip(keys, row.csv_values())) for row in rows]
+    line = _homogeneous_rows(rows)._JSON_LINE
+    parts = [line % tuple(row._csv_text.split(",")) for row in rows]
     _write_text(path, "[\n" + ",\n".join(parts) + "\n]\n")
 
 
@@ -355,11 +365,11 @@ def emit_svg(rows, path, columns) -> None:
     y_max = max(y_max, 1.0)
     y_span = (y_max - y_min) or 1.0
 
-    def px(x):
-        return margin_left + (x - x_min) / x_span * plot_w
+    def px(values):
+        return [margin_left + (x - x_min) / x_span * plot_w for x in values]
 
-    def py(y):
-        return margin_top + plot_h - (y - y_min) / y_span * plot_h
+    def py(values):
+        return [margin_top + plot_h - (y - y_min) / y_span * plot_h for y in values]
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {width} {height}">',
@@ -369,11 +379,10 @@ def emit_svg(rows, path, columns) -> None:
         f'<line x1="{margin_left}" y1="{margin_top}" '
         f'x2="{margin_left}" y2="{margin_top + plot_h}" stroke="black"/>',
     ]
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        y_val = y_min + frac * y_span
-        y_pix = py(y_val)
-        x_val = x_min + frac * x_span
-        x_pix = px(x_val)
+    fracs = (0.0, 0.25, 0.5, 0.75, 1.0)
+    y_ticks = [y_min + frac * y_span for frac in fracs]
+    x_ticks = [x_min + frac * x_span for frac in fracs]
+    for y_val, y_pix, x_val, x_pix in zip(y_ticks, py(y_ticks), x_ticks, px(x_ticks)):
         lines.append(
             f'<line x1="{margin_left - 4}" y1="{y_pix:.2f}" x2="{margin_left}" '
             f'y2="{y_pix:.2f}" stroke="black"/>'
@@ -394,12 +403,13 @@ def emit_svg(rows, path, columns) -> None:
         f'<text x="{margin_left + plot_w / 2:.0f}" y="{height - 12}" '
         f'text-anchor="middle" font-size="13">E / V0</text>'
     )
+    # x pixels once per file; each polyline is one template call
+    x_pixels, points_line = px(xs), " ".join(["%.3f,%.3f"] * len(rows))
     neutral = iter(_NEUTRAL_COLORS)
     for idx, column in enumerate(columns):
         color = kind._CURVES[column][1] or next(neutral, "gray")
-        points = " ".join(
-            f"{px(x):.3f},{py(y):.3f}" for x, y in zip(xs, series[column])
-        )
+        xy = zip(x_pixels, py(series[column]))
+        points = points_line % tuple(v for pair in xy for v in pair)
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'

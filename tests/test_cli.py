@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -229,6 +230,25 @@ def test_sweep_invalid_grid_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "invalid sweep" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--v0", "100", "--to", "inf"),
+    ("--v0", "100", "--from=-inf"),
+    ("--v0", "100", "--from", "nan"),
+    # overflow: every column is nan, which the unitarity check refuses
+    ("--v0", "1e300"),
+    ("--v0", "1e308"),
+], ids=" ".join)
+def test_sweep_out_of_range_exit_2_with_one_line(tmp_path, capsys, argv):
+    # a warning raised as an error would escape main() instead of exiting 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "sweep", *argv, "--out", str(tmp_path / "x.csv"))
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid sweep: ") and err.count("\n") == 1
+    assert len(err) < 400
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_unwritable_path_exit_3(tmp_path, capsys):

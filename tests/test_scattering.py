@@ -382,6 +382,25 @@ def test_property_kernel_bits_equal_on_floats_and_arrays(
         assert _bits(value) == _bits(grid_probs[name]), name
 
 
+def test_unitarity_refusal_names_one_point():
+    # a point keeps its message; a grid names its first failing energy
+    # instead of printing whole columns
+    bad = (0.5, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError) as point:
+        _probabilities(Branch.EVANESCENT, 50.0, 100.0, ME, bad, math.sqrt)
+    assert str(point.value) == (
+        "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} violate unitarity: the "
+        "sum must be within 1e-12 of 1 and each within 1e-12 of [0, 1]"
+    )
+    energy = np.array([10.0, 20.0, 30.0])
+    grid = [np.array(v) for v in ((1.0, 0.5, np.nan), (0.0, 0.0, 0.0), (0, 0, 0), (0, 0, 0))]
+    with pytest.raises(ValueError) as sweep:
+        _probabilities(Branch.EVANESCENT, energy, 100.0, ME, grid, np.sqrt)
+    assert str(sweep.value).startswith(
+        "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} at E = 20.0 eV violate unitarity"
+    )
+
+
 # ------------------------------------------------------- around the pole
 
 

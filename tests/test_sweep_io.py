@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinstep.eigensystem import ELECTRON_MASS_EV
 from spinstep.scattering import (
@@ -21,6 +23,7 @@ from spinstep.sweep_io import (
     Regime,
     Spacing,
     SweepSpec,
+    _json_object,
     emit_csv,
     emit_json,
     emit_svg,
@@ -275,3 +278,53 @@ def test_json_and_svg_bytes_are_pinned(name, tmp_path):
     emit_svg(rows, tmp_path / "out.svg", columns)
     for path, want in ((tmp_path / "out.json", json_digest), (tmp_path / "out.svg", svg_digest)):
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == want
+
+
+# (figure whose rows are drawn, columns as a user types them, sha256 prefix):
+# an explicit order in mixed case, whose sum and T_QM take the neutral
+# colours, and an evanescent selection
+SELECTED_SVG_DIGESTS = {
+    "fig2 T_QM,sum,r1": ("fig2", ["T_QM", "sum", "r1"], "fd75f85ba202"),
+    "fig4 sum,r2_prime": ("fig4", ["sum", "r2_prime"], "db65f002ed80"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELECTED_SVG_DIGESTS))
+def test_svg_bytes_of_selected_columns_are_pinned(name, tmp_path):
+    figure, columns, want = SELECTED_SVG_DIGESTS[name]
+    path = tmp_path / "out.svg"
+    emit_svg(run_sweep(FIGURE_DIGESTS[figure][0]).rows, path, columns)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == want
+
+
+# any finite double, with the edges of the range, signed zero, subnormals and
+# integral values drawn on purpose
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     1.7e308, -1.7e308, 1.7976931348623157e308]),
+    st.integers(min_value=-(2**53), max_value=2**53).map(float),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from((PropagatingRow, EvanescentRow)),
+    data=st.data(),
+)
+def test_emitted_bytes_equal_per_value_rendering(kind, data, tmp_path_factory):
+    width = len(kind.FIELDS) - 1  # every field but the unit sum
+    values = data.draw(st.lists(st.lists(finite, min_size=width, max_size=width),
+                                min_size=1, max_size=6))
+    total = [attr for attr, _, _ in kind.FIELDS].index("total")
+    rows = [kind(*v[:total], 1.0, *v[total:]) for v in values]
+    csv_lines = [kind.CSV_HEADER]
+    csv_lines += [",".join(map(format_float, row.csv_values())) for row in rows]
+    json_lines = ["  " + _json_object(row.json_dict().items()) for row in rows]
+    out = tmp_path_factory.mktemp("emit")
+    emit_csv(rows, out / "rows.csv")
+    emit_json(rows, out / "rows.json")
+    assert (out / "rows.csv").read_text().split("\n") == csv_lines + [""]
+    assert (out / "rows.json").read_text().split("\n") == (
+        ["["] + [line + "," for line in json_lines[:-1]] + json_lines[-1:] + ["]", ""]
+    )
