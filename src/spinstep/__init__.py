@@ -27,9 +27,7 @@ _EXPORTS = {
         "pauli", "verify_eta_algebra", "verify_eta_matrix",
     ),
     "eigensystem": (
-        "Direction", "EigenDecomposition", "PlaneWaveState", "analytic_eigenstate",
-        "eigenspace_projection_residual", "momentum_operator", "numeric_eigensystem",
-        "verify_dispersion",
+        "analytic_eigenstate", "momentum_operator", "verify_dispersion",
     ),
     "scattering": (
         "ELECTRON_MASS_EV", "Spin", "AmplitudeSet", "Branch", "CurrentDensities",

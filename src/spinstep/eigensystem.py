@@ -6,18 +6,15 @@ The free 1D equation turns, for plane waves, into the eigenvalue problem
 
 whose operator is non-Hermitian yet carries the real eigenvalues
 +-sqrt(2*E*m), each twice: one spin-up and one spin-down state per
-propagation direction.  This module builds the operator, constructs the four
-closed-form eigenstates, and provides an independent numeric eigensolver used
-as an oracle against them.
+propagation direction.  This module builds the operator and the four
+closed-form eigenstates, and verify_dispersion checks those states against
+one stacked LAPACK eigensolve over an energy grid.
 
 Units are electron-volts throughout with hbar = c = 1, so momenta are also
 measured in eV and the dispersion reads E = p^2 / (2*m).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,77 +25,16 @@ from .algebra import (
     EtaRepresentation,
     eta,
     eta_dagger,
-    max_abs,
 )
 from .scattering import ELECTRON_MASS_EV, Spin
 
 __all__ = [
     "ELECTRON_MASS_EV",
-    "NORMALIZATION_TOL",
     "Spin",
-    "Direction",
-    "PlaneWaveState",
-    "EigenDecomposition",
     "momentum_operator",
     "analytic_eigenstate",
-    "numeric_eigensystem",
-    "eigenspace_projection_residual",
     "verify_dispersion",
 ]
-
-NORMALIZATION_TOL = 1e-12
-
-# Below this smallest singular value of the eigenvector matrix the
-# decomposition cannot resolve four independent directions.
-_DEFECT_SVAL_TOL = 1e-6
-
-
-class Direction(Enum):
-    POSITIVE_Z = "+z"
-    NEGATIVE_Z = "-z"
-
-
-@dataclass(frozen=True, eq=False)
-class PlaneWaveState:
-    """One on-shell plane-wave mode: spinor amplitude plus quantum numbers.
-
-    Checked on construction: a finite 4-component spinor with u^dagger u = 2
-    to NORMALIZATION_TOL.  The on-shell condition momentum^2 = 2*energy*mass
-    is not checked here; on_shell_deviation measures it.
-    """
-
-    spinor: np.ndarray
-    momentum: float
-    energy: float
-    spin: Spin
-    direction: Direction
-
-    def __post_init__(self):
-        u = np.array(self.spinor, dtype=complex)
-        u.setflags(write=False)
-        object.__setattr__(self, "spinor", u)
-        if u.shape != (4,) or not np.all(np.isfinite(u.view(float))):
-            raise ValueError("spinor must be a finite 4-vector")
-        norm = float(np.vdot(u, u).real)
-        if abs(norm - 2.0) > NORMALIZATION_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 2 beyond tolerance")
-
-    def on_shell_deviation(self, mass: float) -> float:
-        """Relative deviation of momentum^2 from 2*energy*mass."""
-        shell = 2.0 * self.energy * mass
-        return abs(self.momentum**2 - shell) / shell
-
-    def norm_squared(self) -> float:
-        return float(np.vdot(self.spinor, self.spinor).real)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "components": [[z.real, z.imag] for z in self.spinor],
-            "momentum": self.momentum,
-            "energy": self.energy,
-            "spin": self.spin.value,
-            "direction": self.direction.value,
-        }
 
 
 def momentum_operator(
@@ -139,74 +75,23 @@ def _eigen_spinor(kind: int, energy, mass: float, momentum) -> np.ndarray:
     raise ValueError(f"eigenstate kind must be 1..4, got {kind}")
 
 
-_KIND_LABELS = {
-    1: (Spin.UP, Direction.POSITIVE_Z),
-    2: (Spin.DOWN, Direction.POSITIVE_Z),
-    3: (Spin.UP, Direction.NEGATIVE_Z),
-    4: (Spin.DOWN, Direction.NEGATIVE_Z),
-}
+def analytic_eigenstate(kind: int, energy: float, mass: float) -> np.ndarray:
+    """Closed-form eigenstate u^(kind) of the momentum operator, shape (4,).
 
-
-def analytic_eigenstate(kind: int, energy: float, mass: float) -> PlaneWaveState:
-    """Closed-form eigenstate u^(kind) of the momentum operator.
-
-    Kinds 1 and 2 move along +z with eigenvalue +sqrt(2*E*m) (spin up and
-    down); kinds 3 and 4 move along -z with the opposite eigenvalue.  The
-    pairs are related by momentum reversal: u^(3)(p) = u^(1)(-p) and
-    u^(4)(p) = u^(2)(-p).  Every state satisfies u^dagger u = 2.
+    Kinds 1 and 2 are spin up and down moving along +z, with eigenvalue
+    +sqrt(2*E*m); kinds 3 and 4 are the same spins moving along -z, with
+    the opposite eigenvalue.  The pairs are related by momentum reversal:
+    u^(3)(p) = u^(1)(-p) and u^(4)(p) = u^(2)(-p).  Every state satisfies
+    u^dagger u = 2.  Raises ValueError for a kind outside 1..4, an energy or
+    mass that is not positive, or one whose spinor is not finite in double
+    precision.
     """
-    if energy <= 0 or mass <= 0:
-        raise ValueError("energy and mass must be positive")
-    spin, direction = _KIND_LABELS[kind] if kind in _KIND_LABELS else (None, None)
-    if spin is None:
-        raise ValueError(f"eigenstate kind must be 1..4, got {kind}")
-    p = float(np.sqrt(2.0 * energy * mass))
-    spinor = _eigen_spinor(kind, energy, mass, p)
-    signed_p = p if direction is Direction.POSITIVE_Z else -p
-    return PlaneWaveState(
-        spinor=spinor, momentum=signed_p, energy=energy, spin=spin, direction=direction
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Numeric eigenpairs of a 4x4 matrix with quality diagnostics.
-
-    residuals[k] = |M v_k - lambda_k v_k| / (|M| * |v_k|).  defective is set
-    when the eigenvector matrix cannot resolve four independent directions,
-    which happens for nilpotent inputs; eigenvalues remain usable.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
-    defective: bool
-
-
-def numeric_eigensystem(matrix: np.ndarray) -> EigenDecomposition:
-    """Eigen-decompose a 4x4 complex matrix, independent of any closed form.
-
-    Uses the QR-iteration eigensolver on the (balanced) small matrix and
-    reports per-pair residuals; callers compare eigenspaces rather than raw
-    eigenvectors because degenerate eigenvalues leave the basis free.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    values, vectors = np.linalg.eig(m)
-    scale = max(max_abs(m), np.finfo(float).tiny)
-    residuals = np.array(
-        [
-            float(np.linalg.norm(m @ vectors[:, k] - values[k] * vectors[:, k]))
-            / (scale * float(np.linalg.norm(vectors[:, k])))
-            for k in range(4)
-        ]
-    )
-    svals = np.linalg.svd(vectors, compute_uv=False)
-    defective = bool(svals.min() < _DEFECT_SVAL_TOL * svals.max())
-    return EigenDecomposition(
-        values=values, vectors=vectors, residuals=residuals, defective=defective
-    )
+    if not (energy > 0 and mass > 0):
+        raise ValueError(f"energy and mass must be positive, got {energy}, {mass}")
+    u = _eigen_spinor(kind, energy, mass, float(np.sqrt(2.0 * energy * mass)))
+    if not np.isfinite(u).all():
+        raise ValueError(f"eigenstate not finite at energy {energy}, mass {mass}")
+    return u
 
 
 def _projection_residuals(values, vectors, eigenvalues, states, value_tol: float):
@@ -229,29 +114,6 @@ def _projection_residuals(values, vectors, eigenvalues, states, value_tol: float
     q = q * (np.arange(4) < selected.sum(axis=-1)[..., None])[..., None, :]
     projected = (q @ (q.conj().swapaxes(-1, -2) @ states[..., None]))[..., 0]
     return np.linalg.norm(states - projected, axis=-1) / np.linalg.norm(states, axis=-1)
-
-
-def eigenspace_projection_residual(
-    decomposition: EigenDecomposition,
-    eigenvalue: complex,
-    vector: np.ndarray,
-    value_tol: float = 1e-6,
-) -> float:
-    """Distance of `vector` from the numeric eigenspace of `eigenvalue`.
-
-    Selects all numeric eigenvalues within value_tol (relative to the
-    spectral scale), orthonormalizes their vectors, and returns
-    |v - P v| / |v| for the orthogonal projector P onto that span (1 when
-    no eigenvalue is selected).
-    """
-    residuals = _projection_residuals(
-        decomposition.values,
-        decomposition.vectors,
-        np.array([eigenvalue]),
-        np.asarray(vector, dtype=complex)[None],
-        value_tol,
-    )
-    return float(residuals[0])
 
 
 _DISPERSION_TOLS = {
@@ -277,11 +139,14 @@ def verify_dispersion(
     orthogonal per direction, solve the eigenproblem, and lie in the numeric
     eigenspaces.  The operator's reality of spectrum is measured, not
     assumed, hence the explicit imaginary-part check.  The whole grid is
-    one stacked eigensolve and array expressions.
+    one stacked eigensolve and array expressions.  Raises ValueError unless
+    every energy is positive and finite.
     """
     if energies is None:
         energies = np.logspace(0.0, 7.0, 100)
     energies = np.asarray(energies, dtype=float)
+    if not np.all((energies > 0) & np.isfinite(energies)):
+        raise ValueError(f"energies must be positive and finite, got {energies}")
     ops = momentum_operator(energies, mass, rep)
     p = np.sqrt(2.0 * energies * mass)
     values, vectors = np.linalg.eig(ops)

@@ -556,7 +556,7 @@ def test_property_currents_equal_bilinears(log_ratio, log_v0, mass, spin, route)
     amps = route(problem)
 
     def mode_current(kind, kinetic_energy):
-        return probability_current(analytic_eigenstate(kind, kinetic_energy, mass).spinor)
+        return probability_current(analytic_eigenstate(kind, kinetic_energy, mass))
 
     incident_kind = 1 if spin is Spin.UP else 2
     bilinear = {
