@@ -16,6 +16,8 @@ measured in eV and the dispersion reads E = p^2 / (2*m).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .algebra import (
@@ -57,21 +59,21 @@ def momentum_operator(
     return energy[..., None, None] * eta(rep) + mass * eta_dagger(rep)
 
 
-def _eigen_spinor(kind: int, energy, mass: float, momentum) -> np.ndarray:
-    """Closed-form spinor u^(kind), shape (4,), or (4, N) for arrays of N
-    energies and momenta."""
+def _eigen_spinor(kind: int, energy, mass: float, momentum) -> tuple:
+    """Closed-form spinor u^(kind) as a tuple of its four components: Python
+    scalars for a point, arrays of N for arrays of N energies and momenta."""
     a = 1.0 / (energy + mass)
     e_minus_m = energy - mass
     zero = 0.0 * a  # shaped like the energies
     one = zero + 1.0
     if kind == 1:
-        return np.array([one, zero, 1j * a * e_minus_m, -SQRT2 * a * momentum], dtype=complex)
+        return one, zero, 1j * a * e_minus_m, -SQRT2 * a * momentum
     if kind == 2:
-        return np.array([zero, one, SQRT2 * a * momentum, -1j * a * e_minus_m], dtype=complex)
+        return zero, one, SQRT2 * a * momentum, -1j * a * e_minus_m
     if kind == 3:
-        return np.array([one, zero, 1j * a * e_minus_m, SQRT2 * a * momentum], dtype=complex)
+        return one, zero, 1j * a * e_minus_m, SQRT2 * a * momentum
     if kind == 4:
-        return np.array([zero, one, -SQRT2 * a * momentum, -1j * a * e_minus_m], dtype=complex)
+        return zero, one, -SQRT2 * a * momentum, -1j * a * e_minus_m
     raise ValueError(f"eigenstate kind must be 1..4, got {kind}")
 
 
@@ -82,13 +84,15 @@ def analytic_eigenstate(kind: int, energy: float, mass: float) -> np.ndarray:
     +sqrt(2*E*m); kinds 3 and 4 are the same spins moving along -z, with
     the opposite eigenvalue.  The pairs are related by momentum reversal:
     u^(3)(p) = u^(1)(-p) and u^(4)(p) = u^(2)(-p).  Every state satisfies
-    u^dagger u = 2.  Raises ValueError for a kind outside 1..4, an energy or
-    mass that is not positive, or one whose spinor is not finite in double
-    precision.
+    u^dagger u = 2.  Raises ValueError, and warns of nothing, for a kind
+    outside 1..4, an energy or mass that is not positive, or one whose
+    spinor is not finite in double precision.
     """
+    energy, mass = float(energy), float(mass)  # numpy scalars warn on overflow
     if not (energy > 0 and mass > 0):
         raise ValueError(f"energy and mass must be positive, got {energy}, {mass}")
-    u = _eigen_spinor(kind, energy, mass, float(np.sqrt(2.0 * energy * mass)))
+    momentum = math.sqrt(2.0 * energy * mass)
+    u = np.array(_eigen_spinor(kind, energy, mass, momentum), dtype=complex)
     if not np.isfinite(u).all():
         raise ValueError(f"eigenstate not finite at energy {energy}, mass {mass}")
     return u
@@ -158,7 +162,9 @@ def verify_dispersion(
     worst["eigenvalue_imaginary_part"] = float((np.abs(values.imag) / column_p).max())
     if rep is EtaRepresentation.REP1:
         # states[n, k - 1] is u^(k) at energies[n]; lam its eigenvalue
-        states = np.stack([_eigen_spinor(k, energies, mass, p) for k in (1, 2, 3, 4)])
+        states = np.array(
+            [_eigen_spinor(k, energies, mass, p) for k in (1, 2, 3, 4)], dtype=complex
+        )
         states = states.transpose(2, 0, 1)
         lam = column_p * np.array([1.0, 1.0, -1.0, -1.0])
         norms = np.linalg.norm(states, axis=-1)

@@ -27,7 +27,7 @@ continuity_residual measures any amplitudes against the same basis.
 Probability currents come from their closed forms; the bilinears
 u^dagger (eta + eta^dagger) u they equal are checked in the tests.
 
-numpy is imported only by the code that builds arrays (the mode basis, the
+numpy is imported only by the verification code (the mode basis, the
 continuity oracle and residual, and the current bilinears), so that
 StepProblem, closed_form_amplitudes, coefficients, currents and
 qm_reference run without it.
@@ -184,8 +184,8 @@ class AmplitudeSet:
 
 
 def _continuity_matrix(problem: StepProblem):
-    """Matrix and right-hand side of the z = 0 continuity system: the one
-    mode basis of the step.
+    """Rows and right-hand side of the z = 0 continuity system, the one mode
+    basis of the step, as lists of Python numbers (assembled once per point).
 
     The columns are the reflected modes u^(3), u^(4) at E, whose
     coefficients are b and b', then two region-II columns, negated.  Above
@@ -197,12 +197,11 @@ def _continuity_matrix(problem: StepProblem):
 
         v1 = [s+r, s+r, i(s-r), -i(s-r)],  v2 = [s-r, r-s, i(s+r), i(s+r)],
 
-    which stay at least 60 degrees apart for every V0 - E and m.  The
-    right-hand side is minus the incident mode.  The evanescent mass pole
-    is refused, as on every route.
+    which stay at least 60 degrees apart for every V0 - E and m.  The mode
+    components come from eigensystem._eigen_spinor, where their formulas
+    are written.  The right-hand side is minus the incident mode.  The
+    evanescent mass pole is refused, as on every route.
     """
-    import numpy as np
-
     from .eigensystem import _eigen_spinor
 
     e, v0, m = problem.energy, problem.v0, problem.mass
@@ -216,9 +215,9 @@ def _continuity_matrix(problem: StepProblem):
         _check_mass_pole(v0 - e, m)
         s = math.sqrt(v0 - e)
         r = math.sqrt(m)
-        v1 = np.array([s + r, s + r, 1j * (s - r), -1j * (s - r)])
-        v2 = np.array([s - r, r - s, 1j * (s + r), 1j * (s + r)])
-    return np.column_stack([r_up, r_down, -v1, -v2]), -incident
+        v1 = (s + r, s + r, 1j * (s - r), -1j * (s - r))
+        v2 = (s - r, r - s, 1j * (s + r), 1j * (s + r))
+    return [(a, b, -c, -d) for a, b, c, d in zip(r_up, r_down, v1, v2)], [-z for z in incident]
 
 
 def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
@@ -228,32 +227,39 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
     This is the independent oracle for closed_form_amplitudes: it matches
     the boundary modes of _continuity_matrix numerically instead of
     evaluating a formula, and its conditioning stays flat through
-    V0 - E = m.  c and c' are the upper components of psi_II(0), read off
-    the solution (on the pole-free basis, c = alpha(s+r) + beta(s-r) and
-    c' = alpha(s+r) - beta(s-r)).  The solution is rejected if its relative
-    backward error exceeds CONTINUITY_TOL, which would signal a solver bug.
-    Its accuracy is backward, not relative: small amplitudes (V0 << E, or
-    E, V0 and m decades apart) can carry large relative errors.
+    V0 - E = m.  The system goes to numpy as one 4x4 array; the solution
+    comes back as Python numbers, and the rest is scalar arithmetic.  c and
+    c' are the upper components of psi_II(0): the region-II terms of the
+    first two rows, with the columns' sign undone (on the pole-free basis,
+    c = alpha(s+r) + beta(s-r) and c' = alpha(s+r) - beta(s-r)).  The solution is rejected if its
+    relative backward error |Mx - b| / (|M| |x| + |b|), infinity norms
+    (Higham, ch. 7), exceeds CONTINUITY_TOL, which would signal a solver
+    bug.  Its accuracy is backward, not relative: small amplitudes
+    (V0 << E, or E, V0 and m decades apart) can carry large relative errors.
     """
     import numpy as np
 
-    matrix, rhs = _continuity_matrix(problem)
-    x = np.linalg.solve(matrix, rhs)
-    backward_error = float(np.abs(matrix @ x - rhs).max()) / (
-        np.linalg.norm(matrix, np.inf) * np.abs(x).max() + np.abs(rhs).max()
+    rows, rhs = _continuity_matrix(problem)
+    x = np.linalg.solve(np.array(rows, dtype=complex), rhs).tolist()
+    x0, x1, x2, x3 = x
+    residual = max(
+        abs(row[0] * x0 + row[1] * x1 + row[2] * x2 + row[3] * x3 - b)
+        for row, b in zip(rows, rhs)
     )
+    matrix_norm = max(abs(row[0]) + abs(row[1]) + abs(row[2]) + abs(row[3]) for row in rows)
+    backward_error = residual / (matrix_norm * max(map(abs, x)) + max(map(abs, rhs)))
     if not backward_error <= CONTINUITY_TOL:
         raise RuntimeError(
             f"continuity backward error {backward_error:.3e} exceeds "
             f"{CONTINUITY_TOL:g} after linear solve"
         )
-    c, c_prime = -(matrix[:2, 2:] @ x[2:])
+    c, c_prime = (-(row[2] * x2 + row[3] * x3) for row in rows[:2])
     return AmplitudeSet(
         branch=problem.branch,
-        b=complex(x[0]),
-        b_prime=complex(x[1]),
-        c=complex(c),
-        c_prime=complex(c_prime),
+        b=x0,
+        b_prime=x1,
+        c=c,
+        c_prime=c_prime,
         incident_spin=problem.incident_spin,
     )
 
@@ -530,7 +536,8 @@ def continuity_residual(problem: StepProblem, amps: AmplitudeSet) -> float:
     """
     import numpy as np
 
-    matrix, rhs = _continuity_matrix(problem)
+    rows, rhs = _continuity_matrix(problem)
+    matrix = np.array(rows, dtype=complex)
     left = matrix[:, :2] @ [amps.b, amps.b_prime] - rhs
     q, _ = np.linalg.qr(matrix[:, 2:])
     off_span = left - q @ (q.conj().T @ left)

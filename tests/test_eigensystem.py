@@ -135,3 +135,14 @@ def test_eigenstate_refuses_energy_and_mass(energy, mass):
     for kind in (1, 2, 3, 4):
         with pytest.raises(ValueError):
             analytic_eigenstate(kind, energy, mass)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("energy,mass", [
+    (np.float64(1e300), 1e300),  # 2*E*m overflows, in numpy scalar arithmetic
+    (np.float64(1e-320), 1e-320),  # 1/(E+m) overflows, in numpy scalar arithmetic
+])
+def test_eigenstate_refuses_numpy_scalars_without_warning(energy, mass):
+    for kind in (1, 2, 3, 4):
+        with pytest.raises(ValueError):
+            analytic_eigenstate(kind, energy, mass)

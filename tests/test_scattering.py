@@ -105,6 +105,40 @@ def test_linear_matches_closed_form():
             assert rel_diff(getattr(lin, field), getattr(closed, field)) <= 1e-10
 
 
+# repr of the oracle's (b, b', c, c') at V0 = 100 eV, recorded from the solve
+# on an np.column_stack of spinor arrays; the solve on Python-scalar rows
+# must keep these values (a zero may change sign)
+ORACLE_PINS = {
+    (200.0, Spin.UP): (
+        "(0.1714386239019603+0j)", "0.006785997160448505j",
+        "(1.1714386239019603-0j)", "(-0+0.006785997160448505j)",
+    ),
+    (200.0, Spin.DOWN): (
+        "0.006785997160448505j", "(0.17143862390196052-0j)",
+        "(-0+0.006785997160448505j)", "(1.1714386239019605-0j)",
+    ),
+    (50.0, Spin.UP): (
+        "(-8.992806499463768e-15-0.9998043240280604j)",
+        "(0.019781649445716643-1.1102230246251565e-16j)",
+        "(0.9999999999999911-0.9998043240280604j)",
+        "(0.019781649445716643-1.1102230246251565e-16j)",
+    ),
+    (50.0, Spin.DOWN): (
+        "(0.019781649445716976-1.6653345369377348e-16j)",
+        "(-8.770761894538737e-15-0.9998043240280603j)",
+        "(0.019781649445716976-1.6653345369377348e-16j)",
+        "(0.9999999999999911-0.9998043240280603j)",
+    ),
+}
+
+
+@pytest.mark.parametrize("energy,spin", list(ORACLE_PINS))
+def test_linear_solve_values_pinned(energy, spin):
+    amps = solve_amplitudes_linear(StepProblem(energy=energy, v0=100.0, incident_spin=spin))
+    pins = [complex(text) for text in ORACLE_PINS[energy, spin]]
+    assert [amps.b, amps.b_prime, amps.c, amps.c_prime] == pins
+
+
 def test_small_v0_limit_transparent():
     problem = StepProblem(energy=100.0, v0=100.0 * 1e-6, mass=ME)
     amps = solve_amplitudes_linear(problem)
@@ -520,7 +554,8 @@ def test_evanescent_transmitted_current_exactly_zero():
     assert j.conservation_sum == pytest.approx(1.0, abs=1e-12)
     # the pole-free decaying columns carry no current before amplitude
     # weighting
-    matrix, _ = _continuity_matrix(problem)
+    rows, _ = _continuity_matrix(problem)
+    matrix = np.array(rows)
     assert probability_current(matrix[:, 2]) == 0.0
     assert probability_current(matrix[:, 3]) == 0.0
 
@@ -576,6 +611,36 @@ def test_property_currents_equal_bilinears(log_ratio, log_v0, mass, spin, route)
 
 
 # --------------------------------------------------------------- boundary
+
+
+@pytest.mark.parametrize("spin", (Spin.UP, Spin.DOWN))
+@pytest.mark.parametrize("energy,v0,mass", [
+    (200.0, 100.0, ME),
+    (3e6, 1e6, 2 * ME),
+    (50.0, 100.0, ME),
+    (1.0, 2e6, 1.0),
+])
+def test_continuity_basis_is_the_eigenstates(energy, v0, mass, spin):
+    # the oracle's columns come from the eigenstate formulas, written once:
+    # they equal analytic_eigenstate exactly, and reach numpy as Python numbers
+    problem = StepProblem(energy=energy, v0=v0, mass=mass, incident_spin=spin)
+    rows, rhs = _continuity_matrix(problem)
+    assert all(type(z) in (float, complex) for row in [*rows, rhs] for z in row)
+    matrix = np.array(rows)
+    assert np.array_equal(matrix[:, 0], analytic_eigenstate(3, energy, mass))
+    assert np.array_equal(matrix[:, 1], analytic_eigenstate(4, energy, mass))
+    if energy > v0:
+        region_two = [analytic_eigenstate(kind, energy - v0, mass) for kind in (1, 2)]
+    else:
+        s, r = math.sqrt(v0 - energy), math.sqrt(mass)
+        region_two = [
+            np.array([s + r, s + r, 1j * (s - r), -1j * (s - r)]),
+            np.array([s - r, r - s, 1j * (s + r), 1j * (s + r)]),
+        ]
+    assert np.array_equal(matrix[:, 2], -region_two[0])
+    assert np.array_equal(matrix[:, 3], -region_two[1])
+    incident = analytic_eigenstate(1 if spin is Spin.UP else 2, energy, mass)
+    assert np.array_equal(np.array(rhs), -incident)
 
 
 def test_continuity_residual_zero_amplitudes():
