@@ -8,10 +8,10 @@ squaring.  Submodules:
   algebra      matrix constructors, identity verification
   eigensystem  momentum-space operator and its plane-wave eigenstates
   scattering   step-potential amplitudes (factored closed forms on floats
-               or arrays, with a continuity-solve oracle), probabilities,
-               currents
+               or arrays, with a continuity-solve oracle), coefficients as
+               one row type per branch, currents
   threed       3D operator algebra and continuity-equation identities
-  sweep_io     energy-grid sweeps, CSV/JSON/SVG emission
+  sweep_io     energy-grid sweeps of those rows, CSV/JSON/SVG emission
   cli          command-line interface (`spinstep ...` or `python -m spinstep`)
 """
 
@@ -23,22 +23,22 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "algebra": (
         "AlgebraCheck", "AlgebraReport", "EtaRepresentation", "anticommutator",
-        "char_poly_coeffs", "commutator", "dagger", "eta", "eta_dagger", "gamma",
-        "pauli", "verify_eta_algebra", "verify_eta_matrix",
+        "commutator", "dagger", "eta", "eta_dagger", "gamma", "pauli",
+        "verify_eta_algebra", "verify_eta_matrix",
     ),
     "eigensystem": (
         "analytic_eigenstate", "momentum_operator", "verify_dispersion",
     ),
     "scattering": (
         "ELECTRON_MASS_EV", "Spin", "AmplitudeSet", "Branch", "CurrentDensities",
-        "MassPoleError", "ScatteringCoefficients", "StepProblem",
+        "EvanescentRow", "MassPoleError", "PropagatingRow", "StepProblem",
         "ThresholdDegeneracyError", "closed_form_amplitudes", "coefficients",
         "continuity_residual", "currents", "current_kernel", "probability_current",
         "qm_reference", "solve_amplitudes_linear",
     ),
     "sweep_io": (
-        "EvanescentRow", "PropagatingRow", "Regime", "Spacing", "SweepResult",
-        "SweepSpec", "emit_csv", "emit_json", "emit_svg", "run_sweep",
+        "Regime", "Spacing", "SweepResult", "SweepSpec", "emit_csv", "emit_json",
+        "emit_svg", "run_sweep",
     ),
     "threed": (
         "ContinuityObjects", "MuTriple",

@@ -34,7 +34,6 @@ __all__ = [
     "anticommutator",
     "commutator",
     "max_abs",
-    "char_poly_coeffs",
     "verify_eta_matrix",
     "verify_eta_algebra",
 ]
@@ -157,7 +156,7 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.abs(np.asarray(m)).max())
 
 
-def char_poly_coeffs(m: np.ndarray) -> np.ndarray:
+def _char_poly_coeffs(m: np.ndarray) -> np.ndarray:
     """Coefficients (c3, c2, c1, c0) of det(lambda*I - M) = lambda^4 +
     c3*lambda^3 + c2*lambda^2 + c1*lambda + c0, by Faddeev-LeVerrier.
 
@@ -262,7 +261,7 @@ def verify_eta_matrix(
         _check("dagger_is_entrywise_conjugate", max_abs(md - m.conj()), tol),
         _check("trace_is_zero", abs(np.trace(m)), tol),
         _check("determinant_is_zero", abs(np.linalg.det(m)), tol),
-        _check("eigenvalues_all_zero", max_abs(char_poly_coeffs(m)), tol),
+        _check("eigenvalues_all_zero", max_abs(_char_poly_coeffs(m)), tol),
     ]
     if check_gamma_identities:
         checks.extend(_gamma_identity_checks(m, md, tol))

@@ -23,7 +23,6 @@ from pathlib import Path
 from . import sweep_io
 from .scattering import (
     ELECTRON_MASS_EV,
-    Branch,
     MassPoleError,
     Spin,
     StepProblem,
@@ -31,7 +30,6 @@ from .scattering import (
     closed_form_amplitudes,
     coefficients,
     currents,
-    qm_reference,
 )
 from .sweep_io import Regime, Spacing, SweepSpec, run_sweep
 
@@ -159,11 +157,11 @@ def _point_payload(args, want_coefficients: bool) -> dict:
     amps = closed_form_amplitudes(problem)
     payload: dict = {}
     if want_coefficients:
-        payload.update(coefficients(problem, amps).to_json_dict())
-        if problem.branch is Branch.PROPAGATING:
-            t_qm, r_qm = qm_reference(problem.energy, problem.v0)
-            payload["t_qm"] = t_qm
-            payload["r_qm"] = r_qm
+        # the row's curve columns in field-table order, without their sum
+        row = coefficients(problem, amps)
+        payload = {
+            key: getattr(row, attr) for key, (attr, _) in row._CURVES.items() if key != "sum"
+        }
     payload.update(currents(problem, amps).to_json_dict())
     return payload
 

@@ -27,6 +27,10 @@ continuity_residual measures any amplitudes against the same basis.
 Probability currents come from their closed forms; the bilinears
 u^dagger (eta + eta^dagger) u they equal are checked in the tests.
 
+coefficients returns one fixed-field row per branch, PropagatingRow or
+EvanescentRow: the type, and the values, of the sweep row at that energy.
+A row type's FIELDS table lists its fields once, for every output.
+
 numpy is imported only by the verification code (the mode basis, the
 continuity oracle and residual, and the current bilinears), so that
 StepProblem, closed_form_amplitudes, coefficients, currents and
@@ -36,8 +40,10 @@ qm_reference run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property, reduce
+from operator import add, attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -56,7 +62,8 @@ __all__ = [
     "MassPoleError",
     "StepProblem",
     "AmplitudeSet",
-    "ScatteringCoefficients",
+    "PropagatingRow",
+    "EvanescentRow",
     "CurrentDensities",
     "current_kernel",
     "probability_current",
@@ -344,8 +351,8 @@ def _abs2(re, im):
 
 
 def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> dict:
-    """The probabilities of coefficients by ScatteringCoefficients field,
-    from abs2 = (|b|^2, |b'|^2, |c|^2, |c'|^2).  energy and abs2 are floats
+    """The probabilities of coefficients by row field, from
+    abs2 = (|b|^2, |b'|^2, |c|^2, |c'|^2).  energy and abs2 are floats
     (sqrt = math.sqrt) or arrays (sqrt = numpy.sqrt), as for _amplitudes."""
     r_up, r_down, t_up, t_down = abs2
     if branch is Branch.PROPAGATING:
@@ -373,35 +380,96 @@ def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> dict:
     return {name: min(max(v, 0.0), 1.0) for name, v in parts.items()}
 
 
+# The grid columns that lead every row; the columns after them are curves.
+_GRID_FIELDS = (("e_ev", "E_eV", None), ("e_over_v0", "E_over_V0", None))
+
+
 @dataclass(frozen=True)
-class ScatteringCoefficients:
-    """Spin-resolved probabilities.  Propagating: t1/t2 (transmitted spin
-    up/down) and r1/r2 (reflected spin up/down) with t1+t2+r1+r2 = 1.
-    Evanescent: r1_prime/r2_prime with r1_prime + r2_prime = 1 and no
-    transmission."""
+class _Row:
+    """Behaviour shared by the row types, driven by their FIELDS table of
+    (attribute, CSV header, SVG colour or None) in emission order.  The
+    table is the one list of a row's fields: each entry is a float field
+    of the dataclass, in table order."""
 
-    branch: Branch
-    t1: float | None = None
-    t2: float | None = None
-    r1: float | None = None
-    r2: float | None = None
-    r1_prime: float | None = None
-    r2_prime: float | None = None
+    FIELDS = ()
 
-    @property
-    def total(self) -> float:
-        if self.branch is Branch.PROPAGATING:
-            return self.t1 + self.t2 + self.r1 + self.r2
-        return self.r1_prime + self.r2_prime
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__annotations__ = {attr: "float" for attr, _, _ in cls.FIELDS}
+        cls.CSV_HEADER = ",".join(header for _, header, _ in cls.FIELDS)
+        # JSON keys and SVG column names: the attributes, `total` written as "sum"
+        cls._KEYS = tuple("sum" if attr == "total" else attr for attr, _, _ in cls.FIELDS)
+        cls._VALUES = attrgetter(*(attr for attr, _, _ in cls.FIELDS))
+        # %.17g renders as sweep_io.format_float does (one CPython routine)
+        cls._CSV_LINE = ",".join(["%.17g"] * len(cls.FIELDS))
+        cls._JSON_LINE = "  {" + ", ".join(f'"{key}": %s' for key in cls._KEYS) + "}"
+        # SVG column name -> (attribute, colour), for the curve columns
+        grid = len(_GRID_FIELDS)
+        cls._CURVES = {
+            key: (attr, colour)
+            for key, (attr, _, colour) in zip(cls._KEYS[grid:], cls.FIELDS[grid:])
+        }
+
+    def __post_init__(self):
+        if not abs(self.total - 1.0) <= COEFFICIENT_SUM_TOL:
+            raise ValueError(
+                f"row at E/V0 = {self.e_over_v0!r} violates the unit-sum "
+                f"invariant: {self.total!r}"
+            )
 
     def to_json_dict(self) -> dict:
-        if self.branch is Branch.PROPAGATING:
-            return {"t1": self.t1, "t2": self.t2, "r1": self.r1, "r2": self.r2}
-        return {"r1_prime": self.r1_prime, "r2_prime": self.r2_prime}
+        return dict(zip(self._KEYS, self._VALUES(self)))
+
+    @cached_property
+    def _csv_text(self) -> str:  # sweep_io.emit_json reuses it
+        return self._CSV_LINE % self._VALUES(self)
 
 
-def coefficients(problem: StepProblem, amps: AmplitudeSet) -> ScatteringCoefficients:
-    """Probabilities from amplitudes.
+@dataclass(frozen=True)
+class PropagatingRow(_Row):
+    """Coefficients above the step: t1/t2 (transmitted spin up/down) and
+    r1/r2 (reflected spin up/down) with t1+t2+r1+r2 = 1, and the spinless
+    t_qm, r_qm their spin sums reproduce."""
+
+    FIELDS = _GRID_FIELDS + (
+        ("t1", "T1", "red"),
+        ("t2", "T2", "blue"),
+        ("r1", "R1", "red"),
+        ("r2", "R2", "blue"),
+        ("total", "sum", None),
+        ("t_qm", "T_QM", None),
+        ("r_qm", "R_QM", None),
+    )
+
+
+@dataclass(frozen=True)
+class EvanescentRow(_Row):
+    """Coefficients below the step: r1_prime/r2_prime (reflected spin
+    up/down) with r1_prime + r2_prime = 1 and no transmission."""
+
+    FIELDS = _GRID_FIELDS + (
+        ("r1_prime", "R1_prime", "red"),
+        ("r2_prime", "R2_prime", "blue"),
+        ("total", "sum", None),
+    )
+
+
+def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
+    """The curve columns of the branch's row, in FIELDS order: the
+    probabilities, their sum and, above the step, the spinless T and R.
+    Arguments as for _probabilities; the same operations on floats and on
+    arrays give the same bits."""
+    probs = _probabilities(branch, energy, v0, mass, abs2, sqrt)
+    curves = [*probs.values(), reduce(add, probs.values())]
+    if branch is Branch.PROPAGATING:
+        curves += _spinless(energy, v0, sqrt)
+    return curves
+
+
+def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | EvanescentRow:
+    """Probabilities from amplitudes, as the branch's row: the type, and
+    field for field the values, of the sweep row at this energy, with
+    e_over_v0 = E/V0.
 
     Propagating transmission carries the flux factor
     (E+m)*sqrt(E-V0) / ((E-V0+m)*sqrt(E)) relating region-II to region-I
@@ -411,14 +479,14 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> ScatteringCoeffici
     """
     if amps.branch is not problem.branch or amps.incident_spin is not problem.incident_spin:
         raise ValueError("amplitude set was produced for a different problem")
-    values = _probabilities(
-        problem.branch, problem.energy, problem.v0, problem.mass,
+    e, v0 = problem.energy, problem.v0
+    curves = _curves(
+        problem.branch, e, v0, problem.mass,
         [_abs2(z.real, z.imag) for z in (amps.b, amps.b_prime, amps.c, amps.c_prime)],
         math.sqrt,
     )
-    return ScatteringCoefficients(
-        branch=problem.branch, **{name: float(v) for name, v in values.items()}
-    )
+    row_type = PropagatingRow if problem.branch is Branch.PROPAGATING else EvanescentRow
+    return row_type(*map(float, (e, e / v0, *curves)))
 
 
 def _spinless(energy, v0, sqrt):
@@ -489,13 +557,7 @@ class CurrentDensities:
         ) / abs(self.j_inc)
 
     def to_json_dict(self) -> dict:
-        return {
-            "j_inc": self.j_inc,
-            "j_refl_up": self.j_refl_up,
-            "j_refl_down": self.j_refl_down,
-            "j_trans_up": self.j_trans_up,
-            "j_trans_down": self.j_trans_down,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:

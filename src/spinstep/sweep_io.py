@@ -1,12 +1,13 @@
 """Energy-grid sweeps and deterministic CSV/JSON/SVG emission.
 
 A sweep evaluates the spin-resolved step coefficients over a grid of E/V0
-ratios and returns one row per grid point: a PropagatingRow (T1, T2, R1, R2
-and the spinless T_QM, R_QM) above the step, an EvanescentRow (R1', R2')
-below it.  Each row type carries one ordered field table, FIELDS, naming
-every column's attribute, CSV header and SVG colour; the CSV header line,
-the JSON keys (the attribute, except `total`, written as "sum"), the SVG
-column names and colours and the CLI's default SVG columns all read it.  A
+ratios and returns one row per grid point, of the type scattering.coefficients
+returns for one point: a PropagatingRow (T1, T2, R1, R2 and the spinless
+T_QM, R_QM) above the step, an EvanescentRow (R1', R2') below it.  Each row
+type carries one ordered field table, FIELDS, naming every column's
+attribute, CSV header and SVG colour; the CSV header line, the JSON keys
+(the attribute, except `total`, written as "sum"), the SVG column names and
+colours, the CLI's default SVG columns and its point JSON all read it.  A
 row checks its unit-sum invariant once, when it is built, so every row that
 exists can be emitted.
 
@@ -22,34 +23,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .scattering import (
     ELECTRON_MASS_EV,
+    THRESHOLD_EPS,
     Branch,
+    EvanescentRow,
+    PropagatingRow,
     Spin,
     ThresholdDegeneracyError,
     _abs2,
     _amplitudes,
     _check_mass_pole,
-    _probabilities,
-    _spinless,
+    _curves,
 )
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "ROW_SUM_TOL",
-    "THRESHOLD_BAND",
     "Spacing",
     "Regime",
     "SweepSpec",
-    "PropagatingRow",
-    "EvanescentRow",
     "SweepResult",
     "run_sweep",
     "format_float",
@@ -59,12 +56,6 @@ __all__ = [
     "PROPAGATING_CSV_HEADER",
     "EVANESCENT_CSV_HEADER",
 ]
-
-# Every row must satisfy its unit-sum invariant this tightly.
-ROW_SUM_TOL = 1e-12
-
-# Grid points with |E/V0 - 1| inside this band are skipped, not errors.
-THRESHOLD_BAND = 1e-9
 
 
 class Spacing(Enum):
@@ -124,91 +115,6 @@ class SweepSpec:
         )
 
 
-def _key(attr: str) -> str:
-    """JSON key and SVG column name of a row attribute."""
-    return "sum" if attr == "total" else attr
-
-
-# The grid columns that lead every row; the columns after them are curves.
-_GRID_FIELDS = (("e_ev", "E_eV", None), ("e_over_v0", "E_over_V0", None))
-
-
-@dataclass(frozen=True)
-class _Row:
-    """Behaviour shared by the row types, driven by their FIELDS table of
-    (attribute, CSV header, SVG colour or None) in emission order."""
-
-    FIELDS = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls.CSV_HEADER = ",".join(header for _, header, _ in cls.FIELDS)
-        cls._KEYS = tuple(_key(attr) for attr, _, _ in cls.FIELDS)
-        cls._VALUES = attrgetter(*(attr for attr, _, _ in cls.FIELDS))
-        # %.17g renders as format_float does (one CPython routine)
-        cls._CSV_LINE = ",".join(["%.17g"] * len(cls.FIELDS))
-        cls._JSON_LINE = "  {" + ", ".join(f'"{key}": %s' for key in cls._KEYS) + "}"
-        # SVG column name -> (attribute, colour), for the curve columns
-        cls._CURVES = {
-            _key(attr): (attr, colour) for attr, _, colour in cls.FIELDS[len(_GRID_FIELDS):]
-        }
-
-    def __post_init__(self):
-        if not abs(self.total - 1.0) <= ROW_SUM_TOL:
-            raise ValueError(
-                f"row at E/V0 = {self.e_over_v0!r} violates the unit-sum "
-                f"invariant: {self.total!r}"
-            )
-
-    def csv_values(self) -> tuple:
-        return self._VALUES(self)
-
-    def json_dict(self) -> dict:
-        return dict(zip(self._KEYS, self._VALUES(self)))
-
-    @cached_property
-    def _csv_text(self) -> str:  # emit_json reuses it
-        return self._CSV_LINE % self._VALUES(self)
-
-
-@dataclass(frozen=True)
-class PropagatingRow(_Row):
-    e_ev: float
-    e_over_v0: float
-    t1: float
-    t2: float
-    r1: float
-    r2: float
-    total: float
-    t_qm: float
-    r_qm: float
-
-    FIELDS = _GRID_FIELDS + (
-        ("t1", "T1", "red"),
-        ("t2", "T2", "blue"),
-        ("r1", "R1", "red"),
-        ("r2", "R2", "blue"),
-        ("total", "sum", None),
-        ("t_qm", "T_QM", None),
-        ("r_qm", "R_QM", None),
-    )
-
-
-@dataclass(frozen=True)
-class EvanescentRow(_Row):
-    e_ev: float
-    e_over_v0: float
-    r1_prime: float
-    r2_prime: float
-    total: float
-
-    FIELDS = _GRID_FIELDS + (
-        ("r1_prime", "R1_prime", "red"),
-        ("r2_prime", "R2_prime", "blue"),
-        ("total", "sum", None),
-    )
-
-
 PROPAGATING_CSV_HEADER = PropagatingRow.CSV_HEADER
 EVANESCENT_CSV_HEADER = EvanescentRow.CSV_HEADER
 
@@ -233,19 +139,20 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep grid in one pass of the closed-form amplitudes per
     branch.
 
-    Grid points inside the threshold band |E/V0 - 1| <= THRESHOLD_BAND are
-    skipped and counted; a sweep whose every point is degenerate raises
-    ThresholdDegeneracyError, and one with an evanescent point on the mass
-    pole raises MassPoleError.  The columns are computed on arrays by the
-    expressions that closed_form_amplitudes, coefficients and qm_reference
-    evaluate on floats for one point, so every row equals its point query
-    bit for bit.  Rows come out in strictly increasing energy; building a
-    row checks its unit sum.
+    Grid points inside the threshold band |E/V0 - 1| <= THRESHOLD_EPS, which
+    StepProblem refuses, are skipped and counted; a sweep whose every point
+    is degenerate raises ThresholdDegeneracyError, and one with an
+    evanescent point on the mass pole raises MassPoleError.  The columns are
+    computed on arrays by the expressions that closed_form_amplitudes and
+    coefficients evaluate on floats for one point, so every row equals its
+    point's coefficients bit for bit, but for e_over_v0: the grid value here,
+    E/V0 there.  Rows come out in strictly increasing energy; building a row
+    checks its unit sum.
     """
     import numpy as np
 
     x = spec.grid()
-    inside = np.abs(x - 1.0) <= THRESHOLD_BAND
+    inside = np.abs(x - 1.0) <= THRESHOLD_EPS
     x = x[~inside]
     if not x.size:
         raise ThresholdDegeneracyError(
@@ -267,10 +174,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                 gap = v0 - e
                 _check_mass_pole(gap[np.abs(gap - mass).argmin()], mass)
             amps = _amplitudes(branch, e, v0, mass, spec.incident_spin, np.sqrt)
-            probs = _probabilities(branch, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
-            columns = [e, x[where], *probs.values(), sum(probs.values())]
-            if branch is Branch.PROPAGATING:
-                columns += _spinless(e, v0, np.sqrt)
+            curves = _curves(branch, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
+            columns = [e, x[where], *curves]
             rows += [row_type(*values) for values in zip(*(c.tolist() for c in columns))]
     return SweepResult(rows=tuple(rows), skipped=int(inside.sum()))
 

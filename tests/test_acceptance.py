@@ -267,7 +267,7 @@ def test_criterion_6_golden_regression():
             continue
         header = stored[0]
         for line, row in zip(stored[1:], fresh_rows):
-            for got, want in zip(row.csv_values(), (float(t) for t in line.split(","))):
+            for got, want in zip(row.to_json_dict().values(), (float(t) for t in line.split(","))):
                 if abs(got - want) > 1e-12 * max(1.0, abs(want)):
                     failures.append(f"{name}: value drift {got!r} vs {want!r}")
                     break

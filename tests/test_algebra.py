@@ -5,8 +5,8 @@ import pytest
 
 from spinstep.algebra import (
     EtaRepresentation,
+    _char_poly_coeffs,
     anticommutator,
-    char_poly_coeffs,
     commutator,
     dagger,
     eta,
@@ -92,13 +92,13 @@ def test_trace_det_and_eigenvalues_zero(rep):
     assert abs(np.trace(m)) == 0.0
     assert abs(leibniz_det(m)) <= 1e-15
     assert abs(np.linalg.det(m)) <= 1e-15
-    assert max_abs(char_poly_coeffs(m)) <= 1e-15
+    assert max_abs(_char_poly_coeffs(m)) <= 1e-15
 
 
 def test_char_poly_matches_direct_expansion():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    c3, c2, c1, c0 = char_poly_coeffs(m)
+    c3, c2, c1, c0 = _char_poly_coeffs(m)
     assert abs(c3 - (-np.trace(m))) <= 1e-12
     assert abs(c0 - leibniz_det(m)) <= 1e-12 * abs(leibniz_det(m))
     # evaluate p(lambda) at the matrix's own eigenvalues: must vanish

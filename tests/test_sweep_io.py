@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -116,17 +117,12 @@ def test_sweep_refuses_mass_pole():
               spacing=Spacing.LINEAR, regime=Regime.EVANESCENT),
 ], ids=["fig2", "fig3", "fig4"])
 def test_sweep_rows_equal_point_queries(spec):
-    # the vectorized sweep and the scalar point route agree bit for bit
+    # the vectorized sweep and the scalar point route agree bit for bit,
+    # but for e_over_v0: the grid value in a row, E/V0 for a point
     for row in run_sweep(spec).rows:
         problem = StepProblem(energy=row.e_ev, v0=spec.v0, mass=spec.mass)
-        coeff = coefficients(problem, closed_form_amplitudes(problem))
-        point = coeff.to_json_dict()
-        point["sum"] = coeff.total
-        if isinstance(row, PropagatingRow):
-            point["t_qm"], point["r_qm"] = qm_reference(row.e_ev, spec.v0)
-        fields = row.json_dict()
-        del fields["e_ev"], fields["e_over_v0"]
-        assert fields == point
+        point = coefficients(problem, closed_form_amplitudes(problem))
+        assert row == dataclasses.replace(point, e_over_v0=row.e_over_v0)
 
 
 def test_entirely_degenerate_grid_raises():
@@ -155,7 +151,7 @@ def test_csv_exact_header_and_round_trip(tmp_path):
     assert len(lines) == 8
     for line, row in zip(lines[1:], result.rows):
         parsed = [float(tok) for tok in line.split(",")]
-        assert parsed == [float(v) for v in row.csv_values()]
+        assert parsed == list(row.to_json_dict().values())
 
 
 def test_evanescent_csv_header(tmp_path):
@@ -319,8 +315,8 @@ def test_emitted_bytes_equal_per_value_rendering(kind, data, tmp_path_factory):
     total = [attr for attr, _, _ in kind.FIELDS].index("total")
     rows = [kind(*v[:total], 1.0, *v[total:]) for v in values]
     csv_lines = [kind.CSV_HEADER]
-    csv_lines += [",".join(map(format_float, row.csv_values())) for row in rows]
-    json_lines = ["  " + _json_object(row.json_dict().items()) for row in rows]
+    csv_lines += [",".join(map(format_float, row.to_json_dict().values())) for row in rows]
+    json_lines = ["  " + _json_object(row.to_json_dict().items()) for row in rows]
     out = tmp_path_factory.mktemp("emit")
     emit_csv(rows, out / "rows.csv")
     emit_json(rows, out / "rows.json")
