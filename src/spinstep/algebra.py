@@ -16,8 +16,8 @@ function is pure, so the module is safe for concurrent use.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,8 +177,7 @@ def _char_poly_coeffs(m: np.ndarray) -> np.ndarray:
     return np.array(coeffs)
 
 
-@dataclass(frozen=True)
-class AlgebraCheck:
+class AlgebraCheck(NamedTuple):
     """One named identity check: its max-entry deviation and verdict."""
 
     name: str
@@ -193,11 +192,13 @@ class AlgebraCheck:
         }
 
 
-@dataclass(frozen=True)
 class AlgebraReport:
-    """Ordered collection of AlgebraCheck results."""
+    """Ordered collection of AlgebraCheck results, looked up by name."""
 
-    checks: tuple[AlgebraCheck, ...]
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[AlgebraCheck, ...]):
+        self.checks = checks
 
     @property
     def passed(self) -> bool:
@@ -224,10 +225,7 @@ class AlgebraReport:
 
     @staticmethod
     def merge(*reports: "AlgebraReport") -> "AlgebraReport":
-        checks: list[AlgebraCheck] = []
-        for r in reports:
-            checks.extend(r.checks)
-        return AlgebraReport(tuple(checks))
+        return AlgebraReport(tuple(c for r in reports for c in r.checks))
 
 
 def _check(name: str, deviation: float, tol: float) -> AlgebraCheck:

@@ -29,7 +29,9 @@ u^dagger (eta + eta^dagger) u they equal are checked in the tests.
 
 coefficients returns one fixed-field row per branch, PropagatingRow or
 EvanescentRow: the type, and the values, of the sweep row at that energy.
-A row type's FIELDS table lists its fields once, for every output.
+A row type is a NamedTuple built from its FIELDS table, which lists its
+fields once, for every output.  Unitarity is checked once, in
+_probabilities; StepProblem validates in its constructor, _replace included.
 
 numpy is imported only by the verification code (the mode basis, the
 continuity oracle and residual, and the current bilinears), so that
@@ -40,11 +42,10 @@ qm_reference run without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property, reduce
-from operator import add, attrgetter
-from typing import TYPE_CHECKING
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -121,25 +122,40 @@ def _check_mass_pole(gap: float, mass: float):
         )
 
 
-@dataclass(frozen=True)
-class StepProblem:
-    """Physical configuration of one step-scattering computation."""
-
+class _StepFields(NamedTuple):
     energy: float
     v0: float
     mass: float = ELECTRON_MASS_EV
     incident_spin: Spin = Spin.UP
 
-    def __post_init__(self):
+
+class StepProblem(_StepFields):
+    """Physical configuration of one step-scattering computation.
+
+    The constructor, which _replace and _make call too, refuses an energy,
+    v0 or mass that is not positive and finite, an incident_spin that is not
+    a Spin, and E within THRESHOLD_EPS*V0 of V0."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("energy", "v0", "mass"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not isinstance(self.incident_spin, Spin):
+            raise ValueError(f"incident_spin must be a Spin, got {self.incident_spin!r}")
         if abs(self.energy - self.v0) <= THRESHOLD_EPS * self.v0:
             raise ThresholdDegeneracyError(
                 f"E = {self.energy} is within {THRESHOLD_EPS:g}*V0 of the step "
                 f"height V0 = {self.v0}; the transmitted momentum degenerates"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def branch(self) -> Branch:
@@ -155,17 +171,13 @@ class StepProblem:
         return math.sqrt(2.0 * abs(self.energy - self.v0) * self.mass)
 
 
-@dataclass(frozen=True)
-class AmplitudeSet:
+class AmplitudeSet(NamedTuple):
     """Mode amplitudes relative to a unit incident amplitude.
 
     b and b_prime multiply the spin-up and spin-down reflected modes; c and
     c_prime are the upper components of psi_II(0), the region-II wave at
     the step (the transmitted plane-wave amplitudes when propagating).  For
     the default spin-up incidence, b preserves the spin and b_prime flips it.
-    Every propagating solution has equal amplitudes on both sides of the
-    step in the spin channel carrying no incident wave (b_prime == c_prime
-    for spin-up incidence, b == c for spin-down), which is enforced here.
     """
 
     branch: Branch
@@ -174,20 +186,6 @@ class AmplitudeSet:
     c: complex
     c_prime: complex
     incident_spin: Spin = Spin.UP
-
-    def __post_init__(self):
-        if self.branch is Branch.PROPAGATING:
-            if self.incident_spin is Spin.UP:
-                mismatch = abs(self.b_prime - self.c_prime)
-                relation = "b_prime == c_prime"
-            else:
-                mismatch = abs(self.b - self.c)
-                relation = "b == c"
-            if mismatch > 1e-12:
-                raise ValueError(
-                    f"propagating amplitudes must satisfy {relation}, "
-                    f"got difference {mismatch:.3e}"
-                )
 
 
 def _continuity_matrix(problem: StepProblem):
@@ -241,8 +239,11 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
     c = alpha(s+r) + beta(s-r) and c' = alpha(s+r) - beta(s-r)).  The solution is rejected if its
     relative backward error |Mx - b| / (|M| |x| + |b|), infinity norms
     (Higham, ch. 7), exceeds CONTINUITY_TOL, which would signal a solver
-    bug.  Its accuracy is backward, not relative: small amplitudes
-    (V0 << E, or E, V0 and m decades apart) can carry large relative errors.
+    bug, and so is a propagating solution whose amplitudes differ across the
+    step by more than 1e-12 in the spin channel carrying no incident wave
+    (b_prime == c_prime for spin-up incidence, b == c for spin-down).  Its
+    accuracy is backward, not relative: small amplitudes (V0 << E, or E, V0
+    and m decades apart) can carry large relative errors.
     """
     import numpy as np
 
@@ -261,14 +262,14 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
             f"{CONTINUITY_TOL:g} after linear solve"
         )
     c, c_prime = (-(row[2] * x2 + row[3] * x3) for row in rows[:2])
-    return AmplitudeSet(
-        branch=problem.branch,
-        b=x0,
-        b_prime=x1,
-        c=c,
-        c_prime=c_prime,
-        incident_spin=problem.incident_spin,
-    )
+    up = problem.incident_spin is Spin.UP
+    mismatch = abs(x1 - c_prime) if up else abs(x0 - c)
+    if problem.branch is Branch.PROPAGATING and mismatch > 1e-12:
+        relation = "b_prime == c_prime" if up else "b == c"
+        raise ValueError(
+            f"propagating amplitudes must satisfy {relation}, got difference {mismatch:.3e}"
+        )
+    return AmplitudeSet(problem.branch, x0, x1, c, c_prime, problem.incident_spin)
 
 
 def _amplitudes(branch: Branch, energy, v0, mass, spin: Spin, sqrt):
@@ -326,23 +327,12 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
     the upper components of psi_II(0).  The evanescent mass pole is
     refused, as on every route.
     """
-    if problem.branch is Branch.EVANESCENT:
-        _check_mass_pole(problem.v0 - problem.energy, problem.mass)
-    b, b_prime, c, c_prime = (
-        complex(*pair)
-        for pair in _amplitudes(
-            problem.branch, problem.energy, problem.v0, problem.mass,
-            problem.incident_spin, math.sqrt,
-        )
-    )
-    return AmplitudeSet(
-        branch=problem.branch,
-        b=b,
-        b_prime=b_prime,
-        c=c,
-        c_prime=c_prime,
-        incident_spin=problem.incident_spin,
-    )
+    energy, v0, mass, spin = problem
+    branch = problem.branch
+    if branch is Branch.EVANESCENT:
+        _check_mass_pole(v0 - energy, mass)
+    pairs = _amplitudes(branch, energy, v0, mass, spin, math.sqrt)
+    return AmplitudeSet(branch, *(complex(*pair) for pair in pairs), spin)
 
 
 def _abs2(re, im):
@@ -351,20 +341,29 @@ def _abs2(re, im):
 
 
 def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> dict:
-    """The probabilities of coefficients by row field, from
-    abs2 = (|b|^2, |b'|^2, |c|^2, |c'|^2).  energy and abs2 are floats
-    (sqrt = math.sqrt) or arrays (sqrt = numpy.sqrt), as for _amplitudes."""
+    """The probabilities of coefficients by row field, their sum last as
+    `total`, from abs2 = (|b|^2, |b'|^2, |c|^2, |c'|^2).  energy and abs2
+    are floats (sqrt = math.sqrt) or arrays (sqrt = numpy.sqrt), as for
+    _amplitudes.  Unitarity is checked here, once per point or sweep row:
+    each value within CLAMP_EPS of [0, 1] before it is clamped onto [0, 1],
+    and their clamped sum, the row's total, within COEFFICIENT_SUM_TOL of 1.
+    """
     r_up, r_down, t_up, t_down = abs2
     if branch is Branch.PROPAGATING:
         flux = (energy + mass) * sqrt(energy - v0) / ((energy - v0 + mass) * sqrt(energy))
         parts = {"t1": flux * t_up, "t2": flux * t_down, "r1": r_up, "r2": r_down}
     else:
         parts = {"r1_prime": r_up, "r2_prime": r_down}
-    total = sum(parts.values())
-    valid = abs(total - 1.0) <= COEFFICIENT_SUM_TOL
+    valid = True
     for value in parts.values():
         valid = valid & (value >= -CLAMP_EPS) & (value <= 1.0 + CLAMP_EPS)
-    arrays = hasattr(total, "clip")  # numpy arrays (or numpy scalars)
+    arrays = hasattr(valid, "all")  # numpy arrays (or numpy scalars)
+    if arrays:
+        probs = {name: v.clip(0.0, 1.0) for name, v in parts.items()}
+    else:
+        probs = {name: min(max(v, 0.0), 1.0) for name, v in parts.items()}
+    probs["total"] = total = reduce(add, probs.values())
+    valid = valid & (abs(total - 1.0) <= COEFFICIENT_SUM_TOL)
     if not (valid.all() if arrays else valid):
         at = ""
         if arrays and total.ndim:  # name the first failing grid point, not whole columns
@@ -375,63 +374,61 @@ def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> dict:
             f"probabilities {parts}{at} violate unitarity: the sum must be within "
             f"{COEFFICIENT_SUM_TOL:g} of 1 and each within {CLAMP_EPS:g} of [0, 1]"
         )
-    if arrays:
-        return {name: v.clip(0.0, 1.0) for name, v in parts.items()}
-    return {name: min(max(v, 0.0), 1.0) for name, v in parts.items()}
+    return probs
 
 
 # The grid columns that lead every row; the columns after them are curves.
 _GRID_FIELDS = (("e_ev", "E_eV", None), ("e_over_v0", "E_over_V0", None))
 
 
-@dataclass(frozen=True)
-class _Row:
-    """Behaviour shared by the row types, driven by their FIELDS table of
-    (attribute, CSV header, SVG colour or None) in emission order.  The
-    table is the one list of a row's fields: each entry is a float field
-    of the dataclass, in table order."""
+class _RenderedOnce:
+    """A row's CSV text: rendered by its %-template on first lookup, into the
+    instance dict, where every later lookup finds it first (no lock)."""
 
-    FIELDS = ()
+    def __get__(self, row, owner=None):
+        if row is None:
+            return self
+        text = row.__dict__["_csv_text"] = row._CSV_LINE % row
+        return text
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls.__annotations__ = {attr: "float" for attr, _, _ in cls.FIELDS}
-        cls.CSV_HEADER = ",".join(header for _, header, _ in cls.FIELDS)
-        # JSON keys and SVG column names: the attributes, `total` written as "sum"
-        cls._KEYS = tuple("sum" if attr == "total" else attr for attr, _, _ in cls.FIELDS)
-        cls._VALUES = attrgetter(*(attr for attr, _, _ in cls.FIELDS))
+
+def _row_type(name: str, doc: str, curve_fields: tuple) -> type:
+    """A row type: a NamedTuple of one float field per entry of its FIELDS
+    table, _GRID_FIELDS + curve_fields, of (attribute, CSV header, SVG
+    colour or None) in emission order.  Every other list of a row's columns
+    derives from the table.  Rows keep an instance dict for the CSV text
+    that sweep_io.emit_csv and emit_json share."""
+    fields = _GRID_FIELDS + curve_fields
+    keys = tuple("sum" if attr == "total" else attr for attr, _, _ in fields)
+    grid = len(_GRID_FIELDS)
+
+    class Row(NamedTuple(name, [(attr, float) for attr, _, _ in fields])):
+        __doc__ = doc
+        FIELDS = fields
+        CSV_HEADER = ",".join(header for _, header, _ in fields)
+        _KEYS = keys
         # %.17g renders as sweep_io.format_float does (one CPython routine)
-        cls._CSV_LINE = ",".join(["%.17g"] * len(cls.FIELDS))
-        cls._JSON_LINE = "  {" + ", ".join(f'"{key}": %s' for key in cls._KEYS) + "}"
+        _CSV_LINE = ",".join(["%.17g"] * len(fields))
+        _JSON_LINE = "  {" + ", ".join(f'"{key}": %s' for key in keys) + "}"
         # SVG column name -> (attribute, colour), for the curve columns
-        grid = len(_GRID_FIELDS)
-        cls._CURVES = {
-            key: (attr, colour)
-            for key, (attr, _, colour) in zip(cls._KEYS[grid:], cls.FIELDS[grid:])
+        _CURVES = {
+            key: (attr, colour) for key, (attr, _, colour) in zip(keys[grid:], fields[grid:])
         }
+        _csv_text = _RenderedOnce()
 
-    def __post_init__(self):
-        if not abs(self.total - 1.0) <= COEFFICIENT_SUM_TOL:
-            raise ValueError(
-                f"row at E/V0 = {self.e_over_v0!r} violates the unit-sum "
-                f"invariant: {self.total!r}"
-            )
+        def to_json_dict(self) -> dict:
+            return dict(zip(self._KEYS, self))
 
-    def to_json_dict(self) -> dict:
-        return dict(zip(self._KEYS, self._VALUES(self)))
-
-    @cached_property
-    def _csv_text(self) -> str:  # sweep_io.emit_json reuses it
-        return self._CSV_LINE % self._VALUES(self)
+    Row.__name__ = Row.__qualname__ = name
+    return Row
 
 
-@dataclass(frozen=True)
-class PropagatingRow(_Row):
+PropagatingRow = _row_type(
+    "PropagatingRow",
     """Coefficients above the step: t1/t2 (transmitted spin up/down) and
     r1/r2 (reflected spin up/down) with t1+t2+r1+r2 = 1, and the spinless
-    t_qm, r_qm their spin sums reproduce."""
-
-    FIELDS = _GRID_FIELDS + (
+    t_qm, r_qm their spin sums reproduce.""",
+    (
         ("t1", "T1", "red"),
         ("t2", "T2", "blue"),
         ("r1", "R1", "red"),
@@ -439,19 +436,19 @@ class PropagatingRow(_Row):
         ("total", "sum", None),
         ("t_qm", "T_QM", None),
         ("r_qm", "R_QM", None),
-    )
+    ),
+)
 
-
-@dataclass(frozen=True)
-class EvanescentRow(_Row):
+EvanescentRow = _row_type(
+    "EvanescentRow",
     """Coefficients below the step: r1_prime/r2_prime (reflected spin
-    up/down) with r1_prime + r2_prime = 1 and no transmission."""
-
-    FIELDS = _GRID_FIELDS + (
+    up/down) with r1_prime + r2_prime = 1 and no transmission.""",
+    (
         ("r1_prime", "R1_prime", "red"),
         ("r2_prime", "R2_prime", "blue"),
         ("total", "sum", None),
-    )
+    ),
+)
 
 
 def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
@@ -459,8 +456,7 @@ def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
     probabilities, their sum and, above the step, the spinless T and R.
     Arguments as for _probabilities; the same operations on floats and on
     arrays give the same bits."""
-    probs = _probabilities(branch, energy, v0, mass, abs2, sqrt)
-    curves = [*probs.values(), reduce(add, probs.values())]
+    curves = list(_probabilities(branch, energy, v0, mass, abs2, sqrt).values())
     if branch is Branch.PROPAGATING:
         curves += _spinless(energy, v0, sqrt)
     return curves
@@ -473,9 +469,9 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
 
     Propagating transmission carries the flux factor
     (E+m)*sqrt(E-V0) / ((E-V0+m)*sqrt(E)) relating region-II to region-I
-    current per unit amplitude.  The unit sum and the range are asserted
-    before values are clamped onto [0, 1] (clamping is presentation hygiene
-    only; a genuine violation raises).
+    current per unit amplitude.  _probabilities asserts the range before
+    the values are clamped onto [0, 1], and the unit sum of the clamped
+    values, the row's total; a genuine violation raises.
     """
     if amps.branch is not problem.branch or amps.incident_spin is not problem.incident_spin:
         raise ValueError("amplitude set was produced for a different problem")
@@ -532,8 +528,7 @@ def probability_current(spinor: np.ndarray, rep: EtaRepresentation | None = None
     return float(np.vdot(u, current_kernel(rep) @ u).real)
 
 
-@dataclass(frozen=True)
-class CurrentDensities:
+class CurrentDensities(NamedTuple):
     """Signed probability currents of the five boundary modes.
 
     j_inc > 0; reflected currents are <= 0; transmitted currents are >= 0
@@ -557,7 +552,7 @@ class CurrentDensities:
         ) / abs(self.j_inc)
 
     def to_json_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return self._asdict()
 
 
 def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
@@ -577,13 +572,9 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
         per_amplitude = 4.0 * problem.transmitted_momentum / (e + m - v0)
         j_trans_up = per_amplitude * _abs2(amps.c.real, amps.c.imag)
         j_trans_down = per_amplitude * _abs2(amps.c_prime.real, amps.c_prime.imag)
-    return CurrentDensities(
-        j_inc=j_inc,
-        j_refl_up=-j_inc * _abs2(amps.b.real, amps.b.imag),
-        j_refl_down=-j_inc * _abs2(amps.b_prime.real, amps.b_prime.imag),
-        j_trans_up=j_trans_up,
-        j_trans_down=j_trans_down,
-    )
+    j_refl_up = -j_inc * _abs2(amps.b.real, amps.b.imag)
+    j_refl_down = -j_inc * _abs2(amps.b_prime.real, amps.b_prime.imag)
+    return CurrentDensities(j_inc, j_refl_up, j_refl_down, j_trans_up, j_trans_down)
 
 
 def continuity_residual(problem: StepProblem, amps: AmplitudeSet) -> float:

@@ -7,9 +7,9 @@ T_QM, R_QM) above the step, an EvanescentRow (R1', R2') below it.  Each row
 type carries one ordered field table, FIELDS, naming every column's
 attribute, CSV header and SVG colour; the CSV header line, the JSON keys
 (the attribute, except `total`, written as "sum"), the SVG column names and
-colours, the CLI's default SVG columns and its point JSON all read it.  A
-row checks its unit-sum invariant once, when it is built, so every row that
-exists can be emitted.
+colours, the CLI's default SVG columns and its point JSON all read it.
+Rows are NamedTuples of their FIELDS, in order; unitarity is checked once,
+by scattering._probabilities on a branch's columns, before any is built.
 
 Emission is deterministic: the same spec always produces byte-identical
 output.  Numbers are printed with 17 significant digits, which round-trips
@@ -21,10 +21,9 @@ CSV text is rendered once, by one call, and its JSON line reuses the strings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .scattering import (
     ELECTRON_MASS_EV,
@@ -69,15 +68,7 @@ class Regime(Enum):
     AUTO = "auto"
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Description of one energy sweep.
-
-    The grid ranges over x = E/V0 from e_over_v0_min to e_over_v0_max with
-    `points` samples.  An explicit regime constrains the range to its side
-    of x = 1; AUTO admits ranges straddling 1 and splits the rows.
-    """
-
+class _SweepFields(NamedTuple):
     v0: float
     mass: float = ELECTRON_MASS_EV
     e_over_v0_min: float = 1.001
@@ -87,7 +78,22 @@ class SweepSpec:
     regime: Regime = Regime.AUTO
     incident_spin: Spin = Spin.UP
 
-    def __post_init__(self):
+
+class SweepSpec(_SweepFields):
+    """Description of one energy sweep.
+
+    The grid ranges over x = E/V0 from e_over_v0_min to e_over_v0_max with
+    `points` samples.  An explicit regime constrains the range to its side
+    of x = 1; AUTO admits ranges straddling 1 and splits the rows.  The
+    constructor refuses anything else, and spacing, regime or
+    incident_spin values that are not members of their enums; _replace and
+    _make build through it too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.v0 > 0 and math.isfinite(self.v0)):
             raise ValueError(f"v0 must be positive and finite, got {self.v0}")
         if not (self.mass > 0 and math.isfinite(self.mass)):
@@ -100,10 +106,19 @@ class SweepSpec:
             raise ValueError("e_over_v0_min must be positive")
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
+        for name, kind in (("spacing", Spacing), ("regime", Regime), ("incident_spin", Spin)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
         if self.regime is Regime.PROPAGATING and self.e_over_v0_min <= 1.0:
             raise ValueError("propagating sweeps require e_over_v0_min > 1")
         if self.regime is Regime.EVANESCENT and self.e_over_v0_max >= 1.0:
             raise ValueError("evanescent sweeps require e_over_v0_max < 1")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def grid(self) -> np.ndarray:
         import numpy as np
@@ -119,8 +134,7 @@ PROPAGATING_CSV_HEADER = PropagatingRow.CSV_HEADER
 EVANESCENT_CSV_HEADER = EvanescentRow.CSV_HEADER
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Rows in strictly increasing energy plus grid bookkeeping."""
 
     rows: tuple
@@ -146,8 +160,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     computed on arrays by the expressions that closed_form_amplitudes and
     coefficients evaluate on floats for one point, so every row equals its
     point's coefficients bit for bit, but for e_over_v0: the grid value here,
-    E/V0 there.  Rows come out in strictly increasing energy; building a row
-    checks its unit sum.
+    E/V0 there.  Rows come out in strictly increasing energy.
     """
     import numpy as np
 

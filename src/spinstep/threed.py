@@ -25,7 +25,7 @@ be inspected directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,20 +61,15 @@ __all__ = [
 SINGULARITY_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class MuTriple:
+class MuTriple(NamedTuple):
     """The three Hermitian generators of the spatial derivative terms."""
 
     mu1: np.ndarray
     mu2: np.ndarray
     mu3: np.ndarray
 
-    def __iter__(self):
-        return iter((self.mu1, self.mu2, self.mu3))
 
-
-@dataclass(frozen=True, eq=False)
-class ContinuityObjects:
+class ContinuityObjects(NamedTuple):
     """Hermitian current kernels Sigma_i and density kernel Gamma of the 3D
     continuity equation."""
 

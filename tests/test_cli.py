@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -11,6 +12,10 @@ from spinstep import algebra
 from spinstep.cli import main, parse_energy
 from spinstep.eigensystem import ELECTRON_MASS_EV, Spin
 from spinstep.scattering import StepProblem, coefficients, solve_amplitudes_linear
+
+ROOT = Path(__file__).resolve().parents[1]
+# a fresh interpreter sees the checkout's package, as with `pip install -e .`
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
 
 def run_cli(capsys, *argv):
@@ -341,16 +346,64 @@ COLD_POINT_STDOUT = {
 }
 
 
+def _imported(importtime_stderr: str) -> set:
+    """The modules named by `-X importtime` lines."""
+    return {line.rsplit("|", 1)[-1].strip() for line in importtime_stderr.splitlines()}
+
+
+@pytest.fixture(scope="module")
+def bare_interpreter_modules() -> set:
+    # what a bare interpreter in this environment imports anyway (site and
+    # its .pth files included), so that only the command's own imports count
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "pass"],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    return _imported(result.stderr)
+
+
 @pytest.mark.parametrize("argv", list(COLD_POINT_STDOUT), ids=" ".join)
-def test_point_commands_never_import_numpy(argv):
+def test_point_commands_never_import_numpy(argv, bare_interpreter_modules):
     # a fresh interpreter, as a user runs it; -X importtime lists every
-    # module imported, on stderr
-    src = Path(__file__).resolve().parents[1] / "src"
+    # module imported, on stderr.  Neither numpy nor dataclasses (with the
+    # inspect it pulls in) is loaded by a point command.
     result = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "spinstep", *argv],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert (result.returncode, result.stdout) == (0, COLD_POINT_STDOUT[argv])
-    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+    imported = _imported(result.stderr) - bare_interpreter_modules
     assert "spinstep.cli" in imported
-    assert not [m for m in imported if m == "numpy" or m.startswith("numpy.")]
+    assert not [
+        m for m in imported if m in ("numpy", "dataclasses") or m.startswith("numpy.")
+    ]
+
+
+def _readme_commands() -> list:
+    """The argument lists of the README "Command line" block, after
+    `spinstep`: continuation lines joined, comments dropped."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines]
+    assert all(c[0] == "spinstep" for c in commands if c)
+    return [c[1:] for c in commands if c]
+
+
+def test_readme_command_line_block_runs(tmp_path):
+    # every command as a user runs it, in a fresh interpreter with warnings
+    # as errors: exit 0, nothing on stderr, the pinned point stdout, and
+    # figure sweeps byte-equal to the goldens
+    commands = _readme_commands()
+    for argv in commands:
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "spinstep", *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=CHILD_ENV,
+        )
+        assert (result.returncode, result.stderr) == (0, ""), argv
+        if argv[0] in ("coefficients", "currents"):
+            assert result.stdout == README_POINT_STDOUT[tuple(argv)]
+    assert sum(argv[0] == "sweep" for argv in commands) == 3
+    for fig in ("fig2", "fig3", "fig4"):
+        golden = (ROOT / "tests" / "golden" / f"{fig}.csv").read_bytes()
+        assert (tmp_path / f"{fig}.csv").read_bytes() == golden, fig

@@ -60,6 +60,27 @@ def test_positivity_validation():
             StepProblem(**kwargs)
 
 
+@pytest.mark.parametrize("spin", ["up", "down", 1, None])
+def test_incident_spin_must_be_a_spin(spin):
+    # not coerced: the kernels compare spins by identity, so the string
+    # "up" would silently be solved as spin-down incidence
+    with pytest.raises(ValueError, match="incident_spin"):
+        StepProblem(energy=200.0, v0=100.0, incident_spin=spin)
+
+
+def test_replace_validates_like_the_constructor():
+    problem = StepProblem(energy=200.0, v0=100.0)
+    assert problem._replace(energy=300.0) == StepProblem(energy=300.0, v0=100.0)
+    with pytest.raises(ValueError, match="energy must be positive"):
+        problem._replace(energy=-1.0)
+    with pytest.raises(ThresholdDegeneracyError):
+        problem._replace(v0=200.0)
+    with pytest.raises(ValueError, match="incident_spin"):
+        problem._replace(incident_spin="down")
+    with pytest.raises(ValueError, match="mass must be positive"):
+        StepProblem._make((200.0, 100.0, 0.0, Spin.UP))
+
+
 # ------------------------------------------------------ transmitted momenta
 
 
@@ -89,6 +110,21 @@ def test_linear_solve_continuity_and_bprime_cprime():
     amps = solve_amplitudes_linear(problem)
     assert amps.b_prime == amps.c_prime  # row of the continuity system
     assert continuity_residual(problem, amps) <= 1e-12
+
+
+def test_oracle_enforces_bprime_equals_cprime(monkeypatch):
+    # the oracle is the route that can miss the relation: with the reflected
+    # column of the non-incident spin doubled, the system still solves
+    # exactly, but that channel's b no longer equals its c
+    from spinstep import scattering
+
+    for spin, column, relation in ((Spin.UP, 1, "b_prime == c_prime"), (Spin.DOWN, 0, "b == c")):
+        problem = StepProblem(energy=200.0, v0=100.0, incident_spin=spin)
+        rows, rhs = _continuity_matrix(problem)
+        doubled = [tuple(2 * z if j == column else z for j, z in enumerate(r)) for r in rows]
+        monkeypatch.setattr(scattering, "_continuity_matrix", lambda p: (doubled, rhs))
+        with pytest.raises(ValueError, match=relation):
+            solve_amplitudes_linear(problem)
 
 
 def test_linear_matches_closed_form():
@@ -173,12 +209,14 @@ def test_evanescent_amplitudes_and_reflection():
         assert abs(amps.b_prime) ** 2 == pytest.approx(4 * 50.0 * ME / (50.0 + ME) ** 2, abs=1e-12)
 
 
-def test_amplitude_set_enforces_bprime_equals_cprime():
-    with pytest.raises(ValueError):
-        AmplitudeSet(branch=Branch.PROPAGATING, b=0.0, b_prime=0.1, c=0.0, c_prime=0.2)
-
-
 # ------------------------------------------------------------ coefficients
+
+
+def test_point_row_carries_e_over_v0():
+    for energy, ratio in ((200.0, 2.0), (50.0, 0.5)):
+        problem = StepProblem(energy=energy, v0=100.0)
+        row = coefficients(problem, closed_form_amplitudes(problem))
+        assert (row.e_ev, row.e_over_v0) == (energy, ratio)
 
 
 def test_propagating_coefficients_sum_to_one():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 
@@ -14,6 +13,7 @@ from spinstep.scattering import (
     ThresholdDegeneracyError,
     closed_form_amplitudes,
     coefficients,
+    currents,
     qm_reference,
 )
 from spinstep.sweep_io import (
@@ -54,6 +54,51 @@ def test_spec_validation():
                   points=10, regime=Regime.EVANESCENT)
     with pytest.raises(ValueError):
         small_prop_spec(v0=-5.0)
+    # the boundaries themselves are refused
+    with pytest.raises(ValueError):
+        small_prop_spec(e_over_v0_min=0.0, regime=Regime.AUTO)
+    with pytest.raises(ValueError):
+        small_prop_spec(e_over_v0_min=1.0)
+    with pytest.raises(ValueError):
+        SweepSpec(v0=100.0, e_over_v0_min=0.1, e_over_v0_max=1.0,
+                  points=10, regime=Regime.EVANESCENT)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("spacing", "linear"), ("regime", "propagating"), ("incident_spin", "up"),
+])
+def test_spec_enum_fields_refuse_non_members(field, value):
+    # not coerced: spacing and regime are compared by identity, so a string
+    # would silently sweep AUTO on a log grid, past the range checks
+    with pytest.raises(ValueError, match=field):
+        SweepSpec(v0=100.0, e_over_v0_min=0.5, e_over_v0_max=2.0, points=5,
+                  **{field: value})
+
+
+def test_spec_replace_validates_like_the_constructor():
+    spec = small_prop_spec()
+    assert spec._replace(points=3) == small_prop_spec(points=3)
+    with pytest.raises(ValueError, match="points"):
+        spec._replace(points=1)
+    with pytest.raises(ValueError, match="propagating sweeps"):
+        spec._replace(e_over_v0_min=0.5)
+    with pytest.raises(ValueError, match="regime"):
+        spec._replace(regime="auto")
+
+
+def test_value_types_are_read_only():
+    problem = StepProblem(energy=200.0, v0=100.0)
+    amps = closed_form_amplitudes(problem)
+    for value, field in (
+        (problem, "energy"),
+        (small_prop_spec(), "points"),
+        (run_sweep(small_prop_spec(points=3)).rows[0], "t1"),
+        (coefficients(problem, amps), "total"),
+        (amps, "b"),
+        (currents(problem, amps), "j_inc"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0.5)
 
 
 def test_run_sweep_row_count_and_order():
@@ -122,7 +167,7 @@ def test_sweep_rows_equal_point_queries(spec):
     for row in run_sweep(spec).rows:
         problem = StepProblem(energy=row.e_ev, v0=spec.v0, mass=spec.mass)
         point = coefficients(problem, closed_form_amplitudes(problem))
-        assert row == dataclasses.replace(point, e_over_v0=row.e_over_v0)
+        assert row == point._replace(e_over_v0=row.e_over_v0)
 
 
 def test_entirely_degenerate_grid_raises():
@@ -200,12 +245,6 @@ def test_emit_rejects_empty_and_mixed(tmp_path):
 
 def test_emission_aborts_on_bad_row_without_partial_file(tmp_path):
     rows = list(run_sweep(small_prop_spec(points=3)).rows)
-    # a row that violates the unit sum cannot be built
-    with pytest.raises(ValueError):
-        PropagatingRow(
-            e_ev=1.0, e_over_v0=1.5, t1=0.5, t2=0.0, r1=0.0, r2=0.0,
-            total=0.5, t_qm=0.5, r_qm=0.5,
-        )
     evan = run_sweep(SweepSpec(
         v0=100.0, e_over_v0_min=0.1, e_over_v0_max=0.9, points=3,
         spacing=Spacing.LINEAR, regime=Regime.EVANESCENT,
