@@ -33,7 +33,7 @@ _EXPORTS = {
         "ELECTRON_MASS_EV", "Spin", "AmplitudeSet", "Branch", "CurrentDensities",
         "EvanescentRow", "MassPoleError", "PropagatingRow", "StepProblem",
         "ThresholdDegeneracyError", "closed_form_amplitudes", "coefficients",
-        "continuity_residual", "currents", "current_kernel", "probability_current",
+        "continuity_residual", "currents", "probability_current",
         "qm_reference", "solve_amplitudes_linear",
     ),
     "sweep_io": (

@@ -7,7 +7,11 @@ polynomial coefficients, and a verification report covering every
 algebraic identity the generator pair must satisfy:
 
     eta^2 = 0,  (eta^dagger)^2 = 0,  {eta, eta^dagger} = 2I,
-    eta symmetric, traceless, singular, all eigenvalues zero.
+    eta symmetric, traceless, singular, all eigenvalues zero,
+
+and, for REP1, the gamma relations eta + eta^dagger = -i*sqrt(2)*gamma2 and
+eta^dagger @ eta = I + i*gamma3.  Every check is bounded by IDENTITY_TOL,
+fixed here; the suites take no tolerance argument.
 
 All matrices returned by this module are read-only numpy arrays; every
 function is pure, so the module is safe for concurrent use.
@@ -15,7 +19,6 @@ function is pure, so the module is safe for concurrent use.
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 from typing import NamedTuple
 
@@ -40,7 +43,7 @@ __all__ = [
 
 SQRT2 = float(np.sqrt(2.0))
 
-# Default absolute tolerance for exact algebraic identities.  Entries of the
+# Absolute bound of every exact algebraic identity check.  Entries of the
 # generator matrices are 0 and +-1/sqrt(2), so any deviation is pure rounding.
 IDENTITY_TOL = 1e-14
 
@@ -184,13 +187,6 @@ class AlgebraCheck(NamedTuple):
     max_deviation: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "check_name": self.name,
-            "max_deviation": self.max_deviation,
-            "pass": self.passed,
-        }
-
 
 class AlgebraReport:
     """Ordered collection of AlgebraCheck results, looked up by name."""
@@ -208,9 +204,6 @@ class AlgebraReport:
     def max_deviation(self) -> float:
         return max((c.max_deviation for c in self.checks), default=0.0)
 
-    def __iter__(self):
-        return iter(self.checks)
-
     def __getitem__(self, name: str) -> AlgebraCheck:
         for c in self.checks:
             if c.name == name:
@@ -218,89 +211,62 @@ class AlgebraReport:
         raise KeyError(name)
 
     def as_dicts(self) -> list[dict]:
-        return [c.as_dict() for c in self.checks]
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.as_dicts(), indent=indent)
+        return [
+            {"check_name": c.name, "max_deviation": c.max_deviation, "pass": c.passed}
+            for c in self.checks
+        ]
 
     @staticmethod
     def merge(*reports: "AlgebraReport") -> "AlgebraReport":
         return AlgebraReport(tuple(c for r in reports for c in r.checks))
 
 
-def _check(name: str, deviation: float, tol: float) -> AlgebraCheck:
+def _check(name: str, deviation: float, tol: float = IDENTITY_TOL) -> AlgebraCheck:
+    """A named check: the deviation as a float, passed when within tol."""
     return AlgebraCheck(name, float(deviation), float(deviation) <= tol)
 
 
-def verify_eta_matrix(
-    candidate: np.ndarray,
-    tol: float = IDENTITY_TOL,
-    check_gamma_identities: bool = False,
-) -> AlgebraReport:
-    """Run the full identity suite against an arbitrary candidate generator.
+def verify_eta_matrix(candidate: np.ndarray) -> AlgebraReport:
+    """Run the defining identity suite against an arbitrary candidate
+    generator, each check within IDENTITY_TOL.
 
     Useful for validating perturbed or externally supplied matrices; the
     expected dagger is taken to be the entrywise conjugate transpose of the
-    candidate itself.  With check_gamma_identities, additionally tests the
-    REP1-basis relations eta + eta^dagger = s*i*sqrt(2)*gamma2 and
-    eta^dagger @ eta = I + s*i*gamma3, resolving the sign s = +-1 that fits
-    best rather than hard-coding one.
+    candidate itself.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     m = np.asarray(candidate, dtype=complex)
     md = m.conj().T
     eye = np.eye(4, dtype=complex)
-    checks = [
-        _check("square_is_zero", max_abs(m @ m), tol),
-        _check("dagger_square_is_zero", max_abs(md @ md), tol),
-        _check("anticommutator_is_2I", max_abs(anticommutator(m, md) - 2 * eye), tol),
-        _check("symmetric", max_abs(m - m.T), tol),
-        _check("dagger_is_entrywise_conjugate", max_abs(md - m.conj()), tol),
-        _check("trace_is_zero", abs(np.trace(m)), tol),
-        _check("determinant_is_zero", abs(np.linalg.det(m)), tol),
-        _check("eigenvalues_all_zero", max_abs(_char_poly_coeffs(m)), tol),
-    ]
-    if check_gamma_identities:
-        checks.extend(_gamma_identity_checks(m, md, tol))
-    return AlgebraReport(tuple(checks))
-
-
-def _gamma_identity_checks(m, md, tol) -> list[AlgebraCheck]:
-    eye = np.eye(4, dtype=complex)
-    total = m + md
-    dev_by_sign = {
-        s: max_abs(total - s * 1j * SQRT2 * gamma(2)) for s in (+1, -1)
-    }
-    s2_sign = min(dev_by_sign, key=dev_by_sign.get)
-    prod = md @ m
-    prod_dev = {s: max_abs(prod - (eye + s * 1j * gamma(3))) for s in (+1, -1)}
-    s3_sign = min(prod_dev, key=prod_dev.get)
-    fmt = {+1: "+i", -1: "-i"}
-    return [
-        _check(
-            f"eta_plus_dagger_equals_{fmt[s2_sign]}*sqrt2*gamma2",
-            dev_by_sign[s2_sign],
-            tol,
-        ),
-        _check(
-            f"dagger_times_eta_equals_I{fmt[s3_sign]}*gamma3",
-            prod_dev[s3_sign],
-            tol,
-        ),
-    ]
-
-
-def verify_eta_algebra(
-    rep: EtaRepresentation = EtaRepresentation.REP1,
-    tol: float = IDENTITY_TOL,
-) -> AlgebraReport:
-    """Verify every defining identity of the chosen generator representation.
-
-    For REP1 the report also records which sign of the gamma2/gamma3
-    relations the representation realizes (the relations are specific to
-    that basis and are skipped for REP2, where neither sign applies).
-    """
-    return verify_eta_matrix(
-        eta(rep), tol, check_gamma_identities=(rep is EtaRepresentation.REP1)
+    return AlgebraReport(
+        (
+            _check("square_is_zero", max_abs(m @ m)),
+            _check("dagger_square_is_zero", max_abs(md @ md)),
+            _check("anticommutator_is_2I", max_abs(anticommutator(m, md) - 2 * eye)),
+            _check("symmetric", max_abs(m - m.T)),
+            _check("dagger_is_entrywise_conjugate", max_abs(md - m.conj())),
+            _check("trace_is_zero", abs(np.trace(m))),
+            _check("determinant_is_zero", abs(np.linalg.det(m))),
+            _check("eigenvalues_all_zero", max_abs(_char_poly_coeffs(m))),
+        )
     )
+
+
+def verify_eta_algebra(rep: EtaRepresentation = EtaRepresentation.REP1) -> AlgebraReport:
+    """Verify every defining identity of the chosen generator representation,
+    each within IDENTITY_TOL.
+
+    For REP1 the report also checks the two gamma relations of that basis,
+    with their fixed signs: eta + eta^dagger = -i*sqrt(2)*gamma2 and
+    eta^dagger @ eta = I + i*gamma3.  REP2 realizes neither, with either
+    sign, so its report omits them.
+    """
+    m = eta(rep)
+    report = verify_eta_matrix(m)
+    if rep is not EtaRepresentation.REP1:
+        return report
+    md = m.conj().T
+    gamma_relations = (
+        _check("eta_plus_dagger_equals_-i*sqrt2*gamma2", max_abs(m + md + 1j * SQRT2 * gamma(2))),
+        _check("dagger_times_eta_equals_I+i*gamma3", max_abs(md @ m - np.eye(4) - 1j * gamma(3))),
+    )
+    return AlgebraReport(report.checks + gamma_relations)

@@ -54,12 +54,6 @@ def parse_energy(text: str) -> float:
     return float(raw)
 
 
-def _rep(value: str):
-    from .algebra import EtaRepresentation
-
-    return EtaRepresentation.REP1 if value == "rep1" else EtaRepresentation.REP2
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinstep",
@@ -114,7 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_report(report, pretty: bool):
+def _print_report(report, pretty: bool) -> int:
+    """Print the report; its exit code is 0 if every check passed, else 1."""
     if pretty:
         width = max(len(c.name) for c in report.checks)
         for c in report.checks:
@@ -123,28 +118,27 @@ def _print_report(report, pretty: bool):
         print(f"overall: {'pass' if report.passed else 'FAIL'}")
     else:
         print(json.dumps({"pass": report.passed, "checks": report.as_dicts()}))
+    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 
 
 def _cmd_verify(args) -> int:
     from . import algebra, eigensystem, threed
 
-    rep = _rep(args.rep)
+    rep = algebra.EtaRepresentation(args.rep)
     report = algebra.AlgebraReport.merge(
         algebra.verify_eta_algebra(rep),
         eigensystem.verify_dispersion(rep),
         threed.verify_continuity_identities(rep),
         threed.squared_operator_check((0.6, 0.0, 0.8), energy=1.0, mass=1.0, rep=rep),
     )
-    _print_report(report, args.pretty)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
+    return _print_report(report, args.pretty)
 
 
 def _cmd_threed_check(args) -> int:
-    from . import threed
+    from . import algebra, threed
 
-    report = threed.verify_continuity_identities(_rep(args.rep))
-    _print_report(report, args.pretty)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
+    report = threed.verify_continuity_identities(algebra.EtaRepresentation(args.rep))
+    return _print_report(report, args.pretty)
 
 
 def _point_payload(args, want_coefficients: bool) -> dict:

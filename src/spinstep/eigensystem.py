@@ -22,9 +22,9 @@ import numpy as np
 
 from .algebra import (
     SQRT2,
-    AlgebraCheck,
     AlgebraReport,
     EtaRepresentation,
+    _check,
     eta,
     eta_dagger,
 )
@@ -133,24 +133,25 @@ _DISPERSION_TOLS = {
 def verify_dispersion(
     rep: EtaRepresentation = EtaRepresentation.REP1,
     energies: np.ndarray | None = None,
-    mass: float = ELECTRON_MASS_EV,
 ) -> AlgebraReport:
-    """Grid verification of the plane-wave sector.
+    """Grid verification of the plane-wave sector, at the electron mass.
 
     Checks, over a log grid of energies (default 100 points in
-    [1 eV, 10 MeV]): numeric eigenvalues match +-sqrt(2*E*m) with negligible
-    imaginary parts, the closed-form states are normalized to 2 and mutually
-    orthogonal per direction, solve the eigenproblem, and lie in the numeric
-    eigenspaces.  The operator's reality of spectrum is measured, not
-    assumed, hence the explicit imaginary-part check.  The whole grid is
-    one stacked eigensolve and array expressions.  Raises ValueError unless
-    every energy is positive and finite.
+    [1 eV, 10 MeV]), each within its bound in _DISPERSION_TOLS: numeric
+    eigenvalues match +-sqrt(2*E*m) with negligible imaginary parts, the
+    closed-form states are normalized to 2 and mutually orthogonal per
+    direction, solve the eigenproblem, and lie in the numeric eigenspaces.
+    The operator's reality of spectrum is measured, not assumed, hence the
+    explicit imaginary-part check.  The whole grid is one stacked eigensolve
+    and array expressions.  Raises ValueError unless every energy is
+    positive and finite.
     """
     if energies is None:
         energies = np.logspace(0.0, 7.0, 100)
     energies = np.asarray(energies, dtype=float)
     if not np.all((energies > 0) & np.isfinite(energies)):
         raise ValueError(f"energies must be positive and finite, got {energies}")
+    mass = ELECTRON_MASS_EV
     ops = momentum_operator(energies, mass, rep)
     p = np.sqrt(2.0 * energies * mass)
     values, vectors = np.linalg.eig(ops)
@@ -179,7 +180,5 @@ def verify_dispersion(
         worst["eigenspace_projection"] = float(
             _projection_residuals(values, vectors, lam, states, 1e-6).max()
         )
-    checks = tuple(
-        AlgebraCheck(name, dev, dev <= _DISPERSION_TOLS[name]) for name, dev in worst.items()
-    )
-    return AlgebraReport(checks)
+    checks = (_check(name, dev, _DISPERSION_TOLS[name]) for name, dev in worst.items())
+    return AlgebraReport(tuple(checks))

@@ -50,8 +50,6 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-    from .algebra import EtaRepresentation
-
 __all__ = [
     "THRESHOLD_EPS",
     "MASS_POLE_EPS",
@@ -66,7 +64,6 @@ __all__ = [
     "PropagatingRow",
     "EvanescentRow",
     "CurrentDensities",
-    "current_kernel",
     "probability_current",
     "solve_amplitudes_linear",
     "closed_form_amplitudes",
@@ -325,13 +322,20 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
     oracle.  It evaluates on floats the expressions run_sweep evaluates on
     a grid, so a point and its sweep row agree bit for bit.  c and c' are
     the upper components of psi_II(0).  The evanescent mass pole is
-    refused, as on every route.
+    refused, as on every route, and so, with ValueError, are inputs so
+    small that a denominator of the closed forms underflows to 0.
     """
     energy, v0, mass, spin = problem
     branch = problem.branch
     if branch is Branch.EVANESCENT:
         _check_mass_pole(v0 - energy, mass)
-    pairs = _amplitudes(branch, energy, v0, mass, spin, math.sqrt)
+    try:
+        pairs = _amplitudes(branch, energy, v0, mass, spin, math.sqrt)
+    except ZeroDivisionError:
+        raise ValueError(
+            f"E = {energy!r}, V0 = {v0!r}, m = {mass!r} eV are beyond what the closed "
+            "forms resolve in double precision: a denominator underflows to 0"
+        ) from None
     return AmplitudeSet(branch, *(complex(*pair) for pair in pairs), spin)
 
 
@@ -504,28 +508,21 @@ def qm_reference(energy: float, v0: float) -> tuple[float, float]:
     coefficients of the 4-component solution reproduce exactly these
     values, independent of the mass.
     """
-    if not (energy > v0 > 0):
-        raise ValueError(f"requires E > V0 > 0, got E={energy}, V0={v0}")
+    if not (math.inf > energy > v0 > 0):
+        raise ValueError(f"requires finite E > V0 > 0, got E={energy}, V0={v0}")
     t_qm, r_qm = _spinless(energy, v0, math.sqrt)
     return float(t_qm), float(r_qm)
 
 
-def current_kernel(rep: EtaRepresentation | None = None) -> np.ndarray:
-    """Hermitian kernel eta + eta^dagger of the 1D probability current, in
-    the representation rep (default REP1)."""
-    from .algebra import EtaRepresentation, eta, eta_dagger
-
-    rep = rep or EtaRepresentation.REP1
-    return eta(rep) + eta_dagger(rep)
-
-
-def probability_current(spinor: np.ndarray, rep: EtaRepresentation | None = None) -> float:
-    """Probability current u^dagger (eta + eta^dagger) u of a mode, in the
-    representation rep (default REP1)."""
+def probability_current(spinor: np.ndarray) -> float:
+    """Probability current u^dagger (eta + eta^dagger) u of a mode, in REP1,
+    the representation the mode spinors are written in."""
     import numpy as np
 
+    from .algebra import eta, eta_dagger
+
     u = np.asarray(spinor, dtype=complex)
-    return float(np.vdot(u, current_kernel(rep) @ u).real)
+    return float(np.vdot(u, (eta() + eta_dagger()) @ u).real)
 
 
 class CurrentDensities(NamedTuple):

@@ -21,6 +21,7 @@ CSV text is rendered once, by one call, and its JSON line reuses the strings.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
@@ -52,8 +53,6 @@ __all__ = [
     "emit_csv",
     "emit_json",
     "emit_svg",
-    "PROPAGATING_CSV_HEADER",
-    "EVANESCENT_CSV_HEADER",
 ]
 
 
@@ -83,11 +82,11 @@ class SweepSpec(_SweepFields):
     """Description of one energy sweep.
 
     The grid ranges over x = E/V0 from e_over_v0_min to e_over_v0_max with
-    `points` samples.  An explicit regime constrains the range to its side
-    of x = 1; AUTO admits ranges straddling 1 and splits the rows.  The
-    constructor refuses anything else, and spacing, regime or
-    incident_spin values that are not members of their enums; _replace and
-    _make build through it too.
+    `points` samples, an integer (Python or numpy).  An explicit regime
+    constrains the range to its side of x = 1; AUTO admits ranges straddling
+    1 and splits the rows.  The constructor refuses anything else, and
+    spacing, regime or incident_spin values that are not members of their
+    enums; _replace and _make build through it too.
     """
 
     __slots__ = ()
@@ -104,6 +103,10 @@ class SweepSpec(_SweepFields):
             )
         if self.e_over_v0_min <= 0:
             raise ValueError("e_over_v0_min must be positive")
+        try:
+            operator.index(self.points)
+        except TypeError:
+            raise ValueError(f"points must be an integer, got {self.points!r}") from None
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
         for name, kind in (("spacing", Spacing), ("regime", Regime), ("incident_spin", Spin)):
@@ -128,10 +131,6 @@ class SweepSpec(_SweepFields):
         return np.logspace(
             np.log10(self.e_over_v0_min), np.log10(self.e_over_v0_max), self.points
         )
-
-
-PROPAGATING_CSV_HEADER = PropagatingRow.CSV_HEADER
-EVANESCENT_CSV_HEADER = EvanescentRow.CSV_HEADER
 
 
 class SweepResult(NamedTuple):

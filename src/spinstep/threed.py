@@ -10,8 +10,10 @@ the Hermitian kernels of the 3D continuity equation
     Gamma   = i * eta^dagger * eta * gamma3,
 
 and verifies every commutation/anticommutation relation that derivation
-rests on.  It also probes the singularity structure of the momentum-space
-operator mu.p - E*eta - m*eta_dagger.
+rests on, each within algebra.IDENTITY_TOL.  It also probes the singularity
+structure of the momentum-space operator mu.p - E*eta - m*eta_dagger, built
+in REP1, and checks its two squared identities within a relative 1e-12.
+Each bound is fixed where its check is defined; no check takes a tolerance.
 
 A fact worth knowing before reading further: each mu_i anticommutes with
 both eta and eta_dagger (in the default representation), so the squared
@@ -25,14 +27,15 @@ be inspected directly.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import (
-    AlgebraCheck,
     AlgebraReport,
     EtaRepresentation,
+    _check,
     _readonly,
     anticommutator,
     commutator,
@@ -59,6 +62,9 @@ __all__ = [
 # A determinant normalized by the product of row norms below this value
 # counts as singular.
 SINGULARITY_TOL = 1e-10
+
+# Relative bound of squared_operator_check's two identities.
+_SQUARED_OPERATOR_TOL = 1e-12
 
 
 class MuTriple(NamedTuple):
@@ -119,9 +125,9 @@ def continuity_objects(rep: EtaRepresentation = EtaRepresentation.REP1) -> Conti
 
 def verify_continuity_identities(
     rep: EtaRepresentation = EtaRepresentation.REP1,
-    tol: float = 1e-14,
 ) -> AlgebraReport:
-    """Verify all relations the 3D continuity derivation uses.
+    """Verify all relations the 3D continuity derivation uses, each within
+    algebra.IDENTITY_TOL.
 
     Covers, for i, j in 1..3: Hermiticity of mu_i, the Clifford relation
     {mu_i, mu_j} = 2*delta_ij*I, block-form agreement, [mu_i, gamma3] = 0,
@@ -134,24 +140,22 @@ def verify_continuity_identities(
     g3 = gamma(3)
     total = e + ed
     eye = np.eye(4, dtype=complex)
-    checks: list[AlgebraCheck] = []
+    checks = []
 
     def add(name, deviation):
-        checks.append(AlgebraCheck(name, float(deviation), float(deviation) <= tol))
+        checks.append(_check(name, deviation))
 
-    blocks = _block_forms()
-    mu_list = tuple(mus)
-    for k, mu in enumerate(mu_list, start=1):
+    for k, (mu, block) in enumerate(zip(mus, _block_forms()), start=1):
         add(f"mu{k}_hermitian", max_abs(mu - dagger(mu)))
-        add(f"mu{k}_matches_block_form", max_abs(mu - blocks[k - 1]))
+        add(f"mu{k}_matches_block_form", max_abs(mu - block))
     for i in range(3):
         for j in range(i, 3):
             target = 2.0 * eye if i == j else 0.0
             add(
                 f"anticommutator_mu{i + 1}_mu{j + 1}",
-                max_abs(anticommutator(mu_list[i], mu_list[j]) - target),
+                max_abs(anticommutator(mus[i], mus[j]) - target),
             )
-    for k, mu in enumerate(mu_list, start=1):
+    for k, mu in enumerate(mus, start=1):
         add(f"commutator_mu{k}_gamma3", max_abs(commutator(mu, g3)))
         add(f"anticommutator_mu{k}_eta_plus_dagger", max_abs(anticommutator(mu, total)))
     add("commutator_eta_etadagger_gamma3", max_abs(commutator(e @ ed, g3)))
@@ -163,21 +167,22 @@ def verify_continuity_identities(
     return AlgebraReport(tuple(checks))
 
 
+def _positive_finite(energy: float, mass: float):
+    if not (0 < energy < math.inf and 0 < mass < math.inf):
+        raise ValueError(f"energy and mass must be positive and finite, got {energy}, {mass}")
+
+
 def _momentum_matrix(momentum) -> np.ndarray:
     p = np.asarray(momentum, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"momentum must be a real 3-vector, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"momentum must be finite, got {p}")
     mus = mu_matrices()
     return p[0] * mus.mu1 + p[1] * mus.mu2 + p[2] * mus.mu3
 
 
-def shell_determinant(
-    energy: float,
-    mass: float,
-    momentum,
-    rep: EtaRepresentation = EtaRepresentation.REP1,
-    mass_sign: int = +1,
-) -> float:
+def shell_determinant(energy: float, mass: float, momentum, mass_sign: int = +1) -> float:
     """Normalized |det(mu.p - E*eta - mass_sign*m*eta_dagger)|.
 
     The determinant is divided by max(|p|^2, 2*E*m)^2, the operator's own
@@ -186,24 +191,20 @@ def shell_determinant(
     mass-dominated rows whenever E << m).  With mass_sign = +1 the raw
     determinant magnitude equals (|p|^2 + 2*E*m)^2, so the normalized value
     is bounded below by 1 for every real momentum; with mass_sign = -1 it is
-    (|p|^2 - 2*E*m)^2, vanishing exactly on the shell |p|^2 = 2*E*m.
+    (|p|^2 - 2*E*m)^2, vanishing exactly on the shell |p|^2 = 2*E*m.  The
+    operator is built in REP1.  Raises ValueError unless energy and mass
+    are positive and finite and momentum is a finite real 3-vector.
     """
-    if energy <= 0 or mass <= 0:
-        raise ValueError("energy and mass must be positive")
+    _positive_finite(energy, mass)
     if mass_sign not in (+1, -1):
         raise ValueError(f"mass_sign must be +1 or -1, got {mass_sign}")
     p = np.asarray(momentum, dtype=float)
-    op = _momentum_matrix(p) - energy * eta(rep) - mass_sign * mass * eta_dagger(rep)
+    op = _momentum_matrix(p) - energy * eta() - mass_sign * mass * eta_dagger()
     scale = max(float(p @ p), 2.0 * energy * mass)
     return float(abs(np.linalg.det(op)) / scale**2)
 
 
-def schrodinger_reduction_check(
-    energy: float,
-    mass: float,
-    momentum,
-    rep: EtaRepresentation = EtaRepresentation.REP1,
-) -> tuple[bool, float]:
+def schrodinger_reduction_check(energy: float, mass: float, momentum) -> tuple[bool, float]:
     """Probe the momentum-space operator mu.p - E*eta - m*eta_dagger for
     plane-wave solvability at the given real momentum.
 
@@ -214,7 +215,7 @@ def schrodinger_reduction_check(
     shell |p|^2 = 2*E*m; the on-shell singularity appears only for the
     flipped mass sign (shell_determinant with mass_sign=-1).
     """
-    value = shell_determinant(energy, mass, momentum, rep=rep, mass_sign=+1)
+    value = shell_determinant(energy, mass, momentum, mass_sign=+1)
     return value <= SINGULARITY_TOL, value
 
 
@@ -223,14 +224,15 @@ def squared_operator_check(
     energy: float = 1.0,
     mass: float = 1.0,
     rep: EtaRepresentation = EtaRepresentation.REP1,
-    tol: float = 1e-12,
 ) -> AlgebraReport:
     """Verify the two squared-operator identities behind the free-particle
     dispersion: (mu.p)^2 = |p|^2 * I and (E*eta + m*eta_dagger)^2 = 2*E*m*I.
 
     Deviations are measured relative to the respective scale (|p|^2 and
-    2*E*m).
+    2*E*m) and bounded by 1e-12.  Raises ValueError unless energy and mass
+    are positive and finite and momentum is a finite real 3-vector.
     """
+    _positive_finite(energy, mass)
     p = np.asarray(momentum, dtype=float)
     mp = _momentum_matrix(p)
     p_squared = float(p @ p)
@@ -241,7 +243,7 @@ def squared_operator_check(
     dev_energy = max_abs(op @ op - scale * eye) / max(scale, np.finfo(float).tiny)
     return AlgebraReport(
         (
-            AlgebraCheck("momentum_square_is_p2_identity", float(dev_momentum), dev_momentum <= tol),
-            AlgebraCheck("energy_mass_square_is_2Em_identity", float(dev_energy), dev_energy <= tol),
+            _check("momentum_square_is_p2_identity", dev_momentum, _SQUARED_OPERATOR_TOL),
+            _check("energy_mass_square_is_2Em_identity", dev_energy, _SQUARED_OPERATOR_TOL),
         )
     )

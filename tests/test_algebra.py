@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from spinstep import algebra
 from spinstep.algebra import (
     EtaRepresentation,
     _char_poly_coeffs,
@@ -127,7 +128,7 @@ def test_gamma_identities_of_rep1():
 
 @pytest.mark.parametrize("rep", REPS)
 def test_verify_eta_algebra_passes(rep):
-    report = verify_eta_algebra(rep, tol=1e-14)
+    report = verify_eta_algebra(rep)
     assert report.passed
     assert report.max_deviation <= 1e-15
 
@@ -145,7 +146,7 @@ def test_verify_report_records_gamma_sign_resolution():
 def test_perturbed_eta_fails_with_matching_deviation():
     perturbed = eta(EtaRepresentation.REP1).copy()
     perturbed[0, 1] += 1e-6
-    report = verify_eta_matrix(perturbed, tol=1e-14)
+    report = verify_eta_matrix(perturbed)
     assert not report.passed
     check = report["square_is_zero"]
     assert not check.passed
@@ -157,16 +158,27 @@ def test_perturbed_eta_fails_with_matching_deviation():
 def test_report_json_shape():
     import json
 
-    payload = json.loads(verify_eta_algebra().to_json())
+    payload = verify_eta_algebra().as_dicts()
+    assert json.loads(json.dumps(payload)) == payload
     assert isinstance(payload, list)
     for item in payload:
         assert set(item) == {"check_name", "max_deviation", "pass"}
         assert isinstance(item["pass"], bool)
 
 
-def test_verify_rejects_nonpositive_tol():
-    with pytest.raises(ValueError):
-        verify_eta_algebra(tol=0.0)
+def test_gamma_relations_are_checked_with_rep1_signs(monkeypatch):
+    # -eta fits eta + eta^dagger = +i*sqrt2*gamma2, the other sign: the
+    # REP1 relation is checked as written, not under the sign that fits
+    negated = -eta(EtaRepresentation.REP1)
+    negated.setflags(write=False)
+    monkeypatch.setitem(algebra._ETA, EtaRepresentation.REP1, negated)
+    report = verify_eta_algebra(EtaRepresentation.REP1)
+    assert not report.passed
+    assert not report["eta_plus_dagger_equals_-i*sqrt2*gamma2"].passed
+    assert report["dagger_times_eta_equals_I+i*gamma3"].passed
+    assert [c.name for c in report.checks if not c.passed] == [
+        "eta_plus_dagger_equals_-i*sqrt2*gamma2"
+    ]
 
 
 def test_commutator_anticommutator_definitions():

@@ -1,12 +1,16 @@
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spinstep import algebra
 from spinstep.cli import main, parse_energy
@@ -351,6 +355,16 @@ def _imported(importtime_stderr: str) -> set:
     return {line.rsplit("|", 1)[-1].strip() for line in importtime_stderr.splitlines()}
 
 
+def _assert_cli_without_numpy(importtime_stderr: str, bare_modules: set):
+    # neither numpy nor dataclasses (with the inspect it pulls in) among the
+    # modules a bare interpreter does not import already
+    imported = _imported(importtime_stderr) - bare_modules
+    assert "spinstep.cli" in imported
+    assert not [
+        m for m in imported if m in ("numpy", "dataclasses") or m.startswith("numpy.")
+    ]
+
+
 @pytest.fixture(scope="module")
 def bare_interpreter_modules() -> set:
     # what a bare interpreter in this environment imports anyway (site and
@@ -365,18 +379,13 @@ def bare_interpreter_modules() -> set:
 @pytest.mark.parametrize("argv", list(COLD_POINT_STDOUT), ids=" ".join)
 def test_point_commands_never_import_numpy(argv, bare_interpreter_modules):
     # a fresh interpreter, as a user runs it; -X importtime lists every
-    # module imported, on stderr.  Neither numpy nor dataclasses (with the
-    # inspect it pulls in) is loaded by a point command.
+    # module imported, on stderr
     result = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "spinstep", *argv],
         capture_output=True, text=True, env=CHILD_ENV,
     )
     assert (result.returncode, result.stdout) == (0, COLD_POINT_STDOUT[argv])
-    imported = _imported(result.stderr) - bare_interpreter_modules
-    assert "spinstep.cli" in imported
-    assert not [
-        m for m in imported if m in ("numpy", "dataclasses") or m.startswith("numpy.")
-    ]
+    _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
 
 
 def _readme_commands() -> list:
@@ -390,20 +399,60 @@ def _readme_commands() -> list:
     return [c[1:] for c in commands if c]
 
 
-def test_readme_command_line_block_runs(tmp_path):
+def test_readme_command_line_block_runs(tmp_path, bare_interpreter_modules):
     # every command as a user runs it, in a fresh interpreter with warnings
-    # as errors: exit 0, nothing on stderr, the pinned point stdout, and
-    # figure sweeps byte-equal to the goldens
+    # as errors: exit 0, nothing on stderr, the pinned point stdout without
+    # numpy or dataclasses imported (-X importtime), and figure sweeps
+    # byte-equal to the goldens
     commands = _readme_commands()
     for argv in commands:
+        point = argv[0] in ("coefficients", "currents")
+        importtime = ["-X", "importtime"] if point else []
         result = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "spinstep", *argv],
+            [sys.executable, "-W", "error", *importtime, "-m", "spinstep", *argv],
             capture_output=True, text=True, cwd=tmp_path, env=CHILD_ENV,
         )
-        assert (result.returncode, result.stderr) == (0, ""), argv
-        if argv[0] in ("coefficients", "currents"):
+        stderr = [
+            line for line in result.stderr.splitlines()
+            if not (point and line.startswith("import time:"))
+        ]
+        assert (result.returncode, stderr) == (0, []), argv
+        if point:
             assert result.stdout == README_POINT_STDOUT[tuple(argv)]
+            _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
     assert sum(argv[0] == "sweep" for argv in commands) == 3
     for fig in ("fig2", "fig3", "fig4"):
         golden = (ROOT / "tests" / "golden" / f"{fig}.csv").read_bytes()
         assert (tmp_path / f"{fig}.csv").read_bytes() == golden, fig
+
+
+# every positive double, subnormals and the largest included
+POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@example("coefficients", 1e-200, 1e-250, 1e-250, "up")
+@example("currents", 1.909664723458892e-279, 1.047440777301433e-211,
+         1.3463167317287237e-146, "down")
+@given(command=st.sampled_from(("coefficients", "currents")), energy=POSITIVE_DOUBLES,
+       v0=POSITIVE_DOUBLES, mass=POSITIVE_DOUBLES, spin=st.sampled_from(("up", "down")))
+def test_point_commands_exit_0_or_2_for_every_positive_double(command, energy, v0, mass, spin):
+    # a result or a domain refusal, never a traceback or the exit code of a
+    # failed verification
+    argv = [command, "--e", repr(energy), "--v0", repr(v0), "--mass", repr(mass), "--spin", spin]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 2)
+    assert (code == 2) == bool(err.getvalue())
+
+
+@pytest.mark.parametrize("argv", [
+    ("coefficients", "--e", "1e-200", "--v0", "1e-250", "--mass", "1e-250"),
+    ("currents", "--e", "1.909664723458892e-279", "--v0", "1.047440777301433e-211",
+     "--mass", "1.3463167317287237e-146", "--spin", "down"),
+], ids=" ".join)
+def test_underflowing_point_commands_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: ")
+    assert "beyond what the closed forms resolve in double precision" in err

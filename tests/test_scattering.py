@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinstep.eigensystem import ELECTRON_MASS_EV, Spin, analytic_eigenstate
@@ -236,6 +236,13 @@ def test_qm_reference_values():
         qm_reference(100.0, 100.0)
     with pytest.raises(ValueError):
         qm_reference(50.0, 100.0)
+
+
+def test_qm_reference_refuses_non_finite_energy():
+    # qm_reference(inf, 1.0) used to return (nan, 0.0)
+    for energy, v0 in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            qm_reference(energy, v0)
 
 
 def test_qm_reference_limits():
@@ -690,3 +697,26 @@ def test_continuity_residual_closed_form_path():
         problem = StepProblem(energy=energy, v0=v0)
         closed = closed_form_amplitudes(problem)
         assert continuity_residual(problem, closed) <= 1e-10
+
+
+# every positive double, subnormals and the largest included
+POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@example(1e-200, 1e-250, 1e-250, Spin.UP)
+@example(1.909664723458892e-279, 1.047440777301433e-211, 1.3463167317287237e-146, Spin.DOWN)
+@given(energy=POSITIVE_DOUBLES, v0=POSITIVE_DOUBLES, mass=POSITIVE_DOUBLES,
+       spin=st.sampled_from((Spin.UP, Spin.DOWN)))
+def test_point_route_returns_or_refuses_every_positive_double(energy, v0, mass, spin):
+    # StepProblem -> closed_form_amplitudes -> coefficients -> currents ends
+    # in a result or a ValueError; a closed-form denominator that underflows
+    # to 0 used to escape as ZeroDivisionError
+    try:
+        problem = StepProblem(energy=energy, v0=v0, mass=mass, incident_spin=spin)
+        amps = closed_form_amplitudes(problem)
+        row = coefficients(problem, amps)
+        currents(problem, amps)
+    except ValueError:
+        return
+    assert abs(row.total - 1.0) <= 1e-12

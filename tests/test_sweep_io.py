@@ -17,8 +17,6 @@ from spinstep.scattering import (
     qm_reference,
 )
 from spinstep.sweep_io import (
-    EVANESCENT_CSV_HEADER,
-    PROPAGATING_CSV_HEADER,
     EvanescentRow,
     PropagatingRow,
     Regime,
@@ -62,6 +60,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(v0=100.0, e_over_v0_min=0.1, e_over_v0_max=1.0,
                   points=10, regime=Regime.EVANESCENT)
+
+
+def test_spec_points_must_be_an_integer():
+    # a float count used to be accepted, and np.logspace then raised TypeError
+    for points in (5.5, 5.0, "5"):
+        with pytest.raises(ValueError, match="points must be an integer"):
+            small_prop_spec(points=points)
+    assert len(run_sweep(small_prop_spec(points=np.int64(5))).rows) == 5
 
 
 @pytest.mark.parametrize("field, value", [
@@ -191,7 +197,7 @@ def test_csv_exact_header_and_round_trip(tmp_path):
     emit_csv(result.rows, path)
     text = path.read_text()
     lines = text.strip().split("\n")
-    assert lines[0] == PROPAGATING_CSV_HEADER
+    assert lines[0] == PropagatingRow.CSV_HEADER
     assert lines[0] == "E_eV,E_over_V0,T1,T2,R1,R2,sum,T_QM,R_QM"
     assert len(lines) == 8
     for line, row in zip(lines[1:], result.rows):
@@ -206,7 +212,7 @@ def test_evanescent_csv_header(tmp_path):
     )
     path = tmp_path / "evan.csv"
     emit_csv(run_sweep(spec).rows, path)
-    assert path.read_text().split("\n")[0] == EVANESCENT_CSV_HEADER
+    assert path.read_text().split("\n")[0] == EvanescentRow.CSV_HEADER
 
 
 def test_csv_deterministic_bytes(tmp_path):

@@ -56,7 +56,7 @@ def test_mu1_mu2_anticommute_to_zero():
 
 @pytest.mark.parametrize("rep", REPS)
 def test_continuity_identity_report(rep):
-    report = verify_continuity_identities(rep, tol=1e-14)
+    report = verify_continuity_identities(rep)
     assert report.passed
     assert report.max_deviation <= 1e-15
     names = {c.name for c in report.checks}
@@ -161,3 +161,24 @@ def test_shell_determinant_input_validation():
         shell_determinant(1.0, ME, (0, 0))
     with pytest.raises(ValueError):
         shell_determinant(1.0, ME, (0, 0, 1), mass_sign=2)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("energy, mass, momentum", [
+    (np.nan, 1.0, (0, 0, 1)),
+    (np.inf, 1.0, (0, 0, 1)),
+    (1.0, np.nan, (0, 0, 1)),
+    (1.0, -1.0, (0, 0, 1)),
+    (-1.0, 1.0, (0, 0, 1)),
+    (1.0, 1.0, (np.nan, 0, 1)),
+    (1.0, 1.0, (0, np.inf, 1)),
+])
+def test_threed_probes_refuse_bad_inputs(energy, mass, momentum):
+    # refused like StepProblem refuses them, never a nan, a numpy warning or
+    # a failed identity
+    with pytest.raises(ValueError):
+        shell_determinant(energy, mass, momentum)
+    with pytest.raises(ValueError):
+        schrodinger_reduction_check(energy, mass, momentum)
+    with pytest.raises(ValueError):
+        squared_operator_check(momentum, energy=energy, mass=mass)
