@@ -13,56 +13,37 @@ squaring.  Submodules:
   threed       3D operator algebra and continuity-equation identities
   sweep_io     energy-grid sweeps of those rows, CSV/JSON/SVG emission
   cli          command-line interface (`spinstep ...` or `python -m spinstep`)
+
+The package exports the submodules and the names each library module lists
+in its own __all__, which names what the module defines.  Every name
+resolves on first use (PEP 562), searching the numpy-free scattering and
+sweep_io first, so importing the package, or a point command of the CLI,
+loads neither numpy nor the modules built on it; __all__ itself imports
+every module.
 """
 
 from importlib import import_module as _import_module
 
-# The public names of each submodule.  They resolve on first use (PEP 562),
-# so importing the package, or a point command of the CLI, loads neither
-# numpy nor the modules built on it.
-_EXPORTS = {
-    "algebra": (
-        "AlgebraCheck", "AlgebraReport", "EtaRepresentation", "anticommutator",
-        "commutator", "dagger", "eta", "eta_dagger", "gamma", "pauli",
-        "verify_eta_algebra", "verify_eta_matrix",
-    ),
-    "eigensystem": (
-        "analytic_eigenstate", "momentum_operator", "verify_dispersion",
-    ),
-    "scattering": (
-        "ELECTRON_MASS_EV", "Spin", "AmplitudeSet", "Branch", "CurrentDensities",
-        "EvanescentRow", "MassPoleError", "PropagatingRow", "StepProblem",
-        "ThresholdDegeneracyError", "closed_form_amplitudes", "coefficients",
-        "continuity_residual", "currents", "probability_current",
-        "qm_reference", "solve_amplitudes_linear",
-    ),
-    "sweep_io": (
-        "Regime", "Spacing", "SweepResult", "SweepSpec", "emit_csv", "emit_json",
-        "emit_svg", "run_sweep",
-    ),
-    "threed": (
-        "ContinuityObjects", "MuTriple",
-        "continuity_objects", "mu_matrices", "schrodinger_reduction_check",
-        "shell_determinant", "squared_operator_check", "verify_continuity_identities",
-    ),
-}
-_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = [*_EXPORTS, *_ORIGIN]
+# numpy-free first
+_MODULES = ("scattering", "sweep_io", "algebra", "eigensystem", "threed")
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
+    if name in _MODULES:
         return _import_module(f"{__name__}.{name}")
-    if name not in _ORIGIN:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f"{__name__}.{_ORIGIN[name]}"), name)
+    if name == "__all__":
+        value = [*_MODULES, *(n for module in _MODULES for n in __getattr__(module).__all__)]
+    else:
+        # map imports lazily: the search stops at the module that lists name
+        owner = next((m for m in map(__getattr__, _MODULES) if name in m.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    own = {"__all__", "__getattr__", "__dir__", "_EXPORTS", "_ORIGIN", "_import_module"}
-    return sorted((set(globals()) - own) | set(__all__))
+    return sorted({*globals(), *__getattr__("__all__")})

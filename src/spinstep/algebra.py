@@ -28,7 +28,6 @@ __all__ = [
     "EtaRepresentation",
     "AlgebraCheck",
     "AlgebraReport",
-    "IDENTITY_TOL",
     "pauli",
     "gamma",
     "eta",
@@ -36,7 +35,6 @@ __all__ = [
     "dagger",
     "anticommutator",
     "commutator",
-    "max_abs",
     "verify_eta_matrix",
     "verify_eta_algebra",
 ]

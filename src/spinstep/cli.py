@@ -54,63 +54,13 @@ def parse_energy(text: str) -> float:
     return float(raw)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinstep",
-        description="Spin-resolved step-potential scattering engine",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _report(args) -> int:
+    """Run the command's suites and print their merged report; the exit code
+    is 0 if every check passed, else 1."""
+    from . import algebra
 
-    p_verify = sub.add_parser("verify", help="run all verification suites")
-    p_verify.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
-    p_verify.add_argument("--pretty", action="store_true")
-
-    for name in ("coefficients", "currents"):
-        p = sub.add_parser(name, help=f"compute step {name} at one energy")
-        p.add_argument("--e", required=True, type=parse_energy, help="energy (eV)")
-        p.add_argument("--v0", required=True, type=parse_energy, help="step height (eV)")
-        p.add_argument(
-            "--mass", type=parse_energy, default=ELECTRON_MASS_EV,
-            help="particle mass (eV), default electron",
-        )
-        p.add_argument("--spin", choices=["up", "down"], default="up")
-        p.add_argument("--pretty", action="store_true")
-
-    p_sweep = sub.add_parser("sweep", help="energy-grid sweep to data files")
-    p_sweep.add_argument("--v0", required=True, type=parse_energy)
-    p_sweep.add_argument(
-        "--mass", type=parse_energy, default=ELECTRON_MASS_EV,
-        help="particle mass (eV), default electron",
-    )
-    p_sweep.add_argument("--from", dest="x_min", type=float, default=1.001,
-                         help="lower E/V0 (default 1.001)")
-    p_sweep.add_argument("--to", dest="x_max", type=float, default=10.0,
-                         help="upper E/V0 (default 10)")
-    p_sweep.add_argument("--points", type=int, default=100)
-    p_sweep.add_argument("--spacing", choices=["linear", "log"], default="log")
-    p_sweep.add_argument(
-        "--regime", choices=["propagating", "evanescent", "auto"], default="auto"
-    )
-    p_sweep.add_argument("--out", required=True, help="output file path")
-    p_sweep.add_argument(
-        "--format", choices=["csv", "json", "svg"], default=None,
-        help="default: inferred from --out suffix, falling back to csv",
-    )
-    p_sweep.add_argument(
-        "--columns", default=None,
-        help="comma-separated SVG columns (e.g. t1,t2), SVG output only; default all",
-    )
-    p_sweep.add_argument("--pretty", action="store_true")
-
-    p_threed = sub.add_parser("threed-check", help="run the 3D identity suite")
-    p_threed.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
-    p_threed.add_argument("--pretty", action="store_true")
-    return parser
-
-
-def _print_report(report, pretty: bool) -> int:
-    """Print the report; its exit code is 0 if every check passed, else 1."""
-    if pretty:
+    report = algebra.AlgebraReport.merge(*args.suites(algebra.EtaRepresentation(args.rep)))
+    if args.pretty:
         width = max(len(c.name) for c in report.checks)
         for c in report.checks:
             status = "pass" if c.passed else "FAIL"
@@ -121,124 +71,91 @@ def _print_report(report, pretty: bool) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION_FAILED
 
 
-def _cmd_verify(args) -> int:
+def _all_suites(rep) -> tuple:
     from . import algebra, eigensystem, threed
 
-    rep = algebra.EtaRepresentation(args.rep)
-    report = algebra.AlgebraReport.merge(
+    return (
         algebra.verify_eta_algebra(rep),
         eigensystem.verify_dispersion(rep),
         threed.verify_continuity_identities(rep),
         threed.squared_operator_check((0.6, 0.0, 0.8), energy=1.0, mass=1.0, rep=rep),
     )
-    return _print_report(report, args.pretty)
 
 
-def _cmd_threed_check(args) -> int:
-    from . import algebra, threed
+def _threed_suites(rep) -> tuple:
+    from . import threed
 
-    report = threed.verify_continuity_identities(algebra.EtaRepresentation(args.rep))
-    return _print_report(report, args.pretty)
-
-
-def _point_payload(args, want_coefficients: bool) -> dict:
-    problem = StepProblem(
-        energy=args.e,
-        v0=args.v0,
-        mass=args.mass,
-        incident_spin=Spin.UP if args.spin == "up" else Spin.DOWN,
-    )
-    amps = closed_form_amplitudes(problem)
-    payload: dict = {}
-    if want_coefficients:
-        # the row's curve columns in field-table order, without their sum
-        row = coefficients(problem, amps)
-        payload = {
-            key: getattr(row, attr) for key, (attr, _) in row._CURVES.items() if key != "sum"
-        }
-    payload.update(currents(problem, amps).to_json_dict())
-    return payload
+    return (threed.verify_continuity_identities(rep),)
 
 
-def _print_payload(payload: dict, pretty: bool):
-    if pretty:
+# The stderr prefix of each typed domain refusal; any other ValueError is
+# invalid input.
+_REFUSALS = {ThresholdDegeneracyError: "threshold degeneracy", MassPoleError: "mass pole"}
+
+
+def _point(args) -> int:
+    """Print one energy's payload, the row's curve columns but their sum
+    (coefficients only) and then the currents, or refuse it with exit 2."""
+    try:
+        problem = StepProblem(args.e, args.v0, args.mass, Spin(args.spin))
+        amps = closed_form_amplitudes(problem)
+        payload = {}
+        if args.with_coefficients:
+            row = coefficients(problem, amps)
+            payload = {
+                key: getattr(row, attr) for key, (attr, _) in row._CURVES.items() if key != "sum"
+            }
+        payload.update(currents(problem, amps).to_json_dict())
+    except ValueError as exc:
+        print(f"{_REFUSALS.get(type(exc), 'invalid input')}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.pretty:
         width = max(len(k) for k in payload)
         for key, value in payload.items():
             print(f"{key:<{width}}  {sweep_io.format_float(value)}")
     else:
         print(sweep_io._json_object(payload.items()))
-
-
-def _cmd_point(args, want_coefficients: bool) -> int:
-    try:
-        payload = _point_payload(args, want_coefficients)
-    except ThresholdDegeneracyError as exc:
-        print(f"threshold degeneracy: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MassPoleError as exc:
-        print(f"mass pole: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    _print_payload(payload, args.pretty)
     return EXIT_OK
 
 
-def _infer_format(args) -> str:
-    if args.format:
-        return args.format
-    suffix = Path(args.out).suffix.lower().lstrip(".")
-    return suffix if suffix in ("csv", "json", "svg") else "csv"
+# Each --format's emitter of (rows, path, columns) and, for the one format
+# that draws a --columns selection, the function that checks it.  The first
+# format is the default when --out has no known suffix.
+_EMITTERS = {
+    "csv": (lambda rows, path, _: sweep_io.emit_csv(rows, path), None),
+    "json": (lambda rows, path, _: sweep_io.emit_json(rows, path), None),
+    "svg": (lambda *emit_args: sweep_io.emit_svg(*emit_args), sweep_io._svg_columns),
+}
 
 
-def _emit(rows, path, fmt: str, columns):
-    if fmt == "csv":
-        sweep_io.emit_csv(rows, path)
-    elif fmt == "json":
-        sweep_io.emit_json(rows, path)
-    else:
-        sweep_io.emit_svg(rows, path, columns)
-
-
-def _cmd_sweep(args) -> int:
+def _sweep(args) -> int:
     try:
         spec = SweepSpec(
-            v0=args.v0,
-            mass=args.mass,
-            e_over_v0_min=args.x_min,
-            e_over_v0_max=args.x_max,
-            points=args.points,
-            spacing=Spacing(args.spacing),
-            regime=Regime(args.regime),
+            v0=args.v0, mass=args.mass, e_over_v0_min=args.x_min, e_over_v0_max=args.x_max,
+            points=args.points, spacing=Spacing(args.spacing), regime=Regime(args.regime),
         )
-        fmt = _infer_format(args)
-        if args.columns is not None and fmt != "svg":
+        suffix = Path(args.out).suffix.lower().lstrip(".")
+        fmt = args.format or (suffix if suffix in _EMITTERS else next(iter(_EMITTERS)))
+        emit, svg_columns = _EMITTERS[fmt]
+        if args.columns is not None and svg_columns is None:
             raise ValueError(f"--columns selects SVG curves; the output format is {fmt}")
         result = run_sweep(spec)
         groups = [g for g in (result.evanescent_rows, result.propagating_rows) if g]
         # check the SVG columns against every regime before any file is opened
         requested = args.columns.split(",") if args.columns else None
-        columns = [
-            sweep_io._svg_columns(type(rows[0]), requested) if fmt == "svg" else None
-            for rows in groups
-        ]
-    except (ThresholdDegeneracyError, MassPoleError, ValueError) as exc:
+        columns = [svg_columns and svg_columns(type(rows[0]), requested) for rows in groups]
+    except ValueError as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    files = [args.out]
+    if len(groups) == 2:  # straddling sweep: one file per regime
+        out = Path(args.out)
+        files = [str(out.with_name(f"{out.stem}_{tag}{out.suffix}"))
+                 for tag in ("evanescent", "propagating")]
     try:
-        if len(groups) == 1:
-            _emit(groups[0], args.out, fmt, columns[0])
-            files = [str(args.out)]
-        else:
-            # straddling sweep: one file per regime
-            out = Path(args.out)
-            files = []
-            for rows, cols, tag in zip(groups, columns, ("evanescent", "propagating")):
-                target = out.with_name(f"{out.stem}_{tag}{out.suffix}")
-                _emit(rows, target, fmt, cols)
-                files.append(str(target))
+        for rows, cols, target in zip(groups, columns, files):
+            emit(rows, target, cols)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -251,25 +168,73 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="spinstep",
+        description="Spin-resolved step-potential scattering engine",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_verify = sub.add_parser("verify", help="run all verification suites")
+    p_verify.set_defaults(run=_report, suites=_all_suites)
+    p_verify.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
+    p_verify.add_argument("--pretty", action="store_true")
+
+    for name in ("coefficients", "currents"):
+        p = sub.add_parser(name, help=f"compute step {name} at one energy")
+        p.set_defaults(run=_point, with_coefficients=name == "coefficients")
+        p.add_argument("--e", required=True, type=parse_energy, help="energy (eV)")
+        p.add_argument("--v0", required=True, type=parse_energy, help="step height (eV)")
+        p.add_argument(
+            "--mass", type=parse_energy, default=ELECTRON_MASS_EV,
+            help="particle mass (eV), default electron",
+        )
+        p.add_argument("--spin", choices=[s.value for s in Spin], default=Spin.UP.value)
+        p.add_argument("--pretty", action="store_true")
+
+    p_sweep = sub.add_parser("sweep", help="energy-grid sweep to data files")
+    p_sweep.set_defaults(run=_sweep)
+    p_sweep.add_argument("--v0", required=True, type=parse_energy)
+    p_sweep.add_argument(
+        "--mass", type=parse_energy, default=ELECTRON_MASS_EV,
+        help="particle mass (eV), default electron",
+    )
+    p_sweep.add_argument("--from", dest="x_min", type=float, default=1.001,
+                         help="lower E/V0 (default 1.001)")
+    p_sweep.add_argument("--to", dest="x_max", type=float, default=10.0,
+                         help="upper E/V0 (default 10)")
+    p_sweep.add_argument("--points", type=int, default=100)
+    p_sweep.add_argument(
+        "--spacing", choices=[s.value for s in Spacing], default=Spacing.LOG.value
+    )
+    p_sweep.add_argument(
+        "--regime", choices=[r.value for r in Regime], default=Regime.AUTO.value
+    )
+    p_sweep.add_argument("--out", required=True, help="output file path")
+    p_sweep.add_argument(
+        "--format", choices=list(_EMITTERS), default=None,
+        help="default: inferred from --out suffix, falling back to csv",
+    )
+    p_sweep.add_argument(
+        "--columns", default=None,
+        help="comma-separated SVG columns (e.g. t1,t2), SVG output only; default all",
+    )
+    p_sweep.add_argument("--pretty", action="store_true")
+
+    p_threed = sub.add_parser("threed-check", help="run the 3D identity suite")
+    p_threed.set_defaults(run=_report, suites=_threed_suites)
+    p_threed.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
+    p_threed.add_argument("--pretty", action="store_true")
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "coefficients":
-        return _cmd_point(args, want_coefficients=True)
-    if args.command == "currents":
-        return _cmd_point(args, want_coefficients=False)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "threed-check":
-        return _cmd_threed_check(args)
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -31,8 +31,6 @@ from .algebra import (
 from .scattering import ELECTRON_MASS_EV, Spin
 
 __all__ = [
-    "ELECTRON_MASS_EV",
-    "Spin",
     "momentum_operator",
     "analytic_eigenstate",
     "verify_dispersion",

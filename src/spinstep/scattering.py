@@ -51,11 +51,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "THRESHOLD_EPS",
-    "MASS_POLE_EPS",
-    "CONTINUITY_TOL",
-    "COEFFICIENT_SUM_TOL",
-    "CLAMP_EPS",
+    "ELECTRON_MASS_EV",
+    "Spin",
     "Branch",
     "ThresholdDegeneracyError",
     "MassPoleError",

@@ -49,7 +49,6 @@ __all__ = [
     "SweepSpec",
     "SweepResult",
     "run_sweep",
-    "format_float",
     "emit_csv",
     "emit_json",
     "emit_svg",

@@ -48,7 +48,6 @@ from .algebra import (
 )
 
 __all__ = [
-    "SINGULARITY_TOL",
     "MuTriple",
     "ContinuityObjects",
     "mu_matrices",
