@@ -348,6 +348,7 @@ def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> dict:
     _amplitudes.  Unitarity is checked here, once per point or sweep row:
     each value within CLAMP_EPS of [0, 1] before it is clamped onto [0, 1],
     and their clamped sum, the row's total, within COEFFICIENT_SUM_TOL of 1.
+    A failure with a non-finite value is refused as beyond double precision.
     """
     r_up, r_down, t_up, t_down = abs2
     if branch is Branch.PROPAGATING:
@@ -371,10 +372,13 @@ def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> dict:
             i = (~valid).argmax()
             parts = {name: float(v[i]) for name, v in parts.items()}
             at = f" at E = {float(energy[i])!r} eV"
-        raise ValueError(
-            f"probabilities {parts}{at} violate unitarity: the sum must be within "
-            f"{COEFFICIENT_SUM_TOL:g} of 1 and each within {CLAMP_EPS:g} of [0, 1]"
+        reason = (
+            f"violate unitarity: the sum must be within {COEFFICIENT_SUM_TOL:g} of 1 "
+            f"and each within {CLAMP_EPS:g} of [0, 1]"
         )
+        if not all(map(math.isfinite, parts.values())):  # overflow, not physics
+            reason = "are not finite: the inputs are beyond what the closed forms resolve in double precision"
+        raise ValueError(f"probabilities {parts}{at} {reason}")
     return probs
 
 
@@ -472,7 +476,8 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
     (E+m)*sqrt(E-V0) / ((E-V0+m)*sqrt(E)) relating region-II to region-I
     current per unit amplitude.  _probabilities asserts the range before
     the values are clamped onto [0, 1], and the unit sum of the clamped
-    values, the row's total; a genuine violation raises.
+    values, the row's total; a genuine violation raises, and so does an
+    E/V0 beyond the double range.
     """
     if amps.branch is not problem.branch or amps.incident_spin is not problem.incident_spin:
         raise ValueError("amplitude set was produced for a different problem")
@@ -482,8 +487,14 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
         [_abs2(z.real, z.imag) for z in (amps.b, amps.b_prime, amps.c, amps.c_prime)],
         math.sqrt,
     )
+    e_over_v0 = e / v0
+    if e_over_v0 == math.inf:
+        raise ValueError(
+            f"E = {e!r}, V0 = {v0!r} eV are beyond what the closed forms resolve in "
+            "double precision: E/V0 overflows"
+        )
     row_type = PropagatingRow if problem.branch is Branch.PROPAGATING else EvanescentRow
-    return row_type(*map(float, (e, e / v0, *curves)))
+    return row_type(*map(float, (e, e_over_v0, *curves)))
 
 
 def _spinless(energy, v0, sqrt):
@@ -555,7 +566,8 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
     Closed forms of the bilinears u^dagger (eta+eta^dagger) u:
     j_inc = 4*p1/(E+m), reflected -j_inc*|b|^2 and -j_inc*|b'|^2,
     transmitted 4*p2*|c|^2/(E+m-V0) when propagating and exactly 0 in the
-    evanescent branch.
+    evanescent branch.  A current that overflows, or that an overflowing
+    amplitude leaves undefined, raises ValueError.
     """
     if amps.branch is not problem.branch or amps.incident_spin is not problem.incident_spin:
         raise ValueError("amplitude set was produced for a different problem")
@@ -568,7 +580,13 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
         j_trans_down = per_amplitude * _abs2(amps.c_prime.real, amps.c_prime.imag)
     j_refl_up = -j_inc * _abs2(amps.b.real, amps.b.imag)
     j_refl_down = -j_inc * _abs2(amps.b_prime.real, amps.b_prime.imag)
-    return CurrentDensities(j_inc, j_refl_up, j_refl_down, j_trans_up, j_trans_down)
+    result = CurrentDensities(j_inc, j_refl_up, j_refl_down, j_trans_up, j_trans_down)
+    if not math.isfinite(sum(result)):
+        raise ValueError(
+            f"E = {e!r}, V0 = {v0!r}, m = {m!r} eV are beyond what the closed forms "
+            f"resolve in double precision: currents {result._asdict()} are not finite"
+        )
+    return result
 
 
 def continuity_residual(problem: StepProblem, amps: AmplitudeSet) -> float:

@@ -434,16 +434,25 @@ POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fal
 @example("coefficients", 1e-200, 1e-250, 1e-250, "up")
 @example("currents", 1.909664723458892e-279, 1.047440777301433e-211,
          1.3463167317287237e-146, "down")
+@example("currents", 1e300, 1e299, ELECTRON_MASS_EV, "up")
+@example("coefficients", 8.642789733510597e29, 2.8657905150671188e-148,
+         1.2517607382783581e278, "down")
 @given(command=st.sampled_from(("coefficients", "currents")), energy=POSITIVE_DOUBLES,
        v0=POSITIVE_DOUBLES, mass=POSITIVE_DOUBLES, spin=st.sampled_from(("up", "down")))
 def test_point_commands_exit_0_or_2_for_every_positive_double(command, energy, v0, mass, spin):
     # a result or a domain refusal, never a traceback or the exit code of a
-    # failed verification
+    # failed verification; a result is strict JSON, without NaN or Infinity
     argv = [command, "--e", repr(energy), "--v0", repr(v0), "--mass", repr(mass), "--spin", spin]
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
         code = main(argv)
     assert code in (0, 2)
     assert (code == 2) == bool(err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.mark.parametrize("argv", [
@@ -452,6 +461,21 @@ def test_point_commands_exit_0_or_2_for_every_positive_double(command, energy, v
      "--mass", "1.3463167317287237e-146", "--spin", "down"),
 ], ids=" ".join)
 def test_underflowing_point_commands_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: ")
+    assert "beyond what the closed forms resolve in double precision" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("currents", "--e", "1e300", "--v0", "1e299"),
+    ("coefficients", "--e", "8.642789733510597e+29", "--v0", "2.8657905150671188e-148",
+     "--mass", "1.2517607382783581e+278", "--spin", "down"),
+    ("coefficients", "--e", "7.796878006602118e+100", "--v0", "4.849439980930081e-300",
+     "--mass", "0.0001401909178672337"),
+], ids=" ".join)
+def test_overflowing_point_commands_exit_2(capsys, argv):
+    # these used to print nan or inf currents and exit 0, or carry E/V0 = inf
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: ")

@@ -706,17 +706,23 @@ POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fal
 @settings(max_examples=300, deadline=None)
 @example(1e-200, 1e-250, 1e-250, Spin.UP)
 @example(1.909664723458892e-279, 1.047440777301433e-211, 1.3463167317287237e-146, Spin.DOWN)
+# overflow: nan currents, an infinite j_inc, an infinite E/V0
+@example(1e300, 1e299, ME, Spin.UP)
+@example(8.642789733510597e29, 2.8657905150671188e-148, 1.2517607382783581e278, Spin.DOWN)
+@example(7.796878006602118e100, 4.849439980930081e-300, 1.401909178672337e-4, Spin.UP)
 @given(energy=POSITIVE_DOUBLES, v0=POSITIVE_DOUBLES, mass=POSITIVE_DOUBLES,
        spin=st.sampled_from((Spin.UP, Spin.DOWN)))
 def test_point_route_returns_or_refuses_every_positive_double(energy, v0, mass, spin):
     # StepProblem -> closed_form_amplitudes -> coefficients -> currents ends
-    # in a result or a ValueError; a closed-form denominator that underflows
-    # to 0 used to escape as ZeroDivisionError
+    # in a result of finite numbers or a ValueError; a closed-form
+    # denominator that underflows to 0 used to escape as ZeroDivisionError,
+    # and an overflow used to return nan or inf
     try:
         problem = StepProblem(energy=energy, v0=v0, mass=mass, incident_spin=spin)
         amps = closed_form_amplitudes(problem)
         row = coefficients(problem, amps)
-        currents(problem, amps)
+        current = currents(problem, amps)
     except ValueError:
         return
     assert abs(row.total - 1.0) <= 1e-12
+    assert all(map(math.isfinite, (*row, *current)))
