@@ -171,12 +171,30 @@ def _positive_finite(energy: float, mass: float):
         raise ValueError(f"energy and mass must be positive and finite, got {energy}, {mass}")
 
 
-def _momentum_matrix(momentum) -> np.ndarray:
+def _momentum(momentum) -> np.ndarray:
     p = np.asarray(momentum, dtype=float)
     if p.shape != (3,):
         raise ValueError(f"momentum must be a real 3-vector, got shape {p.shape}")
     if not np.isfinite(p).all():
         raise ValueError(f"momentum must be finite, got {p}")
+    return p
+
+
+def _halvings(*values) -> int:
+    """The k for which the largest |value| / 2**k lies in [0.5, 1): dividing
+    homogeneous inputs by 2**k is exact, but for underflow, and keeps every
+    product of the operators below finite."""
+    return math.frexp(max(map(abs, values)))[1]
+
+
+def _resolved(normalization: float, what: str):
+    """Refuse a scaled normalization that is not a normal double: the
+    inputs' magnitudes lie too far apart to resolve it."""
+    if not normalization >= np.finfo(float).tiny:
+        raise ValueError(f"{what} underflows: the inputs span more than double precision resolves")
+
+
+def _momentum_matrix(p) -> np.ndarray:
     mus = mu_matrices()
     return p[0] * mus.mu1 + p[1] * mus.mu2 + p[2] * mus.mu3
 
@@ -191,15 +209,21 @@ def shell_determinant(energy: float, mass: float, momentum, mass_sign: int = +1)
     determinant magnitude equals (|p|^2 + 2*E*m)^2, so the normalized value
     is bounded below by 1 for every real momentum; with mass_sign = -1 it is
     (|p|^2 - 2*E*m)^2, vanishing exactly on the shell |p|^2 = 2*E*m.  The
-    operator is built in REP1.  Raises ValueError unless energy and mass
-    are positive and finite and momentum is a finite real 3-vector.
+    operator is built in REP1, on (p, E, m) divided by the power of two that
+    brings the largest into [0.5, 1): the value is homogeneous of degree 0.
+    Raises ValueError unless energy and mass are positive and finite and
+    momentum is a finite real 3-vector, and when the squared normalization
+    underflows even so.
     """
     _positive_finite(energy, mass)
     if mass_sign not in (+1, -1):
         raise ValueError(f"mass_sign must be +1 or -1, got {mass_sign}")
-    p = np.asarray(momentum, dtype=float)
+    p = _momentum(momentum)
+    k = _halvings(energy, mass, *p)
+    p, energy, mass = np.ldexp(p, -k), math.ldexp(energy, -k), math.ldexp(mass, -k)
     op = _momentum_matrix(p) - energy * eta() - mass_sign * mass * eta_dagger()
     scale = max(float(p @ p), 2.0 * energy * mass)
+    _resolved(scale * scale, "the squared normalization max(|p|^2, 2*E*m)^2")
     return float(abs(np.linalg.det(op)) / scale**2)
 
 
@@ -228,18 +252,26 @@ def squared_operator_check(
     dispersion: (mu.p)^2 = |p|^2 * I and (E*eta + m*eta_dagger)^2 = 2*E*m*I.
 
     Deviations are measured relative to the respective scale (|p|^2 and
-    2*E*m) and bounded by 1e-12.  Raises ValueError unless energy and mass
-    are positive and finite and momentum is a finite real 3-vector.
+    2*E*m) and bounded by 1e-12.  Each identity is homogeneous, so it is
+    evaluated on p, and on (E, m), divided by the power of two that brings
+    the largest into [0.5, 1); the deviations are unchanged unless a value
+    underflows.  Raises ValueError unless energy and mass are positive and
+    finite and momentum is a finite real 3-vector, and when 2*E*m
+    underflows even so.
     """
     _positive_finite(energy, mass)
-    p = np.asarray(momentum, dtype=float)
+    p = _momentum(momentum)
+    p = np.ldexp(p, -_halvings(*p))
     mp = _momentum_matrix(p)
     p_squared = float(p @ p)
     eye = np.eye(4, dtype=complex)
     dev_momentum = max_abs(mp @ mp - p_squared * eye) / max(p_squared, np.finfo(float).tiny)
+    k = _halvings(energy, mass)
+    energy, mass = math.ldexp(energy, -k), math.ldexp(mass, -k)
     op = energy * eta(rep) + mass * eta_dagger(rep)
     scale = 2.0 * energy * mass
-    dev_energy = max_abs(op @ op - scale * eye) / max(scale, np.finfo(float).tiny)
+    _resolved(scale, "2*E*m")
+    dev_energy = max_abs(op @ op - scale * eye) / scale
     return AlgebraReport(
         (
             _check("momentum_square_is_p2_identity", dev_momentum, _SQUARED_OPERATOR_TOL),

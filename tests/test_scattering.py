@@ -127,6 +127,16 @@ def test_oracle_enforces_bprime_equals_cprime(monkeypatch):
             solve_amplitudes_linear(problem)
 
 
+def test_oracle_refuses_a_large_backward_error(monkeypatch):
+    # a solution off by one part in 1e6 has a relative backward error near
+    # 5e-7, far above CONTINUITY_TOL; the oracle must refuse it
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    for energy, v0 in ((200.0, 100.0), (50.0, 100.0)):
+        with pytest.raises(RuntimeError, match="backward error"):
+            solve_amplitudes_linear(StepProblem(energy=energy, v0=v0))
+
+
 def test_linear_matches_closed_form():
     for energy, v0, mass in [
         (200.0, 100.0, ME),

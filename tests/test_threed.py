@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from spinstep.algebra import EtaRepresentation, anticommutator, eta, eta_dagger,
 from spinstep.eigensystem import ELECTRON_MASS_EV
 from spinstep.threed import (
     SINGULARITY_TOL,
+    _momentum_matrix,
     continuity_objects,
     mu_matrices,
     schrodinger_reduction_check,
@@ -37,6 +40,18 @@ def test_mu_block_forms_match_gamma_products():
     assert max_abs(mus.mu1 - 1j * gamma(1) @ gamma(2)) == 0.0
     assert max_abs(mus.mu2 - gamma(0) @ gamma(2)) == 0.0
     assert max_abs(mus.mu3 - gamma(2) @ gamma(5)) == 0.0
+
+
+def test_momentum_matrix_is_p_dot_mu_of_the_block_forms():
+    # the operator itself, not only identities that hold for either sign of
+    # a term: p . mu with mu1 = diag(s3, s3), mu2 = antidiag(s2, s2) and
+    # mu3 = diag(s2, -s2)
+    z = np.zeros((2, 2), dtype=complex)
+    mu1 = np.block([[pauli(3), z], [z, pauli(3)]])
+    mu2 = np.block([[z, pauli(2)], [pauli(2), z]])
+    mu3 = np.block([[pauli(2), z], [z, -pauli(2)]])
+    p = np.array([0.3, -0.5, 0.7])
+    assert max_abs(_momentum_matrix(p) - (0.3 * mu1 - 0.5 * mu2 + 0.7 * mu3)) == 0.0
 
 
 def test_mu_hermitian_and_clifford():
@@ -182,3 +197,24 @@ def test_threed_probes_refuse_bad_inputs(energy, mass, momentum):
         schrodinger_reduction_check(energy, mass, momentum)
     with pytest.raises(ValueError):
         squared_operator_check(momentum, energy=energy, mass=mass)
+
+
+def test_probes_far_from_one_ev_do_not_overflow():
+    # the operators are homogeneous in (p, E, m); numpy used to overflow in
+    # matmul and det, or divide 0 by 0, at these inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert squared_operator_check((1, 0, 0), energy=1e200, mass=1e200).passed
+        assert shell_determinant(1e200, 1e200, (0, 0, 1)) == pytest.approx(1.0, rel=1e-12)
+        # (|p|^2 + 2Em)^2 / (2Em)^2 with |p|^2 = Em
+        assert shell_determinant(1e-300, 1e-300, (0, 0, 1e-300)) == pytest.approx(
+            2.25, rel=1e-12
+        )
+
+
+def test_probes_refuse_what_double_precision_cannot_resolve():
+    # E/m near 1e400: the scaled normalization underflows
+    with pytest.raises(ValueError, match="underflows"):
+        shell_determinant(1e200, 1e-200, (0, 0, 1e-200))
+    with pytest.raises(ValueError, match="underflows"):
+        squared_operator_check((0, 0, 0), energy=1e200, mass=1e-200)
