@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -49,6 +50,72 @@ def test_verify_rep1_passes(capsys):
     assert "sigma1_hermitian" in names
     for check in payload["checks"]:
         assert set(check) == {"check_name", "max_deviation", "pass"}
+
+
+# the check names the report commands print, in order
+ALGEBRA_CHECKS = [
+    "square_is_zero", "dagger_square_is_zero", "anticommutator_is_2I", "symmetric",
+    "dagger_is_entrywise_conjugate", "trace_is_zero", "determinant_is_zero",
+    "eigenvalues_all_zero",
+]
+REP1_GAMMA_CHECKS = [
+    "eta_plus_dagger_equals_-i*sqrt2*gamma2", "dagger_times_eta_equals_I+i*gamma3",
+]
+DISPERSION_CHECKS = [
+    "eigenvalues_match_sqrt_2Em", "eigenvalue_imaginary_part", "state_norm_is_2",
+    "states_orthogonal_per_direction", "eigen_equation_residual", "eigenspace_projection",
+]
+THREED_CHECKS = [
+    *(f"mu{k}_{what}" for k in (1, 2, 3) for what in ("hermitian", "matches_block_form")),
+    *(f"anticommutator_mu{i}_mu{j}" for i in (1, 2, 3) for j in (1, 2, 3) if i <= j),
+    *(f"{kind}_mu{k}_{other}" for k in (1, 2, 3) for kind, other in (
+        ("commutator", "gamma3"), ("anticommutator", "eta_plus_dagger"))),
+    "commutator_eta_etadagger_gamma3", "anticommutator_eta_plus_dagger_gamma3",
+    "sigma1_hermitian", "sigma2_hermitian", "sigma3_hermitian", "density_kernel_hermitian",
+]
+SQUARED_CHECKS = ["momentum_square_is_p2_identity", "energy_mass_square_is_2Em_identity"]
+REPORT_CHECKS = {
+    ("verify", "rep1"): (
+        ALGEBRA_CHECKS + REP1_GAMMA_CHECKS + DISPERSION_CHECKS + THREED_CHECKS + SQUARED_CHECKS
+    ),
+    ("verify", "rep2"): ALGEBRA_CHECKS + DISPERSION_CHECKS + THREED_CHECKS + SQUARED_CHECKS,
+    ("threed-check", "rep1"): THREED_CHECKS,
+    ("threed-check", "rep2"): THREED_CHECKS,
+}
+
+
+@pytest.mark.parametrize("command, rep", list(REPORT_CHECKS), ids="-".join)
+def test_report_commands_print_their_checks_in_order(capsys, command, rep):
+    code, out, err = run_cli(capsys, command, "--rep", rep)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert [c["check_name"] for c in payload["checks"]] == REPORT_CHECKS[command, rep]
+    assert [c["pass"] for c in payload["checks"]] == [True] * len(REPORT_CHECKS[command, rep])
+    assert payload["pass"] is True
+    # --pretty: one aligned line per check, name, deviation and status, then
+    # the overall verdict
+    code, out, err = run_cli(capsys, command, "--rep", rep, "--pretty")
+    assert (code, err) == (0, "")
+    *lines, last = out.splitlines()
+    assert last == "overall: pass"
+    width = max(map(len, REPORT_CHECKS[command, rep]))
+    assert [line[:width].rstrip() for line in lines] == REPORT_CHECKS[command, rep]
+    for line in lines:
+        assert re.fullmatch(r"  \d\.\d{3}e[+-]\d\d  pass", line[width:]), line
+
+
+@pytest.mark.parametrize("command, option, choices", [
+    ("coefficients", "--spin", "{up,down}"),
+    ("currents", "--spin", "{up,down}"),
+    ("sweep", "--spacing", "{linear,log}"),
+    ("sweep", "--regime", "{propagating,evanescent,auto}"),
+    ("sweep", "--format", "{csv,json,svg}"),
+])
+def test_help_shows_the_option_choices(capsys, monkeypatch, command, option, choices):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert f"  {option} {choices}" in out
 
 
 def test_verify_rep2_passes(capsys):

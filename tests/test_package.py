@@ -21,6 +21,18 @@ def test_every_exported_name_resolves_and_is_listed():
     assert spinstep.Spin is spinstep.eigensystem.Spin is spinstep.scattering.Spin
 
 
+def test_each_name_is_listed_once_by_the_module_that_defines_it():
+    # the package's names are the modules' __all__ lists, which hold no
+    # tolerance or re-exported import
+    modules = [getattr(spinstep, name) for name in SUBMODULES]
+    listed = [name for module in modules for name in module.__all__]
+    assert sorted(listed) == sorted(set(spinstep.__all__) - set(SUBMODULES))
+    for module in modules:
+        for name in module.__all__:
+            owner = getattr(getattr(module, name), "__module__", module.__name__)
+            assert owner == module.__name__, name
+
+
 def test_verification_takes_no_tolerance_or_single_value_options():
     # each check's bound is fixed where the check is defined, and no public
     # function carries an option that its callers never vary
