@@ -372,13 +372,15 @@ def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> dict:
             i = (~valid).argmax()
             parts = {name: float(v[i]) for name, v in parts.items()}
             at = f" at E = {float(energy[i])!r} eV"
-        reason = (
-            f"violate unitarity: the sum must be within {COEFFICIENT_SUM_TOL:g} of 1 "
-            f"and each within {CLAMP_EPS:g} of [0, 1]"
-        )
         if not all(map(math.isfinite, parts.values())):  # overflow, not physics
-            reason = "are not finite: the inputs are beyond what the closed forms resolve in double precision"
-        raise ValueError(f"probabilities {parts}{at} {reason}")
+            raise ValueError(
+                f"probabilities {parts}{at} are not finite: the inputs are beyond what "
+                "the closed forms resolve in double precision"
+            )
+        raise ValueError(
+            f"probabilities {parts}{at} violate unitarity: the sum must be within "
+            f"{COEFFICIENT_SUM_TOL:g} of 1 and each within {CLAMP_EPS:g} of [0, 1]"
+        )
     return probs
 
 

@@ -180,18 +180,18 @@ def _momentum(momentum) -> np.ndarray:
     return p
 
 
-def _halvings(*values) -> int:
-    """The k for which the largest |value| / 2**k lies in [0.5, 1): dividing
-    homogeneous inputs by 2**k is exact, but for underflow, and keeps every
-    product of the operators below finite."""
-    return math.frexp(max(map(abs, values)))[1]
+def _scaled(*values) -> list:
+    """values divided by the power of two that brings the largest magnitude
+    into [0.5, 1): exact unless a value underflows, and no product of the
+    operators built from them can overflow."""
+    k = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -k) for v in values]
 
 
-def _resolved(normalization: float, what: str):
-    """Refuse a scaled normalization that is not a normal double: the
-    inputs' magnitudes lie too far apart to resolve it."""
-    if not normalization >= np.finfo(float).tiny:
+def _normal(value: float, what: str) -> float:
+    if not value >= np.finfo(float).tiny:
         raise ValueError(f"{what} underflows: the inputs span more than double precision resolves")
+    return value
 
 
 def _momentum_matrix(p) -> np.ndarray:
@@ -209,21 +209,19 @@ def shell_determinant(energy: float, mass: float, momentum, mass_sign: int = +1)
     determinant magnitude equals (|p|^2 + 2*E*m)^2, so the normalized value
     is bounded below by 1 for every real momentum; with mass_sign = -1 it is
     (|p|^2 - 2*E*m)^2, vanishing exactly on the shell |p|^2 = 2*E*m.  The
-    operator is built in REP1, on (p, E, m) divided by the power of two that
-    brings the largest into [0.5, 1): the value is homogeneous of degree 0.
-    Raises ValueError unless energy and mass are positive and finite and
-    momentum is a finite real 3-vector, and when the squared normalization
-    underflows even so.
+    operator is built in REP1, on (p, E, m) scaled together by a power of
+    two (the value is homogeneous of degree 0).  Raises ValueError unless
+    energy and mass are positive and finite and momentum is a finite real
+    3-vector, or if the scaled normalization underflows.
     """
     _positive_finite(energy, mass)
     if mass_sign not in (+1, -1):
         raise ValueError(f"mass_sign must be +1 or -1, got {mass_sign}")
-    p = _momentum(momentum)
-    k = _halvings(energy, mass, *p)
-    p, energy, mass = np.ldexp(p, -k), math.ldexp(energy, -k), math.ldexp(mass, -k)
+    energy, mass, *p = _scaled(energy, mass, *_momentum(momentum))
+    p = np.array(p)
     op = _momentum_matrix(p) - energy * eta() - mass_sign * mass * eta_dagger()
     scale = max(float(p @ p), 2.0 * energy * mass)
-    _resolved(scale * scale, "the squared normalization max(|p|^2, 2*E*m)^2")
+    _normal(scale * scale, "max(|p|^2, 2*E*m)^2")
     return float(abs(np.linalg.det(op)) / scale**2)
 
 
@@ -252,25 +250,21 @@ def squared_operator_check(
     dispersion: (mu.p)^2 = |p|^2 * I and (E*eta + m*eta_dagger)^2 = 2*E*m*I.
 
     Deviations are measured relative to the respective scale (|p|^2 and
-    2*E*m) and bounded by 1e-12.  Each identity is homogeneous, so it is
-    evaluated on p, and on (E, m), divided by the power of two that brings
-    the largest into [0.5, 1); the deviations are unchanged unless a value
-    underflows.  Raises ValueError unless energy and mass are positive and
-    finite and momentum is a finite real 3-vector, and when 2*E*m
-    underflows even so.
+    2*E*m) and bounded by 1e-12.  Each identity is homogeneous, so p, and
+    (E, m) together, are scaled by a power of two first, which leaves the
+    deviations as they are.  Raises ValueError unless energy and mass are
+    positive and finite and momentum is a finite real 3-vector, or if the
+    scaled 2*E*m underflows.
     """
     _positive_finite(energy, mass)
-    p = _momentum(momentum)
-    p = np.ldexp(p, -_halvings(*p))
+    p = np.array(_scaled(*_momentum(momentum)))
     mp = _momentum_matrix(p)
     p_squared = float(p @ p)
     eye = np.eye(4, dtype=complex)
     dev_momentum = max_abs(mp @ mp - p_squared * eye) / max(p_squared, np.finfo(float).tiny)
-    k = _halvings(energy, mass)
-    energy, mass = math.ldexp(energy, -k), math.ldexp(mass, -k)
+    energy, mass = _scaled(energy, mass)
     op = energy * eta(rep) + mass * eta_dagger(rep)
-    scale = 2.0 * energy * mass
-    _resolved(scale, "2*E*m")
+    scale = _normal(2.0 * energy * mass, "2*E*m")
     dev_energy = max_abs(op @ op - scale * eye) / scale
     return AlgebraReport(
         (
