@@ -143,7 +143,8 @@ def _sweep(args) -> int:
         groups = [g for g in (result.evanescent_rows, result.propagating_rows) if g]
         # check the SVG columns against every regime before any file is opened
         requested = args.columns.split(",") if args.columns else None
-        columns = [svg_columns and svg_columns(type(rows[0]), requested) for rows in groups]
+        kinds = [type(rows[0]) for rows in groups]
+        columns = [svg_columns(kind, requested) if svg_columns else None for kind in kinds]
     except ValueError as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return EXIT_USAGE

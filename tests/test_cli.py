@@ -223,6 +223,19 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert lines[0] == "E_eV,E_over_V0,T1,T2,R1,R2,sum,T_QM,R_QM"
 
 
+def test_sweep_default_grid(tmp_path, capsys):
+    # without --from, --to, --points and --spacing: 100 log-spaced E/V0
+    # from 1.001 to 10
+    out_file = tmp_path / "default.csv"
+    code, out, _ = run_cli(capsys, "sweep", "--v0", "100", "--out", str(out_file))
+    assert code == 0
+    assert json.loads(out)["rows"] == 100
+    ratios = [float(line.split(",")[1]) for line in out_file.read_text().splitlines()[1:]]
+    assert ratios[0] == pytest.approx(1.001, rel=1e-12)
+    assert ratios[-1] == pytest.approx(10.0, rel=1e-12)
+    assert ratios[1] / ratios[0] == pytest.approx(ratios[-1] / ratios[-2], rel=1e-9)
+
+
 def test_sweep_spin_flip_dominates_at_high_barrier(tmp_path, capsys):
     # spin-flip reflection dominates below the crossover at E = (3+2*sqrt(2))*m,
     # i.e. E/V0 < 2.978 for V0 = 1 MeV

@@ -249,8 +249,8 @@ def test_qm_reference_values():
 
 
 def test_qm_reference_refuses_non_finite_energy():
-    # qm_reference(inf, 1.0) used to return (nan, 0.0)
-    for energy, v0 in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan)):
+    # qm_reference(inf, 1.0) used to return (nan, 0.0); V0 = 0 is no step
+    for energy, v0 in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan), (2.0, 0.0)):
         with pytest.raises(ValueError, match="finite"):
             qm_reference(energy, v0)
 

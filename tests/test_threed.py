@@ -183,6 +183,7 @@ def test_shell_determinant_input_validation():
     (np.nan, 1.0, (0, 0, 1)),
     (np.inf, 1.0, (0, 0, 1)),
     (1.0, np.nan, (0, 0, 1)),
+    (1.0, np.inf, (0, 0, 1)),
     (1.0, -1.0, (0, 0, 1)),
     (-1.0, 1.0, (0, 0, 1)),
     (1.0, 1.0, (np.nan, 0, 1)),
