@@ -54,6 +54,66 @@ def parse_energy(text: str) -> float:
     return float(raw)
 
 
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="spinstep",
+        description="Spin-resolved step-potential scattering engine",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_verify = sub.add_parser("verify", help="run all verification suites")
+    p_verify.set_defaults(run=_report, suites=_all_suites)
+    p_verify.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
+    p_verify.add_argument("--pretty", action="store_true")
+
+    for name in ("coefficients", "currents"):
+        p = sub.add_parser(name, help=f"compute step {name} at one energy")
+        p.set_defaults(run=_point, with_coefficients=name == "coefficients")
+        p.add_argument("--e", required=True, type=parse_energy, help="energy (eV)")
+        p.add_argument("--v0", required=True, type=parse_energy, help="step height (eV)")
+        p.add_argument(
+            "--mass", type=parse_energy, default=ELECTRON_MASS_EV,
+            help="particle mass (eV), default electron",
+        )
+        p.add_argument("--spin", choices=[s.value for s in Spin], default=Spin.UP.value)
+        p.add_argument("--pretty", action="store_true")
+
+    p_sweep = sub.add_parser("sweep", help="energy-grid sweep to data files")
+    p_sweep.set_defaults(run=_sweep)
+    p_sweep.add_argument("--v0", required=True, type=parse_energy)
+    p_sweep.add_argument(
+        "--mass", type=parse_energy, default=ELECTRON_MASS_EV,
+        help="particle mass (eV), default electron",
+    )
+    p_sweep.add_argument("--from", dest="x_min", type=float, default=1.001,
+                         help="lower E/V0 (default 1.001)")
+    p_sweep.add_argument("--to", dest="x_max", type=float, default=10.0,
+                         help="upper E/V0 (default 10)")
+    p_sweep.add_argument("--points", type=int, default=100)
+    p_sweep.add_argument(
+        "--spacing", choices=[s.value for s in Spacing], default=Spacing.LOG.value
+    )
+    p_sweep.add_argument(
+        "--regime", choices=[r.value for r in Regime], default=Regime.AUTO.value
+    )
+    p_sweep.add_argument("--out", required=True, help="output file path")
+    p_sweep.add_argument(
+        "--format", choices=list(_EMITTERS), default=None,
+        help="default: inferred from --out suffix, falling back to csv",
+    )
+    p_sweep.add_argument(
+        "--columns", default=None,
+        help="comma-separated SVG columns (e.g. t1,t2), SVG output only; default all",
+    )
+    p_sweep.add_argument("--pretty", action="store_true")
+
+    p_threed = sub.add_parser("threed-check", help="run the 3D identity suite")
+    p_threed.set_defaults(run=_report, suites=_threed_suites)
+    p_threed.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
+    p_threed.add_argument("--pretty", action="store_true")
+    return parser
+
+
 def _report(args) -> int:
     """Run the command's suites and print their merged report; the exit code
     is 0 if every check passed, else 1."""
@@ -167,66 +227,6 @@ def _sweep(args) -> int:
     else:
         print(json.dumps(summary))
     return EXIT_OK
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spinstep",
-        description="Spin-resolved step-potential scattering engine",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="run all verification suites")
-    p_verify.set_defaults(run=_report, suites=_all_suites)
-    p_verify.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
-    p_verify.add_argument("--pretty", action="store_true")
-
-    for name in ("coefficients", "currents"):
-        p = sub.add_parser(name, help=f"compute step {name} at one energy")
-        p.set_defaults(run=_point, with_coefficients=name == "coefficients")
-        p.add_argument("--e", required=True, type=parse_energy, help="energy (eV)")
-        p.add_argument("--v0", required=True, type=parse_energy, help="step height (eV)")
-        p.add_argument(
-            "--mass", type=parse_energy, default=ELECTRON_MASS_EV,
-            help="particle mass (eV), default electron",
-        )
-        p.add_argument("--spin", choices=[s.value for s in Spin], default=Spin.UP.value)
-        p.add_argument("--pretty", action="store_true")
-
-    p_sweep = sub.add_parser("sweep", help="energy-grid sweep to data files")
-    p_sweep.set_defaults(run=_sweep)
-    p_sweep.add_argument("--v0", required=True, type=parse_energy)
-    p_sweep.add_argument(
-        "--mass", type=parse_energy, default=ELECTRON_MASS_EV,
-        help="particle mass (eV), default electron",
-    )
-    p_sweep.add_argument("--from", dest="x_min", type=float, default=1.001,
-                         help="lower E/V0 (default 1.001)")
-    p_sweep.add_argument("--to", dest="x_max", type=float, default=10.0,
-                         help="upper E/V0 (default 10)")
-    p_sweep.add_argument("--points", type=int, default=100)
-    p_sweep.add_argument(
-        "--spacing", choices=[s.value for s in Spacing], default=Spacing.LOG.value
-    )
-    p_sweep.add_argument(
-        "--regime", choices=[r.value for r in Regime], default=Regime.AUTO.value
-    )
-    p_sweep.add_argument("--out", required=True, help="output file path")
-    p_sweep.add_argument(
-        "--format", choices=list(_EMITTERS), default=None,
-        help="default: inferred from --out suffix, falling back to csv",
-    )
-    p_sweep.add_argument(
-        "--columns", default=None,
-        help="comma-separated SVG columns (e.g. t1,t2), SVG output only; default all",
-    )
-    p_sweep.add_argument("--pretty", action="store_true")
-
-    p_threed = sub.add_parser("threed-check", help="run the 3D identity suite")
-    p_threed.set_defaults(run=_report, suites=_threed_suites)
-    p_threed.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
-    p_threed.add_argument("--pretty", action="store_true")
-    return parser
 
 
 def main(argv=None) -> int:

@@ -183,11 +183,11 @@ def test_shell_determinant_input_validation():
     (np.nan, 1.0, (0, 0, 1)),
     (np.inf, 1.0, (0, 0, 1)),
     (1.0, np.nan, (0, 0, 1)),
-    (1.0, np.inf, (0, 0, 1)),
     (1.0, -1.0, (0, 0, 1)),
     (-1.0, 1.0, (0, 0, 1)),
     (1.0, 1.0, (np.nan, 0, 1)),
     (1.0, 1.0, (0, np.inf, 1)),
+    (1.0, np.inf, (0, 0, 1)),
 ])
 def test_threed_probes_refuse_bad_inputs(energy, mass, momentum):
     # refused like StepProblem refuses them, never a nan, a numpy warning or
