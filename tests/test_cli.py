@@ -555,7 +555,7 @@ def test_underflowing_point_commands_exit_2(capsys, argv):
      "--mass", "0.0001401909178672337"),
 ], ids=" ".join)
 def test_overflowing_point_commands_exit_2(capsys, argv):
-    # these used to print nan or inf currents and exit 0, or carry E/V0 = inf
+    # nan or inf currents, or an infinite E/V0, are refused, never printed
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: ")

@@ -724,9 +724,9 @@ POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fal
        spin=st.sampled_from((Spin.UP, Spin.DOWN)))
 def test_point_route_returns_or_refuses_every_positive_double(energy, v0, mass, spin):
     # StepProblem -> closed_form_amplitudes -> coefficients -> currents ends
-    # in a result of finite numbers or a ValueError; a closed-form
-    # denominator that underflows to 0 used to escape as ZeroDivisionError,
-    # and an overflow used to return nan or inf
+    # in a result of finite numbers or a ValueError: never a
+    # ZeroDivisionError from a denominator that underflows to 0, nor nan or
+    # inf from an overflow
     try:
         problem = StepProblem(energy=energy, v0=v0, mass=mass, incident_spin=spin)
         amps = closed_form_amplitudes(problem)

@@ -201,8 +201,8 @@ def test_threed_probes_refuse_bad_inputs(energy, mass, momentum):
 
 
 def test_probes_far_from_one_ev_do_not_overflow():
-    # the operators are homogeneous in (p, E, m); numpy used to overflow in
-    # matmul and det, or divide 0 by 0, at these inputs
+    # the operators are homogeneous in (p, E, m); unscaled, numpy overflows
+    # in matmul and det, or divides 0 by 0, at these inputs
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert squared_operator_check((1, 0, 0), energy=1e200, mass=1e200).passed
