@@ -219,3 +219,21 @@ def test_probes_refuse_what_double_precision_cannot_resolve():
         shell_determinant(1e200, 1e-200, (0, 0, 1e-200))
     with pytest.raises(ValueError, match="underflows"):
         squared_operator_check((0, 0, 0), energy=1e200, mass=1e-200)
+
+
+def test_squared_operator_deviations_are_relative_to_their_scales(monkeypatch):
+    # with bent operators each deviation is |A^2 - s*I| / s, s = |p|^2 and
+    # 2*E*m, whatever power of two the inputs were scaled by
+    from spinstep import threed
+
+    mus = mu_matrices()
+    bent_mu1 = mus.mu1 + 1e-3 * I4
+    bent_eta = eta() + 1e-3 * I4
+    monkeypatch.setattr(threed, "mu_matrices", lambda: mus._replace(mu1=bent_mu1))
+    monkeypatch.setattr(threed, "eta", lambda rep: bent_eta)
+    report = squared_operator_check((3.0, 0.0, 4.0), energy=3.0, mass=5.0)
+    mp = 3.0 * bent_mu1 + 4.0 * mus.mu3
+    op = 3.0 * bent_eta + 5.0 * eta_dagger()
+    assert [c.max_deviation for c in report.checks] == pytest.approx(
+        [max_abs(mp @ mp - 25.0 * I4) / 25.0, max_abs(op @ op - 30.0 * I4) / 30.0], rel=1e-12
+    )
