@@ -17,9 +17,9 @@ squaring.  Submodules:
 The package exports the submodules and the names each library module lists
 in its own __all__, which names what the module defines.  Every name
 resolves on first use (PEP 562), searching the numpy-free scattering and
-sweep_io first, so importing the package, or a point command of the CLI,
-loads neither numpy nor the modules built on it; __all__ itself imports
-every module.
+sweep_io first, so importing the package, or cli, or a point command of
+the CLI, loads neither numpy nor the modules built on it.  __all__, dir()
+and a name that no module lists import every module.
 """
 
 from importlib import import_module as _import_module
@@ -31,7 +31,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _MODULES:
+    # cli too: `from spinstep import cli` calls hasattr first, and the search imports numpy
+    if name in (*_MODULES, "cli"):
         return _import_module(f"{__name__}.{name}")
     if name == "__all__":
         value = [*_MODULES, *(n for module in _MODULES for n in __getattr__(module).__all__)]

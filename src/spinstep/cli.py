@@ -60,31 +60,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spin-resolved step-potential scattering engine",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    mass_option = dict(
+        type=parse_energy, default=ELECTRON_MASS_EV, help="particle mass (eV), default electron"
+    )
 
     p_verify = sub.add_parser("verify", help="run all verification suites")
     p_verify.set_defaults(run=_report, suites=_all_suites)
     p_verify.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
-    p_verify.add_argument("--pretty", action="store_true")
 
     for name in ("coefficients", "currents"):
         p = sub.add_parser(name, help=f"compute step {name} at one energy")
         p.set_defaults(run=_point, with_coefficients=name == "coefficients")
         p.add_argument("--e", required=True, type=parse_energy, help="energy (eV)")
         p.add_argument("--v0", required=True, type=parse_energy, help="step height (eV)")
-        p.add_argument(
-            "--mass", type=parse_energy, default=ELECTRON_MASS_EV,
-            help="particle mass (eV), default electron",
-        )
+        p.add_argument("--mass", **mass_option)
         p.add_argument("--spin", choices=[s.value for s in Spin], default=Spin.UP.value)
-        p.add_argument("--pretty", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="energy-grid sweep to data files")
     p_sweep.set_defaults(run=_sweep)
     p_sweep.add_argument("--v0", required=True, type=parse_energy)
-    p_sweep.add_argument(
-        "--mass", type=parse_energy, default=ELECTRON_MASS_EV,
-        help="particle mass (eV), default electron",
-    )
+    p_sweep.add_argument("--mass", **mass_option)
     p_sweep.add_argument("--from", dest="x_min", type=float, default=1.001,
                          help="lower E/V0 (default 1.001)")
     p_sweep.add_argument("--to", dest="x_max", type=float, default=10.0,
@@ -105,12 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--columns", default=None,
         help="comma-separated SVG columns (e.g. t1,t2), SVG output only; default all",
     )
-    p_sweep.add_argument("--pretty", action="store_true")
 
     p_threed = sub.add_parser("threed-check", help="run the 3D identity suite")
     p_threed.set_defaults(run=_report, suites=_threed_suites)
     p_threed.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
-    p_threed.add_argument("--pretty", action="store_true")
+    for p in sub.choices.values():  # every command's last option
+        p.add_argument("--pretty", action="store_true")
     return parser
 
 
@@ -184,15 +179,20 @@ def _point(args) -> int:
 _EMITTERS = {
     "csv": (lambda rows, path, _: sweep_io.emit_csv(rows, path), None),
     "json": (lambda rows, path, _: sweep_io.emit_json(rows, path), None),
-    "svg": (lambda *emit_args: sweep_io.emit_svg(*emit_args), sweep_io._svg_columns),
+    "svg": (sweep_io.emit_svg, sweep_io._svg_columns),
 }
 
 
 def _sweep(args) -> int:
     try:
         spec = SweepSpec(
-            v0=args.v0, mass=args.mass, e_over_v0_min=args.x_min, e_over_v0_max=args.x_max,
-            points=args.points, spacing=Spacing(args.spacing), regime=Regime(args.regime),
+            v0=args.v0,
+            mass=args.mass,
+            e_over_v0_min=args.x_min,
+            e_over_v0_max=args.x_max,
+            points=args.points,
+            spacing=Spacing(args.spacing),
+            regime=Regime(args.regime),
         )
         suffix = Path(args.out).suffix.lower().lstrip(".")
         fmt = args.format or (suffix if suffix in _EMITTERS else next(iter(_EMITTERS)))
@@ -209,7 +209,7 @@ def _sweep(args) -> int:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    files = [args.out]
+    files = [args.out][: len(groups)]  # a sweep with no rows writes no file
     if len(groups) == 2:  # straddling sweep: one file per regime
         out = Path(args.out)
         files = [str(out.with_name(f"{out.stem}_{tag}{out.suffix}"))
@@ -230,8 +230,9 @@ def _sweep(args) -> int:
 
 
 def main(argv=None) -> int:
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

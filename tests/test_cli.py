@@ -279,6 +279,17 @@ def test_sweep_auto_straddling_writes_two_files(tmp_path, capsys):
     assert (tmp_path / "both_propagating.csv").exists()
 
 
+def test_sweep_with_no_rows_names_no_file(tmp_path, capsys):
+    # with a subnormal V0 every x*V0 rounds back to V0, so neither branch
+    # keeps a point: nothing is written, and the summary names nothing
+    code, out, _ = run_cli(
+        capsys, "sweep", "--v0", "5e-324", "--from", "1.01", "--to", "1.4",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, json.loads(out)) == (0, {"rows": 0, "skipped": 0, "files": []})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_svg_format(tmp_path, capsys):
     out_file = tmp_path / "fig.svg"
     code, _, _ = run_cli(

@@ -1,4 +1,7 @@
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spinstep
@@ -31,6 +34,22 @@ def test_each_name_is_listed_once_by_the_module_that_defines_it():
         for name in module.__all__:
             owner = getattr(getattr(module, name), "__module__", module.__name__)
             assert owner == module.__name__, name
+
+
+def test_point_names_and_cli_resolve_without_numpy():
+    # in a fresh interpreter: the lazy search stops at the numpy-free
+    # modules, and `from spinstep import cli` does not search at all
+    code = (
+        "import sys, spinstep; spinstep.StepProblem; spinstep.run_sweep; "
+        "from spinstep import cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
 def test_verification_takes_no_tolerance_or_single_value_options():

@@ -1,7 +1,6 @@
 """Mutation probe: how many small wrong versions of a module does tier-1 catch?
 
     python tools/mutation_probe.py [--modules scattering threed cli]
-                                   [--sample N] [--seed 0] [--timeout 600]
                                    [--workdir DIR]
 
 A mutant changes one site of one module of src/spinstep and nothing else:
@@ -14,14 +13,13 @@ The repository's working tree is copied once into a temporary directory
 (under --workdir, default the system's).
 Each mutant is written into that copy, and tier-1 runs there with the two
 known red checks deselected, `-x` and a fixed Hypothesis seed; a failing
-run, or one that outlives --timeout seconds, kills the mutant.  The
+run, or one that outlives TIMEOUT_S seconds, kills the mutant.  The
 unmutated copy is run first and must pass.  One line is printed per mutant
 (killed or SURVIVED, module:line, the change, and the first failing test),
 then the killed share per module.
 
 The probe is not part of tier-1 or CI: each mutant costs one tier-1 run,
 a few seconds when killed early and the whole suite when it survives.
---sample N draws N sites per module at random (--seed) instead of all.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -53,6 +50,8 @@ SWAPS = {
     ast.GtE: (">=", ">"),
 }
 SCALE = 1.0 + 1e-6
+# tier-1 takes seconds; a mutant that makes it loop is killed after this
+TIMEOUT_S = 600.0
 
 
 def _offset(line_starts: list, lineno: int, col: int) -> int:
@@ -101,7 +100,7 @@ def mutation_sites(source: bytes) -> list:
     return sorted(sites)
 
 
-def run_tier1(copy: Path, timeout: float) -> tuple[bool, str]:
+def run_tier1(copy: Path) -> tuple[bool, str]:
     """(passed, first failing test or reason) of tier-1 in the copy."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     command = [
@@ -110,7 +109,7 @@ def run_tier1(copy: Path, timeout: float) -> tuple[bool, str]:
     ]
     try:
         result = subprocess.run(
-            command, cwd=copy, capture_output=True, text=True, timeout=timeout,
+            command, cwd=copy, capture_output=True, text=True, timeout=TIMEOUT_S,
             env={**os.environ, "PYTHONPATH": str(copy / "src")},
         )
     except subprocess.TimeoutExpired:
@@ -124,9 +123,6 @@ def run_tier1(copy: Path, timeout: float) -> tuple[bool, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--modules", nargs="+", default=["scattering", "threed", "cli"])
-    parser.add_argument("--sample", type=int, default=None, help="sites per module")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per mutant")
     parser.add_argument("--workdir", default=None, help="where the copy is made")
     args = parser.parse_args(argv)
 
@@ -134,7 +130,7 @@ def main(argv=None) -> int:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", ".hypothesis", ".pytest_cache", "__pycache__", ".perfbench_out"))
-        passed, reason = run_tier1(copy, args.timeout)
+        passed, reason = run_tier1(copy)
         if not passed:
             print(f"the unmutated copy fails tier-1 ({reason}); nothing to probe")
             return 2
@@ -143,13 +139,11 @@ def main(argv=None) -> int:
             path = copy / "src" / "spinstep" / f"{module}.py"
             source = path.read_bytes()
             sites = mutation_sites(source)
-            if args.sample is not None and args.sample < len(sites):
-                sites = sorted(random.Random(args.seed).sample(sites, args.sample))
             killed = 0
             try:
                 for start, end, old, new, line in sites:
                     path.write_bytes(source[:start] + new.encode() + source[end:])
-                    passed, reason = run_tier1(copy, args.timeout)
+                    passed, reason = run_tier1(copy)
                     killed += not passed
                     verdict = "SURVIVED" if passed else "killed"
                     print(f"{verdict:8}  {module}:{line}  {old} -> {new}  {reason}", flush=True)
