@@ -7,8 +7,10 @@ The free 1D equation turns, for plane waves, into the eigenvalue problem
 whose operator is non-Hermitian yet carries the real eigenvalues
 +-sqrt(2*E*m), each twice: one spin-up and one spin-down state per
 propagation direction.  This module builds the operator and the four
-closed-form eigenstates, and verify_dispersion checks those states against
-one stacked LAPACK eigensolve over an energy grid.
+closed-form eigenstates as arrays, from the formulas that
+scattering._eigen_spinors writes once for them and for the continuity
+basis, and verify_dispersion checks those states against one stacked LAPACK
+eigensolve over an energy grid.
 
 Units are electron-volts throughout with hbar = c = 1, so momenta are also
 measured in eV and the dispersion reads E = p^2 / (2*m).
@@ -20,15 +22,8 @@ import math
 
 import numpy as np
 
-from .algebra import (
-    SQRT2,
-    AlgebraReport,
-    EtaRepresentation,
-    _check,
-    eta,
-    eta_dagger,
-)
-from .scattering import ELECTRON_MASS_EV, Spin
+from .algebra import AlgebraReport, EtaRepresentation, _check, eta, eta_dagger
+from .scattering import ELECTRON_MASS_EV, Spin, _eigen_spinors
 
 __all__ = [
     "momentum_operator",
@@ -57,24 +52,6 @@ def momentum_operator(
     return energy[..., None, None] * eta(rep) + mass * eta_dagger(rep)
 
 
-def _eigen_spinor(kind: int, energy, mass: float, momentum) -> tuple:
-    """Closed-form spinor u^(kind) as a tuple of its four components: Python
-    scalars for a point, arrays of N for arrays of N energies and momenta."""
-    a = 1.0 / (energy + mass)
-    e_minus_m = energy - mass
-    zero = 0.0 * a  # shaped like the energies
-    one = zero + 1.0
-    if kind == 1:
-        return one, zero, 1j * a * e_minus_m, -SQRT2 * a * momentum
-    if kind == 2:
-        return zero, one, SQRT2 * a * momentum, -1j * a * e_minus_m
-    if kind == 3:
-        return one, zero, 1j * a * e_minus_m, SQRT2 * a * momentum
-    if kind == 4:
-        return zero, one, -SQRT2 * a * momentum, -1j * a * e_minus_m
-    raise ValueError(f"eigenstate kind must be 1..4, got {kind}")
-
-
 def analytic_eigenstate(kind: int, energy: float, mass: float) -> np.ndarray:
     """Closed-form eigenstate u^(kind) of the momentum operator, shape (4,).
 
@@ -90,7 +67,9 @@ def analytic_eigenstate(kind: int, energy: float, mass: float) -> np.ndarray:
     if not (energy > 0 and mass > 0):
         raise ValueError(f"energy and mass must be positive, got {energy}, {mass}")
     momentum = math.sqrt(2.0 * energy * mass)
-    u = np.array(_eigen_spinor(kind, energy, mass, momentum), dtype=complex)
+    if kind not in (1, 2, 3, 4):
+        raise ValueError(f"eigenstate kind must be 1..4, got {kind}")
+    u = np.array(_eigen_spinors(energy, mass, momentum)[int(kind) - 1], dtype=complex)
     if not np.isfinite(u).all():
         raise ValueError(f"eigenstate not finite at energy {energy}, mass {mass}")
     return u
@@ -161,10 +140,7 @@ def verify_dispersion(
     worst["eigenvalue_imaginary_part"] = float((np.abs(values.imag) / column_p).max())
     if rep is EtaRepresentation.REP1:
         # states[n, k - 1] is u^(k) at energies[n]; lam its eigenvalue
-        states = np.array(
-            [_eigen_spinor(k, energies, mass, p) for k in (1, 2, 3, 4)], dtype=complex
-        )
-        states = states.transpose(2, 0, 1)
+        states = np.array(_eigen_spinors(energies, mass, p), dtype=complex).transpose(2, 0, 1)
         lam = column_p * np.array([1.0, 1.0, -1.0, -1.0])
         norms = np.linalg.norm(states, axis=-1)
         residual = (ops[:, None] @ states[..., None])[..., 0] - lam[..., None] * states

@@ -23,7 +23,9 @@ V0 - E = m and for arbitrarily small V0/E.  c and c' are the upper
 components of psi_II(0) in both branches.  An LU solve (LAPACK, via numpy)
 of the wavefunction continuity condition at z = 0, on one pole-free mode
 basis, is kept as the independent oracle the tests compare against, and
-continuity_residual measures any amplitudes against the same basis.
+continuity_residual measures any amplitudes against the same basis.  The
+spinor formulas of that basis, the closed-form eigenstates of the momentum
+operator, are written once, in _eigen_spinors, which eigensystem reads too.
 Probability currents come from their closed forms; the bilinears
 u^dagger (eta + eta^dagger) u they equal are checked in the tests.
 
@@ -88,6 +90,7 @@ COEFFICIENT_SUM_TOL = 1e-12
 CLAMP_EPS = 1e-12
 
 ELECTRON_MASS_EV = 510998.95
+_SQRT2 = math.sqrt(2.0)
 
 
 class Spin(Enum):
@@ -134,16 +137,16 @@ class StepProblem(_StepFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name in ("energy", "v0", "mass"):
-            value = getattr(self, name)
+        energy, v0, mass, spin = self
+        for name, value in (("energy", energy), ("v0", v0), ("mass", mass)):
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not isinstance(self.incident_spin, Spin):
-            raise ValueError(f"incident_spin must be a Spin, got {self.incident_spin!r}")
-        if abs(self.energy - self.v0) <= THRESHOLD_EPS * self.v0:
+        if not isinstance(spin, Spin):
+            raise ValueError(f"incident_spin must be a Spin, got {spin!r}")
+        if abs(energy - v0) <= THRESHOLD_EPS * v0:
             raise ThresholdDegeneracyError(
-                f"E = {self.energy} is within {THRESHOLD_EPS:g}*V0 of the step "
-                f"height V0 = {self.v0}; the transmitted momentum degenerates"
+                f"E = {energy} is within {THRESHOLD_EPS:g}*V0 of the step "
+                f"height V0 = {v0}; the transmitted momentum degenerates"
             )
         return self
 
@@ -182,6 +185,27 @@ class AmplitudeSet(NamedTuple):
     incident_spin: Spin = Spin.UP
 
 
+def _eigen_spinors(energy, mass: float, momentum) -> tuple:
+    """The closed-form eigenstates u^(1)..u^(4) of the momentum operator in
+    REP1 (see eigensystem.analytic_eigenstate), at p = momentum, each a tuple
+    of its four components: Python scalars for a point, arrays of N for
+    arrays of N energies and momenta."""
+    a = 1.0 / (energy + mass)
+    e_minus_m = energy - mass
+    zero = 0.0 * a  # shaped like the energies
+    one = zero + 1.0
+    # not -plus_i: CPython's complex products give its zeros another sign
+    plus_i = 1j * a * e_minus_m
+    minus_i = -1j * a * e_minus_m
+    ap = _SQRT2 * a * momentum
+    return (
+        (one, zero, plus_i, -ap),
+        (zero, one, ap, minus_i),
+        (one, zero, plus_i, ap),
+        (zero, one, -ap, minus_i),
+    )
+
+
 def _continuity_matrix(problem: StepProblem):
     """Rows and right-hand side of the z = 0 continuity system, the one mode
     basis of the step, as lists of Python numbers (assembled once per point).
@@ -197,19 +221,16 @@ def _continuity_matrix(problem: StepProblem):
         v1 = [s+r, s+r, i(s-r), -i(s-r)],  v2 = [s-r, r-s, i(s+r), i(s+r)],
 
     which stay at least 60 degrees apart for every V0 - E and m.  The mode
-    components come from eigensystem._eigen_spinor, where their formulas
-    are written.  The right-hand side is minus the incident mode.  The
-    evanescent mass pole is refused, as on every route.
+    components come from _eigen_spinors, where their formulas are written,
+    built once at E and, above the step, once at E - V0.  The right-hand
+    side is minus the incident mode.  The evanescent mass pole is refused,
+    as on every route.
     """
-    from .eigensystem import _eigen_spinor
-
-    e, v0, m = problem.energy, problem.v0, problem.mass
-    p1 = problem.incident_momentum
-    incident = _eigen_spinor(1 if problem.incident_spin is Spin.UP else 2, e, m, p1)
-    r_up, r_down = (_eigen_spinor(kind, e, m, p1) for kind in (3, 4))
+    e, v0, m, spin = problem
+    u1, u2, r_up, r_down = _eigen_spinors(e, m, problem.incident_momentum)
+    incident = u1 if spin is Spin.UP else u2
     if problem.branch is Branch.PROPAGATING:
-        p2 = problem.transmitted_momentum
-        v1, v2 = (_eigen_spinor(kind, e - v0, m, p2) for kind in (1, 2))
+        v1, v2, _, _ = _eigen_spinors(e - v0, m, problem.transmitted_momentum)
     else:
         _check_mass_pole(v0 - e, m)
         s = math.sqrt(v0 - e)
@@ -244,26 +265,26 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
     rows, rhs = _continuity_matrix(problem)
     x = np.linalg.solve(np.array(rows, dtype=complex), rhs).tolist()
     x0, x1, x2, x3 = x
-    residual = max(
-        abs(row[0] * x0 + row[1] * x1 + row[2] * x2 + row[3] * x3 - b)
-        for row, b in zip(rows, rhs)
-    )
-    matrix_norm = max(abs(row[0]) + abs(row[1]) + abs(row[2]) + abs(row[3]) for row in rows)
-    backward_error = residual / (matrix_norm * max(map(abs, x)) + max(map(abs, rhs)))
+    residuals, norms = [], []
+    for (m0, m1, m2, m3), b in zip(rows, rhs):
+        residuals.append(abs(m0 * x0 + m1 * x1 + m2 * x2 + m3 * x3 - b))
+        norms.append(abs(m0) + abs(m1) + abs(m2) + abs(m3))
+    backward_error = max(residuals) / (max(norms) * max(map(abs, x)) + max(map(abs, rhs)))
     if not backward_error <= CONTINUITY_TOL:
         raise RuntimeError(
             f"continuity backward error {backward_error:.3e} exceeds "
             f"{CONTINUITY_TOL:g} after linear solve"
         )
-    c, c_prime = (-(row[2] * x2 + row[3] * x3) for row in rows[:2])
-    up = problem.incident_spin is Spin.UP
+    c, c_prime = [-(m2 * x2 + m3 * x3) for _, _, m2, m3 in rows[:2]]
+    branch, spin = problem.branch, problem.incident_spin
+    up = spin is Spin.UP
     mismatch = abs(x1 - c_prime) if up else abs(x0 - c)
-    if problem.branch is Branch.PROPAGATING and mismatch > 1e-12:
+    if branch is Branch.PROPAGATING and mismatch > 1e-12:
         relation = "b_prime == c_prime" if up else "b == c"
         raise ValueError(
             f"propagating amplitudes must satisfy {relation}, got difference {mismatch:.3e}"
         )
-    return AmplitudeSet(problem.branch, x0, x1, c, c_prime, problem.incident_spin)
+    return AmplitudeSet(branch, x0, x1, c, c_prime, spin)
 
 
 def _amplitudes(branch: Branch, energy, v0, mass, spin: Spin, sqrt):
@@ -341,47 +362,50 @@ def _abs2(re, im):
     return re * re + im * im
 
 
-def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> dict:
-    """The probabilities of coefficients by row field, their sum last as
-    `total`, from abs2 = (|b|^2, |b'|^2, |c|^2, |c'|^2).  energy and abs2
-    are floats (sqrt = math.sqrt) or arrays (sqrt = numpy.sqrt), as for
-    _amplitudes.  Unitarity is checked here, once per point or sweep row:
-    each value within CLAMP_EPS of [0, 1] before it is clamped onto [0, 1],
-    and their clamped sum, the row's total, within COEFFICIENT_SUM_TOL of 1.
-    A failure with a non-finite value is refused as beyond double precision.
+def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
+    """The probabilities of coefficients in the row's FIELDS order, their
+    sum, the row's `total`, last, from abs2 = (|b|^2, |b'|^2, |c|^2, |c'|^2).
+    energy and abs2 are floats (sqrt = math.sqrt) or arrays
+    (sqrt = numpy.sqrt), as for _amplitudes.  Unitarity is checked here,
+    once per point or sweep row: each value within CLAMP_EPS of [0, 1]
+    before it is clamped onto [0, 1], and their clamped sum within
+    COEFFICIENT_SUM_TOL of 1.  A failure with a non-finite value is refused
+    as beyond double precision.
     """
     r_up, r_down, t_up, t_down = abs2
     if branch is Branch.PROPAGATING:
         flux = (energy + mass) * sqrt(energy - v0) / ((energy - v0 + mass) * sqrt(energy))
-        parts = {"t1": flux * t_up, "t2": flux * t_down, "r1": r_up, "r2": r_down}
+        parts = [flux * t_up, flux * t_down, r_up, r_down]
     else:
-        parts = {"r1_prime": r_up, "r2_prime": r_down}
+        parts = [r_up, r_down]
     valid = True
-    for value in parts.values():
+    for value in parts:
         valid = valid & (value >= -CLAMP_EPS) & (value <= 1.0 + CLAMP_EPS)
     arrays = hasattr(valid, "all")  # numpy arrays (or numpy scalars)
     if arrays:
-        probs = {name: v.clip(0.0, 1.0) for name, v in parts.items()}
-    else:
-        probs = {name: min(max(v, 0.0), 1.0) for name, v in parts.items()}
-    probs["total"] = total = reduce(add, probs.values())
+        probs = [v.clip(0.0, 1.0) for v in parts]
+    else:  # min(max(v, 0.0), 1.0), without the builtins' call cost
+        probs = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in parts]
+    total = reduce(add, probs)
     valid = valid & (abs(total - 1.0) <= COEFFICIENT_SUM_TOL)
     if not (valid.all() if arrays else valid):
+        row_type = PropagatingRow if branch is Branch.PROPAGATING else EvanescentRow
+        named = dict(zip(row_type._fields[len(_GRID_FIELDS) :], parts))
         at = ""
         if arrays and total.ndim:  # name the first failing grid point, not whole columns
             i = (~valid).argmax()
-            parts = {name: float(v[i]) for name, v in parts.items()}
+            named = {name: float(v[i]) for name, v in named.items()}
             at = f" at E = {float(energy[i])!r} eV"
-        if not all(map(math.isfinite, parts.values())):  # overflow, not physics
+        if not all(map(math.isfinite, named.values())):  # overflow, not physics
             raise ValueError(
-                f"probabilities {parts}{at} are not finite: the inputs are beyond what "
+                f"probabilities {named}{at} are not finite: the inputs are beyond what "
                 "the closed forms resolve in double precision"
             )
         raise ValueError(
-            f"probabilities {parts}{at} violate unitarity: the sum must be within "
+            f"probabilities {named}{at} violate unitarity: the sum must be within "
             f"{COEFFICIENT_SUM_TOL:g} of 1 and each within {CLAMP_EPS:g} of [0, 1]"
         )
-    return probs
+    return [*probs, total]
 
 
 # The grid columns that lead every row; the columns after them are curves.
@@ -463,7 +487,7 @@ def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
     probabilities, their sum and, above the step, the spinless T and R.
     Arguments as for _probabilities; the same operations on floats and on
     arrays give the same bits."""
-    curves = list(_probabilities(branch, energy, v0, mass, abs2, sqrt).values())
+    curves = _probabilities(branch, energy, v0, mass, abs2, sqrt)
     if branch is Branch.PROPAGATING:
         curves += _spinless(energy, v0, sqrt)
     return curves
@@ -481,13 +505,12 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
     values, the row's total; a genuine violation raises, and so does an
     E/V0 beyond the double range.
     """
-    if amps.branch is not problem.branch or amps.incident_spin is not problem.incident_spin:
+    e, v0, mass, spin = problem
+    branch, b, b_prime, c, c_prime, amps_spin = amps
+    if branch is not problem.branch or amps_spin is not spin:
         raise ValueError("amplitude set was produced for a different problem")
-    e, v0 = problem.energy, problem.v0
     curves = _curves(
-        problem.branch, e, v0, problem.mass,
-        [_abs2(z.real, z.imag) for z in (amps.b, amps.b_prime, amps.c, amps.c_prime)],
-        math.sqrt,
+        branch, e, v0, mass, [_abs2(z.real, z.imag) for z in (b, b_prime, c, c_prime)], math.sqrt
     )
     e_over_v0 = e / v0
     if e_over_v0 == math.inf:
@@ -495,7 +518,7 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
             f"E = {e!r}, V0 = {v0!r} eV are beyond what the closed forms resolve in "
             "double precision: E/V0 overflows"
         )
-    row_type = PropagatingRow if problem.branch is Branch.PROPAGATING else EvanescentRow
+    row_type = PropagatingRow if branch is Branch.PROPAGATING else EvanescentRow
     return row_type(*map(float, (e, e_over_v0, *curves)))
 
 
@@ -571,17 +594,18 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
     evanescent branch.  A current that overflows, or that an overflowing
     amplitude leaves undefined, raises ValueError.
     """
-    if amps.branch is not problem.branch or amps.incident_spin is not problem.incident_spin:
+    e, v0, m, spin = problem
+    branch, b, b_prime, c, c_prime, amps_spin = amps
+    if branch is not problem.branch or amps_spin is not spin:
         raise ValueError("amplitude set was produced for a different problem")
-    e, v0, m = problem.energy, problem.v0, problem.mass
     j_inc = 4.0 * problem.incident_momentum / (e + m)
     j_trans_up = j_trans_down = 0.0
-    if problem.branch is Branch.PROPAGATING:
+    if branch is Branch.PROPAGATING:
         per_amplitude = 4.0 * problem.transmitted_momentum / (e + m - v0)
-        j_trans_up = per_amplitude * _abs2(amps.c.real, amps.c.imag)
-        j_trans_down = per_amplitude * _abs2(amps.c_prime.real, amps.c_prime.imag)
-    j_refl_up = -j_inc * _abs2(amps.b.real, amps.b.imag)
-    j_refl_down = -j_inc * _abs2(amps.b_prime.real, amps.b_prime.imag)
+        j_trans_up = per_amplitude * _abs2(c.real, c.imag)
+        j_trans_down = per_amplitude * _abs2(c_prime.real, c_prime.imag)
+    j_refl_up = -j_inc * _abs2(b.real, b.imag)
+    j_refl_down = -j_inc * _abs2(b_prime.real, b_prime.imag)
     if not math.isfinite(j_inc + j_refl_up + j_refl_down + j_trans_up + j_trans_down):
         raise ValueError(
             f"E = {e!r}, V0 = {v0!r}, m = {m!r} eV are beyond what the closed forms "

@@ -123,6 +123,7 @@ def test_eigenstate_kind_validation():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("energy,mass", [
     (-1.0, 1.0),
+    (0.0, 1.0),
     (1.0, 0.0),
     (math.nan, 1.0),
     (math.inf, 1.0),

@@ -12,10 +12,13 @@ from spinstep.scattering import (
     THRESHOLD_EPS,
     AmplitudeSet,
     Branch,
+    EvanescentRow,
     MassPoleError,
+    PropagatingRow,
     StepProblem,
     ThresholdDegeneracyError,
     _continuity_matrix,
+    _eigen_spinors,
     closed_form_amplitudes,
     coefficients,
     continuity_residual,
@@ -327,11 +330,21 @@ def test_evanescent_barrier_height_independence():
 
 
 def test_coefficients_branch_mismatch_rejected():
+    # coefficients and currents both refuse amplitudes of another branch or
+    # of the other incident spin
     prop = StepProblem(energy=200.0, v0=100.0)
     evan = StepProblem(energy=50.0, v0=100.0)
-    amps = solve_amplitudes_linear(evan)
-    with pytest.raises(ValueError):
-        coefficients(prop, amps)
+    for problem, other in (
+        (prop, evan),
+        (evan, prop),
+        (prop, prop._replace(incident_spin=Spin.DOWN)),
+        (evan._replace(incident_spin=Spin.DOWN), evan),
+    ):
+        amps = solve_amplitudes_linear(other)
+        for route in (coefficients, currents):
+            with pytest.raises(ValueError) as refused:
+                route(problem, amps)
+            assert str(refused.value) == "amplitude set was produced for a different problem"
 
 
 @settings(max_examples=60, deadline=None)
@@ -431,8 +444,9 @@ def test_property_closed_forms_relative_accuracy(log_e, log_v0, log_m, spin):
 
 
 def _bits(value) -> bytes:
-    """The IEEE bytes of a float or of a one-element array."""
-    return np.asarray(value, dtype=float).reshape(-1).tobytes()
+    """The IEEE bytes, as a complex, of a float, a complex or a one-element
+    array."""
+    return np.asarray(value, dtype=complex).reshape(-1).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -464,9 +478,28 @@ def test_property_kernel_bits_equal_on_floats_and_arrays(
     grid_probs = _probabilities(
         branch, np.array([energy]), v0, mass, [_abs2(*pair) for pair in grid], np.sqrt
     )
-    assert point_probs.keys() == grid_probs.keys()
-    for name, value in point_probs.items():
-        assert _bits(value) == _bits(grid_probs[name]), name
+    row_type = PropagatingRow if branch is Branch.PROPAGATING else EvanescentRow
+    names = row_type._fields[2 : 2 + len(point_probs)]
+    assert names[-1] == "total" and len(grid_probs) == len(point_probs)
+    for name, value, array in zip(names, point_probs, grid_probs):
+        assert _bits(value) == _bits(array), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_e=log_ev, log_m=log_ev)
+def test_property_eigen_spinors_bits_equal_on_floats_and_arrays(log_e, log_m):
+    # the point route (floats) and the dispersion grid (arrays) build the
+    # four spinors from the same arithmetic; analytic_eigenstate is the
+    # spinor of its kind
+    energy, mass = 10.0**log_e, 10.0**log_m
+    momentum = math.sqrt(2.0 * energy * mass)
+    point = _eigen_spinors(energy, mass, momentum)
+    grid = _eigen_spinors(np.array([energy]), mass, np.array([momentum]))
+    assert len(point) == len(grid) == 4
+    for kind, (scalar, array) in enumerate(zip(point, grid), start=1):
+        assert [_bits(z) for z in scalar] == [_bits(z) for z in array], kind
+        state = analytic_eigenstate(kind, energy, mass)
+        assert state.tobytes() == np.array(scalar, dtype=complex).tobytes(), kind
 
 
 def test_unitarity_refusal_names_one_point():
