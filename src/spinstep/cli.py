@@ -158,7 +158,7 @@ def _point(args) -> int:
         if args.with_coefficients:
             row = coefficients(problem, amps)
             payload = {
-                key: getattr(row, attr) for key, (attr, _) in row._CURVES.items() if key != "sum"
+                key: row[index] for key, (index, _) in row._CURVES.items() if key != "sum"
             }
         payload.update(currents(problem, amps).to_json_dict())
     except ValueError as exc:

@@ -326,7 +326,7 @@ def _amplitudes(branch: Branch, energy, v0, mass, spin: Spin, sqrt):
         flip = 2.0 * sqrt(energy * mass) / scale
         b = (keep * re_sq, -keep * im_sq)
         b_prime = (flip * im_sq, flip * re_sq)
-        c = (2.0 * energy * (mass + gap) / scale, im_sq * (energy - mass) / scale)
+        c = (2.0 * energy * ((mass + gap) / scale), im_sq * (energy - mass) / scale)
     if spin is Spin.UP:
         return b, b_prime, c, b_prime
     return b_prime, b, b_prime, c
@@ -441,10 +441,8 @@ def _row_type(name: str, doc: str, curve_fields: tuple) -> type:
         # %.17g renders as sweep_io.format_float does (one CPython routine)
         _CSV_LINE = ",".join(["%.17g"] * len(fields))
         _JSON_LINE = "  {" + ", ".join(f'"{key}": %s' for key in keys) + "}"
-        # SVG column name -> (attribute, colour), for the curve columns
-        _CURVES = {
-            key: (attr, colour) for key, (attr, _, colour) in zip(keys[grid:], fields[grid:])
-        }
+        # SVG column name -> (position in the row, colour), for the curve columns
+        _CURVES = {keys[i]: (i, fields[i][2]) for i in range(grid, len(fields))}
         _csv_text = _RenderedOnce()
 
         def to_json_dict(self) -> dict:

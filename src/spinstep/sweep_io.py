@@ -15,7 +15,9 @@ Emission is deterministic: the same spec always produces byte-identical
 output.  Numbers are printed with 17 significant digits, which round-trips
 IEEE doubles exactly, so emitted files double as golden files.  Each field
 table yields one %-template for a CSV line and one for a JSON line: a row's
-CSV text is rendered once, by one call, and its JSON line reuses the strings.
+CSV text is rendered once, by one call, and a JSON file is one call of its
+line template, repeated once per row, over those strings.  An SVG file
+renders each x pixel once, and each polyline is one call over its y pixels.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -187,7 +190,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             amps = _amplitudes(branch, e, v0, mass, spec.incident_spin, np.sqrt)
             curves = _curves(branch, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
             columns = [e, x[where], *curves]
-            rows += [row_type(*values) for values in zip(*(c.tolist() for c in columns))]
+            # tuple.__new__: the row constructors check nothing, the columns fix the arity
+            rows += map(tuple.__new__, repeat(row_type), zip(*(c.tolist() for c in columns)))
     return SweepResult(rows=tuple(rows), skipped=int(inside.sum()))
 
 
@@ -203,7 +207,7 @@ def _homogeneous_rows(rows) -> type:
     kind = type(rows[0])
     if kind not in (PropagatingRow, EvanescentRow):
         raise TypeError(f"unsupported row type {kind.__name__}")
-    if any(type(r) is not kind for r in rows):
+    if set(map(type, rows)) != {kind}:
         raise ValueError(
             "mixed propagating/evanescent rows cannot share one file; "
             "emit each regime separately"
@@ -249,8 +253,8 @@ def emit_json(rows, path) -> None:
     """Write rows as a JSON array of row objects (17-significant-digit
     numbers, deterministic key order)."""
     line = _homogeneous_rows(rows)._JSON_LINE
-    parts = [line % tuple(row._csv_text.split(",")) for row in rows]
-    _write_text(path, "[\n" + ",\n".join(parts) + "\n]\n")
+    values = ",".join([row._csv_text for row in rows]).split(",")
+    _write_text(path, ("[\n" + ",\n".join([line] * len(rows)) + "\n]\n") % tuple(values))
 
 
 _NEUTRAL_COLORS = ("black", "green", "orange", "purple")
@@ -271,15 +275,16 @@ def emit_svg(rows, path, columns) -> None:
     plot_w = width - margin_left - margin_right
     plot_h = height - margin_top - margin_bottom
 
-    xs = [row.e_over_v0 for row in rows]
+    table = list(zip(*rows))  # the rows' columns, in FIELDS order
+    xs = table[kind._fields.index("e_over_v0")]
     x_min, x_max = min(xs), max(xs)
     x_span = (x_max - x_min) or 1.0
-    series = {c: [getattr(row, kind._CURVES[c][0]) for row in rows] for c in columns}
-    y_min = min(min(v) for v in series.values())
-    y_max = max(max(v) for v in series.values())
+    series = [table[kind._CURVES[c][0]] for c in columns]
+    y_min = min(min(v) for v in series)
+    y_max = max(max(v) for v in series)
     y_min = min(y_min, 0.0)
     y_max = max(y_max, 1.0)
-    y_span = (y_max - y_min) or 1.0
+    y_span = y_max - y_min  # at least 1: the y axis spans [0, 1]
 
     def px(values):
         return [margin_left + (x - x_min) / x_span * plot_w for x in values]
@@ -319,13 +324,12 @@ def emit_svg(rows, path, columns) -> None:
         f'<text x="{margin_left + plot_w / 2:.0f}" y="{height - 12}" '
         f'text-anchor="middle" font-size="13">E / V0</text>'
     )
-    # x pixels once per file; each polyline is one template call
-    x_pixels, points_line = px(xs), " ".join(["%.3f,%.3f"] * len(rows))
+    # x pixels rendered once per file, into the template every polyline fills
+    points_line = " ".join(map("%.3f,%%.3f".__mod__, px(xs)))
     neutral = iter(_NEUTRAL_COLORS)
-    for idx, column in enumerate(columns):
+    for idx, (column, values) in enumerate(zip(columns, series)):
         color = kind._CURVES[column][1] or next(neutral, "gray")
-        xy = zip(x_pixels, py(series[column]))
-        points = points_line % tuple(v for pair in xy for v in pair)
+        points = points_line % tuple(py(values))
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'

@@ -154,6 +154,17 @@ def test_linear_matches_closed_form():
             assert rel_diff(getattr(lin, field), getattr(closed, field)) <= 1e-10
 
 
+@pytest.mark.parametrize("spin, field", [(Spin.UP, "c"), (Spin.DOWN, "c_prime")])
+def test_evanescent_transmitted_amplitude_does_not_overflow(spin, field):
+    # 2E(m + V0 - E) overflows here although c = 2: dividing (m + V0 - E)
+    # by (E+m)V0 first keeps the closed form finite
+    problem = StepProblem(7791267637.645717, 1.5204276115454646e298, 4.0651874101797726e-112, spin)
+    got = getattr(closed_form_amplitudes(problem), field)
+    want = getattr(solve_amplitudes_linear(problem), field)
+    assert math.isfinite(got.real) and math.isfinite(got.imag)
+    assert rel_diff(got, want) <= 1e-12
+
+
 # repr of the oracle's (b, b', c, c') at V0 = 100 eV, recorded from the solve
 # on an np.column_stack of spinor arrays; the solve on Python-scalar rows
 # must keep these values (a zero may change sign)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from spinstep.eigensystem import ELECTRON_MASS_EV
 from spinstep.scattering import (
     MassPoleError,
+    Spin,
     StepProblem,
     ThresholdDegeneracyError,
     closed_form_amplitudes,
@@ -60,6 +62,19 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(v0=100.0, e_over_v0_min=0.1, e_over_v0_max=1.0,
                   points=10, regime=Regime.EVANESCENT)
+    for bad in (dict(v0=0.0), dict(mass=0.0), dict(e_over_v0_min=2.0, e_over_v0_max=2.0)):
+        with pytest.raises(ValueError):
+            small_prop_spec(**bad)
+    with pytest.raises(ValueError, match="not finite"):
+        small_prop_spec(e_over_v0_min=-math.inf, regime=Regime.AUTO)
+    # the first double above the step is a propagating sweep's lowest bound
+    assert small_prop_spec(e_over_v0_min=math.nextafter(1.0, 2.0)).e_over_v0_min > 1.0
+
+
+def test_spec_defaults():
+    assert SweepSpec(v0=100.0) == SweepSpec(
+        100.0, ELECTRON_MASS_EV, 1.001, 10.0, 100, Spacing.LOG, Regime.AUTO, Spin.UP
+    )
 
 
 def test_spec_points_must_be_an_integer():
@@ -113,7 +128,7 @@ def test_run_sweep_row_count_and_order():
     assert result.skipped == 0
     energies = [row.e_ev for row in result.rows]
     assert energies == sorted(energies)
-    assert all(isinstance(r, PropagatingRow) for r in result.rows)
+    assert all(type(r) is PropagatingRow for r in result.rows)
     for row in result.rows:
         assert abs(row.total - 1.0) <= 1e-12
 
@@ -130,7 +145,7 @@ def test_evanescent_sweep_rows():
     )
     result = run_sweep(spec)
     assert len(result.rows) == 25
-    assert all(isinstance(r, EvanescentRow) for r in result.rows)
+    assert all(type(r) is EvanescentRow for r in result.rows)
     # reflection flips increasingly with energy below the mass scale
     r2 = [row.r2_prime for row in result.rows]
     assert all(b > a for a, b in zip(r2, r2[1:]))
@@ -369,3 +384,69 @@ def test_emitted_bytes_equal_per_value_rendering(kind, data, tmp_path_factory):
     assert (out / "rows.json").read_text().split("\n") == (
         ["["] + [line + "," for line in json_lines[:-1]] + json_lines[-1:] + ["]", ""]
     )
+
+
+def svg_per_value(kind, rows, columns) -> str:
+    """The SVG emit_svg writes, each number formatted on its own: the plot
+    area spans x 70..780 and y 40..550 of an 800x600 view box."""
+    keys = [c.lower() for c in columns]
+    xs = [row.e_over_v0 for row in rows]
+    series = [[row[kind._KEYS.index(key)] for row in rows] for key in keys]
+    x_min = min(xs)
+    x_span = (max(xs) - x_min) or 1.0
+    y_min = min(min(min(ys) for ys in series), 0.0)
+    y_span = max(max(max(ys) for ys in series), 1.0) - y_min
+
+    def px(x):
+        return 70 + (x - x_min) / x_span * 710
+
+    def py(y):
+        return 40 + 510 - (y - y_min) / y_span * 510
+
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 600">',
+        '<rect width="100%" height="100%" fill="white"/>',
+        '<line x1="70" y1="550" x2="780" y2="550" stroke="black"/>',
+        '<line x1="70" y1="40" x2="70" y2="550" stroke="black"/>',
+    ]
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        y_val, x_val = y_min + frac * y_span, x_min + frac * x_span
+        y_pix, x_pix = py(y_val), px(x_val)
+        lines += [
+            f'<line x1="66" y1="{y_pix:.2f}" x2="70" y2="{y_pix:.2f}" stroke="black"/>',
+            f'<text x="62" y="{y_pix + 4:.2f}" text-anchor="end" font-size="12">{y_val:.2f}</text>',
+            f'<line x1="{x_pix:.2f}" y1="550" x2="{x_pix:.2f}" y2="554" stroke="black"/>',
+            f'<text x="{x_pix:.2f}" y="568" text-anchor="middle" font-size="12">{x_val:.3g}</text>',
+        ]
+    lines.append('<text x="425" y="588" text-anchor="middle" font-size="13">E / V0</text>')
+    neutral = iter(["black", "green", "orange", "purple"])
+    for legend_y, key, ys in zip(range(56, 600, 16), keys, series):
+        colour = kind.FIELDS[kind._KEYS.index(key)][2] or next(neutral, "gray")
+        points = " ".join("%.3f,%.3f" % (px(x), py(y)) for x, y in zip(xs, ys))
+        lines += [
+            f'<polyline fill="none" stroke="{colour}" stroke-width="1.5" points="{points}"/>',
+            f'<line x1="690" y1="{legend_y - 4}" x2="716" y2="{legend_y - 4}" '
+            f'stroke="{colour}" stroke-width="1.5"/>',
+            f'<text x="722" y="{legend_y}" font-size="12">{key}</text>',
+        ]
+    return "\n".join([*lines, "</svg>", ""])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from((PropagatingRow, EvanescentRow)),
+    data=st.data(),
+)
+def test_svg_bytes_equal_per_value_rendering(kind, data, tmp_path_factory):
+    # rows of any finite values, a single row (zero x span) included, and
+    # any selection of curves, repeated and upper-cased ones included
+    width = len(kind.FIELDS)
+    values = data.draw(st.lists(st.lists(finite, min_size=width, max_size=width),
+                                min_size=1, max_size=6))
+    rows = [kind(*v) for v in values]
+    keys = [key for key in kind._KEYS if key not in ("e_ev", "e_over_v0")]
+    columns = data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=len(keys) + 2))
+    typed = [c.upper() if data.draw(st.booleans()) else c for c in columns]
+    path = tmp_path_factory.mktemp("svg") / "rows.svg"
+    emit_svg(rows, path, typed)
+    assert path.read_bytes() == svg_per_value(kind, rows, typed).encode()
