@@ -8,9 +8,11 @@ Subcommands:
   threed-check  3D identity suite only
 
 Exit codes are a contract: 0 success, 1 verification failure, 2 usage or
-domain error, 3 I/O error.  Output is machine-readable JSON unless --pretty
+domain error, 3 I/O error.  A refused input prints the stderr prefix of its
+kind, "invalid input" for a PrecisionError.  Output is JSON unless --pretty
 is given.  Energy flags accept plain eV values or ev/kev/mev suffixes
-(case-insensitive), e.g. --v0 100kev.
+(case-insensitive), e.g. --v0 100kev.  Option defaults and choices are
+read from the library: StepProblem's and SweepSpec's _field_defaults and enums.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from pathlib import Path
 
 from . import sweep_io
 from .scattering import (
-    ELECTRON_MASS_EV,
     MassPoleError,
     Spin,
     StepProblem,
@@ -33,9 +34,8 @@ from .scattering import (
 )
 from .sweep_io import Regime, Spacing, SweepSpec, run_sweep
 
-# algebra, eigensystem and threed import numpy when they load, so only the
-# commands that run the verification suites import them: the point commands
-# run without numpy.
+# algebra, eigensystem and threed load numpy, so only the report commands import
+# them, and --rep spells its choices: the point commands run without numpy.
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -60,50 +60,51 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spin-resolved step-potential scattering engine",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    mass_option = dict(
-        type=parse_energy, default=ELECTRON_MASS_EV, help="particle mass (eV), default electron"
-    )
+    mass_help = "particle mass (eV), default electron"
 
     p_verify = sub.add_parser("verify", help="run all verification suites")
-    p_verify.set_defaults(run=_report, suites=_all_suites)
-    p_verify.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
+    p_verify.set_defaults(suites=_all_suites)
 
+    point = StepProblem._field_defaults
     for name in ("coefficients", "currents"):
         p = sub.add_parser(name, help=f"compute step {name} at one energy")
         p.set_defaults(run=_point, with_coefficients=name == "coefficients")
         p.add_argument("--e", required=True, type=parse_energy, help="energy (eV)")
         p.add_argument("--v0", required=True, type=parse_energy, help="step height (eV)")
-        p.add_argument("--mass", **mass_option)
-        p.add_argument("--spin", choices=[s.value for s in Spin], default=Spin.UP.value)
+        p.add_argument("--mass", type=parse_energy, default=point["mass"], help=mass_help)
+        spin = point["incident_spin"]
+        p.add_argument("--spin", choices=[s.value for s in Spin], default=spin.value)
 
+    spec = SweepSpec._field_defaults
     p_sweep = sub.add_parser("sweep", help="energy-grid sweep to data files")
     p_sweep.set_defaults(run=_sweep)
     p_sweep.add_argument("--v0", required=True, type=parse_energy)
-    p_sweep.add_argument("--mass", **mass_option)
-    p_sweep.add_argument("--from", dest="x_min", type=float, default=1.001,
-                         help="lower E/V0 (default 1.001)")
-    p_sweep.add_argument("--to", dest="x_max", type=float, default=10.0,
-                         help="upper E/V0 (default 10)")
-    p_sweep.add_argument("--points", type=int, default=100)
-    p_sweep.add_argument(
-        "--spacing", choices=[s.value for s in Spacing], default=Spacing.LOG.value
-    )
-    p_sweep.add_argument(
-        "--regime", choices=[r.value for r in Regime], default=Regime.AUTO.value
-    )
+    p_sweep.add_argument("--mass", type=parse_energy, default=spec["mass"], help=mass_help)
+    p_sweep.add_argument("--from", dest="x_min", type=float, default=spec["e_over_v0_min"],
+                         help="lower E/V0 (default %(default)g)")
+    p_sweep.add_argument("--to", dest="x_max", type=float, default=spec["e_over_v0_max"],
+                         help="upper E/V0 (default %(default)g)")
+    p_sweep.add_argument("--points", type=int, default=spec["points"])
+    for field in ("spacing", "regime"):
+        default = spec[field]
+        p_sweep.add_argument(
+            f"--{field}", choices=[m.value for m in type(default)], default=default.value
+        )
     p_sweep.add_argument("--out", required=True, help="output file path")
     p_sweep.add_argument(
         "--format", choices=list(_EMITTERS), default=None,
-        help="default: inferred from --out suffix, falling back to csv",
+        help=f"default: inferred from --out suffix, falling back to {next(iter(_EMITTERS))}",
     )
     p_sweep.add_argument(
-        "--columns", default=None,
+        "--columns", default=None, type=lambda text: text.split(",") if text else [],
         help="comma-separated SVG columns (e.g. t1,t2), SVG output only; default all",
     )
 
     p_threed = sub.add_parser("threed-check", help="run the 3D identity suite")
-    p_threed.set_defaults(run=_report, suites=_threed_suites)
-    p_threed.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
+    p_threed.set_defaults(suites=_threed_suites)
+    for p in (p_verify, p_threed):
+        p.set_defaults(run=_report)
+        p.add_argument("--rep", choices=["rep1", "rep2"], default="rep1")
     for p in sub.choices.values():  # every command's last option
         p.add_argument("--pretty", action="store_true")
     return parser
@@ -143,8 +144,7 @@ def _threed_suites(rep) -> tuple:
     return (threed.verify_continuity_identities(rep),)
 
 
-# The stderr prefix of each typed domain refusal; any other ValueError is
-# invalid input.
+# The stderr prefix of each refusal kind; any other ValueError is invalid input.
 _REFUSALS = {ThresholdDegeneracyError: "threshold degeneracy", MassPoleError: "mass pole"}
 
 
@@ -157,29 +157,26 @@ def _point(args) -> int:
         payload = {}
         if args.with_coefficients:
             row = coefficients(problem, amps)
-            payload = {
-                key: row[index] for key, (index, _) in row._CURVES.items() if key != "sum"
-            }
+            payload = {key: row[index] for key, (index, _) in row.CURVES.items() if key != "sum"}
         payload.update(currents(problem, amps).to_json_dict())
     except ValueError as exc:
         print(f"{_REFUSALS.get(type(exc), 'invalid input')}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    text = {key: sweep_io.format_float(value) for key, value in payload.items()}
     if args.pretty:
-        width = max(len(k) for k in payload)
-        for key, value in payload.items():
-            print(f"{key:<{width}}  {sweep_io.format_float(value)}")
-    else:
-        print(sweep_io._json_object(payload.items()))
+        width = max(map(len, text))
+        print("\n".join(f"{key:<{width}}  {value}" for key, value in text.items()))
+    else:  # one line of JSON
+        print("{" + ", ".join(f'"{key}": {value}' for key, value in text.items()) + "}")
     return EXIT_OK
 
 
-# Each --format's emitter of (rows, path, columns) and, for the one format
-# that draws a --columns selection, the function that checks it.  The first
-# format is the default when --out has no known suffix.
+# Each --format's emitter of (rows, path) and, for SVG, the --columns check whose
+# result is its third argument; the first format serves an --out of unknown suffix.
 _EMITTERS = {
-    "csv": (lambda rows, path, _: sweep_io.emit_csv(rows, path), None),
-    "json": (lambda rows, path, _: sweep_io.emit_json(rows, path), None),
-    "svg": (sweep_io.emit_svg, sweep_io._svg_columns),
+    "csv": (sweep_io.emit_csv, None),
+    "json": (sweep_io.emit_json, None),
+    "svg": (sweep_io.emit_svg, sweep_io.svg_columns),
 }
 
 
@@ -196,15 +193,13 @@ def _sweep(args) -> int:
         )
         suffix = Path(args.out).suffix.lower().lstrip(".")
         fmt = args.format or (suffix if suffix in _EMITTERS else next(iter(_EMITTERS)))
-        emit, svg_columns = _EMITTERS[fmt]
-        if args.columns is not None and svg_columns is None:
+        emit, check = _EMITTERS[fmt]
+        if args.columns is not None and check is None:
             raise ValueError(f"--columns selects SVG curves; the output format is {fmt}")
         result = run_sweep(spec)
         groups = [g for g in (result.evanescent_rows, result.propagating_rows) if g]
         # check the SVG columns against every regime before any file is opened
-        requested = args.columns.split(",") if args.columns else None
-        kinds = [type(rows[0]) for rows in groups]
-        columns = [svg_columns(kind, requested) if svg_columns else None for kind in kinds]
+        columns = [[check(type(g[0]), args.columns)] if check else [] for g in groups]
     except ValueError as exc:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -216,7 +211,7 @@ def _sweep(args) -> int:
                  for tag in ("evanescent", "propagating")]
     try:
         for rows, cols, target in zip(groups, columns, files):
-            emit(rows, target, cols)
+            emit(rows, target, *cols)
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -229,10 +224,12 @@ def _sweep(args) -> int:
     return EXIT_OK
 
 
+_PARSER = _build_parser()  # once per process, however often main runs
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .algebra import AlgebraReport, EtaRepresentation, _check, eta, eta_dagger
-from .scattering import ELECTRON_MASS_EV, Spin, _eigen_spinors
+from .scattering import ELECTRON_MASS_EV, PrecisionError, Spin, _eigen_spinors
 
 __all__ = [
     "momentum_operator",
@@ -60,8 +60,8 @@ def analytic_eigenstate(kind: int, energy: float, mass: float) -> np.ndarray:
     the opposite eigenvalue.  The pairs are related by momentum reversal:
     u^(3)(p) = u^(1)(-p) and u^(4)(p) = u^(2)(-p).  Every state satisfies
     u^dagger u = 2.  Raises ValueError, and warns of nothing, for a kind
-    outside 1..4, an energy or mass that is not positive, or one whose
-    spinor is not finite in double precision.
+    outside 1..4 or an energy or mass that is not positive, and
+    PrecisionError for one whose spinor is not finite in double precision.
     """
     energy, mass = float(energy), float(mass)  # numpy scalars warn on overflow
     if not (energy > 0 and mass > 0):
@@ -71,7 +71,7 @@ def analytic_eigenstate(kind: int, energy: float, mass: float) -> np.ndarray:
         raise ValueError(f"eigenstate kind must be 1..4, got {kind}")
     u = np.array(_eigen_spinors(energy, mass, momentum)[int(kind) - 1], dtype=complex)
     if not np.isfinite(u).all():
-        raise ValueError(f"eigenstate not finite at energy {energy}, mass {mass}")
+        raise PrecisionError("the eigenstate is not finite", E=energy, m=mass)
     return u
 
 

@@ -35,6 +35,10 @@ A row type is a NamedTuple built from its FIELDS table, which lists its
 fields once, for every output.  Unitarity is checked once, in
 _probabilities; StepProblem validates in its constructor, _replace included.
 
+Each kind of domain refusal is a ValueError subclass, worded in one place:
+ThresholdDegeneracyError, MassPoleError and PrecisionError (valid inputs
+whose result underflows or overflows; eigensystem and threed raise it too).
+
 numpy is imported only by the verification code (the mode basis, the
 continuity oracle and residual, and the current bilinears), so that
 StepProblem, closed_form_amplitudes, coefficients, currents and
@@ -58,6 +62,7 @@ __all__ = [
     "Branch",
     "ThresholdDegeneracyError",
     "MassPoleError",
+    "PrecisionError",
     "StepProblem",
     "AmplitudeSet",
     "PropagatingRow",
@@ -109,6 +114,15 @@ class ThresholdDegeneracyError(ValueError):
 
 class MassPoleError(ValueError):
     """Evanescent configuration sits on the transmitted-spinor pole V0 - E = m."""
+
+
+class PrecisionError(ValueError):
+    """Valid inputs, named in eV in the message with what failed, whose result
+    double precision cannot resolve: a value underflows to 0 or overflows."""
+
+    def __init__(self, what: str, **inputs):
+        values = ", ".join(f"{name} = {value!r}" for name, value in inputs.items())
+        super().__init__(f"{values} eV are beyond what double precision resolves: {what}")
 
 
 def _check_mass_pole(gap: float, mass: float):
@@ -340,7 +354,7 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
     oracle.  It evaluates on floats the expressions run_sweep evaluates on
     a grid, so a point and its sweep row agree bit for bit.  c and c' are
     the upper components of psi_II(0).  The evanescent mass pole is
-    refused, as on every route, and so, with ValueError, are inputs so
+    refused, as on every route, and so, with PrecisionError, are inputs so
     small that a denominator of the closed forms underflows to 0.
     """
     energy, v0, mass, spin = problem
@@ -350,10 +364,7 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
     try:
         pairs = _amplitudes(branch, energy, v0, mass, spin, math.sqrt)
     except ZeroDivisionError:
-        raise ValueError(
-            f"E = {energy!r}, V0 = {v0!r}, m = {mass!r} eV are beyond what the closed "
-            "forms resolve in double precision: a denominator underflows to 0"
-        ) from None
+        raise PrecisionError("a denominator underflows to 0", E=energy, V0=v0, m=mass) from None
     return AmplitudeSet(branch, *(complex(*pair) for pair in pairs), spin)
 
 
@@ -369,8 +380,8 @@ def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
     (sqrt = numpy.sqrt), as for _amplitudes.  Unitarity is checked here,
     once per point or sweep row: each value within CLAMP_EPS of [0, 1]
     before it is clamped onto [0, 1], and their clamped sum within
-    COEFFICIENT_SUM_TOL of 1.  A failure with a non-finite value is refused
-    as beyond double precision.
+    COEFFICIENT_SUM_TOL of 1.  A failure with a non-finite value raises
+    PrecisionError.
     """
     r_up, r_down, t_up, t_down = abs2
     if branch is Branch.PROPAGATING:
@@ -395,12 +406,10 @@ def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
         if arrays and total.ndim:  # name the first failing grid point, not whole columns
             i = (~valid).argmax()
             named = {name: float(v[i]) for name, v in named.items()}
-            at = f" at E = {float(energy[i])!r} eV"
+            energy = float(energy[i])
+            at = f" at E = {energy!r} eV"
         if not all(map(math.isfinite, named.values())):  # overflow, not physics
-            raise ValueError(
-                f"probabilities {named}{at} are not finite: the inputs are beyond what "
-                "the closed forms resolve in double precision"
-            )
+            raise PrecisionError(f"probabilities {named} are not finite", E=energy, V0=v0, m=mass)
         raise ValueError(
             f"probabilities {named}{at} violate unitarity: the sum must be within "
             f"{COEFFICIENT_SUM_TOL:g} of 1 and each within {CLAMP_EPS:g} of [0, 1]"
@@ -441,8 +450,8 @@ def _row_type(name: str, doc: str, curve_fields: tuple) -> type:
         # %.17g renders as sweep_io.format_float does (one CPython routine)
         _CSV_LINE = ",".join(["%.17g"] * len(fields))
         _JSON_LINE = "  {" + ", ".join(f'"{key}": %s' for key in keys) + "}"
-        # SVG column name -> (position in the row, colour), for the curve columns
-        _CURVES = {keys[i]: (i, fields[i][2]) for i in range(grid, len(fields))}
+        # curve column name -> (position in the row, SVG colour or None)
+        CURVES = {keys[i]: (i, fields[i][2]) for i in range(grid, len(fields))}
         _csv_text = _RenderedOnce()
 
         def to_json_dict(self) -> dict:
@@ -500,8 +509,8 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
     (E+m)*sqrt(E-V0) / ((E-V0+m)*sqrt(E)) relating region-II to region-I
     current per unit amplitude.  _probabilities asserts the range before
     the values are clamped onto [0, 1], and the unit sum of the clamped
-    values, the row's total; a genuine violation raises, and so does an
-    E/V0 beyond the double range.
+    values, the row's total; a genuine violation raises ValueError, and an
+    E/V0 beyond the double range PrecisionError.
     """
     e, v0, mass, spin = problem
     branch, b, b_prime, c, c_prime, amps_spin = amps
@@ -512,10 +521,7 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
     )
     e_over_v0 = e / v0
     if e_over_v0 == math.inf:
-        raise ValueError(
-            f"E = {e!r}, V0 = {v0!r} eV are beyond what the closed forms resolve in "
-            "double precision: E/V0 overflows"
-        )
+        raise PrecisionError("E/V0 overflows", E=e, V0=v0)
     row_type = PropagatingRow if branch is Branch.PROPAGATING else EvanescentRow
     return row_type(*map(float, (e, e_over_v0, *curves)))
 
@@ -590,7 +596,7 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
     j_inc = 4*p1/(E+m), reflected -j_inc*|b|^2 and -j_inc*|b'|^2,
     transmitted 4*p2*|c|^2/(E+m-V0) when propagating and exactly 0 in the
     evanescent branch.  A current that overflows, or that an overflowing
-    amplitude leaves undefined, raises ValueError.
+    amplitude leaves undefined, raises PrecisionError.
     """
     e, v0, m, spin = problem
     branch, b, b_prime, c, c_prime, amps_spin = amps
@@ -605,10 +611,7 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
     j_refl_up = -j_inc * _abs2(b.real, b.imag)
     j_refl_down = -j_inc * _abs2(b_prime.real, b_prime.imag)
     if not math.isfinite(j_inc + j_refl_up + j_refl_down + j_trans_up + j_trans_down):
-        raise ValueError(
-            f"E = {e!r}, V0 = {v0!r}, m = {m!r} eV are beyond what the closed forms "
-            "resolve in double precision: a current is not finite"
-        )
+        raise PrecisionError("a current is not finite", E=e, V0=v0, m=m)
     return CurrentDensities(j_inc, j_refl_up, j_refl_down, j_trans_up, j_trans_down)
 
 

@@ -55,6 +55,7 @@ __all__ = [
     "emit_csv",
     "emit_json",
     "emit_svg",
+    "svg_columns",
 ]
 
 
@@ -219,21 +220,16 @@ def _write_text(path, text: str):
     Path(path).write_text(text, encoding="utf-8")
 
 
-def _json_object(items) -> str:
-    """One-line JSON object of (key, number) pairs, numbers as format_float."""
-    return "{" + ", ".join(f'"{key}": {format_float(value)}' for key, value in items) + "}"
-
-
-def _svg_columns(kind: type, columns=None) -> list:
+def svg_columns(kind: type, columns=None) -> list:
     """The SVG columns to draw for rows of `kind`: `columns`, lower-cased and
     checked against its field table, or by default every curve but the sum
-    in alphabetical order."""
+    in alphabetical order.  An empty or unknown selection raises ValueError."""
     if columns is None:
-        return sorted(key for key in kind._CURVES if key != "sum")
+        return sorted(key for key in kind.CURVES if key != "sum")
     columns = [c.lower() for c in columns]
     if not columns:
         raise ValueError("no columns selected")
-    unknown = [c for c in columns if c not in kind._CURVES]
+    unknown = [c for c in columns if c not in kind.CURVES]
     if unknown:
         raise ValueError(f"unknown columns for {kind.__name__}: {unknown}")
     return columns
@@ -268,7 +264,7 @@ def emit_svg(rows, path, columns) -> None:
     blue); columns without one take the neutral colours in turn.
     """
     kind = _homogeneous_rows(rows)
-    columns = _svg_columns(kind, columns)
+    columns = svg_columns(kind, columns)
 
     width, height = 800, 600
     margin_left, margin_right, margin_top, margin_bottom = 70, 20, 40, 50
@@ -279,7 +275,7 @@ def emit_svg(rows, path, columns) -> None:
     xs = table[kind._fields.index("e_over_v0")]
     x_min, x_max = min(xs), max(xs)
     x_span = (x_max - x_min) or 1.0
-    series = [table[kind._CURVES[c][0]] for c in columns]
+    series = [table[kind.CURVES[c][0]] for c in columns]
     y_min = min(min(v) for v in series)
     y_max = max(max(v) for v in series)
     y_min = min(y_min, 0.0)
@@ -328,7 +324,7 @@ def emit_svg(rows, path, columns) -> None:
     points_line = " ".join(map("%.3f,%%.3f".__mod__, px(xs)))
     neutral = iter(_NEUTRAL_COLORS)
     for idx, (column, values) in enumerate(zip(columns, series)):
-        color = kind._CURVES[column][1] or next(neutral, "gray")
+        color = kind.CURVES[column][1] or next(neutral, "gray")
         points = points_line % tuple(py(values))
         lines.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '

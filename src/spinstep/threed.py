@@ -46,6 +46,7 @@ from .algebra import (
     max_abs,
     pauli,
 )
+from .scattering import PrecisionError
 
 __all__ = [
     "MuTriple",
@@ -188,9 +189,9 @@ def _scaled(*values) -> list:
     return [math.ldexp(v, -k) for v in values]
 
 
-def _normal(value: float, what: str) -> float:
+def _normal(value: float, what: str, **inputs) -> float:
     if not value >= np.finfo(float).tiny:
-        raise ValueError(f"{what} underflows: the inputs span more than double precision resolves")
+        raise PrecisionError(f"{what} underflows", **inputs)
     return value
 
 
@@ -212,16 +213,17 @@ def shell_determinant(energy: float, mass: float, momentum, mass_sign: int = +1)
     operator is built in REP1, on (p, E, m) scaled together by a power of
     two (the value is homogeneous of degree 0).  Raises ValueError unless
     energy and mass are positive and finite and momentum is a finite real
-    3-vector, or if the scaled normalization underflows.
+    3-vector, PrecisionError if the scaled normalization underflows.
     """
     _positive_finite(energy, mass)
     if mass_sign not in (+1, -1):
         raise ValueError(f"mass_sign must be +1 or -1, got {mass_sign}")
-    energy, mass, *p = _scaled(energy, mass, *_momentum(momentum))
-    p = np.array(p)
-    op = _momentum_matrix(p) - energy * eta() - mass_sign * mass * eta_dagger()
-    scale = max(float(p @ p), 2.0 * energy * mass)
-    _normal(scale * scale, "max(|p|^2, 2*E*m)^2")
+    p = _momentum(momentum)
+    e, m, *p_scaled = _scaled(energy, mass, *p)
+    p_scaled = np.array(p_scaled)
+    op = _momentum_matrix(p_scaled) - e * eta() - mass_sign * m * eta_dagger()
+    scale = max(float(p_scaled @ p_scaled), 2.0 * e * m)
+    _normal(scale * scale, "max(|p|^2, 2*E*m)^2", E=energy, m=mass, p=p.tolist())
     return float(abs(np.linalg.det(op)) / scale**2)
 
 
@@ -253,8 +255,8 @@ def squared_operator_check(
     2*E*m) and bounded by 1e-12.  Each identity is homogeneous, so p, and
     (E, m) together, are scaled by a power of two first, which leaves the
     deviations as they are.  Raises ValueError unless energy and mass are
-    positive and finite and momentum is a finite real 3-vector, or if the
-    scaled 2*E*m underflows.
+    positive and finite and momentum is a finite real 3-vector,
+    PrecisionError if the scaled 2*E*m underflows.
     """
     _positive_finite(energy, mass)
     p = np.array(_scaled(*_momentum(momentum)))
@@ -262,9 +264,9 @@ def squared_operator_check(
     p_squared = float(p @ p)
     eye = np.eye(4, dtype=complex)
     dev_momentum = max_abs(mp @ mp - p_squared * eye) / max(p_squared, np.finfo(float).tiny)
-    energy, mass = _scaled(energy, mass)
-    op = energy * eta(rep) + mass * eta_dagger(rep)
-    scale = _normal(2.0 * energy * mass, "2*E*m")
+    e, m = _scaled(energy, mass)
+    op = e * eta(rep) + m * eta_dagger(rep)
+    scale = _normal(2.0 * e * m, "2*E*m", E=energy, m=mass)
     dev_energy = max_abs(op @ op - scale * eye) / scale
     return AlgebraReport(
         (

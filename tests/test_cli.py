@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinstep import algebra
+from spinstep import algebra, cli
+from spinstep.algebra import EtaRepresentation
 from spinstep.cli import main, parse_energy
 from spinstep.eigensystem import ELECTRON_MASS_EV, Spin
 from spinstep.scattering import StepProblem, coefficients, solve_amplitudes_linear
@@ -104,7 +106,12 @@ def test_report_commands_print_their_checks_in_order(capsys, command, rep):
         assert re.fullmatch(r"  \d\.\d{3}e[+-]\d\d  pass", line[width:]), line
 
 
+REP_CHOICES = "{" + ",".join(rep.value for rep in EtaRepresentation) + "}"
+
+
 @pytest.mark.parametrize("command, option, choices", [
+    ("verify", "--rep", REP_CHOICES),
+    ("threed-check", "--rep", REP_CHOICES),
     ("coefficients", "--spin", "{up,down}"),
     ("currents", "--spin", "{up,down}"),
     ("sweep", "--spacing", "{linear,log}"),
@@ -304,13 +311,14 @@ def test_sweep_svg_format(tmp_path, capsys):
 @pytest.mark.parametrize("x_min, columns, target", [
     ("1.001", "foo", "x.svg"),
     ("1.001", ",", "x.svg"),
+    ("1.001", "", "x.svg"),
     # straddling: r1_prime exists below the step only, so the propagating
     # file would fail; neither file may be written
     ("0.5", "r1_prime", "x.svg"),
     # --columns selects SVG curves and is refused for the other formats
     ("1.001", "foo", "x.csv"),
     ("1.001", "t1", "x.json"),
-], ids=["unknown", "empty", "straddling", "csv", "json"])
+], ids=["unknown", "empty", "blank", "straddling", "csv", "json"])
 def test_sweep_bad_svg_columns_exit_2_and_write_nothing(tmp_path, capsys, x_min, columns, target):
     code, out, err = run_cli(
         capsys, "sweep", "--v0", "100", "--from", x_min, "--to", "2",
@@ -519,6 +527,8 @@ def test_readme_command_line_block_runs(tmp_path, bare_interpreter_modules):
 
 # every positive double, subnormals and the largest included
 POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+# what every PrecisionError message says after its inputs
+PRECISION = " eV are beyond what double precision resolves: "
 
 
 @settings(max_examples=200, deadline=None)
@@ -540,6 +550,14 @@ def test_point_commands_exit_0_or_2_for_every_positive_double(command, energy, v
     assert (code == 2) == bool(err.getvalue())
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
+    else:
+        # the refusal's kind, by its prefix: a PrecisionError prints "invalid
+        # input", and so does the one untyped refusal, finite probabilities
+        # that fail the unit sum where a closed-form denominator overflows
+        prefix, _, message = err.getvalue().partition(": ")
+        assert prefix in ("threshold degeneracy", "mass pole", "invalid input"), prefix
+        if prefix == "invalid input":
+            assert PRECISION in message or "violate unitarity" in message, message
 
 
 def _refuse_constant(name):
@@ -555,7 +573,7 @@ def test_underflowing_point_commands_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: ")
-    assert "beyond what the closed forms resolve in double precision" in err
+    assert PRECISION in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -570,4 +588,22 @@ def test_overflowing_point_commands_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("invalid input: ")
-    assert "beyond what the closed forms resolve in double precision" in err
+    assert PRECISION in err
+
+
+# the NamedTuple API is public despite its underscores
+NAMEDTUPLE_API = {"_fields", "_field_defaults", "_asdict", "_replace", "_make"}
+
+
+def test_cli_uses_no_private_name_of_another_module():
+    # cli reads each default, choice and helper through a public name of the
+    # module or type that owns it
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            private.update(alias.name for alias in node.names if alias.name.startswith("_"))
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if not node.attr.startswith("__") and node.attr not in NAMEDTUPLE_API:
+                private.add(node.attr)
+    assert private == set()

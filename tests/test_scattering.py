@@ -14,6 +14,7 @@ from spinstep.scattering import (
     Branch,
     EvanescentRow,
     MassPoleError,
+    PrecisionError,
     PropagatingRow,
     StepProblem,
     ThresholdDegeneracyError,
@@ -30,6 +31,8 @@ from spinstep.scattering import (
     qm_reference,
     solve_amplitudes_linear,
 )
+from spinstep.sweep_io import SweepSpec, run_sweep
+from spinstep.threed import shell_determinant, squared_operator_check
 
 ME = ELECTRON_MASS_EV
 
@@ -768,7 +771,7 @@ POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=Fal
        spin=st.sampled_from((Spin.UP, Spin.DOWN)))
 def test_point_route_returns_or_refuses_every_positive_double(energy, v0, mass, spin):
     # StepProblem -> closed_form_amplitudes -> coefficients -> currents ends
-    # in a result of finite numbers or a ValueError: never a
+    # in a result of finite numbers or a typed refusal: never a
     # ZeroDivisionError from a denominator that underflows to 0, nor nan or
     # inf from an overflow
     try:
@@ -776,7 +779,40 @@ def test_point_route_returns_or_refuses_every_positive_double(energy, v0, mass, 
         amps = closed_form_amplitudes(problem)
         row = coefficients(problem, amps)
         current = currents(problem, amps)
-    except ValueError:
+    except (ThresholdDegeneracyError, MassPoleError, PrecisionError):
+        return
+    except ValueError as exc:
+        # the one untyped refusal: where a closed-form denominator overflows
+        # or goes subnormal, finite probabilities fail the unit sum
+        assert type(exc) is ValueError and "violate unitarity" in str(exc)
         return
     assert abs(row.total - 1.0) <= 1e-12
     assert all(map(math.isfinite, (*row, *current)))
+
+
+def _point_route(energy, v0, mass=ME):
+    problem = StepProblem(energy, v0, mass)
+    amps = closed_form_amplitudes(problem)
+    return coefficients(problem, amps), currents(problem, amps)
+
+
+@pytest.mark.parametrize("refused, what", [
+    (lambda: _point_route(1e-200, 1e-250, 1e-250), "a denominator underflows to 0"),
+    (lambda: _point_route(1e300, 1e299), "probabilities {'t1': nan"),
+    (lambda: _point_route(7.796878006602118e100, 4.849439980930081e-300, 1.4e-4),
+     "E/V0 overflows"),
+    (lambda: _point_route(8.642789733510597e29, 2.8657905150671188e-148, 1.25e278),
+     "a current is not finite"),
+    (lambda: run_sweep(SweepSpec(v0=1e300)), "probabilities {'t1': nan"),
+    (lambda: analytic_eigenstate(1, 1e300, 1e300), "the eigenstate is not finite"),
+    (lambda: shell_determinant(1e200, 1e-200, (0, 0, 1e-200)),
+     "max(|p|^2, 2*E*m)^2 underflows"),
+    (lambda: squared_operator_check((0, 0, 0), energy=1e200, mass=1e-200), "2*E*m underflows"),
+], ids=["underflow", "probabilities", "E/V0", "current", "sweep", "eigenstate",
+        "shell_determinant", "squared_operator_check"])
+def test_every_precision_refusal_is_one_kind_with_one_wording(refused, what):
+    with pytest.raises(PrecisionError) as info:
+        refused()
+    message = str(info.value)
+    assert message.startswith("E = ")
+    assert f" eV are beyond what double precision resolves: {what}" in message

@@ -24,7 +24,6 @@ from spinstep.sweep_io import (
     Regime,
     Spacing,
     SweepSpec,
-    _json_object,
     emit_csv,
     emit_json,
     emit_svg,
@@ -376,7 +375,10 @@ def test_emitted_bytes_equal_per_value_rendering(kind, data, tmp_path_factory):
     rows = [kind(*v[:total], 1.0, *v[total:]) for v in values]
     csv_lines = [kind.CSV_HEADER]
     csv_lines += [",".join(map(format_float, row.to_json_dict().values())) for row in rows]
-    json_lines = ["  " + _json_object(row.to_json_dict().items()) for row in rows]
+    json_lines = [
+        "  {" + ", ".join(f'"{k}": {format_float(v)}' for k, v in row.to_json_dict().items()) + "}"
+        for row in rows
+    ]
     out = tmp_path_factory.mktemp("emit")
     emit_csv(rows, out / "rows.csv")
     emit_json(rows, out / "rows.json")
