@@ -17,9 +17,11 @@ import numpy as np
 from spinstep import (
     ELECTRON_MASS_EV,
     EtaRepresentation,
+    StepProblem,
+    closed_form_amplitudes,
+    coefficients,
     eta,
     eta_dagger,
-    qm_reference,
 )
 
 REP = EtaRepresentation.REP2
@@ -65,7 +67,8 @@ print(f"{'E/V0':>6} {'V0 (eV)':>9} {'R_total':>12} {'T_total':>12} "
 worst = 0.0
 for energy, v0 in [(200.0, 100.0), (150.0, 100.0), (2e6, 1e6),
                    (5e5, 1e5), (1.05e5, 1e5)]:
-    t_qm, r_qm = qm_reference(energy, v0)
+    problem = StepProblem(energy=energy, v0=v0)
+    r_qm = coefficients(problem, closed_form_amplitudes(problem)).r_qm
     for _ in range(3):
         coeffs = rng.normal(size=2) + 1j * rng.normal(size=2)
         r_tot, t_tot, residual = scatter_totals(energy, v0, ELECTRON_MASS_EV, coeffs)

@@ -12,7 +12,6 @@ from spinstep import (
     closed_form_amplitudes,
     coefficients,
     currents,
-    qm_reference,
     solve_amplitudes_linear,
 )
 
@@ -26,7 +25,7 @@ for field in ("b", "b_prime", "c", "c_prime"):
     print(f"  {field:<8} {a:+.12f}   {b:+.12f}   |diff| = {abs(a - b):.1e}")
 
 coeff = coefficients(problem, linear)
-t_qm, r_qm = qm_reference(200.0, 100.0)
+t_qm, r_qm = coeff.t_qm, coeff.r_qm
 print(f"\nT1 = {coeff.t1:.10f}   T2 = {coeff.t2:.3e}")
 print(f"R1 = {coeff.r1:.10f}   R2 = {coeff.r2:.3e}")
 print(f"sum = {coeff.t1 + coeff.t2 + coeff.r1 + coeff.r2:.15f}")

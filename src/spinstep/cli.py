@@ -204,7 +204,7 @@ def _sweep(args) -> int:
         print(f"invalid sweep: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    files = [args.out][: len(groups)]  # a sweep with no rows writes no file
+    files = [args.out]  # run_sweep returns at least one row or refuses
     if len(groups) == 2:  # straddling sweep: one file per regime
         out = Path(args.out)
         files = [str(out.with_name(f"{out.stem}_{tag}{out.suffix}"))

@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .algebra import AlgebraReport, EtaRepresentation, _check, eta, eta_dagger
+# Spin is not used here: perfbench's point_queries workload reads eigensystem.Spin
 from .scattering import ELECTRON_MASS_EV, PrecisionError, Spin, _eigen_spinors
 
 __all__ = [
@@ -60,12 +61,13 @@ def analytic_eigenstate(kind: int, energy: float, mass: float) -> np.ndarray:
     the opposite eigenvalue.  The pairs are related by momentum reversal:
     u^(3)(p) = u^(1)(-p) and u^(4)(p) = u^(2)(-p).  Every state satisfies
     u^dagger u = 2.  Raises ValueError, and warns of nothing, for a kind
-    outside 1..4 or an energy or mass that is not positive, and
-    PrecisionError for one whose spinor is not finite in double precision.
+    outside 1..4 or an energy or mass that is not positive and finite, and
+    PrecisionError for finite ones whose spinor is not finite in double
+    precision.
     """
     energy, mass = float(energy), float(mass)  # numpy scalars warn on overflow
-    if not (energy > 0 and mass > 0):
-        raise ValueError(f"energy and mass must be positive, got {energy}, {mass}")
+    if not (0 < energy < math.inf and 0 < mass < math.inf):
+        raise ValueError(f"energy and mass must be positive and finite, got {energy}, {mass}")
     momentum = math.sqrt(2.0 * energy * mass)
     if kind not in (1, 2, 3, 4):
         raise ValueError(f"eigenstate kind must be 1..4, got {kind}")

@@ -26,8 +26,10 @@ basis, is kept as the independent oracle the tests compare against, and
 continuity_residual measures any amplitudes against the same basis.  The
 spinor formulas of that basis, the closed-form eigenstates of the momentum
 operator, are written once, in _eigen_spinors, which eigensystem reads too.
-Probability currents come from their closed forms; the bilinears
-u^dagger (eta + eta^dagger) u they equal are checked in the tests.
+Probability currents come from their closed forms.  That the closed forms
+solve the continuity condition, sum to 1, reduce to the spinless T and R,
+and that each current equals the bilinear u^dagger (eta + eta^dagger) u of
+its mode, is proven exactly, on symbols, in tests/test_symbolic_identities.py.
 
 coefficients returns one fixed-field row per branch, PropagatingRow or
 EvanescentRow: the type, and the values, of the sweep row at that energy.
@@ -39,10 +41,11 @@ Each kind of domain refusal is a ValueError subclass, worded in one place:
 ThresholdDegeneracyError, MassPoleError and PrecisionError (valid inputs
 whose result underflows or overflows; eigensystem and threed raise it too).
 
-numpy is imported only by the verification code (the mode basis, the
-continuity oracle and residual, and the current bilinears), so that
-StepProblem, closed_form_amplitudes, coefficients, currents and
-qm_reference run without it.
+numpy is imported only by the two verification routes, for the LU solve
+of solve_amplitudes_linear and the QR projection of continuity_residual,
+so that StepProblem, closed_form_amplitudes, coefficients and currents run
+without it.  A sweep passes numpy arrays, and numpy.sqrt, to the same
+closed forms.
 """
 
 from __future__ import annotations
@@ -51,10 +54,7 @@ import math
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import NamedTuple
 
 __all__ = [
     "ELECTRON_MASS_EV",
@@ -68,17 +68,16 @@ __all__ = [
     "PropagatingRow",
     "EvanescentRow",
     "CurrentDensities",
-    "probability_current",
     "solve_amplitudes_linear",
     "closed_form_amplitudes",
     "coefficients",
-    "qm_reference",
     "currents",
     "continuity_residual",
 ]
 
-# Inputs with |E - V0| <= THRESHOLD_EPS * V0 are rejected: the transmitted
-# momentum vanishes and both regimes' formulas are singular there.
+# Inputs with |E - V0| <= THRESHOLD_EPS * V0 are rejected (_at_threshold):
+# the transmitted momentum vanishes and both regimes' formulas are singular
+# there.
 THRESHOLD_EPS = 1e-9
 
 # Evanescent inputs with |V0 - E - m| <= MASS_POLE_EPS * m are rejected: a
@@ -125,6 +124,13 @@ class PrecisionError(ValueError):
         super().__init__(f"{values} eV are beyond what double precision resolves: {what}")
 
 
+def _at_threshold(energy, v0):
+    """Whether E lies in the threshold band |E - V0| <= THRESHOLD_EPS*V0,
+    which StepProblem refuses and a sweep skips: a bool for floats, a mask
+    for an array of energies."""
+    return abs(energy - v0) <= THRESHOLD_EPS * v0
+
+
 def _check_mass_pole(gap: float, mass: float):
     """Refuse an evanescent gap V0 - E on the pole V0 - E = m."""
     if abs(gap - mass) <= MASS_POLE_EPS * mass:
@@ -157,7 +163,7 @@ class StepProblem(_StepFields):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if not isinstance(spin, Spin):
             raise ValueError(f"incident_spin must be a Spin, got {spin!r}")
-        if abs(energy - v0) <= THRESHOLD_EPS * v0:
+        if _at_threshold(energy, v0):
             raise ThresholdDegeneracyError(
                 f"E = {energy} is within {THRESHOLD_EPS:g}*V0 of the step "
                 f"height V0 = {v0}; the transmitted momentum degenerates"
@@ -527,39 +533,20 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
 
 
 def _spinless(energy, v0, sqrt):
-    """(T, R) of qm_reference; energy is a float (sqrt = math.sqrt) or an
-    array (sqrt = numpy.sqrt)."""
+    """The spinless step coefficients (T, R) above the step, the t_qm and
+    r_qm columns of a propagating row.
+
+    With k1 = sqrt(E) and k2 = sqrt(E-V0), T = 4*k1*k2/(k1+k2)^2 and
+    R = ((k1-k2)/(k1+k2))^2, evaluated as (V0/(k1+k2)^2)^2 so that no
+    nearly equal numbers are subtracted as V0/E -> 0.  The spin sums of the
+    4-component solution reproduce these values, independent of the mass.
+    energy is a float (sqrt = math.sqrt) or an array (sqrt = numpy.sqrt).
+    """
     k1 = sqrt(energy)
     k2 = sqrt(energy - v0)
     k_sum2 = (k1 + k2) * (k1 + k2)
     ratio = v0 / k_sum2
     return 4.0 * k1 * k2 / k_sum2, ratio * ratio
-
-
-def qm_reference(energy: float, v0: float) -> tuple[float, float]:
-    """Spinless step-potential coefficients (T, R) for E > V0 > 0.
-
-    With k1 = sqrt(E) and k2 = sqrt(E-V0), T = 4*k1*k2/(k1+k2)^2 and
-    R = ((k1-k2)/(k1+k2))^2, evaluated as (V0/(k1+k2)^2)^2 so that no
-    nearly equal numbers are subtracted as V0/E -> 0.  The spin-summed
-    coefficients of the 4-component solution reproduce exactly these
-    values, independent of the mass.
-    """
-    if not (math.inf > energy > v0 > 0):
-        raise ValueError(f"requires finite E > V0 > 0, got E={energy}, V0={v0}")
-    t_qm, r_qm = _spinless(energy, v0, math.sqrt)
-    return float(t_qm), float(r_qm)
-
-
-def probability_current(spinor: np.ndarray) -> float:
-    """Probability current u^dagger (eta + eta^dagger) u of a mode, in REP1,
-    the representation the mode spinors are written in."""
-    import numpy as np
-
-    from .algebra import eta, eta_dagger
-
-    u = np.asarray(spinor, dtype=complex)
-    return float(np.vdot(u, (eta() + eta_dagger()) @ u).real)
 
 
 class CurrentDensities(NamedTuple):

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .scattering import (
     ELECTRON_MASS_EV,
-    THRESHOLD_EPS,
     Branch,
     EvanescentRow,
     PropagatingRow,
@@ -39,6 +38,7 @@ from .scattering import (
     ThresholdDegeneracyError,
     _abs2,
     _amplitudes,
+    _at_threshold,
     _check_mass_pole,
     _curves,
 )
@@ -155,10 +155,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep grid in one pass of the closed-form amplitudes per
     branch.
 
-    Grid points inside the threshold band |E/V0 - 1| <= THRESHOLD_EPS, which
-    StepProblem refuses, are skipped and counted; a sweep whose every point
-    is degenerate raises ThresholdDegeneracyError, and one with an
-    evanescent point on the mass pole raises MassPoleError.  The columns are
+    Grid energies E = x*V0 inside the threshold band, which StepProblem
+    refuses by the same predicate, are skipped and counted; a sweep whose
+    every point is degenerate raises ThresholdDegeneracyError, and one with
+    an evanescent point on the mass pole raises MassPoleError.  The columns are
     computed on arrays by the expressions that closed_form_amplitudes and
     coefficients evaluate on floats for one point, so every row equals its
     point's coefficients bit for bit, but for e_over_v0: the grid value here,
@@ -167,17 +167,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     import numpy as np
 
     x = spec.grid()
-    inside = np.abs(x - 1.0) <= THRESHOLD_EPS
-    x = x[~inside]
-    if not x.size:
-        raise ThresholdDegeneracyError(
-            "every grid point fell inside the threshold band around E = V0"
-        )
     v0, mass = spec.v0, spec.mass
     rows = []
     # overflow leaves non-finite columns; the unitarity refusal reports it
     with np.errstate(all="ignore"):
         energy = x * v0
+        inside = _at_threshold(energy, v0)
+        if inside.all():
+            raise ThresholdDegeneracyError(
+                "every grid point fell inside the threshold band around E = V0"
+            )
+        x, energy = x[~inside], energy[~inside]
         for row_type, branch, where in (
             (EvanescentRow, Branch.EVANESCENT, energy < v0),
             (PropagatingRow, Branch.PROPAGATING, energy > v0),

@@ -213,7 +213,9 @@ def shell_determinant(energy: float, mass: float, momentum, mass_sign: int = +1)
     operator is built in REP1, on (p, E, m) scaled together by a power of
     two (the value is homogeneous of degree 0).  Raises ValueError unless
     energy and mass are positive and finite and momentum is a finite real
-    3-vector, PrecisionError if the scaled normalization underflows.
+    3-vector, PrecisionError if the scaled normalization underflows or
+    LAPACK's determinant is not finite (an exactly zero complex pivot,
+    where E*eta and m*eta_dagger lie too many decades apart to add).
     """
     _positive_finite(energy, mass)
     if mass_sign not in (+1, -1):
@@ -224,7 +226,11 @@ def shell_determinant(energy: float, mass: float, momentum, mass_sign: int = +1)
     op = _momentum_matrix(p_scaled) - e * eta() - mass_sign * m * eta_dagger()
     scale = max(float(p_scaled @ p_scaled), 2.0 * e * m)
     _normal(scale * scale, "max(|p|^2, 2*E*m)^2", E=energy, m=mass, p=p.tolist())
-    return float(abs(np.linalg.det(op)) / scale**2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = abs(np.linalg.det(op))
+    if not math.isfinite(det):
+        raise PrecisionError("the determinant is not finite", E=energy, m=mass, p=p.tolist())
+    return float(det / scale**2)
 
 
 def schrodinger_reduction_check(energy: float, mass: float, momentum) -> tuple[bool, float]:

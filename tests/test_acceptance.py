@@ -30,7 +30,6 @@ from spinstep.scattering import (
     coefficients,
     continuity_residual,
     currents,
-    qm_reference,
     solve_amplitudes_linear,
 )
 from spinstep.sweep_io import Regime, Spacing, SweepSpec, emit_csv, run_sweep
@@ -149,7 +148,7 @@ def test_criterion_4_unitarity_and_qm_reduction():
             coeff = coefficients(problem, solve_amplitudes_linear(problem))
             total = coeff.t1 + coeff.t2 + coeff.r1 + coeff.r2
             worst_sum = max(worst_sum, abs(total - 1.0))
-            t_qm, r_qm = qm_reference(energy, v0)
+            t_qm, r_qm = coeff.t_qm, coeff.r_qm
             worst_qm = max(worst_qm, abs(coeff.t1 + coeff.t2 - t_qm),
                            abs(coeff.r1 + coeff.r2 - r_qm))
             heavy = StepProblem(energy=energy, v0=v0, mass=2 * ME)

@@ -287,13 +287,15 @@ def test_sweep_auto_straddling_writes_two_files(tmp_path, capsys):
 
 
 def test_sweep_with_no_rows_names_no_file(tmp_path, capsys):
-    # with a subnormal V0 every x*V0 rounds back to V0, so neither branch
-    # keeps a point: nothing is written, and the summary names nothing
-    code, out, _ = run_cli(
+    # with a subnormal V0 every x*V0 rounds back to V0, an energy that
+    # `coefficients` refuses as a threshold degeneracy: the sweep skips every
+    # point, refuses, and writes nothing
+    code, out, err = run_cli(
         capsys, "sweep", "--v0", "5e-324", "--from", "1.01", "--to", "1.4",
         "--out", str(tmp_path / "x.csv"),
     )
-    assert (code, json.loads(out)) == (0, {"rows": 0, "skipped": 0, "files": []})
+    assert (code, out) == (2, "")
+    assert err == "invalid sweep: every grid point fell inside the threshold band around E = V0\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -10,6 +10,7 @@ from spinstep.eigensystem import (
     momentum_operator,
     verify_dispersion,
 )
+from spinstep.scattering import PrecisionError
 
 ME = ELECTRON_MASS_EV
 
@@ -130,12 +131,18 @@ def test_eigenstate_kind_validation():
     (1.0, math.nan),
     (1.0, math.inf),
     (1e300, 1e300),  # 2*E*m overflows
+    (1e308, 1e308),  # E + m overflows
     (1e-320, 1e-320),  # 1/(E+m) overflows
 ])
 def test_eigenstate_refuses_energy_and_mass(energy, mass):
+    # invalid inputs are plain ValueErrors; valid ones whose spinor double
+    # precision cannot hold are PrecisionErrors
+    valid = 0 < energy < math.inf and 0 < mass < math.inf
     for kind in (1, 2, 3, 4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             analytic_eigenstate(kind, energy, mass)
+        assert type(refused.value) is (PrecisionError if valid else ValueError)
+        assert valid or "must be positive and finite" in str(refused.value)
 
 
 @pytest.mark.filterwarnings("error")

@@ -12,7 +12,7 @@ SUBMODULES = ("algebra", "eigensystem", "scattering", "sweep_io", "threed")
 def test_every_exported_name_resolves_and_is_listed():
     # the package resolves its names on first use; star imports and dir()
     # still see every one of them
-    assert len(spinstep.__all__) == len(set(spinstep.__all__)) == 55
+    assert len(spinstep.__all__) == len(set(spinstep.__all__)) == 53
     assert set(SUBMODULES) <= set(spinstep.__all__)
     listed = dir(spinstep)
     for name in spinstep.__all__:
@@ -60,7 +60,7 @@ def test_verification_takes_no_tolerance_or_single_value_options():
         if callable(value) and not isinstance(value, type):
             params = set(inspect.signature(value).parameters)
             assert not params & {"tol", "check_gamma_identities", "indent"}, name
-    for name in ("shell_determinant", "schrodinger_reduction_check", "probability_current"):
+    for name in ("shell_determinant", "schrodinger_reduction_check"):
         assert "rep" not in inspect.signature(getattr(spinstep, name)).parameters, name
     assert "mass" not in inspect.signature(spinstep.verify_dispersion).parameters
     assert not hasattr(spinstep.AlgebraReport, "to_json")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from spinstep.algebra import eta, eta_dagger
 from spinstep.eigensystem import ELECTRON_MASS_EV, Spin, analytic_eigenstate
 from spinstep.scattering import (
     MASS_POLE_EPS,
@@ -27,8 +28,6 @@ from spinstep.scattering import (
     _abs2,
     _amplitudes,
     _probabilities,
-    probability_current,
-    qm_reference,
     solve_amplitudes_linear,
 )
 from spinstep.sweep_io import SweepSpec, run_sweep
@@ -39,6 +38,16 @@ ME = ELECTRON_MASS_EV
 
 def rel_diff(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def mode_current(spinor) -> float:
+    """The probability current u^dagger (eta + eta^dagger) u of a REP1 mode."""
+    return np.vdot(spinor, (eta() + eta_dagger()) @ spinor).real
+
+
+def closed_form_row(energy, v0, **fields):
+    problem = StepProblem(energy=energy, v0=v0, **fields)
+    return coefficients(problem, closed_form_amplitudes(problem))
 
 
 # ---------------------------------------------------------------- problem
@@ -54,6 +63,10 @@ def test_threshold_band_rejected():
         StepProblem(energy=100.0, v0=100.0)
     with pytest.raises(ThresholdDegeneracyError):
         StepProblem(energy=100.0 * (1 + 1e-10), v0=100.0)
+    # the band's edges, |E - V0| == THRESHOLD_EPS*V0 = 1.0 exactly, are in it
+    for energy in (1e9 - 1.0, 1e9 + 1.0):
+        with pytest.raises(ThresholdDegeneracyError):
+            StepProblem(energy=energy, v0=1e9)
     # just outside the band is accepted
     StepProblem(energy=100.0 * (1 + 1e-8), v0=100.0)
 
@@ -254,39 +267,23 @@ def test_propagating_coefficients_sum_to_one():
         assert 0.0 <= value <= 1.0
 
 
-def test_qm_reference_values():
-    t_qm, r_qm = qm_reference(200.0, 100.0)
+def test_row_spinless_values():
+    row = closed_form_row(200.0, 100.0)
     # frozen oracle: 4*sqrt(2)/(1+sqrt(2))^2
-    assert t_qm == pytest.approx(0.9705627484771406, abs=1e-14)
-    assert t_qm + r_qm == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        qm_reference(100.0, 100.0)
-    with pytest.raises(ValueError):
-        qm_reference(50.0, 100.0)
+    assert row.t_qm == pytest.approx(0.9705627484771406, abs=1e-14)
+    assert row.t_qm + row.r_qm == pytest.approx(1.0, abs=1e-14)
+    # a vanishing step transmits everything
+    assert closed_form_row(100.0, 1e-9).t_qm == pytest.approx(1.0, abs=1e-5)
 
 
-def test_qm_reference_refuses_non_finite_energy():
-    # qm_reference(inf, 1.0) used to return (nan, 0.0); V0 = 0 is no step
-    for energy, v0 in ((math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan), (2.0, 0.0)):
-        with pytest.raises(ValueError, match="finite"):
-            qm_reference(energy, v0)
-
-
-def test_qm_reference_limits():
-    t_near, r_near = qm_reference(100.0 * (1 + 1e-12), 100.0)
-    assert t_near <= 1e-5 and r_near >= 1 - 1e-5
-    t_free, _ = qm_reference(100.0, 1e-9)
-    assert t_free == pytest.approx(1.0, abs=1e-5)
-
-
-def test_qm_reference_small_step_relative_accuracy():
+def test_row_spinless_small_step_relative_accuracy():
     # R = ((k1-k2)/(k1+k2))^2 cancels as V0/E -> 0; (V0/(k1+k2)^2)^2 does not
     for energy, v0 in [(1e6, 1e-3), (1e9, 1e-3)]:
         with mpmath.workdps(50):
             k1 = mpmath.sqrt(energy)
             k2 = mpmath.sqrt(mpmath.mpf(energy) - v0)
             want = float(((k1 - k2) / (k1 + k2)) ** 2)
-        _, r_qm = qm_reference(energy, v0)
+        r_qm = closed_form_row(energy, v0).r_qm
         assert abs(r_qm - want) <= 1e-13 * want
 
 
@@ -294,16 +291,15 @@ def test_spin_sums_reduce_to_qm():
     for energy, v0 in [(150.0, 100.0), (2e5, 1e5), (9e6, 1e6)]:
         problem = StepProblem(energy=energy, v0=v0)
         coeff = coefficients(problem, solve_amplitudes_linear(problem))
-        t_qm, r_qm = qm_reference(energy, v0)
-        assert coeff.t1 + coeff.t2 == pytest.approx(t_qm, abs=1e-10)
-        assert coeff.r1 + coeff.r2 == pytest.approx(r_qm, abs=1e-10)
+        assert coeff.t1 + coeff.t2 == pytest.approx(coeff.t_qm, abs=1e-10)
+        assert coeff.r1 + coeff.r2 == pytest.approx(coeff.r_qm, abs=1e-10)
 
 
 def test_spin_sums_mass_independent():
+    t_qm = closed_form_row(300.0, 100.0).t_qm
     for mass in (ME, 2 * ME, 0.001):
         problem = StepProblem(energy=300.0, v0=100.0, mass=mass)
         coeff = coefficients(problem, solve_amplitudes_linear(problem))
-        t_qm, r_qm = qm_reference(300.0, 100.0)
         assert coeff.t1 + coeff.t2 == pytest.approx(t_qm, abs=1e-10)
 
 
@@ -371,8 +367,7 @@ def test_property_unitarity_and_qm_reduction(x, v0, mass):
     problem = StepProblem(energy=x * v0, v0=v0, mass=mass)
     coeff = coefficients(problem, solve_amplitudes_linear(problem))
     assert coeff.t1 + coeff.t2 + coeff.r1 + coeff.r2 == pytest.approx(1.0, abs=1e-12)
-    t_qm, _ = qm_reference(problem.energy, v0)
-    assert coeff.t1 + coeff.t2 == pytest.approx(t_qm, abs=1e-10)
+    assert coeff.t1 + coeff.t2 == pytest.approx(coeff.t_qm, abs=1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -403,9 +398,8 @@ def test_incident_spin_down_symmetry():
     # the channel without an incident wave matches across the step
     assert amps.b == amps.c
     coeff = coefficients(problem, amps)
-    t_qm, r_qm = qm_reference(250.0, 100.0)
     assert coeff.t1 + coeff.t2 + coeff.r1 + coeff.r2 == pytest.approx(1.0, abs=1e-12)
-    assert coeff.t1 + coeff.t2 == pytest.approx(t_qm, abs=1e-10)
+    assert coeff.t1 + coeff.t2 == pytest.approx(closed_form_row(250.0, 100.0).t_qm, abs=1e-10)
 
 
 def _unfactored_probabilities(energy, v0, mass, spin):
@@ -656,8 +650,8 @@ def test_evanescent_transmitted_current_exactly_zero():
     # weighting
     rows, _ = _continuity_matrix(problem)
     matrix = np.array(rows)
-    assert probability_current(matrix[:, 2]) == 0.0
-    assert probability_current(matrix[:, 3]) == 0.0
+    assert mode_current(matrix[:, 2]) == 0.0
+    assert mode_current(matrix[:, 3]) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -690,20 +684,20 @@ def test_property_currents_equal_bilinears(log_ratio, log_v0, mass, spin, route)
     problem = StepProblem(energy=energy, v0=v0, mass=mass, incident_spin=spin)
     amps = route(problem)
 
-    def mode_current(kind, kinetic_energy):
-        return probability_current(analytic_eigenstate(kind, kinetic_energy, mass))
+    def current(kind, kinetic_energy):
+        return mode_current(analytic_eigenstate(kind, kinetic_energy, mass))
 
     incident_kind = 1 if spin is Spin.UP else 2
     bilinear = {
-        "j_inc": mode_current(incident_kind, energy),
-        "j_refl_up": abs(amps.b) ** 2 * mode_current(3, energy),
-        "j_refl_down": abs(amps.b_prime) ** 2 * mode_current(4, energy),
+        "j_inc": current(incident_kind, energy),
+        "j_refl_up": abs(amps.b) ** 2 * current(3, energy),
+        "j_refl_down": abs(amps.b_prime) ** 2 * current(4, energy),
         "j_trans_up": 0.0,
         "j_trans_down": 0.0,
     }
     if energy > v0:
-        bilinear["j_trans_up"] = abs(amps.c) ** 2 * mode_current(1, energy - v0)
-        bilinear["j_trans_down"] = abs(amps.c_prime) ** 2 * mode_current(2, energy - v0)
+        bilinear["j_trans_up"] = abs(amps.c) ** 2 * current(1, energy - v0)
+        bilinear["j_trans_down"] = abs(amps.c_prime) ** 2 * current(2, energy - v0)
     closed = currents(problem, amps).to_json_dict()
     for name, want in bilinear.items():
         scale = max(abs(want), abs(closed[name]), bilinear["j_inc"])

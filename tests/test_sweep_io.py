@@ -16,7 +16,6 @@ from spinstep.scattering import (
     closed_form_amplitudes,
     coefficients,
     currents,
-    qm_reference,
 )
 from spinstep.sweep_io import (
     EvanescentRow,
@@ -197,6 +196,28 @@ def test_entirely_degenerate_grid_raises():
     )
     with pytest.raises(ThresholdDegeneracyError):
         run_sweep(spec)
+
+
+def test_sweep_skips_the_energies_a_point_query_refuses():
+    # the threshold band is decided on E = x*V0, by StepProblem's own
+    # predicate: here the last grid value lies outside the band as a ratio,
+    # and its energy inside it
+    spec = SweepSpec(
+        v0=0.0022254112628702933, e_over_v0_min=0.5, e_over_v0_max=0.9999999989999999,
+        points=2, spacing=Spacing.LINEAR, regime=Regime.EVANESCENT,
+    )
+    result = run_sweep(spec)
+    assert (len(result.rows), result.skipped) == (1, 1)
+    with pytest.raises(ThresholdDegeneracyError):
+        StepProblem(energy=0.002225411260644882, v0=spec.v0)
+    # and here the other way round: the row is the point's, bit for bit
+    spec = spec._replace(v0=36951.74852416012, e_over_v0_max=0.999999999)
+    result = run_sweep(spec)
+    assert (len(result.rows), result.skipped) == (2, 0)
+    row = result.rows[-1]
+    problem = StepProblem(energy=row.e_ev, v0=spec.v0)
+    point = coefficients(problem, closed_form_amplitudes(problem))
+    assert np.array(row).tobytes() == np.array(point._replace(e_over_v0=row.e_over_v0)).tobytes()
 
 
 def test_format_float_round_trips():

@@ -5,6 +5,7 @@ import pytest
 
 from spinstep.algebra import EtaRepresentation, anticommutator, eta, eta_dagger, gamma, max_abs, pauli
 from spinstep.eigensystem import ELECTRON_MASS_EV
+from spinstep.scattering import PrecisionError
 from spinstep.threed import (
     SINGULARITY_TOL,
     _momentum_matrix,
@@ -217,6 +218,13 @@ def test_probes_refuse_what_double_precision_cannot_resolve():
     # E/m near 1e400: the scaled normalization underflows
     with pytest.raises(ValueError, match="underflows"):
         shell_determinant(1e200, 1e-200, (0, 0, 1e-200))
+    # E/m near 1e115: m*eta_dagger vanishes beside E*eta, and LAPACK's
+    # complex determinant of the exactly singular sum is nan, not the exact 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match="determinant is not finite"):
+            shell_determinant(2.32383325668064e269, 4.338176175728419e154,
+                              (0.0, 1.064347845697207e-24, 0.0))
     with pytest.raises(ValueError, match="underflows"):
         squared_operator_check((0, 0, 0), energy=1e200, mass=1e-200)
 
