@@ -20,9 +20,9 @@ point and on numpy arrays for a sweep grid, and give the same bits.  The
 factored forms subtract no nearly equal numbers, so every amplitude is
 accurate to a few ulps over the whole domain, through the mass pole
 V0 - E = m and for arbitrarily small V0/E.  c and c' are the upper
-components of psi_II(0) in both branches.  An LU solve (LAPACK, via numpy)
-of the wavefunction continuity condition at z = 0, on one pole-free mode
-basis, is kept as the independent oracle the tests compare against, and
+components of psi_II(0) in both branches.  A Gaussian elimination of the
+wavefunction continuity condition at z = 0, on one pole-free mode basis,
+is kept as the independent oracle the tests compare against, and
 continuity_residual measures any amplitudes against the same basis.  The
 spinor formulas of that basis, the closed-form eigenstates of the momentum
 operator, are written once, in _eigen_spinors, which eigensystem reads too.
@@ -41,11 +41,9 @@ Each kind of domain refusal is a ValueError subclass, worded in one place:
 ThresholdDegeneracyError, MassPoleError and PrecisionError (valid inputs
 whose result underflows or overflows; eigensystem and threed raise it too).
 
-numpy is imported only by the two verification routes, for the LU solve
-of solve_amplitudes_linear and the QR projection of continuity_residual,
-so that StepProblem, closed_form_amplitudes, coefficients and currents run
-without it.  A sweep passes numpy arrays, and numpy.sqrt, to the same
-closed forms.
+numpy is imported only by continuity_residual, for its QR projection, so
+that StepProblem, both amplitude routes, coefficients and currents run
+without it; a sweep passes numpy arrays and numpy.sqrt to the closed forms.
 """
 
 from __future__ import annotations
@@ -260,31 +258,53 @@ def _continuity_matrix(problem: StepProblem):
     return [(a, b, -c, -d) for a, b, c, d in zip(r_up, r_down, v1, v2)], [-z for z in incident]
 
 
+def _solve_continuity(rows, rhs) -> list:
+    """x with rows x = rhs, by the elimination solve_amplitudes_linear describes."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    y0, y1, y2, y3 = rhs
+    lb, lc, ld = b0 / a0, c0 / a0, d0 / a0
+    b1, b2, b3, y1 = b1 - lb * a1, b2 - lb * a2, b3 - lb * a3, y1 - lb * y0
+    c1, c2, c3, y2 = c1 - lc * a1, c2 - lc * a2, c3 - lc * a3, y2 - lc * y0
+    d1, d2, d3, y3 = d1 - ld * a1, d2 - ld * a2, d3 - ld * a3, y3 - ld * y0
+    lc, ld = c1 / b1, d1 / b1
+    c2, c3, y2 = c2 - lc * b2, c3 - lc * b3, y2 - lc * y1
+    d2, d3, y3 = d2 - ld * b2, d3 - ld * b3, y3 - ld * y1
+    if abs(d2) > abs(c2):
+        c2, c3, y2, d2, d3, y3 = d2, d3, y3, c2, c3, y2
+    ld = d2 / c2
+    x3 = (y3 - ld * y2) / (d3 - ld * c3)
+    x2 = (y2 - c3 * x3) / c2
+    x1 = (y1 - b2 * x2 - b3 * x3) / b1
+    return [(y0 - a1 * x1 - a2 * x2 - a3 * x3) / a0, x1, x2, x3]
+
+
 def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
-    """Amplitudes from an LU solve (LAPACK, via numpy) of the continuity
-    condition psi_I(0) + psi_I_reflected(0) = psi_II(0).
+    """Amplitudes from a Gaussian elimination, in Python numbers, of the
+    continuity condition psi_I(0) + psi_I_reflected(0) = psi_II(0).
 
-    This is the independent oracle for closed_form_amplitudes: it matches
-    the boundary modes of _continuity_matrix numerically instead of
-    evaluating a formula, and its conditioning stays flat through
-    V0 - E = m.  The system goes to numpy as one 4x4 array; the solution
-    comes back as Python numbers, and the rest is scalar arithmetic.  c and
-    c' are the upper components of psi_II(0): the region-II terms of the
-    first two rows, with the columns' sign undone (on the pole-free basis,
-    c = alpha(s+r) + beta(s-r) and c' = alpha(s+r) - beta(s-r)).  The solution is rejected if its
-    relative backward error |Mx - b| / (|M| |x| + |b|), infinity norms
-    (Higham, ch. 7), exceeds CONTINUITY_TOL, which would signal a solver
-    bug, and so is a propagating solution whose amplitudes differ across the
-    step by more than 1e-12 in the spin channel carrying no incident wave
-    (b_prime == c_prime for spin-up incidence, b == c for spin-down).  Its
-    accuracy is backward, not relative: small amplitudes (V0 << E, or E, V0
-    and m decades apart) can carry large relative errors.
+    This is the independent oracle for closed_form_amplitudes: it matches the
+    boundary modes of _continuity_matrix numerically instead of evaluating a
+    formula, and its conditioning stays flat through V0 - E = m.  Rows 0 and 1
+    pivot columns 0 and 1 unsearched, as partial pivoting would (Higham, ch. 9):
+    the reflected modes' upper components are 1, and their lower ones, +-i a(E-m)
+    and +-sqrt(2) a p with a = 1/(E+m), have modulus <= 1.  The trailing 2x2
+    pivots by modulus; a zero pivot raises PrecisionError.  c and c' are the
+    upper components of psi_II(0): the region-II terms of the first two rows,
+    with the columns' sign undone (c = alpha(s+r) + beta(s-r) and c' =
+    alpha(s+r) - beta(s-r) on the pole-free basis).  The solution is rejected
+    if its relative backward error |Mx - b| / (|M| |x| + |b|), infinity norms
+    (Higham, ch. 7), exceeds CONTINUITY_TOL, and so is a propagating solution
+    whose amplitudes differ across the step by more than 1e-12 in the spin
+    channel carrying no incident wave (b' == c' for spin-up incidence, b == c
+    for spin-down).  Its accuracy is backward, not relative: small amplitudes
+    (V0 << E, or E, V0 and m decades apart) can carry large relative errors.
     """
-    import numpy as np
-
+    e, v0, m, spin = problem
     rows, rhs = _continuity_matrix(problem)
-    x = np.linalg.solve(np.array(rows, dtype=complex), rhs).tolist()
-    x0, x1, x2, x3 = x
+    try:
+        x0, x1, x2, x3 = x = _solve_continuity(rows, rhs)
+    except ZeroDivisionError:
+        raise PrecisionError("a pivot of the continuity solve is 0", E=e, V0=v0, m=m) from None
     residuals, norms = [], []
     for (m0, m1, m2, m3), b in zip(rows, rhs):
         residuals.append(abs(m0 * x0 + m1 * x1 + m2 * x2 + m3 * x3 - b))
@@ -296,7 +316,7 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
             f"{CONTINUITY_TOL:g} after linear solve"
         )
     c, c_prime = [-(m2 * x2 + m3 * x3) for _, _, m2, m3 in rows[:2]]
-    branch, spin = problem.branch, problem.incident_spin
+    branch = problem.branch
     up = spin is Spin.UP
     mismatch = abs(x1 - c_prime) if up else abs(x0 - c)
     if branch is Branch.PROPAGATING and mismatch > 1e-12:

@@ -38,10 +38,16 @@ def test_each_name_is_listed_once_by_the_module_that_defines_it():
 
 def test_point_names_and_cli_resolve_without_numpy():
     # in a fresh interpreter: the lazy search stops at the numpy-free
-    # modules, and `from spinstep import cli` does not search at all
+    # modules, `from spinstep import cli` does not search at all, and the
+    # oracle route solves both branches without numpy
     code = (
         "import sys, spinstep; spinstep.StepProblem; spinstep.run_sweep; "
         "from spinstep import cli; "
+        "from spinstep import StepProblem, solve_amplitudes_linear, coefficients, currents\n"
+        "for energy in (200.0, 50.0):\n"
+        "    problem = StepProblem(energy, 100.0)\n"
+        "    amps = solve_amplitudes_linear(problem)\n"
+        "    coefficients(problem, amps), currents(problem, amps)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

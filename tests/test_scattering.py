@@ -149,11 +149,65 @@ def test_oracle_enforces_bprime_equals_cprime(monkeypatch):
 def test_oracle_refuses_a_large_backward_error(monkeypatch):
     # a solution off by one part in 1e6 has a relative backward error near
     # 5e-7, far above CONTINUITY_TOL; the oracle must refuse it
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    from spinstep import scattering
+
+    solve = scattering._solve_continuity
+    monkeypatch.setattr(
+        scattering, "_solve_continuity", lambda a, b: [z * (1.0 + 1e-6) for z in solve(a, b)]
+    )
     for energy, v0 in ((200.0, 100.0), (50.0, 100.0)):
         with pytest.raises(RuntimeError, match="backward error"):
             solve_amplitudes_linear(StepProblem(energy=energy, v0=v0))
+
+
+@pytest.mark.parametrize("spin", (Spin.UP, Spin.DOWN))
+def test_oracle_backward_error_bound_is_calibrated(monkeypatch, spin):
+    # x(1 + eps) leaves the residual eps*b, so its backward error is
+    # eps*|b| / (|M| |x| + |b|), infinity norms: scaled to 0.99 and 1.01 of
+    # CONTINUITY_TOL, the first is accepted and the second refused.  Here
+    # every row of M has four nonzero entries or a norm below the largest,
+    # and |x| is 5% from 1, so a wrong term in the bound moves it by 8% or
+    # more
+    from spinstep import scattering
+
+    problem = StepProblem(energy=0.3, v0=0.1, mass=1.0, incident_spin=spin)
+    rows, rhs = _continuity_matrix(problem)
+    solve = scattering._solve_continuity
+    x = solve(rows, rhs)
+    b_norm = np.abs(rhs).max()
+    scale = np.abs(rows).sum(axis=1).max() * np.abs(x).max() + b_norm
+    for ratio in (0.99, 1.01):
+        eps = ratio * scattering.CONTINUITY_TOL * scale / b_norm
+        monkeypatch.setattr(
+            scattering, "_solve_continuity", lambda a, b: [z * (1.0 + eps) for z in solve(a, b)]
+        )
+        if ratio < 1:
+            assert solve_amplitudes_linear(problem).b == x[0] * (1.0 + eps)
+        else:
+            with pytest.raises(RuntimeError, match="backward error"):
+                solve_amplitudes_linear(problem)
+
+
+def test_continuity_elimination_solves_a_general_system():
+    # the elimination is written for the continuity rows, whose leading 2x2
+    # is the identity; on a general system (rows 0 and 1 still dominant in
+    # columns 0 and 1) it must agree with LAPACK, and the trailing 2x2 must
+    # swap rows 2 and 3 when the entry in row 2 is the smaller
+    from spinstep.scattering import _solve_continuity
+
+    rng = np.random.default_rng(0)
+    for trial in range(20):
+        matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        matrix[0, 0] += 4.0
+        matrix[1, 1] -= 4.0j
+        if trial % 2:  # row 2 holds the smaller pivot after elimination
+            matrix[2] *= 1e-3
+        rhs = rng.normal(size=4) + 1j * rng.normal(size=4)
+        got = _solve_continuity(matrix.tolist(), rhs.tolist())
+        want = np.linalg.solve(matrix, rhs)
+        assert np.abs(np.array(got) - want).max() <= 1e-10 * np.abs(want).max()
+    swapped = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 0.0)]
+    assert _solve_continuity(swapped, [1.0, 2.0, 3.0, 4.0]) == [1.0, 2.0, 4.0, 3.0]
 
 
 def test_linear_matches_closed_form():
@@ -181,29 +235,28 @@ def test_evanescent_transmitted_amplitude_does_not_overflow(spin, field):
     assert rel_diff(got, want) <= 1e-12
 
 
-# repr of the oracle's (b, b', c, c') at V0 = 100 eV, recorded from the solve
-# on an np.column_stack of spinor arrays; the solve on Python-scalar rows
-# must keep these values (a zero may change sign)
+# repr of the oracle's (b, b', c, c') at V0 = 100 eV, recorded from the
+# Gaussian elimination of _solve_continuity (a zero may change sign)
 ORACLE_PINS = {
     (200.0, Spin.UP): (
-        "(0.1714386239019603+0j)", "0.006785997160448505j",
-        "(1.1714386239019603-0j)", "(-0+0.006785997160448505j)",
+        "(0.1714386239019603+0j)", "0.006785997160448504j",
+        "(1.1714386239019603-0j)", "(-0+0.006785997160448504j)",
     ),
     (200.0, Spin.DOWN): (
-        "0.006785997160448505j", "(0.17143862390196052-0j)",
-        "(-0+0.006785997160448505j)", "(1.1714386239019605-0j)",
+        "0.006785997160448503j", "(0.17143862390196007+0j)",
+        "(-0+0.006785997160448503j)", "(1.17143862390196-0j)",
     ),
     (50.0, Spin.UP): (
-        "(-8.992806499463768e-15-0.9998043240280604j)",
-        "(0.019781649445716643-1.1102230246251565e-16j)",
-        "(0.9999999999999911-0.9998043240280604j)",
-        "(0.019781649445716643-1.1102230246251565e-16j)",
+        "(-8.604228440844963e-15-0.9998043240280605j)",
+        "(0.019781649445716754-2.220446049250313e-16j)",
+        "(0.9999999999999913-0.9998043240280605j)",
+        "(0.019781649445716754-2.220446049250313e-16j)",
     ),
     (50.0, Spin.DOWN): (
-        "(0.019781649445716976-1.6653345369377348e-16j)",
-        "(-8.770761894538737e-15-0.9998043240280603j)",
-        "(0.019781649445716976-1.6653345369377348e-16j)",
-        "(0.9999999999999911-0.9998043240280603j)",
+        "(0.01978164944571653-1.1102230246251565e-16j)",
+        "(-8.826273045769994e-15-0.9998043240280604j)",
+        "(0.01978164944571653-1.1102230246251565e-16j)",
+        "(0.9999999999999911-0.9998043240280604j)",
     ),
 }
 
@@ -716,7 +769,8 @@ def test_property_currents_equal_bilinears(log_ratio, log_v0, mass, spin, route)
 ])
 def test_continuity_basis_is_the_eigenstates(energy, v0, mass, spin):
     # the oracle's columns come from the eigenstate formulas, written once:
-    # they equal analytic_eigenstate exactly, and reach numpy as Python numbers
+    # they equal analytic_eigenstate exactly, and reach the elimination as
+    # Python numbers
     problem = StepProblem(energy=energy, v0=v0, mass=mass, incident_spin=spin)
     rows, rhs = _continuity_matrix(problem)
     assert all(type(z) in (float, complex) for row in [*rows, rhs] for z in row)
@@ -802,8 +856,11 @@ def _point_route(energy, v0, mass=ME):
     (lambda: shell_determinant(1e200, 1e-200, (0, 0, 1e-200)),
      "max(|p|^2, 2*E*m)^2 underflows"),
     (lambda: squared_operator_check((0, 0, 0), energy=1e200, mass=1e-200), "2*E*m underflows"),
+    (lambda: solve_amplitudes_linear(
+        StepProblem(4.474999244675128e-52, 3.160220296519332e90, 8.213591773403413e-300)),
+     "a pivot of the continuity solve is 0"),
 ], ids=["underflow", "probabilities", "E/V0", "current", "sweep", "eigenstate",
-        "shell_determinant", "squared_operator_check"])
+        "shell_determinant", "squared_operator_check", "oracle_pivot"])
 def test_every_precision_refusal_is_one_kind_with_one_wording(refused, what):
     with pytest.raises(PrecisionError) as info:
         refused()
