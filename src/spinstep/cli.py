@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes are a contract: 0 success, 1 verification failure, 2 usage or
 domain error, 3 I/O error.  A refused input prints the stderr prefix of its
-kind, "invalid input" for a PrecisionError.  Output is JSON unless --pretty
+kind, "beyond double precision" for a PrecisionError.  Output is JSON unless --pretty
 is given.  Energy flags accept plain eV values or ev/kev/mev suffixes
 (case-insensitive), e.g. --v0 100kev.  Option defaults and choices are
 read from the library: StepProblem's and SweepSpec's _field_defaults and enums.
@@ -25,6 +25,7 @@ from pathlib import Path
 from . import sweep_io
 from .scattering import (
     MassPoleError,
+    PrecisionError,
     Spin,
     StepProblem,
     ThresholdDegeneracyError,
@@ -145,7 +146,8 @@ def _threed_suites(rep) -> tuple:
 
 
 # The stderr prefix of each refusal kind; any other ValueError is invalid input.
-_REFUSALS = {ThresholdDegeneracyError: "threshold degeneracy", MassPoleError: "mass pole"}
+_REFUSALS = {ThresholdDegeneracyError: "threshold degeneracy", MassPoleError: "mass pole",
+             PrecisionError: "beyond double precision"}
 
 
 def _point(args) -> int:

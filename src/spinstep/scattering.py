@@ -49,6 +49,7 @@ without it; a sweep passes numpy arrays and numpy.sqrt to the closed forms.
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 from functools import reduce
 from operator import add
@@ -93,6 +94,7 @@ CLAMP_EPS = 1e-12
 
 ELECTRON_MASS_EV = 510998.95
 _SQRT2 = math.sqrt(2.0)
+_MAX = sys.float_info.max  # 0.0 < x <= _MAX refuses nan, inf and ints beyond it
 
 
 class Spin(Enum):
@@ -149,24 +151,23 @@ class StepProblem(_StepFields):
 
     The constructor, which _replace and _make call too, refuses an energy,
     v0 or mass that is not positive and finite, an incident_spin that is not
-    a Spin, and E within THRESHOLD_EPS*V0 of V0."""
+    a Spin, and E within THRESHOLD_EPS*V0 of V0; it binds the fields once."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        energy, v0, mass, spin = self
-        for name, value in (("energy", energy), ("v0", v0), ("mass", mass)):
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not isinstance(spin, Spin):
-            raise ValueError(f"incident_spin must be a Spin, got {spin!r}")
+    def __new__(cls, energy, v0, mass=ELECTRON_MASS_EV, incident_spin=Spin.UP):
+        if not (0.0 < energy <= _MAX and 0.0 < v0 <= _MAX and 0.0 < mass <= _MAX):
+            for name, value in (("energy", energy), ("v0", v0), ("mass", mass)):
+                if not 0.0 < value <= _MAX:
+                    raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not isinstance(incident_spin, Spin):
+            raise ValueError(f"incident_spin must be a Spin, got {incident_spin!r}")
         if _at_threshold(energy, v0):
             raise ThresholdDegeneracyError(
                 f"E = {energy} is within {THRESHOLD_EPS:g}*V0 of the step "
                 f"height V0 = {v0}; the transmitted momentum degenerates"
             )
-        return self
+        return tuple.__new__(cls, (energy, v0, mass, incident_spin))
 
     @classmethod
     def _make(cls, iterable):
@@ -245,10 +246,10 @@ def _continuity_matrix(problem: StepProblem):
     as on every route.
     """
     e, v0, m, spin = problem
-    u1, u2, r_up, r_down = _eigen_spinors(e, m, problem.incident_momentum)
+    u1, u2, r_up, r_down = _eigen_spinors(e, m, math.sqrt(2.0 * e * m))  # incident_momentum
     incident = u1 if spin is Spin.UP else u2
-    if problem.branch is Branch.PROPAGATING:
-        v1, v2, _, _ = _eigen_spinors(e - v0, m, problem.transmitted_momentum)
+    if e > v0:  # the branch and transmitted_momentum, as the properties derive them
+        v1, v2, _, _ = _eigen_spinors(e - v0, m, math.sqrt(2.0 * (e - v0) * m))
     else:
         _check_mass_pole(v0 - e, m)
         s = math.sqrt(v0 - e)
@@ -259,23 +260,17 @@ def _continuity_matrix(problem: StepProblem):
 
 
 def _solve_continuity(rows, rhs) -> list:
-    """x with rows x = rhs, by the elimination solve_amplitudes_linear describes."""
-    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    """x with rows x = rhs for identity-led rows, as solve_amplitudes_linear describes."""
+    (_, _, a2, a3), (_, _, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
     y0, y1, y2, y3 = rhs
-    lb, lc, ld = b0 / a0, c0 / a0, d0 / a0
-    b1, b2, b3, y1 = b1 - lb * a1, b2 - lb * a2, b3 - lb * a3, y1 - lb * y0
-    c1, c2, c3, y2 = c1 - lc * a1, c2 - lc * a2, c3 - lc * a3, y2 - lc * y0
-    d1, d2, d3, y3 = d1 - ld * a1, d2 - ld * a2, d3 - ld * a3, y3 - ld * y0
-    lc, ld = c1 / b1, d1 / b1
-    c2, c3, y2 = c2 - lc * b2, c3 - lc * b3, y2 - lc * y1
-    d2, d3, y3 = d2 - ld * b2, d3 - ld * b3, y3 - ld * y1
+    c2, c3, y2 = c2 - c0 * a2 - c1 * b2, c3 - c0 * a3 - c1 * b3, y2 - c0 * y0 - c1 * y1
+    d2, d3, y3 = d2 - d0 * a2 - d1 * b2, d3 - d0 * a3 - d1 * b3, y3 - d0 * y0 - d1 * y1
     if abs(d2) > abs(c2):
         c2, c3, y2, d2, d3, y3 = d2, d3, y3, c2, c3, y2
     ld = d2 / c2
     x3 = (y3 - ld * y2) / (d3 - ld * c3)
     x2 = (y2 - c3 * x3) / c2
-    x1 = (y1 - b2 * x2 - b3 * x3) / b1
-    return [(y0 - a1 * x1 - a2 * x2 - a3 * x3) / a0, x1, x2, x3]
+    return [y0 - a2 * x2 - a3 * x3, y1 - b2 * x2 - b3 * x3, x2, x3]
 
 
 def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
@@ -284,38 +279,50 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
 
     This is the independent oracle for closed_form_amplitudes: it matches the
     boundary modes of _continuity_matrix numerically instead of evaluating a
-    formula, and its conditioning stays flat through V0 - E = m.  Rows 0 and 1
-    pivot columns 0 and 1 unsearched, as partial pivoting would (Higham, ch. 9):
-    the reflected modes' upper components are 1, and their lower ones, +-i a(E-m)
-    and +-sqrt(2) a p with a = 1/(E+m), have modulus <= 1.  The trailing 2x2
-    pivots by modulus; a zero pivot raises PrecisionError.  c and c' are the
-    upper components of psi_II(0): the region-II terms of the first two rows,
-    with the columns' sign undone (c = alpha(s+r) + beta(s-r) and c' =
-    alpha(s+r) - beta(s-r) on the pole-free basis).  The solution is rejected
-    if its relative backward error |Mx - b| / (|M| |x| + |b|), infinity norms
-    (Higham, ch. 7), exceeds CONTINUITY_TOL, and so is a propagating solution
-    whose amplitudes differ across the step by more than 1e-12 in the spin
-    channel carrying no incident wave (b' == c' for spin-up incidence, b == c
-    for spin-down).  Its accuracy is backward, not relative: small amplitudes
-    (V0 << E, or E, V0 and m decades apart) can carry large relative errors.
+    formula.  Rows 0 and 1 are (1, 0, ., .) and (0, 1, ., .): the reflected
+    modes' upper components are 1 and 0, and their lower ones, +-i a(E-m) and
+    +-sqrt(2) a p with a = 1/(E+m), have modulus <= 1, so partial pivoting
+    would pivot on them (Higham, ch. 9).  The elimination is therefore the
+    Schur complement of that identity block, which never multiplies by its
+    exact 1s and 0s, then the trailing 2x2 pivoted by modulus; a zero pivot
+    raises PrecisionError.  c and c' are the upper components of psi_II(0):
+    the region-II terms of the first two rows, with the columns' sign undone
+    (c = alpha(s+r) + beta(s-r) and c' = alpha(s+r) - beta(s-r) on the
+    pole-free basis).  The solution is rejected if its relative backward
+    error |Mx - b| / (|M| |x| + |b|), infinity norms on the full M (Higham,
+    ch. 7), exceeds CONTINUITY_TOL, and so is a propagating solution whose
+    amplitudes differ across the step by more than 1e-12 in the spin channel
+    carrying no incident wave (b' == c' for spin-up incidence, b == c for
+    spin-down).  Its accuracy is backward, not relative: small amplitudes
+    (V0 << E, or E, V0 and m decades apart) can carry large relative errors,
+    and M, well conditioned through V0 - E = m, reaches an infinity-norm
+    condition number of 9.8e14 where E/m is extreme (E = 1.66e-6,
+    V0 = 2.61e-6, m = 7.9e11 eV: 8.7e-9 from a 50-digit solve).
     """
     e, v0, m, spin = problem
     rows, rhs = _continuity_matrix(problem)
     try:
-        x0, x1, x2, x3 = x = _solve_continuity(rows, rhs)
+        x0, x1, x2, x3 = _solve_continuity(rows, rhs)
     except ZeroDivisionError:
         raise PrecisionError("a pivot of the continuity solve is 0", E=e, V0=v0, m=m) from None
-    residuals, norms = [], []
-    for (m0, m1, m2, m3), b in zip(rows, rhs):
-        residuals.append(abs(m0 * x0 + m1 * x1 + m2 * x2 + m3 * x3 - b))
-        norms.append(abs(m0) + abs(m1) + abs(m2) + abs(m3))
-    backward_error = max(residuals) / (max(norms) * max(map(abs, x)) + max(map(abs, rhs)))
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    y0, y1, y2, y3 = rhs
+    scale = max(
+        abs(a0) + abs(a1) + abs(a2) + abs(a3), abs(b0) + abs(b1) + abs(b2) + abs(b3),
+        abs(c0) + abs(c1) + abs(c2) + abs(c3), abs(d0) + abs(d1) + abs(d2) + abs(d3),
+    ) * max(abs(x0), abs(x1), abs(x2), abs(x3)) + max(abs(y0), abs(y1), abs(y2), abs(y3))
+    backward_error = max(
+        abs(a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3 - y0),
+        abs(b0 * x0 + b1 * x1 + b2 * x2 + b3 * x3 - y1),
+        abs(c0 * x0 + c1 * x1 + c2 * x2 + c3 * x3 - y2),
+        abs(d0 * x0 + d1 * x1 + d2 * x2 + d3 * x3 - y3),
+    ) / scale
     if not backward_error <= CONTINUITY_TOL:
         raise RuntimeError(
             f"continuity backward error {backward_error:.3e} exceeds "
             f"{CONTINUITY_TOL:g} after linear solve"
         )
-    c, c_prime = [-(m2 * x2 + m3 * x3) for _, _, m2, m3 in rows[:2]]
+    c, c_prime = -(a2 * x2 + a3 * x3), -(b2 * x2 + b3 * x3)
     branch = problem.branch
     up = spin is Spin.UP
     mismatch = abs(x1 - c_prime) if up else abs(x0 - c)

@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .scattering import (
+    _MAX,
     ELECTRON_MASS_EV,
     Branch,
     EvanescentRow,
@@ -96,9 +97,9 @@ class SweepSpec(_SweepFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (self.v0 > 0 and math.isfinite(self.v0)):
+        if not 0.0 < self.v0 <= _MAX:
             raise ValueError(f"v0 must be positive and finite, got {self.v0}")
-        if not (self.mass > 0 and math.isfinite(self.mass)):
+        if not 0.0 < self.mass <= _MAX:
             raise ValueError(f"mass must be positive and finite, got {self.mass}")
         if not -math.inf < self.e_over_v0_min < self.e_over_v0_max < math.inf:
             raise ValueError(

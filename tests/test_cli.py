@@ -553,13 +553,17 @@ def test_point_commands_exit_0_or_2_for_every_positive_double(command, energy, v
     if code == 0:
         json.loads(out.getvalue(), parse_constant=_refuse_constant)
     else:
-        # the refusal's kind, by its prefix: a PrecisionError prints "invalid
-        # input", and so does the one untyped refusal, finite probabilities
-        # that fail the unit sum where a closed-form denominator overflows
+        # the refusal's kind, by its prefix: a PrecisionError prints "beyond
+        # double precision", and the one untyped refusal, finite probabilities
+        # that fail the unit sum where a closed-form denominator overflows,
+        # prints "invalid input"
         prefix, _, message = err.getvalue().partition(": ")
-        assert prefix in ("threshold degeneracy", "mass pole", "invalid input"), prefix
+        kinds = ("threshold degeneracy", "mass pole", "beyond double precision", "invalid input")
+        assert prefix in kinds, prefix
+        if prefix == "beyond double precision":
+            assert PRECISION in message, message
         if prefix == "invalid input":
-            assert PRECISION in message or "violate unitarity" in message, message
+            assert "violate unitarity" in message, message
 
 
 def _refuse_constant(name):
@@ -574,7 +578,7 @@ def _refuse_constant(name):
 def test_underflowing_point_commands_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("invalid input: ")
+    assert err.startswith("beyond double precision: ")
     assert PRECISION in err
 
 
@@ -589,7 +593,7 @@ def test_overflowing_point_commands_exit_2(capsys, argv):
     # nan or inf currents, or an infinite E/V0, are refused, never printed
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err.startswith("invalid input: ")
+    assert err.startswith("beyond double precision: ")
     assert PRECISION in err
 
 

@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -77,6 +79,19 @@ def test_positivity_validation():
         kwargs.update(bad)
         with pytest.raises(ValueError):
             StepProblem(**kwargs)
+    # zero and an int beyond the double range are refused (the int not with
+    # an OverflowError); the largest double is accepted, also next to a
+    # refused field, which the message names
+    for name in ("energy", "v0", "mass"):
+        for bad in (0.0, 10**400):
+            kwargs = {"energy": 200.0, "v0": 100.0, "mass": ME, name: bad}
+            with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                StepProblem(**kwargs)
+        largest = {"energy": 200.0, "v0": 100.0, "mass": ME, name: sys.float_info.max}
+        assert StepProblem(**largest)[StepProblem._fields.index(name)] == sys.float_info.max
+    for name in ("v0", "mass"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            StepProblem(**{"energy": sys.float_info.max, "v0": 1.0, "mass": 1.0, name: -1.0})
 
 
 @pytest.mark.parametrize("spin", ["up", "down", 1, None])
@@ -85,6 +100,14 @@ def test_incident_spin_must_be_a_spin(spin):
     # "up" would silently be solved as spin-down incidence
     with pytest.raises(ValueError, match="incident_spin"):
         StepProblem(energy=200.0, v0=100.0, incident_spin=spin)
+
+
+def test_constructor_defaults_are_the_field_defaults():
+    # the constructor restates the defaults that the CLI reads
+    params = inspect.signature(StepProblem).parameters
+    assert list(params) == list(StepProblem._fields)
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    assert defaults == StepProblem._field_defaults
 
 
 def test_replace_validates_like_the_constructor():
@@ -133,17 +156,20 @@ def test_linear_solve_continuity_and_bprime_cprime():
 
 def test_oracle_enforces_bprime_equals_cprime(monkeypatch):
     # the oracle is the route that can miss the relation: with the reflected
-    # column of the non-incident spin doubled, the system still solves
-    # exactly, but that channel's b no longer equals its c
+    # amplitude of the non-incident spin shifted by 5e-12, the solution
+    # stays within the backward-error bound (a RuntimeError would not match
+    # here), but that channel's b no longer equals its c
     from spinstep import scattering
 
-    for spin, column, relation in ((Spin.UP, 1, "b_prime == c_prime"), (Spin.DOWN, 0, "b == c")):
-        problem = StepProblem(energy=200.0, v0=100.0, incident_spin=spin)
-        rows, rhs = _continuity_matrix(problem)
-        doubled = [tuple(2 * z if j == column else z for j, z in enumerate(r)) for r in rows]
-        monkeypatch.setattr(scattering, "_continuity_matrix", lambda p: (doubled, rhs))
+    solve = scattering._solve_continuity
+
+    def shifted(index):
+        return lambda rows, rhs: [z + 5e-12 * (j == index) for j, z in enumerate(solve(rows, rhs))]
+
+    for spin, index, relation in ((Spin.UP, 1, "b_prime == c_prime"), (Spin.DOWN, 0, "b == c")):
+        monkeypatch.setattr(scattering, "_solve_continuity", shifted(index))
         with pytest.raises(ValueError, match=relation):
-            solve_amplitudes_linear(problem)
+            solve_amplitudes_linear(StepProblem(energy=200.0, v0=100.0, incident_spin=spin))
 
 
 def test_oracle_refuses_a_large_backward_error(monkeypatch):
@@ -188,20 +214,49 @@ def test_oracle_backward_error_bound_is_calibrated(monkeypatch, spin):
                 solve_amplitudes_linear(problem)
 
 
+@pytest.mark.parametrize("row", range(4))
+def test_backward_error_bound_is_calibrated_on_every_row(monkeypatch, row):
+    # the bound is written out row by row, so it is calibrated as above on
+    # general 4x4 systems in which each row in turn has the largest norm, by
+    # a factor of 4, with four entries of moduli in [1, 2] times its scale:
+    # a wrong term in any row's norm then moves the bound by more than 10%.
+    # Below the step the oracle checks no relation between its amplitudes
+    from spinstep import scattering
+
+    rng = np.random.default_rng(row)
+    matrix = rng.uniform(1.0, 2.0, (4, 4)) * np.exp(2j * np.pi * rng.uniform(size=(4, 4)))
+    matrix[row] *= 4.0
+    rhs = rng.uniform(1.0, 2.0, 4) * np.exp(2j * np.pi * rng.uniform(size=4))
+    x = np.linalg.solve(matrix, rhs)
+    b_norm = np.abs(rhs).max()
+    scale = np.abs(matrix).sum(axis=1).max() * np.abs(x).max() + b_norm
+    monkeypatch.setattr(scattering, "_continuity_matrix", lambda p: (matrix.tolist(), rhs.tolist()))
+    problem = StepProblem(energy=50.0, v0=100.0)
+    for ratio in (0.99, 1.01):
+        eps = ratio * scattering.CONTINUITY_TOL * scale / b_norm
+        monkeypatch.setattr(scattering, "_solve_continuity", lambda a, b: (x * (1.0 + eps)).tolist())
+        if ratio < 1:
+            assert solve_amplitudes_linear(problem).b == x[0] * (1.0 + eps)
+        else:
+            with pytest.raises(RuntimeError, match="backward error"):
+                solve_amplitudes_linear(problem)
+
+
 def test_continuity_elimination_solves_a_general_system():
-    # the elimination is written for the continuity rows, whose leading 2x2
-    # is the identity; on a general system (rows 0 and 1 still dominant in
-    # columns 0 and 1) it must agree with LAPACK, and the trailing 2x2 must
-    # swap rows 2 and 3 when the entry in row 2 is the smaller
+    # the elimination is the Schur complement of an identity block, as in
+    # the continuity rows; on a general identity-led system [I | A; L | B]
+    # it must agree with LAPACK, and the trailing 2x2 must swap rows 2 and 3
+    # when the complement's entry in row 2 is the smaller
     from spinstep.scattering import _solve_continuity
 
     rng = np.random.default_rng(0)
     for trial in range(20):
         matrix = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        matrix[0, 0] += 4.0
-        matrix[1, 1] -= 4.0j
-        if trial % 2:  # row 2 holds the smaller pivot after elimination
-            matrix[2] *= 1e-3
+        matrix[:2, :2] = np.eye(2)
+        # odd trials: row 2 holds the complement's smaller pivot; even: row 3
+        matrix[2 if trial % 2 else 3] *= 1e-3
+        complement = matrix[2:, 2:] - matrix[2:, :2] @ matrix[:2, 2:]
+        assert (abs(complement[1, 0]) > abs(complement[0, 0])) == bool(trial % 2)
         rhs = rng.normal(size=4) + 1j * rng.normal(size=4)
         got = _solve_continuity(matrix.tolist(), rhs.tolist())
         want = np.linalg.solve(matrix, rhs)
@@ -836,6 +891,27 @@ def test_point_route_returns_or_refuses_every_positive_double(energy, v0, mass, 
         return
     assert abs(row.total - 1.0) <= 1e-12
     assert all(map(math.isfinite, (*row, *current)))
+
+
+@settings(max_examples=300, deadline=None)
+# a zero pivot of the elimination
+@example(4.474999244675128e-52, 3.160220296519332e90, 8.213591773403413e-300, Spin.UP)
+# a backward error above CONTINUITY_TOL
+@example(1.900779840119371e279, 3.6026157030657704e-09, 8.721658367086122e250, Spin.DOWN)
+@given(energy=POSITIVE_DOUBLES, v0=POSITIVE_DOUBLES, mass=POSITIVE_DOUBLES,
+       spin=st.sampled_from((Spin.UP, Spin.DOWN)))
+def test_oracle_returns_or_refuses_every_positive_double(energy, v0, mass, spin):
+    # StepProblem -> solve_amplitudes_linear ends in finite amplitudes, a
+    # typed refusal or the backward-error refusal: never an untyped
+    # exception, and never nan or inf accepted
+    try:
+        amps = solve_amplitudes_linear(StepProblem(energy, v0, mass, spin))
+    except (ThresholdDegeneracyError, MassPoleError, PrecisionError):
+        return
+    except RuntimeError as exc:
+        assert "continuity backward error" in str(exc)
+        return
+    assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in amps[1:5])
 
 
 def _point_route(energy, v0, mass=ME):

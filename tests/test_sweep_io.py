@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +64,12 @@ def test_spec_validation():
     for bad in (dict(v0=0.0), dict(mass=0.0), dict(e_over_v0_min=2.0, e_over_v0_max=2.0)):
         with pytest.raises(ValueError):
             small_prop_spec(**bad)
+    # an int beyond the double range is refused, not an OverflowError, and
+    # the largest double is accepted
+    for name in ("v0", "mass"):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            small_prop_spec(**{name: 10**400})
+        assert getattr(small_prop_spec(**{name: sys.float_info.max}), name) == sys.float_info.max
     with pytest.raises(ValueError, match="not finite"):
         small_prop_spec(e_over_v0_min=-math.inf, regime=Regime.AUTO)
     # the first double above the step is a propagating sweep's lowest bound
