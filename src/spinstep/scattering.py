@@ -323,7 +323,7 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
             f"{CONTINUITY_TOL:g} after linear solve"
         )
     c, c_prime = -(a2 * x2 + a3 * x3), -(b2 * x2 + b3 * x3)
-    branch = problem.branch
+    branch = Branch.PROPAGATING if e > v0 else Branch.EVANESCENT  # as StepProblem.branch
     up = spin is Spin.UP
     mismatch = abs(x1 - c_prime) if up else abs(x0 - c)
     if branch is Branch.PROPAGATING and mismatch > 1e-12:
@@ -331,7 +331,7 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
         raise ValueError(
             f"propagating amplitudes must satisfy {relation}, got difference {mismatch:.3e}"
         )
-    return AmplitudeSet(branch, x0, x1, c, c_prime, spin)
+    return tuple.__new__(AmplitudeSet, (branch, x0, x1, c, c_prime, spin))
 
 
 def _amplitudes(branch: Branch, energy, v0, mass, spin: Spin, sqrt):
@@ -391,14 +391,19 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
     small that a denominator of the closed forms underflows to 0.
     """
     energy, v0, mass, spin = problem
-    branch = problem.branch
+    branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT  # as StepProblem.branch
     if branch is Branch.EVANESCENT:
         _check_mass_pole(v0 - energy, mass)
     try:
-        pairs = _amplitudes(branch, energy, v0, mass, spin, math.sqrt)
+        (b, b_im), (b_prime, b_prime_im), (c, c_im), (c_prime, c_prime_im) = _amplitudes(
+            branch, energy, v0, mass, spin, math.sqrt
+        )
     except ZeroDivisionError:
         raise PrecisionError("a denominator underflows to 0", E=energy, V0=v0, m=mass) from None
-    return AmplitudeSet(branch, *(complex(*pair) for pair in pairs), spin)
+    return tuple.__new__(AmplitudeSet, (
+        branch, complex(b, b_im), complex(b_prime, b_prime_im), complex(c, c_im),
+        complex(c_prime, c_prime_im), spin,
+    ))
 
 
 def _abs2(re, im):
@@ -543,20 +548,25 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
     current per unit amplitude.  _probabilities asserts the range before
     the values are clamped onto [0, 1], and the unit sum of the clamped
     values, the row's total; a genuine violation raises ValueError, and an
-    E/V0 beyond the double range PrecisionError.
+    E/V0 beyond the double range PrecisionError.  The branch is
+    StepProblem.branch's expression, E > V0, on the unpacked fields.
     """
     e, v0, mass, spin = problem
     branch, b, b_prime, c, c_prime, amps_spin = amps
-    if branch is not problem.branch or amps_spin is not spin:
+    propagating = e > v0
+    problem_branch = Branch.PROPAGATING if propagating else Branch.EVANESCENT
+    if branch is not problem_branch or amps_spin is not spin:
         raise ValueError("amplitude set was produced for a different problem")
-    curves = _curves(
-        branch, e, v0, mass, [_abs2(z.real, z.imag) for z in (b, b_prime, c, c_prime)], math.sqrt
-    )
+    abs2 = [
+        _abs2(b.real, b.imag), _abs2(b_prime.real, b_prime.imag),
+        _abs2(c.real, c.imag), _abs2(c_prime.real, c_prime.imag),
+    ]
+    curves = _curves(branch, e, v0, mass, abs2, math.sqrt)
     e_over_v0 = e / v0
     if e_over_v0 == math.inf:
         raise PrecisionError("E/V0 overflows", E=e, V0=v0)
-    row_type = PropagatingRow if branch is Branch.PROPAGATING else EvanescentRow
-    return row_type(*map(float, (e, e_over_v0, *curves)))
+    row_type = PropagatingRow if propagating else EvanescentRow
+    return tuple.__new__(row_type, map(float, (e, e_over_v0, *curves)))
 
 
 def _spinless(energy, v0, sqrt):
@@ -610,23 +620,29 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
     j_inc = 4*p1/(E+m), reflected -j_inc*|b|^2 and -j_inc*|b'|^2,
     transmitted 4*p2*|c|^2/(E+m-V0) when propagating and exactly 0 in the
     evanescent branch.  A current that overflows, or that an overflowing
-    amplitude leaves undefined, raises PrecisionError.
+    amplitude leaves undefined, raises PrecisionError.  The branch (E > V0),
+    p1 and p2 are StepProblem's branch, incident_momentum and
+    transmitted_momentum, in their expressions, on the unpacked fields.
     """
     e, v0, m, spin = problem
     branch, b, b_prime, c, c_prime, amps_spin = amps
-    if branch is not problem.branch or amps_spin is not spin:
+    propagating = e > v0
+    problem_branch = Branch.PROPAGATING if propagating else Branch.EVANESCENT
+    if branch is not problem_branch or amps_spin is not spin:
         raise ValueError("amplitude set was produced for a different problem")
-    j_inc = 4.0 * problem.incident_momentum / (e + m)
+    j_inc = 4.0 * math.sqrt(2.0 * e * m) / (e + m)
     j_trans_up = j_trans_down = 0.0
-    if branch is Branch.PROPAGATING:
-        per_amplitude = 4.0 * problem.transmitted_momentum / (e + m - v0)
+    if propagating:  # abs(e - v0) is e - v0 above the step
+        per_amplitude = 4.0 * math.sqrt(2.0 * (e - v0) * m) / (e + m - v0)
         j_trans_up = per_amplitude * _abs2(c.real, c.imag)
         j_trans_down = per_amplitude * _abs2(c_prime.real, c_prime.imag)
     j_refl_up = -j_inc * _abs2(b.real, b.imag)
     j_refl_down = -j_inc * _abs2(b_prime.real, b_prime.imag)
     if not math.isfinite(j_inc + j_refl_up + j_refl_down + j_trans_up + j_trans_down):
         raise PrecisionError("a current is not finite", E=e, V0=v0, m=m)
-    return CurrentDensities(j_inc, j_refl_up, j_refl_down, j_trans_up, j_trans_down)
+    return tuple.__new__(
+        CurrentDensities, (j_inc, j_refl_up, j_refl_down, j_trans_up, j_trans_down)
+    )
 
 
 def continuity_residual(problem: StepProblem, amps: AmplitudeSet) -> float:

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from spinstep import eigensystem
 from spinstep.algebra import EtaRepresentation, eta, eta_dagger, max_abs
 from spinstep.eigensystem import (
     ELECTRON_MASS_EV,
+    _projection_residuals,
     analytic_eigenstate,
     momentum_operator,
     verify_dispersion,
 )
-from spinstep.scattering import PrecisionError
+from spinstep.scattering import PrecisionError, _eigen_spinors
 
 ME = ELECTRON_MASS_EV
 
@@ -101,6 +103,29 @@ def test_direction_flip_relation_exact():
 def test_analytic_states_lie_in_numeric_eigenspaces():
     report = verify_dispersion(EtaRepresentation.REP1, energies=[1.0, 100.0, 1e6])
     assert report["eigenspace_projection"].max_deviation <= 1e-9
+
+
+def test_projection_residual_spans_only_the_selected_eigenspace():
+    # eigenvalue 1 selects the eigenvectors e0 and e1.  e2 lies in the span
+    # of the first three columns of Q but outside the selected eigenspace,
+    # and a state orthogonal to every selected eigenvector is off by exactly
+    # |v| / |v|, whatever its norm
+    values = np.array([1.0, 1.0, 2.0, 3.0], dtype=complex)
+    states = np.array([[1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]], dtype=complex)
+    residuals = _projection_residuals(values, np.eye(4, dtype=complex), np.ones(3), states, 1e-6)
+    assert residuals.tolist() == [0.0, 1.0, 1.0]
+
+
+def test_eigen_equation_residual_is_relative_to_the_eigenvalue_and_state(monkeypatch):
+    # u^(3), a -p state, in u^(1)'s +p slot: (A - p) u3 = -2p u3, a residual
+    # of 2 relative to |p| |u3|
+    def swapped(energy, mass, momentum):
+        _, u2, u3, u4 = _eigen_spinors(energy, mass, momentum)
+        return u3, u2, u3, u4
+
+    monkeypatch.setattr(eigensystem, "_eigen_spinors", swapped)
+    report = verify_dispersion(energies=[1.0, 100.0, 1e6])
+    assert report["eigen_equation_residual"].max_deviation == pytest.approx(2.0, rel=1e-12)
 
 
 def test_dispersion_report_both_reps():

@@ -15,6 +15,7 @@ from spinstep.scattering import (
     THRESHOLD_EPS,
     AmplitudeSet,
     Branch,
+    CurrentDensities,
     EvanescentRow,
     MassPoleError,
     PrecisionError,
@@ -891,6 +892,23 @@ def test_point_route_returns_or_refuses_every_positive_double(energy, v0, mass, 
         return
     assert abs(row.total - 1.0) <= 1e-12
     assert all(map(math.isfinite, (*row, *current)))
+    # the route derives the branch and momenta inline and builds its results
+    # with tuple.__new__: bit for bit the properties' values, and the types
+    # and values of the generated constructors
+    branch = problem.branch
+    assert type(amps) is AmplitudeSet
+    assert amps == AmplitudeSet(branch, *amps[1:5], spin)
+    assert type(row) is (PropagatingRow if branch is Branch.PROPAGATING else EvanescentRow)
+    assert row == type(row)(*row)
+    r_up, r_down, t_up, t_down = (_abs2(z.real, z.imag) for z in amps[1:5])
+    j_inc = 4.0 * problem.incident_momentum / (energy + mass)
+    j_trans = (0.0, 0.0)
+    if branch is Branch.PROPAGATING:
+        per_amplitude = 4.0 * problem.transmitted_momentum / (energy + mass - v0)
+        j_trans = (per_amplitude * t_up, per_amplitude * t_down)
+    expected = CurrentDensities(j_inc, -j_inc * r_up, -j_inc * r_down, *j_trans)
+    assert type(current) is CurrentDensities
+    assert current == expected and repr(current) == repr(expected)
 
 
 @settings(max_examples=300, deadline=None)
@@ -905,13 +923,16 @@ def test_oracle_returns_or_refuses_every_positive_double(energy, v0, mass, spin)
     # typed refusal or the backward-error refusal: never an untyped
     # exception, and never nan or inf accepted
     try:
-        amps = solve_amplitudes_linear(StepProblem(energy, v0, mass, spin))
+        problem = StepProblem(energy, v0, mass, spin)
+        amps = solve_amplitudes_linear(problem)
     except (ThresholdDegeneracyError, MassPoleError, PrecisionError):
         return
     except RuntimeError as exc:
         assert "continuity backward error" in str(exc)
         return
     assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in amps[1:5])
+    assert type(amps) is AmplitudeSet
+    assert amps == AmplitudeSet(problem.branch, *amps[1:5], spin)
 
 
 def _point_route(energy, v0, mass=ME):
