@@ -16,22 +16,23 @@ squaring.  Submodules:
 
 The package exports the submodules and the names each library module lists
 in its own __all__, which names what the module defines.  Every name
-resolves on first use (PEP 562), searching the numpy-free scattering and
-sweep_io first, so importing the package, or cli, or a point command of
-the CLI, loads neither numpy nor the modules built on it.  __all__, dir()
-and a name that no module lists import every module.
+resolves on first use (PEP 562), searching scattering and sweep_io first,
+so importing the package, or cli, or a point command of the CLI, loads
+neither the identity suites nor numpy, which no module imports at import
+time.  __all__, dir() and a name that no module lists import every module.
 """
 
 from importlib import import_module as _import_module
 
-# numpy-free first
+# the point route's modules first
 _MODULES = ("scattering", "sweep_io", "algebra", "eigensystem", "threed")
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # cli too: `from spinstep import cli` calls hasattr first, and the search imports numpy
+    # cli too: `from spinstep import cli` calls hasattr first, and the search imports
+    # every module
     if name in (*_MODULES, "cli"):
         return _import_module(f"{__name__}.{name}")
     if name == "__all__":

@@ -1,48 +1,45 @@
 """Complex 4x4 matrix kernel.
 
-Constructors for the Pauli and Dirac gamma matrices and for the symmetric
-nilpotent generator pair (eta, eta^dagger) that factorizes the free
-Schrodinger equation, together with structural predicates, characteristic
-polynomial coefficients, and a verification report covering every
-algebraic identity the generator pair must satisfy:
+The Pauli, Dirac gamma and mu matrices, and the symmetric nilpotent
+generator pair (eta, eta^dagger) that factorizes the free Schrodinger
+equation, are held here as exact tables: tuples of rows of Python numbers
+with entries in {0, +-1, +-i}, eta scaled by sqrt(2) to get there.
+Python's complex arithmetic is exact on such Gaussian integers, so the
+generator pair's identity report,
 
     eta^2 = 0,  (eta^dagger)^2 = 0,  {eta, eta^dagger} = 2I,
     eta symmetric, traceless, singular, all eigenvalues zero,
 
-and, for REP1, the gamma relations eta + eta^dagger = -i*sqrt(2)*gamma2 and
-eta^dagger @ eta = I + i*gamma3.  Every check is bounded by IDENTITY_TOL,
-fixed here; the suites take no tolerance argument.
-
-All matrices returned by this module are read-only numpy arrays; every
-function is pure, so the module is safe for concurrent use.
+and, for REP1, eta + eta^dagger = -i*sqrt(2)*gamma2 and eta^dagger @ eta =
+I + i*gamma3, has every deviation exactly 0.  Every check is bounded by
+IDENTITY_TOL, fixed here; verify_eta_matrix runs the suite on any candidate
+in floating point.  pauli, gamma, eta and eta_dagger return read-only numpy
+arrays built from the tables on first call; numpy is imported by the
+functions that take or return arrays, not by the module.  Every function is
+pure, so the module is safe for concurrent use.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from enum import Enum
+from functools import cache
+from itertools import chain
+from operator import mul
 from typing import NamedTuple
 
-import numpy as np
+from .scattering import PrecisionError
 
 __all__ = [
-    "EtaRepresentation",
-    "AlgebraCheck",
-    "AlgebraReport",
-    "pauli",
-    "gamma",
-    "eta",
-    "eta_dagger",
-    "dagger",
-    "anticommutator",
-    "commutator",
-    "verify_eta_matrix",
-    "verify_eta_algebra",
+    "EtaRepresentation", "AlgebraCheck", "AlgebraReport", "pauli", "gamma", "eta", "eta_dagger",
+    "dagger", "anticommutator", "commutator", "verify_eta_matrix", "verify_eta_algebra",
 ]
 
-SQRT2 = float(np.sqrt(2.0))
+SQRT2 = math.sqrt(2.0)
 
-# Absolute bound of every exact algebraic identity check.  Entries of the
-# generator matrices are 0 and +-1/sqrt(2), so any deviation is pure rounding.
+# Absolute bound of every exact algebraic identity check.  On the tables the
+# deviations are exactly 0; a candidate's are its own rounding.
 IDENTITY_TOL = 1e-14
 
 
@@ -57,125 +54,177 @@ class EtaRepresentation(Enum):
     REP2 = "rep2"
 
 
-def _readonly(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
+def _sum(*terms):
+    """The entrywise sum of c*a over (c, a) pairs of a number and a table."""
+    coefficients, tables = zip(*terms)
+    return tuple(
+        tuple([sum(map(mul, coefficients, entries)) for entries in zip(*rows)])
+        for rows in zip(*tables)
+    )
 
 
-_PAULI = (
-    _readonly(np.eye(2, dtype=complex)),
-    _readonly(np.array([[0, 1], [1, 0]], dtype=complex)),
-    _readonly(np.array([[0, -1j], [1j, 0]], dtype=complex)),
-    _readonly(np.array([[1, 0], [0, -1]], dtype=complex)),
-)
+def _mul(a, b):
+    """The matrix product of two tables."""
+    columns = tuple(zip(*b))
+    return tuple(tuple([sum(map(mul, row, column)) for column in columns]) for row in a)
 
 
-def pauli(index: int) -> np.ndarray:
-    """Pauli matrix sigma_index, index in {0, 1, 2, 3} (0 is the identity)."""
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"pauli index must be 0..3, got {index}")
-    return _PAULI[index]
+def _bracket(a, b, sign: int):
+    """a*b + sign*b*a of two tables: {a, b} for +1, [a, b] for -1."""
+    return _sum((1, _mul(a, b)), (sign, _mul(b, a)))
 
 
-def _block(a, b, c, d) -> np.ndarray:
-    return np.block([[np.asarray(a), np.asarray(b)], [np.asarray(c), np.asarray(d)]])
+def _adj(a):
+    """The conjugate transpose of a table."""
+    return tuple(tuple(x.conjugate() for x in column) for column in zip(*a))
 
 
-_Z2 = np.zeros((2, 2), dtype=complex)
+def _dev(a, scale=1) -> float:
+    """The largest entry magnitude of a table over scale: every deviation."""
+    return max(abs(x) for row in a for x in row) / scale
+
+
+def _block(a, b, c, d):
+    """The 4x4 table [[a, b], [c, d]] of four 2x2 tables."""
+    return tuple(x + y for x, y in zip(a, b)) + tuple(x + y for x, y in zip(c, d))
+
+
+_Z2 = ((0, 0), (0, 0))
+_PAULI = (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((0, -1j), (1j, 0)), ((1, 0), (0, -1)))
+_EYE = _block(_PAULI[0], _Z2, _Z2, _PAULI[0])
 
 # Dirac basis: gamma0 = diag(1,1,-1,-1), spatial gammas with Pauli
 # off-diagonal blocks, gamma5 = i*gamma0*gamma1*gamma2*gamma3.
 _GAMMA = {
-    0: _readonly(np.diag([1, 1, -1, -1]).astype(complex)),
-    1: _readonly(_block(_Z2, _PAULI[1], -_PAULI[1], _Z2)),
-    2: _readonly(_block(_Z2, _PAULI[2], -_PAULI[2], _Z2)),
-    3: _readonly(_block(_Z2, _PAULI[3], -_PAULI[3], _Z2)),
+    0: _block(_PAULI[0], _Z2, _Z2, _sum((-1, _PAULI[0]))),
+    **{k: _block(_Z2, _PAULI[k], _sum((-1, _PAULI[k])), _Z2) for k in (1, 2, 3)},
 }
-_GAMMA[5] = _readonly(1j * _GAMMA[0] @ _GAMMA[1] @ _GAMMA[2] @ _GAMMA[3])
+_GAMMA[5] = _sum((1j, _mul(_mul(_GAMMA[0], _GAMMA[1]), _mul(_GAMMA[2], _GAMMA[3]))))
+
+# The block forms diag(sigma3, sigma3), antidiag(sigma2, sigma2) and
+# diag(sigma2, -sigma2) of the 3D equation's mu1, mu2, mu3 (see threed).
+_MU = (
+    _block(_PAULI[3], _Z2, _Z2, _PAULI[3]),
+    _block(_Z2, _PAULI[2], _PAULI[2], _Z2),
+    _block(_PAULI[2], _Z2, _Z2, _sum((-1, _PAULI[2]))),
+)
+
+# sqrt(2)*eta in each representation; REP2 is i*[[0, s0 + s2], [s0 - s2, 0]]
+_SQRT2_ETA = {
+    EtaRepresentation.REP1: ((0, -1j, 0, -1), (-1j, 0, 1, 0), (0, 1, 0, -1j), (-1, 0, -1j, 0)),
+    EtaRepresentation.REP2: ((0, 0, 1j, 1), (0, 0, -1, 1j), (1j, -1, 0, 0), (1, 1j, 0, 0)),
+}
 
 
-def gamma(index: int) -> np.ndarray:
+@cache
+def _array(table, divisor=1):
+    """table / divisor as a read-only complex numpy array, built once."""
+    import numpy as np
+
+    m = np.array(table, dtype=complex) / divisor
+    m.setflags(write=False)
+    return m
+
+
+def pauli(index: int):
+    """Pauli matrix sigma_index, index in {0, 1, 2, 3} (0 is the identity)."""
+    if index not in (0, 1, 2, 3):
+        raise ValueError(f"pauli index must be 0..3, got {index}")
+    return _array(_PAULI[index])
+
+
+def gamma(index: int):
     """Dirac-basis gamma matrix for index in {0, 1, 2, 3, 5}."""
     try:
-        return _GAMMA[index]
+        return _array(_GAMMA[index])
     except KeyError:
         raise ValueError(f"gamma index must be one of 0,1,2,3,5, got {index}") from None
 
 
-_ETA = {
-    EtaRepresentation.REP1: _readonly(
-        np.array(
-            [
-                [0, -1j, 0, -1],
-                [-1j, 0, 1, 0],
-                [0, 1, 0, -1j],
-                [-1, 0, -1j, 0],
-            ],
-            dtype=complex,
-        )
-        / SQRT2
-    ),
-    EtaRepresentation.REP2: _readonly(
-        (1j / SQRT2)
-        * _block(_Z2, _PAULI[0] + _PAULI[2], _PAULI[0] - _PAULI[2], _Z2)
-    ),
-}
-
-_ETA_DAGGER = {rep: _readonly(m.conj().T.copy()) for rep, m in _ETA.items()}
-
-
-def eta(rep: EtaRepresentation = EtaRepresentation.REP1) -> np.ndarray:
+def eta(rep: EtaRepresentation = EtaRepresentation.REP1):
     """The symmetric nilpotent generator in the chosen representation.
 
     A 4x4 complex matrix with eta^2 = 0, {eta, eta^dagger} = 2I, eta^T = eta,
     zero trace and determinant, and all eigenvalues zero.
     """
-    return _ETA[rep]
+    return _array(_SQRT2_ETA[rep], SQRT2)
 
 
-def eta_dagger(rep: EtaRepresentation = EtaRepresentation.REP1) -> np.ndarray:
+def eta_dagger(rep: EtaRepresentation = EtaRepresentation.REP1):
     """Conjugate transpose of eta(rep); equals the entrywise conjugate
     because eta is symmetric."""
-    return _ETA_DAGGER[rep]
+    return _array(_adj(_SQRT2_ETA[rep]), SQRT2)
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+def dagger(m):
+    """Conjugate transpose of an array."""
+    return m.conj().T
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def anticommutator(a, b):
     return a @ b + b @ a
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def commutator(a, b):
     return a @ b - b @ a
 
 
-def max_abs(m: np.ndarray) -> float:
-    """Largest entry magnitude; the deviation measure used by all reports."""
+def max_abs(m) -> float:
+    """Largest entry magnitude of an array."""
+    import numpy as np
+
     return float(np.abs(np.asarray(m)).max())
 
 
-def _char_poly_coeffs(m: np.ndarray) -> np.ndarray:
+def _char_poly_coeffs(m) -> tuple:
     """Coefficients (c3, c2, c1, c0) of det(lambda*I - M) = lambda^4 +
-    c3*lambda^3 + c2*lambda^2 + c1*lambda + c0, by Faddeev-LeVerrier.
-
-    All eigenvalues of M are zero exactly when every coefficient vanishes,
-    which avoids the accuracy cliff of rooting a degenerate quartic.
+    c3*lambda^3 + c2*lambda^2 + c1*lambda + c0 of a 4x4 table, by
+    Faddeev-LeVerrier; c3 = -tr(M) and c0 = det(M).  All eigenvalues are
+    zero exactly when every coefficient vanishes, with no quartic to root.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-    eye = np.eye(4, dtype=complex)
     coeffs = []
-    mk = m.copy()
-    for k in range(1, 5):
-        ck = -np.trace(mk) / k
+    mk = m
+    for k in (1, 2, 3, 4):
+        ck = -sum(mk[i][i] for i in range(4)) / k
         coeffs.append(ck)
-        if k < 4:
-            mk = m @ (mk + ck * eye)
-    return np.array(coeffs)
+        mk = _mul(m, _sum((1, mk), (ck, _EYE)))
+    return tuple(coeffs)
+
+
+def _square_terms(n, norm):
+    """n^2, {n, n^dagger} - 2*norm*I and (n^dagger)^2 for n = s*eta, s*s =
+    norm: the coefficients of E^2, E*m and m^2 in (E*n + m*n^dagger)^2 -
+    2*norm*E*m*I, each 0 exactly when its identity holds."""
+    nd = _adj(n)
+    cross = _sum((1, _bracket(n, nd, 1)), (-2 * norm, _EYE))
+    return _mul(n, n), cross, _mul(nd, nd)
+
+
+def _square_deviation(n, pairs) -> float:
+    """The largest |(e*eta + m*eta^dagger)^2 - 2*e*m*I| / (2*e*m) over the
+    (e, m) pairs, 4*e*m normal, from the table n = sqrt(2)*eta: expanded over
+    its exact _square_terms, an exact pair gives 0 however far apart e, m."""
+    terms = zip(*(chain.from_iterable(table) for table in _square_terms(n, 2)))
+    nonzero = [t for t in terms if any(t)]
+    return max(
+        (abs(e * e * s + e * m * c + m * m * d) / (4 * e * m)
+         for e, m in pairs for s, c, d in nonzero),
+        default=0.0,
+    )
+
+
+def _scaled(*values) -> list:
+    """values divided by the power of two that brings the largest magnitude
+    into [0.5, 1): exact unless a value underflows, and no product of the
+    operators built from them can overflow."""
+    k = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -k) for v in values]
+
+
+def _normal(value: float, what: str, **inputs) -> float:
+    if not value >= sys.float_info.min:
+        raise PrecisionError(f"{what} underflows", **inputs)
+    return value
 
 
 class AlgebraCheck(NamedTuple):
@@ -224,47 +273,55 @@ def _check(name: str, deviation: float, tol: float = IDENTITY_TOL) -> AlgebraChe
     return AlgebraCheck(name, float(deviation), float(deviation) <= tol)
 
 
-def verify_eta_matrix(candidate: np.ndarray) -> AlgebraReport:
-    """Run the defining identity suite against an arbitrary candidate
-    generator, each check within IDENTITY_TOL.
-
-    Useful for validating perturbed or externally supplied matrices; the
-    expected dagger is taken to be the entrywise conjugate transpose of the
-    candidate itself.
-    """
-    m = np.asarray(candidate, dtype=complex)
-    md = m.conj().T
-    eye = np.eye(4, dtype=complex)
-    return AlgebraReport(
-        (
-            _check("square_is_zero", max_abs(m @ m)),
-            _check("dagger_square_is_zero", max_abs(md @ md)),
-            _check("anticommutator_is_2I", max_abs(anticommutator(m, md) - 2 * eye)),
-            _check("symmetric", max_abs(m - m.T)),
-            _check("dagger_is_entrywise_conjugate", max_abs(md - m.conj())),
-            _check("trace_is_zero", abs(np.trace(m))),
-            _check("determinant_is_zero", abs(np.linalg.det(m))),
-            _check("eigenvalues_all_zero", max_abs(_char_poly_coeffs(m))),
-        )
+def _generator_checks(n, norm) -> tuple[AlgebraCheck, ...]:
+    """The defining identity suite of a generator n = s*eta given as a 4x4
+    table, s*s = norm, each deviation measured in eta's own units."""
+    nd = _adj(n)
+    s = math.sqrt(norm)
+    square, cross, dagger_square = _square_terms(n, norm)
+    coeffs = _char_poly_coeffs(n)
+    return (
+        _check("square_is_zero", _dev(square, norm)),
+        _check("dagger_square_is_zero", _dev(dagger_square, norm)),
+        _check("anticommutator_is_2I", _dev(cross, norm)),
+        _check("symmetric", _dev(_sum((1, n), (-1, tuple(zip(*n)))), s)),
+        _check("dagger_is_entrywise_conjugate", _dev(_sum((1, nd), (-1, _adj(zip(*n)))), s)),
+        _check("trace_is_zero", abs(coeffs[0]) / s),
+        _check("determinant_is_zero", abs(coeffs[3]) / (norm * norm)),
+        # c_k of n is s^k times c_k of eta
+        _check("eigenvalues_all_zero", max(abs(c) / s**k for k, c in enumerate(coeffs, 1))),
     )
+
+
+def verify_eta_matrix(candidate) -> AlgebraReport:
+    """Run the defining identity suite, in floating point, against any 4x4
+    candidate generator, such as a perturbed or externally supplied matrix,
+    each check within IDENTITY_TOL; its dagger is taken to be its own
+    entrywise conjugate transpose."""
+    rows = tuple(tuple(complex(x) for x in row) for row in candidate)
+    if len(rows) != 4 or any(len(row) != 4 for row in rows):
+        raise ValueError(f"expected a 4x4 matrix, got rows of lengths {[len(r) for r in rows]}")
+    return AlgebraReport(_generator_checks(rows, 1))
 
 
 def verify_eta_algebra(rep: EtaRepresentation = EtaRepresentation.REP1) -> AlgebraReport:
     """Verify every defining identity of the chosen generator representation,
-    each within IDENTITY_TOL.
+    exactly, on its table, each within IDENTITY_TOL.
 
     For REP1 the report also checks the two gamma relations of that basis,
     with their fixed signs: eta + eta^dagger = -i*sqrt(2)*gamma2 and
     eta^dagger @ eta = I + i*gamma3.  REP2 realizes neither, with either
     sign, so its report omits them.
     """
-    m = eta(rep)
-    report = verify_eta_matrix(m)
+    n = _SQRT2_ETA[rep]
+    checks = _generator_checks(n, 2)
     if rep is not EtaRepresentation.REP1:
-        return report
-    md = m.conj().T
-    gamma_relations = (
-        _check("eta_plus_dagger_equals_-i*sqrt2*gamma2", max_abs(m + md + 1j * SQRT2 * gamma(2))),
-        _check("dagger_times_eta_equals_I+i*gamma3", max_abs(md @ m - np.eye(4) - 1j * gamma(3))),
-    )
-    return AlgebraReport(report.checks + gamma_relations)
+        return AlgebraReport(checks)
+    nd = _adj(n)
+    # on the table: N + N^dagger = -2i*gamma2 and N^dagger N = 2I + 2i*gamma3
+    plus = _sum((1, n), (1, nd), (2j, _GAMMA[2]))
+    times = _sum((1, _mul(nd, n)), (-2, _EYE), (-2j, _GAMMA[3]))
+    return AlgebraReport(checks + (
+        _check("eta_plus_dagger_equals_-i*sqrt2*gamma2", _dev(plus, SQRT2)),
+        _check("dagger_times_eta_equals_I+i*gamma3", _dev(times, 2)),
+    ))

@@ -35,8 +35,9 @@ from .scattering import (
 )
 from .sweep_io import Regime, Spacing, SweepSpec, run_sweep
 
-# algebra, eigensystem and threed load numpy, so only the report commands import
-# them, and --rep spells its choices: the point commands run without numpy.
+# Only the report commands import algebra, eigensystem and threed, and --rep
+# spells its choices, so a point command loads no more than it runs.  No
+# command but sweep imports numpy.
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1

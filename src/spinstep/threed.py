@@ -2,18 +2,20 @@
 
 The 3D form of the first-order equation replaces the plain z-derivative with
 mu_i d_i, where the three Hermitian 4x4 matrices mu_i obey the Clifford
-relation {mu_i, mu_j} = 2*delta_ij*I.  This module builds the mu triple
-from gamma-matrix products (checked against their explicit block forms),
+relation {mu_i, mu_j} = 2*delta_ij*I.  This module builds the mu triple,
+algebra's block-form tables (checked against the gamma-matrix products),
 the Hermitian kernels of the 3D continuity equation
 
     Sigma_i = i * mu_i * (eta + eta^dagger) * gamma3,
     Gamma   = i * eta^dagger * eta * gamma3,
 
 and verifies every commutation/anticommutation relation that derivation
-rests on, each within algebra.IDENTITY_TOL.  It also probes the singularity
-structure of the momentum-space operator mu.p - E*eta - m*eta_dagger, built
-in REP1, and checks its two squared identities within a relative 1e-12.
-Each bound is fixed where its check is defined; no check takes a tolerance.
+rests on, exactly, on the tables, each within algebra.IDENTITY_TOL.  It
+also probes the singularity structure of the momentum-space operator
+mu.p - E*eta - m*eta_dagger, built in REP1, and checks its two squared
+identities within a relative 1e-12.  Each bound is fixed where its check is
+defined; no check takes a tolerance.  Only the functions that return arrays
+or take a LAPACK determinant import numpy.
 
 A fact worth knowing before reading further: each mu_i anticommutes with
 both eta and eta_dagger (in the default representation), so the squared
@@ -28,34 +30,21 @@ be inspected directly.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
+import sys
+from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import (
-    AlgebraReport,
-    EtaRepresentation,
-    _check,
-    _readonly,
-    anticommutator,
-    commutator,
-    dagger,
-    eta,
-    eta_dagger,
-    gamma,
-    max_abs,
-    pauli,
+    SQRT2, AlgebraReport, EtaRepresentation, _EYE, _GAMMA, _MU, _SQRT2_ETA, _adj, _array,
+    _bracket, _check, _dev, _mul, _normal, _scaled, _square_deviation, _sum, eta, eta_dagger,
 )
 from .scattering import PrecisionError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
-    "MuTriple",
-    "ContinuityObjects",
-    "mu_matrices",
-    "continuity_objects",
-    "verify_continuity_identities",
-    "shell_determinant",
-    "schrodinger_reduction_check",
+    "MuTriple", "ContinuityObjects", "mu_matrices", "continuity_objects",
+    "verify_continuity_identities", "shell_determinant", "schrodinger_reduction_check",
     "squared_operator_check",
 ]
 
@@ -89,81 +78,68 @@ class ContinuityObjects(NamedTuple):
         return (self.sigma1, self.sigma2, self.sigma3)
 
 
-def _block_forms() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    z = np.zeros((2, 2), dtype=complex)
-    s2, s3 = pauli(2), pauli(3)
-    mu1 = np.block([[s3, z], [z, s3]])
-    mu2 = np.block([[z, s2], [s2, z]])
-    mu3 = np.block([[s2, z], [z, -s2]])
-    return mu1, mu2, mu3
-
-
 def mu_matrices() -> MuTriple:
-    """mu1 = i*gamma1*gamma2, mu2 = gamma0*gamma2, mu3 = gamma2*gamma5.
+    """mu1 = i*gamma1*gamma2, mu2 = gamma0*gamma2, mu3 = gamma2*gamma5, as
+    read-only arrays of algebra's block-form tables diag(sigma3, sigma3),
+    antidiag(sigma2, sigma2) and diag(sigma2, -sigma2), which
+    verify_continuity_identities compares with the gamma products."""
+    return MuTriple(*map(_array, _MU))
 
-    Their block forms diag(sigma3, sigma3), antidiag(sigma2, sigma2) and
-    diag(sigma2, -sigma2) are compared with these products by
-    verify_continuity_identities.
-    """
-    return MuTriple(
-        _readonly(1j * gamma(1) @ gamma(2)),
-        _readonly(gamma(0) @ gamma(2)),
-        _readonly(gamma(2) @ gamma(5)),
-    )
+
+def _continuity_tables(rep: EtaRepresentation):
+    """sqrt(2)*Sigma_1..3 and 2*Gamma as tables, from sqrt(2)*eta."""
+    n = _SQRT2_ETA[rep]
+    nd = _adj(n)
+    total = _sum((1, n), (1, nd))
+    g3 = _GAMMA[3]
+    sigmas = tuple(_sum((1j, _mul(_mul(mu, total), g3))) for mu in _MU)
+    return sigmas, _sum((1j, _mul(_mul(nd, n), g3)))
 
 
 def continuity_objects(rep: EtaRepresentation = EtaRepresentation.REP1) -> ContinuityObjects:
-    """The Hermitian kernels entering the 3D continuity equation."""
-    mus = mu_matrices()
-    e, ed = eta(rep), eta_dagger(rep)
-    g3 = gamma(3)
-    total = e + ed
-    sigmas = tuple(_readonly(1j * mu @ total @ g3) for mu in mus)
-    density = _readonly(1j * (ed @ e) @ g3)
-    return ContinuityObjects(*sigmas, density)
+    """The Hermitian kernels of the 3D continuity equation, as arrays."""
+    sigmas, density = _continuity_tables(rep)
+    return ContinuityObjects(*(_array(s, SQRT2) for s in sigmas), _array(density, 2))
 
 
-def verify_continuity_identities(
-    rep: EtaRepresentation = EtaRepresentation.REP1,
-) -> AlgebraReport:
-    """Verify all relations the 3D continuity derivation uses, each within
-    algebra.IDENTITY_TOL.
+def verify_continuity_identities(rep: EtaRepresentation = EtaRepresentation.REP1) -> AlgebraReport:
+    """Verify all relations the 3D continuity derivation uses, exactly, on
+    algebra's tables, each within algebra.IDENTITY_TOL.
 
     Covers, for i, j in 1..3: Hermiticity of mu_i, the Clifford relation
     {mu_i, mu_j} = 2*delta_ij*I, block-form agreement, [mu_i, gamma3] = 0,
     {mu_i, eta + eta^dagger} = 0, plus [eta*eta^dagger, gamma3] = 0,
     {eta + eta^dagger, gamma3} = 0, and Hermiticity of every Sigma_i and of
-    Gamma.
+    Gamma.  Deviations are in the units of eta, whose table is sqrt(2)*eta.
     """
-    mus = mu_matrices()
-    e, ed = eta(rep), eta_dagger(rep)
-    g3 = gamma(3)
-    total = e + ed
-    eye = np.eye(4, dtype=complex)
+    n = _SQRT2_ETA[rep]
+    total = _sum((1, n), (1, _adj(n)))
+    g = _GAMMA
+    products = (_sum((1j, _mul(g[1], g[2]))), _mul(g[0], g[2]), _mul(g[2], g[5]))
     checks = []
 
-    def add(name, deviation):
-        checks.append(_check(name, deviation))
+    def add(name, table, scale=1):
+        checks.append(_check(name, _dev(table, scale)))
 
-    for k, (mu, block) in enumerate(zip(mus, _block_forms()), start=1):
-        add(f"mu{k}_hermitian", max_abs(mu - dagger(mu)))
-        add(f"mu{k}_matches_block_form", max_abs(mu - block))
+    def add_hermitian(name, table, scale=1):
+        add(name, _sum((1, table), (-1, _adj(table))), scale)
+
+    for k, (mu, product) in enumerate(zip(_MU, products), start=1):
+        add_hermitian(f"mu{k}_hermitian", mu)
+        add(f"mu{k}_matches_block_form", _sum((1, product), (-1, mu)))
     for i in range(3):
         for j in range(i, 3):
-            target = 2.0 * eye if i == j else 0.0
-            add(
-                f"anticommutator_mu{i + 1}_mu{j + 1}",
-                max_abs(anticommutator(mus[i], mus[j]) - target),
-            )
-    for k, mu in enumerate(mus, start=1):
-        add(f"commutator_mu{k}_gamma3", max_abs(commutator(mu, g3)))
-        add(f"anticommutator_mu{k}_eta_plus_dagger", max_abs(anticommutator(mu, total)))
-    add("commutator_eta_etadagger_gamma3", max_abs(commutator(e @ ed, g3)))
-    add("anticommutator_eta_plus_dagger_gamma3", max_abs(anticommutator(total, g3)))
-    objs = continuity_objects(rep)
-    for k, sigma in enumerate(objs.sigmas, start=1):
-        add(f"sigma{k}_hermitian", max_abs(sigma - dagger(sigma)))
-    add("density_kernel_hermitian", max_abs(objs.density - dagger(objs.density)))
+            clifford = _sum((1, _bracket(_MU[i], _MU[j], 1)), (-2 if i == j else 0, _EYE))
+            add(f"anticommutator_mu{i + 1}_mu{j + 1}", clifford)
+    for k, mu in enumerate(_MU, start=1):
+        add(f"commutator_mu{k}_gamma3", _bracket(mu, g[3], -1))
+        add(f"anticommutator_mu{k}_eta_plus_dagger", _bracket(mu, total, 1), SQRT2)
+    add("commutator_eta_etadagger_gamma3", _bracket(_mul(n, _adj(n)), g[3], -1), 2)
+    add("anticommutator_eta_plus_dagger_gamma3", _bracket(total, g[3], 1), SQRT2)
+    sigmas, density = _continuity_tables(rep)
+    for k, sigma in enumerate(sigmas, start=1):
+        add_hermitian(f"sigma{k}_hermitian", sigma, SQRT2)
+    add_hermitian("density_kernel_hermitian", density, 2)
     return AlgebraReport(tuple(checks))
 
 
@@ -172,27 +148,14 @@ def _positive_finite(energy: float, mass: float):
         raise ValueError(f"energy and mass must be positive and finite, got {energy}, {mass}")
 
 
-def _momentum(momentum) -> np.ndarray:
-    p = np.asarray(momentum, dtype=float)
-    if p.shape != (3,):
-        raise ValueError(f"momentum must be a real 3-vector, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise ValueError(f"momentum must be finite, got {p}")
+def _momentum(momentum) -> tuple:
+    try:
+        p = tuple(map(float, momentum))
+    except TypeError:  # not a sequence
+        p = ()
+    if len(p) != 3 or not all(map(math.isfinite, p)):
+        raise ValueError(f"momentum must be a finite real 3-vector, got {momentum!r}")
     return p
-
-
-def _scaled(*values) -> list:
-    """values divided by the power of two that brings the largest magnitude
-    into [0.5, 1): exact unless a value underflows, and no product of the
-    operators built from them can overflow."""
-    k = math.frexp(max(map(abs, values)))[1]
-    return [math.ldexp(v, -k) for v in values]
-
-
-def _normal(value: float, what: str, **inputs) -> float:
-    if not value >= np.finfo(float).tiny:
-        raise PrecisionError(f"{what} underflows", **inputs)
-    return value
 
 
 def _momentum_matrix(p) -> np.ndarray:
@@ -220,16 +183,17 @@ def shell_determinant(energy: float, mass: float, momentum, mass_sign: int = +1)
     _positive_finite(energy, mass)
     if mass_sign not in (+1, -1):
         raise ValueError(f"mass_sign must be +1 or -1, got {mass_sign}")
-    p = _momentum(momentum)
+    import numpy as np
+
+    p = list(_momentum(momentum))
     e, m, *p_scaled = _scaled(energy, mass, *p)
-    p_scaled = np.array(p_scaled)
     op = _momentum_matrix(p_scaled) - e * eta() - mass_sign * m * eta_dagger()
-    scale = max(float(p_scaled @ p_scaled), 2.0 * e * m)
-    _normal(scale * scale, "max(|p|^2, 2*E*m)^2", E=energy, m=mass, p=p.tolist())
+    scale = max(sum(x * x for x in p_scaled), 2.0 * e * m)
+    _normal(scale * scale, "max(|p|^2, 2*E*m)^2", E=energy, m=mass, p=p)
     with np.errstate(divide="ignore", invalid="ignore"):
         det = abs(np.linalg.det(op))
     if not math.isfinite(det):
-        raise PrecisionError("the determinant is not finite", E=energy, m=mass, p=p.tolist())
+        raise PrecisionError("the determinant is not finite", E=energy, m=mass, p=p)
     return float(det / scale**2)
 
 
@@ -260,20 +224,22 @@ def squared_operator_check(
     Deviations are measured relative to the respective scale (|p|^2 and
     2*E*m) and bounded by 1e-12.  Each identity is homogeneous, so p, and
     (E, m) together, are scaled by a power of two first, which leaves the
-    deviations as they are.  Raises ValueError unless energy and mass are
-    positive and finite and momentum is a finite real 3-vector,
-    PrecisionError if the scaled 2*E*m underflows.
+    deviations as they are.  Both run on algebra's tables in Python numbers;
+    the second is expanded over them, which makes it exact.  Raises
+    ValueError unless energy and mass are positive and finite and momentum
+    is a finite real 3-vector, PrecisionError if the scaled 2*E*m
+    underflows.
     """
     _positive_finite(energy, mass)
-    p = np.array(_scaled(*_momentum(momentum)))
-    mp = _momentum_matrix(p)
-    p_squared = float(p @ p)
-    eye = np.eye(4, dtype=complex)
-    dev_momentum = max_abs(mp @ mp - p_squared * eye) / max(p_squared, np.finfo(float).tiny)
+    p = _scaled(*_momentum(momentum))
+    mp = _sum(*zip(p, _MU))
+    p_squared = sum(x * x for x in p)
+    dev_momentum = _dev(
+        _sum((1, _mul(mp, mp)), (-p_squared, _EYE)), max(p_squared, sys.float_info.min)
+    )
     e, m = _scaled(energy, mass)
-    op = e * eta(rep) + m * eta_dagger(rep)
-    scale = _normal(2.0 * e * m, "2*E*m", E=energy, m=mass)
-    dev_energy = max_abs(op @ op - scale * eye) / scale
+    _normal(2.0 * e * m, "2*E*m", E=energy, m=mass)
+    dev_energy = _square_deviation(_SQRT2_ETA[rep], [(e, m)])
     return AlgebraReport(
         (
             _check("momentum_square_is_p2_identity", dev_momentum, _SQUARED_OPERATOR_TOL),

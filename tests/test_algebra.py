@@ -128,9 +128,36 @@ def test_gamma_identities_of_rep1():
 
 @pytest.mark.parametrize("rep", REPS)
 def test_verify_eta_algebra_passes(rep):
+    # exactly: the table of sqrt(2)*eta holds Gaussian integers
     report = verify_eta_algebra(rep)
     assert report.passed
-    assert report.max_deviation <= 1e-15
+    assert report.max_deviation == 0.0
+
+
+@pytest.mark.parametrize("rep", REPS)
+def test_bent_table_deviations_are_in_units_of_eta(monkeypatch, rep):
+    # the suite on a bent table of sqrt(2)*eta reports what the float suite
+    # reports on the bent eta itself, and the REP1 gamma relations what numpy
+    # measures on it
+    table = [list(row) for row in algebra._SQRT2_ETA[rep]]
+    for i, j in ((0, 0), (0, 1), (3, 3)):  # bends every identity of both reps
+        table[i][j] += 2.0**-10
+    monkeypatch.setitem(algebra._SQRT2_ETA, rep, tuple(map(tuple, table)))
+    bent = np.array(table, dtype=complex) / SQRT2
+    report = verify_eta_algebra(rep)
+    expected = {c.name: c.max_deviation for c in verify_eta_matrix(bent).checks}
+    if rep is EtaRepresentation.REP1:
+        bent_dagger = bent.conj().T
+        expected["eta_plus_dagger_equals_-i*sqrt2*gamma2"] = max_abs(
+            bent + bent_dagger + 1j * SQRT2 * gamma(2)
+        )
+        expected["dagger_times_eta_equals_I+i*gamma3"] = max_abs(
+            bent_dagger @ bent - I4 - 1j * gamma(3)
+        )
+    assert [c.name for c in report.checks] == list(expected)
+    for check in report.checks:
+        assert check.max_deviation == pytest.approx(expected[check.name], rel=1e-9), check.name
+        assert not check.passed, check.name
 
 
 def test_verify_report_records_gamma_sign_resolution():
@@ -169,9 +196,8 @@ def test_report_json_shape():
 def test_gamma_relations_are_checked_with_rep1_signs(monkeypatch):
     # -eta fits eta + eta^dagger = +i*sqrt2*gamma2, the other sign: the
     # REP1 relation is checked as written, not under the sign that fits
-    negated = -eta(EtaRepresentation.REP1)
-    negated.setflags(write=False)
-    monkeypatch.setitem(algebra._ETA, EtaRepresentation.REP1, negated)
+    negated = algebra._sum((-1, algebra._SQRT2_ETA[EtaRepresentation.REP1]))
+    monkeypatch.setitem(algebra._SQRT2_ETA, EtaRepresentation.REP1, negated)
     report = verify_eta_algebra(EtaRepresentation.REP1)
     assert not report.passed
     assert not report["eta_plus_dagger_equals_-i*sqrt2*gamma2"].passed

@@ -48,7 +48,7 @@ def test_verify_rep1_passes(capsys):
     assert payload["pass"] is True
     names = {c["check_name"] for c in payload["checks"]}
     assert "square_is_zero" in names
-    assert "eigenvalues_match_sqrt_2Em" in names
+    assert "operator_square_is_2Em_identity" in names
     assert "sigma1_hermitian" in names
     for check in payload["checks"]:
         assert set(check) == {"check_name", "max_deviation", "pass"}
@@ -64,8 +64,8 @@ REP1_GAMMA_CHECKS = [
     "eta_plus_dagger_equals_-i*sqrt2*gamma2", "dagger_times_eta_equals_I+i*gamma3",
 ]
 DISPERSION_CHECKS = [
-    "eigenvalues_match_sqrt_2Em", "eigenvalue_imaginary_part", "state_norm_is_2",
-    "states_orthogonal_per_direction", "eigen_equation_residual", "eigenspace_projection",
+    "operator_square_is_2Em_identity", "state_norm_is_2", "states_orthogonal_per_direction",
+    "eigen_equation_residual",
 ]
 THREED_CHECKS = [
     *(f"mu{k}_{what}" for k in (1, 2, 3) for what in ("hermitian", "matches_block_form")),
@@ -132,14 +132,14 @@ def test_verify_rep2_passes(capsys):
 
 
 def test_verify_detects_corrupted_eta(capsys, monkeypatch):
-    good = algebra.eta()
-    corrupted = good.copy()
-    corrupted[0, 1] += 1e-6
-    corrupted.setflags(write=False)
-    monkeypatch.setitem(algebra._ETA, algebra.EtaRepresentation.REP1, corrupted)
-    code, out, _ = run_cli(capsys, "verify", "--rep", "rep1")
-    assert code == 1
-    assert json.loads(out)["pass"] is False
+    # one bent entry of the table of sqrt(2)*eta fails both report commands
+    table = [list(row) for row in algebra._SQRT2_ETA[EtaRepresentation.REP1]]
+    table[0][1] += 1e-6
+    monkeypatch.setitem(algebra._SQRT2_ETA, EtaRepresentation.REP1, tuple(map(tuple, table)))
+    for command in ("verify", "threed-check"):
+        code, out, _ = run_cli(capsys, command, "--rep", "rep1")
+        assert code == 1
+        assert json.loads(out)["pass"] is False
 
 
 def test_coefficients_propagating(capsys):
@@ -489,6 +489,18 @@ def test_point_commands_never_import_numpy(argv, bare_interpreter_modules):
     _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
 
 
+@pytest.mark.parametrize("command, rep", list(REPORT_CHECKS), ids="-".join)
+def test_report_commands_never_import_numpy(command, rep, bare_interpreter_modules):
+    # the identity suites run on algebra's tables in Python numbers
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "spinstep", command, "--rep", rep],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["pass"] is True
+    _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
+
+
 def _readme_commands() -> list:
     """The argument lists of the README "Command line" block, after
     `spinstep`: continuation lines joined, comments dropped."""
@@ -502,24 +514,25 @@ def _readme_commands() -> list:
 
 def test_readme_command_line_block_runs(tmp_path, bare_interpreter_modules):
     # every command as a user runs it, in a fresh interpreter with warnings
-    # as errors: exit 0, nothing on stderr, the pinned point stdout without
-    # numpy or dataclasses imported (-X importtime), and figure sweeps
-    # byte-equal to the goldens
+    # as errors: exit 0, nothing on stderr, the pinned point stdout, no
+    # numpy or dataclasses imported (-X importtime) but by a sweep, and
+    # figure sweeps byte-equal to the goldens
     commands = _readme_commands()
     for argv in commands:
-        point = argv[0] in ("coefficients", "currents")
-        importtime = ["-X", "importtime"] if point else []
+        numpy_free = argv[0] != "sweep"
+        importtime = ["-X", "importtime"] if numpy_free else []
         result = subprocess.run(
             [sys.executable, "-W", "error", *importtime, "-m", "spinstep", *argv],
             capture_output=True, text=True, cwd=tmp_path, env=CHILD_ENV,
         )
         stderr = [
             line for line in result.stderr.splitlines()
-            if not (point and line.startswith("import time:"))
+            if not (numpy_free and line.startswith("import time:"))
         ]
         assert (result.returncode, stderr) == (0, []), argv
-        if point:
+        if argv[0] in ("coefficients", "currents"):
             assert result.stdout == README_POINT_STDOUT[tuple(argv)]
+        if numpy_free:
             _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
     assert sum(argv[0] == "sweep" for argv in commands) == 3
     for fig in ("fig2", "fig3", "fig4"):

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spinstep import eigensystem
+from spinstep import algebra, eigensystem
 from spinstep.algebra import EtaRepresentation, eta, eta_dagger, max_abs
 from spinstep.eigensystem import (
     ELECTRON_MASS_EV,
-    _projection_residuals,
     analytic_eigenstate,
     momentum_operator,
     verify_dispersion,
@@ -24,10 +23,9 @@ def test_operator_assembly():
 
 
 def test_operator_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        momentum_operator(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        momentum_operator(1.0, 0.0)
+    for energy, mass in ((-1.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            momentum_operator(energy, mass)
 
 
 def test_eigenvalues_at_unit_energy_mass():
@@ -100,32 +98,53 @@ def test_direction_flip_relation_exact():
         assert u4[3] == u2[3]
 
 
-def test_analytic_states_lie_in_numeric_eigenspaces():
-    report = verify_dispersion(EtaRepresentation.REP1, energies=[1.0, 100.0, 1e6])
-    assert report["eigenspace_projection"].max_deviation <= 1e-9
-
-
-def test_projection_residual_spans_only_the_selected_eigenspace():
-    # eigenvalue 1 selects the eigenvectors e0 and e1.  e2 lies in the span
-    # of the first three columns of Q but outside the selected eigenspace,
-    # and a state orthogonal to every selected eigenvector is off by exactly
-    # |v| / |v|, whatever its norm
-    values = np.array([1.0, 1.0, 2.0, 3.0], dtype=complex)
-    states = np.array([[1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 3]], dtype=complex)
-    residuals = _projection_residuals(values, np.eye(4, dtype=complex), np.ones(3), states, 1e-6)
-    assert residuals.tolist() == [0.0, 1.0, 1.0]
-
-
 def test_eigen_equation_residual_is_relative_to_the_eigenvalue_and_state(monkeypatch):
     # u^(3), a -p state, in u^(1)'s +p slot: (A - p) u3 = -2p u3, a residual
-    # of 2 relative to |p| |u3|
+    # of 2p |u3| over (|A| + p) |u3|, |A| = 2*hypot(E, m) the Frobenius norm
+    # of A = E*eta + m*eta_dagger in REP1
     def swapped(energy, mass, momentum):
         _, u2, u3, u4 = _eigen_spinors(energy, mass, momentum)
         return u3, u2, u3, u4
 
     monkeypatch.setattr(eigensystem, "_eigen_spinors", swapped)
-    report = verify_dispersion(energies=[1.0, 100.0, 1e6])
-    assert report["eigen_equation_residual"].max_deviation == pytest.approx(2.0, rel=1e-12)
+    energies = [1.0, 100.0, 1e6]
+    report = verify_dispersion(energies=energies)
+    p = [math.sqrt(2 * energy * ME) for energy in energies]
+    expected = max(2 * q / (2 * math.hypot(energy, ME) + q) for q, energy in zip(p, energies))
+    assert report["eigen_equation_residual"].max_deviation == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("rep", [EtaRepresentation.REP1, EtaRepresentation.REP2])
+def test_bent_table_fails_the_operator_square_check(monkeypatch, rep):
+    # (E*eta + m*eta_dagger)^2 - 2*E*m*I over 2*E*m, worst over the grid,
+    # against the square of the bent operator taken directly
+    bent = algebra._sum((1, algebra._SQRT2_ETA[rep]), (1e-6, algebra._EYE))
+    monkeypatch.setitem(algebra._SQRT2_ETA, rep, bent)
+    energies = [2e5, ME, 1e6]
+    report = verify_dispersion(rep, energies=energies)
+    bent_eta = np.array(bent) / np.sqrt(2.0)
+    expected = max(
+        max_abs(op @ op - 2 * energy * ME * np.eye(4)) / (2 * energy * ME)
+        for energy in energies
+        for op in [energy * bent_eta + ME * bent_eta.conj().T]
+    )
+    check = report["operator_square_is_2Em_identity"]
+    assert not check.passed
+    assert check.max_deviation == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("rep", [EtaRepresentation.REP1, EtaRepresentation.REP2])
+def test_dispersion_passes_or_refuses_across_the_double_range(rep):
+    # every check is homogeneous of degree 0 in (E, m): scaled by a power of
+    # two, each energy passes or is refused as beyond double precision, and
+    # none reports a failed check (1e300 once failed the LAPACK eigenvalues)
+    for k in range(601):
+        energy = 10.0 ** (k - 300)
+        try:
+            report = verify_dispersion(rep, energies=[energy])
+        except PrecisionError:
+            continue
+        assert report.passed, (energy, report.as_dicts())
 
 
 def test_dispersion_report_both_reps():
@@ -135,9 +154,11 @@ def test_dispersion_report_both_reps():
 
 @pytest.mark.filterwarnings("error")
 def test_dispersion_refuses_bad_energies():
+    # invalid, not beyond double precision
     for energies in ([0.0, 1.0], [-1.0], [math.nan], [math.inf]):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive and finite") as refused:
             verify_dispersion(energies=energies)
+        assert type(refused.value) is ValueError
 
 
 def test_eigenstate_kind_validation():

@@ -58,6 +58,28 @@ def test_point_names_and_cli_resolve_without_numpy():
     assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
 
 
+def test_library_modules_and_identity_suites_run_without_numpy():
+    # in a fresh interpreter: every module imports without numpy, so the
+    # package's full name list resolves without it, and the identity suites
+    # run on the exact tables in Python numbers
+    code = (
+        "import sys, spinstep, spinstep.algebra, spinstep.threed, spinstep.eigensystem\n"
+        "spinstep.__all__\n"
+        "for rep in spinstep.EtaRepresentation:\n"
+        "    assert spinstep.verify_eta_algebra(rep).passed\n"
+        "    assert spinstep.verify_dispersion(rep).passed\n"
+        "    assert spinstep.verify_continuity_identities(rep).passed\n"
+        "    assert spinstep.squared_operator_check((0.6, 0.0, 0.8), rep=rep).passed\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+
 def test_verification_takes_no_tolerance_or_single_value_options():
     # each check's bound is fixed where the check is defined, and no public
     # function carries an option that its callers never vary

@@ -72,9 +72,10 @@ def test_mu1_mu2_anticommute_to_zero():
 
 @pytest.mark.parametrize("rep", REPS)
 def test_continuity_identity_report(rep):
+    # exactly, on the tables
     report = verify_continuity_identities(rep)
     assert report.passed
-    assert report.max_deviation <= 1e-15
+    assert report.max_deviation == 0.0
     names = {c.name for c in report.checks}
     assert "commutator_mu2_gamma3" in names
     assert "anticommutator_eta_plus_dagger_gamma3" in names
@@ -189,16 +190,19 @@ def test_shell_determinant_input_validation():
     (1.0, 1.0, (np.nan, 0, 1)),
     (1.0, 1.0, (0, np.inf, 1)),
     (1.0, np.inf, (0, 0, 1)),
+    (0.0, 1.0, (0, 0, 1)),
+    (1.0, 0.0, (0, 0, 1)),
 ])
 def test_threed_probes_refuse_bad_inputs(energy, mass, momentum):
-    # refused like StepProblem refuses them, never a nan, a numpy warning or
-    # a failed identity
-    with pytest.raises(ValueError):
-        shell_determinant(energy, mass, momentum)
-    with pytest.raises(ValueError):
-        schrodinger_reduction_check(energy, mass, momentum)
-    with pytest.raises(ValueError):
+    # refused like StepProblem refuses them, as invalid rather than beyond
+    # double precision, never a nan, a numpy warning or a failed identity
+    for probe in (shell_determinant, schrodinger_reduction_check):
+        with pytest.raises(ValueError) as refused:
+            probe(energy, mass, momentum)
+        assert type(refused.value) is ValueError
+    with pytest.raises(ValueError) as refused:
         squared_operator_check(momentum, energy=energy, mass=mass)
+    assert type(refused.value) is ValueError
 
 
 def test_probes_far_from_one_ev_do_not_overflow():
@@ -225,23 +229,24 @@ def test_probes_refuse_what_double_precision_cannot_resolve():
         with pytest.raises(PrecisionError, match="determinant is not finite"):
             shell_determinant(2.32383325668064e269, 4.338176175728419e154,
                               (0.0, 1.064347845697207e-24, 0.0))
-    with pytest.raises(ValueError, match="underflows"):
-        squared_operator_check((0, 0, 0), energy=1e200, mass=1e-200)
+    for energy, mass in ((1e200, 1e-200), (1e-300, 1e20)):  # the scaled E or m is subnormal
+        with pytest.raises(PrecisionError, match="underflows"):
+            squared_operator_check((0, 0, 0), energy=energy, mass=mass)
 
 
 def test_squared_operator_deviations_are_relative_to_their_scales(monkeypatch):
-    # with bent operators each deviation is |A^2 - s*I| / s, s = |p|^2 and
+    # with bent tables each deviation is |A^2 - s*I| / s, s = |p|^2 and
     # 2*E*m, whatever power of two the inputs were scaled by
-    from spinstep import threed
+    from spinstep import algebra, threed
 
-    mus = mu_matrices()
-    bent_mu1 = mus.mu1 + 1e-3 * I4
-    bent_eta = eta() + 1e-3 * I4
-    monkeypatch.setattr(threed, "mu_matrices", lambda: mus._replace(mu1=bent_mu1))
-    monkeypatch.setattr(threed, "eta", lambda rep: bent_eta)
+    bent_mu1 = algebra._sum((1, threed._MU[0]), (1e-3, algebra._EYE))
+    bent_eta = algebra._sum((1, algebra._SQRT2_ETA[EtaRepresentation.REP1]), (1e-3, algebra._EYE))
+    monkeypatch.setattr(threed, "_MU", (bent_mu1, *threed._MU[1:]))
+    monkeypatch.setitem(algebra._SQRT2_ETA, EtaRepresentation.REP1, bent_eta)
     report = squared_operator_check((3.0, 0.0, 4.0), energy=3.0, mass=5.0)
-    mp = 3.0 * bent_mu1 + 4.0 * mus.mu3
-    op = 3.0 * bent_eta + 5.0 * eta_dagger()
+    mp = 3.0 * np.array(bent_mu1) + 4.0 * mu_matrices().mu3
+    op = (3.0 * np.array(bent_eta) + 5.0 * np.array(bent_eta).conj().T) / np.sqrt(2.0)
     assert [c.max_deviation for c in report.checks] == pytest.approx(
         [max_abs(mp @ mp - 25.0 * I4) / 25.0, max_abs(op @ op - 30.0 * I4) / 30.0], rel=1e-12
     )
+    assert not report.passed
