@@ -32,8 +32,15 @@ from typing import NamedTuple
 from .scattering import PrecisionError
 
 __all__ = [
-    "EtaRepresentation", "AlgebraCheck", "AlgebraReport", "pauli", "gamma", "eta", "eta_dagger",
-    "dagger", "anticommutator", "commutator", "verify_eta_matrix", "verify_eta_algebra",
+    "EtaRepresentation",
+    "AlgebraCheck",
+    "AlgebraReport",
+    "pauli",
+    "gamma",
+    "eta",
+    "eta_dagger",
+    "verify_eta_matrix",
+    "verify_eta_algebra",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -79,9 +86,16 @@ def _adj(a):
     return tuple(tuple(x.conjugate() for x in column) for column in zip(*a))
 
 
+def _worst(values) -> float:
+    """The largest of some magnitudes, nan if any is nan: max alone keeps the
+    value it met first, so a nan met later would be lost."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
+
+
 def _dev(a, scale=1) -> float:
     """The largest entry magnitude of a table over scale: every deviation."""
-    return max(abs(x) for row in a for x in row) / scale
+    return _worst(abs(x) for row in a for x in row) / scale
 
 
 def _block(a, b, c, d):
@@ -156,26 +170,6 @@ def eta_dagger(rep: EtaRepresentation = EtaRepresentation.REP1):
     return _array(_adj(_SQRT2_ETA[rep]), SQRT2)
 
 
-def dagger(m):
-    """Conjugate transpose of an array."""
-    return m.conj().T
-
-
-def anticommutator(a, b):
-    return a @ b + b @ a
-
-
-def commutator(a, b):
-    return a @ b - b @ a
-
-
-def max_abs(m) -> float:
-    """Largest entry magnitude of an array."""
-    import numpy as np
-
-    return float(np.abs(np.asarray(m)).max())
-
-
 def _char_poly_coeffs(m) -> tuple:
     """Coefficients (c3, c2, c1, c0) of det(lambda*I - M) = lambda^4 +
     c3*lambda^3 + c2*lambda^2 + c1*lambda + c0 of a 4x4 table, by
@@ -206,10 +200,10 @@ def _square_deviation(n, pairs) -> float:
     its exact _square_terms, an exact pair gives 0 however far apart e, m."""
     terms = zip(*(chain.from_iterable(table) for table in _square_terms(n, 2)))
     nonzero = [t for t in terms if any(t)]
-    return max(
-        (abs(e * e * s + e * m * c + m * m * d) / (4 * e * m)
-         for e, m in pairs for s, c, d in nonzero),
-        default=0.0,
+    return _worst(
+        abs(e * e * s + e * m * c + m * m * d) / (4 * e * m)
+        for e, m in pairs
+        for s, c, d in nonzero
     )
 
 
@@ -249,7 +243,7 @@ class AlgebraReport:
 
     @property
     def max_deviation(self) -> float:
-        return max((c.max_deviation for c in self.checks), default=0.0)
+        return _worst(c.max_deviation for c in self.checks)
 
     def __getitem__(self, name: str) -> AlgebraCheck:
         for c in self.checks:
@@ -289,7 +283,7 @@ def _generator_checks(n, norm) -> tuple[AlgebraCheck, ...]:
         _check("trace_is_zero", abs(coeffs[0]) / s),
         _check("determinant_is_zero", abs(coeffs[3]) / (norm * norm)),
         # c_k of n is s^k times c_k of eta
-        _check("eigenvalues_all_zero", max(abs(c) / s**k for k, c in enumerate(coeffs, 1))),
+        _check("eigenvalues_all_zero", _worst(abs(c) / s**k for k, c in enumerate(coeffs, 1))),
     )
 
 

@@ -34,8 +34,25 @@ import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .algebra import (
-    SQRT2, AlgebraReport, EtaRepresentation, _EYE, _GAMMA, _MU, _SQRT2_ETA, _adj, _array,
-    _bracket, _check, _dev, _mul, _normal, _scaled, _square_deviation, _sum, eta, eta_dagger,
+    SQRT2,
+    AlgebraReport,
+    EtaRepresentation,
+    _EYE,
+    _GAMMA,
+    _MU,
+    _SQRT2_ETA,
+    _adj,
+    _array,
+    _bracket,
+    _check,
+    _dev,
+    _mul,
+    _normal,
+    _scaled,
+    _square_deviation,
+    _sum,
+    eta,
+    eta_dagger,
 )
 from .scattering import PrecisionError
 
@@ -43,8 +60,13 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "MuTriple", "ContinuityObjects", "mu_matrices", "continuity_objects",
-    "verify_continuity_identities", "shell_determinant", "schrodinger_reduction_check",
+    "MuTriple",
+    "ContinuityObjects",
+    "mu_matrices",
+    "continuity_objects",
+    "verify_continuity_identities",
+    "shell_determinant",
+    "schrodinger_reduction_check",
     "squared_operator_check",
 ]
 
@@ -102,7 +124,9 @@ def continuity_objects(rep: EtaRepresentation = EtaRepresentation.REP1) -> Conti
     return ContinuityObjects(*(_array(s, SQRT2) for s in sigmas), _array(density, 2))
 
 
-def verify_continuity_identities(rep: EtaRepresentation = EtaRepresentation.REP1) -> AlgebraReport:
+def verify_continuity_identities(
+    rep: EtaRepresentation = EtaRepresentation.REP1,
+) -> AlgebraReport:
     """Verify all relations the 3D continuity derivation uses, exactly, on
     algebra's tables, each within algebra.IDENTITY_TOL.
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -7,13 +8,9 @@ from spinstep import algebra
 from spinstep.algebra import (
     EtaRepresentation,
     _char_poly_coeffs,
-    anticommutator,
-    commutator,
-    dagger,
     eta,
     eta_dagger,
     gamma,
-    max_abs,
     pauli,
     verify_eta_algebra,
     verify_eta_matrix,
@@ -22,6 +19,11 @@ from spinstep.algebra import (
 REPS = [EtaRepresentation.REP1, EtaRepresentation.REP2]
 SQRT2 = np.sqrt(2.0)
 I4 = np.eye(4, dtype=complex)
+
+
+def max_abs(m) -> float:
+    """Largest entry magnitude of an array; nan if any entry is nan."""
+    return float(np.abs(np.asarray(m)).max())
 
 
 def leibniz_det(m):
@@ -83,7 +85,7 @@ def test_nilpotency_and_anticommutator(rep):
     m, md = eta(rep), eta_dagger(rep)
     assert max_abs(m @ m) <= 1e-15
     assert max_abs(md @ md) <= 1e-15
-    assert max_abs(anticommutator(m, md) - 2 * I4) <= 1e-15
+    assert max_abs(m @ md + md @ m - 2 * I4) <= 1e-15
     assert max_abs(m - m.T) == 0.0
 
 
@@ -182,6 +184,18 @@ def test_perturbed_eta_fails_with_matching_deviation():
     assert 1e-7 < check.max_deviation < 1e-5
 
 
+def test_nan_candidate_fails_every_check():
+    # a nan after the first entry is carried through every deviation, not
+    # skipped by the reduction, so no check passes on it
+    candidate = eta(EtaRepresentation.REP1).copy()
+    candidate[3, 3] = np.nan
+    report = verify_eta_matrix(candidate)
+    assert not report.passed
+    assert math.isnan(report.max_deviation)
+    for check in report.checks:
+        assert math.isnan(check.max_deviation) and not check.passed, check
+
+
 def test_report_json_shape():
     import json
 
@@ -208,17 +222,22 @@ def test_gamma_relations_are_checked_with_rep1_signs(monkeypatch):
 
 
 def test_commutator_anticommutator_definitions():
+    # the table kernel's brackets and dagger on Gaussian-integer tables,
+    # where both Python's and numpy's complex arithmetic are exact
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert max_abs(anticommutator(a, b) - (a @ b + b @ a)) == 0.0
-    assert max_abs(commutator(a, b) - (a @ b - b @ a)) == 0.0
-    assert max_abs(dagger(a) - a.conj().T) == 0.0
+    a, b = (
+        rng.integers(-3, 4, size=(4, 4)) + 1j * rng.integers(-3, 4, size=(4, 4))
+        for _ in range(2)
+    )
+    ta, tb = (tuple(map(tuple, m.tolist())) for m in (a, b))
+    assert max_abs(np.array(algebra._bracket(ta, tb, 1)) - (a @ b + b @ a)) == 0.0
+    assert max_abs(np.array(algebra._bracket(ta, tb, -1)) - (a @ b - b @ a)) == 0.0
+    assert max_abs(np.array(algebra._adj(ta)) - a.conj().T) == 0.0
 
 
 def test_solve_against_anticommutator_example():
     m, md = eta(EtaRepresentation.REP1), eta_dagger(EtaRepresentation.REP1)
-    assert max_abs(anticommutator(m, md) - 2 * I4) <= 1e-15
+    assert max_abs(m @ md + md @ m - 2 * I4) <= 1e-15
 
 
 def test_returned_matrices_are_readonly():

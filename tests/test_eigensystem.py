@@ -1,10 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from spinstep import algebra, eigensystem
-from spinstep.algebra import EtaRepresentation, eta, eta_dagger, max_abs
+from spinstep.algebra import EtaRepresentation, eta, eta_dagger
 from spinstep.eigensystem import (
     ELECTRON_MASS_EV,
     analytic_eigenstate,
@@ -14,6 +15,11 @@ from spinstep.eigensystem import (
 from spinstep.scattering import PrecisionError, _eigen_spinors
 
 ME = ELECTRON_MASS_EV
+
+
+def max_abs(m) -> float:
+    """Largest entry magnitude of an array."""
+    return float(np.abs(np.asarray(m)).max())
 
 
 def test_operator_assembly():
@@ -98,20 +104,17 @@ def test_direction_flip_relation_exact():
         assert u4[3] == u2[3]
 
 
+def _swapped_spinors(energy, mass, momentum):
+    _, u2, u3, u4 = _eigen_spinors(energy, mass, momentum)
+    return u3, u2, u3, u4
+
+
 def test_eigen_equation_residual_is_relative_to_the_eigenvalue_and_state(monkeypatch):
     # u^(3), a -p state, in u^(1)'s +p slot: (A - p) u3 = -2p u3, a residual
-    # of 2p |u3| over (|A| + p) |u3|, |A| = 2*hypot(E, m) the Frobenius norm
-    # of A = E*eta + m*eta_dagger in REP1
-    def swapped(energy, mass, momentum):
-        _, u2, u3, u4 = _eigen_spinors(energy, mass, momentum)
-        return u3, u2, u3, u4
-
-    monkeypatch.setattr(eigensystem, "_eigen_spinors", swapped)
-    energies = [1.0, 100.0, 1e6]
-    report = verify_dispersion(energies=energies)
-    p = [math.sqrt(2 * energy * ME) for energy in energies]
-    expected = max(2 * q / (2 * math.hypot(energy, ME) + q) for q, energy in zip(p, energies))
-    assert report["eigen_equation_residual"].max_deviation == pytest.approx(expected, rel=1e-12)
+    # of 2 relative to |p| |u3|
+    monkeypatch.setattr(eigensystem, "_eigen_spinors", _swapped_spinors)
+    report = verify_dispersion(energies=[1.0, 100.0, 1e6])
+    assert report["eigen_equation_residual"].max_deviation == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("rep", [EtaRepresentation.REP1, EtaRepresentation.REP2])
@@ -137,7 +140,11 @@ def test_bent_table_fails_the_operator_square_check(monkeypatch, rep):
 def test_dispersion_passes_or_refuses_across_the_double_range(rep):
     # every check is homogeneous of degree 0 in (E, m): scaled by a power of
     # two, each energy passes or is refused as beyond double precision, and
-    # none reports a failed check (1e300 once failed the LAPACK eigenvalues)
+    # none reports a failed check (1e300 once failed the LAPACK eigenvalues).
+    # REP1's eigen-equation residual rounds to about eps*2*hypot(E, m)/p, so
+    # it resolves E/m within about [1e-7, 1e7] and refuses the rest; REP2
+    # checks no states and refuses nothing
+    passed = []
     for k in range(601):
         energy = 10.0 ** (k - 300)
         try:
@@ -145,6 +152,34 @@ def test_dispersion_passes_or_refuses_across_the_double_range(rep):
         except PrecisionError:
             continue
         assert report.passed, (energy, report.as_dicts())
+        passed.append(k - 300)
+    expected = range(-1, 13) if rep is EtaRepresentation.REP1 else range(-300, 301)
+    assert passed == list(expected)
+
+
+def test_dispersion_refuses_where_the_residual_rounding_exceeds_its_bound():
+    # eps*2*hypot(E, m)/sqrt(2*E*m) = 1e-12 at E/m = r, the roots of
+    # 2r^2 - K^2 r + 2 = 0, K = 1e-12/eps: refused just outside, passed inside
+    k2 = (1e-12 / sys.float_info.epsilon) ** 2
+    root = math.sqrt(k2 * k2 - 16.0)
+    for r, inward in (((k2 - root) / 4.0, 1.02), ((k2 + root) / 4.0, 1 / 1.02)):
+        assert verify_dispersion(energies=[r * inward * ME]).passed
+        with pytest.raises(PrecisionError, match="residual rounds above its bound"):
+            verify_dispersion(energies=[r / inward * ME])
+
+
+def test_eigen_equation_residual_fails_or_refuses_across_the_double_range(monkeypatch):
+    # the residual can fail wherever it passes: a -p state in a +p slot fails
+    # at every energy the suite accepts
+    monkeypatch.setattr(eigensystem, "_eigen_spinors", _swapped_spinors)
+    for k in range(601):
+        energy = 10.0 ** (k - 300)
+        try:
+            report = verify_dispersion(energies=[energy])
+        except PrecisionError:
+            continue
+        check = report["eigen_equation_residual"]
+        assert check.max_deviation == pytest.approx(2.0, rel=1e-6), energy
 
 
 def test_dispersion_report_both_reps():

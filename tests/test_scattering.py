@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinstep.algebra import eta, eta_dagger
-from spinstep.eigensystem import ELECTRON_MASS_EV, Spin, analytic_eigenstate
+from spinstep.eigensystem import ELECTRON_MASS_EV, Spin, analytic_eigenstate, verify_dispersion
 from spinstep.scattering import (
     MASS_POLE_EPS,
     THRESHOLD_EPS,
@@ -956,8 +956,9 @@ def _point_route(energy, v0, mass=ME):
     (lambda: solve_amplitudes_linear(
         StepProblem(4.474999244675128e-52, 3.160220296519332e90, 8.213591773403413e-300)),
      "a pivot of the continuity solve is 0"),
+    (lambda: verify_dispersion(energies=[1e-3]), "the eigen-equation residual rounds above"),
 ], ids=["underflow", "probabilities", "E/V0", "current", "sweep", "eigenstate",
-        "shell_determinant", "squared_operator_check", "oracle_pivot"])
+        "shell_determinant", "squared_operator_check", "oracle_pivot", "dispersion_residual"])
 def test_every_precision_refusal_is_one_kind_with_one_wording(refused, what):
     with pytest.raises(PrecisionError) as info:
         refused()
