@@ -24,7 +24,6 @@ from pathlib import Path
 
 from . import sweep_io
 from .scattering import (
-    MassPoleError,
     PrecisionError,
     Spin,
     StepProblem,
@@ -147,7 +146,7 @@ def _threed_suites(rep) -> tuple:
 
 
 # The stderr prefix of each refusal kind; any other ValueError is invalid input.
-_REFUSALS = {ThresholdDegeneracyError: "threshold degeneracy", MassPoleError: "mass pole",
+_REFUSALS = {ThresholdDegeneracyError: "threshold degeneracy",
              PrecisionError: "beyond double precision"}
 
 

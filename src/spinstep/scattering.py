@@ -18,8 +18,8 @@ k2 = sqrt(E - V0) (k2 = i*sqrt(V0 - E) below the step), written once per
 branch in real arithmetic: the same expressions run on Python floats for a
 point and on numpy arrays for a sweep grid, and give the same bits.  The
 factored forms subtract no nearly equal numbers, so every amplitude is
-accurate to a few ulps over the whole domain, through the mass pole
-V0 - E = m and for arbitrarily small V0/E.  c and c' are the upper
+accurate to a few ulps over the whole domain, on the mass pole V0 - E = m
+too, and for arbitrarily small V0/E.  c and c' are the upper
 components of psi_II(0) in both branches.  A Gaussian elimination of the
 wavefunction continuity condition at z = 0, on one pole-free mode basis,
 is kept as the independent oracle the tests compare against, and
@@ -38,8 +38,10 @@ fields once, for every output.  Unitarity is checked once, in
 _probabilities; StepProblem validates in its constructor, _replace included.
 
 Each kind of domain refusal is a ValueError subclass, worded in one place:
-ThresholdDegeneracyError, MassPoleError and PrecisionError (valid inputs
-whose result underflows or overflows; eigensystem and threed raise it too).
+ThresholdDegeneracyError and PrecisionError (valid inputs whose result
+underflows or overflows; eigensystem and threed raise it too).  An input
+that is not positive and finite is a plain ValueError, from the one check
+every module's entry points call, _positive_finite.
 
 numpy is imported only by continuity_residual, for its QR projection, so
 that StepProblem, both amplitude routes, coefficients and currents run
@@ -60,7 +62,6 @@ __all__ = [
     "Spin",
     "Branch",
     "ThresholdDegeneracyError",
-    "MassPoleError",
     "PrecisionError",
     "StepProblem",
     "AmplitudeSet",
@@ -79,12 +80,6 @@ __all__ = [
 # there.
 THRESHOLD_EPS = 1e-9
 
-# Evanescent inputs with |V0 - E - m| <= MASS_POLE_EPS * m are rejected: a
-# decaying spinor normalized to unit upper components has a pole there.  The
-# closed forms and the pole-free oracle are regular there but refuse the
-# same band, so that every route accepts one domain.
-MASS_POLE_EPS = 1e-12
-
 # Bound on the relative backward error |Mx - b| / (|M| |x| + |b|), infinity
 # norms, of the z = 0 continuity solve M x = b.
 CONTINUITY_TOL = 1e-11
@@ -95,6 +90,15 @@ CLAMP_EPS = 1e-12
 ELECTRON_MASS_EV = 510998.95
 _SQRT2 = math.sqrt(2.0)
 _MAX = sys.float_info.max  # 0.0 < x <= _MAX refuses nan, inf and ints beyond it
+
+
+def _positive_finite(name: str, value):
+    """value if 0.0 < value <= _MAX, else a ValueError naming it.  Callers
+    check before any float() or frexp, which raise OverflowError on an int
+    beyond the double range."""
+    if not 0.0 < value <= _MAX:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 class Spin(Enum):
@@ -111,8 +115,9 @@ class ThresholdDegeneracyError(ValueError):
     """E is too close to V0: the transmitted momentum degenerates to zero."""
 
 
+# Never raised, and not exported: perfbench reads it until ROADMAP item 8a
 class MassPoleError(ValueError):
-    """Evanescent configuration sits on the transmitted-spinor pole V0 - E = m."""
+    pass
 
 
 class PrecisionError(ValueError):
@@ -129,14 +134,6 @@ def _at_threshold(energy, v0):
     which StepProblem refuses and a sweep skips: a bool for floats, a mask
     for an array of energies."""
     return abs(energy - v0) <= THRESHOLD_EPS * v0
-
-
-def _check_mass_pole(gap: float, mass: float):
-    """Refuse an evanescent gap V0 - E on the pole V0 - E = m."""
-    if abs(gap - mass) <= MASS_POLE_EPS * mass:
-        raise MassPoleError(
-            f"V0 - E = {gap} sits on the transmitted-spinor pole at the mass m = {mass}"
-        )
 
 
 class _StepFields(NamedTuple):
@@ -158,8 +155,7 @@ class StepProblem(_StepFields):
     def __new__(cls, energy, v0, mass=ELECTRON_MASS_EV, incident_spin=Spin.UP):
         if not (0.0 < energy <= _MAX and 0.0 < v0 <= _MAX and 0.0 < mass <= _MAX):
             for name, value in (("energy", energy), ("v0", v0), ("mass", mass)):
-                if not 0.0 < value <= _MAX:
-                    raise ValueError(f"{name} must be positive and finite, got {value}")
+                _positive_finite(name, value)
         if not isinstance(incident_spin, Spin):
             raise ValueError(f"incident_spin must be a Spin, got {incident_spin!r}")
         if _at_threshold(energy, v0):
@@ -242,8 +238,7 @@ def _continuity_matrix(problem: StepProblem):
     which stay at least 60 degrees apart for every V0 - E and m.  The mode
     components come from _eigen_spinors, where their formulas are written,
     built once at E and, above the step, once at E - V0.  The right-hand
-    side is minus the incident mode.  The evanescent mass pole is refused,
-    as on every route.
+    side is minus the incident mode.
     """
     e, v0, m, spin = problem
     u1, u2, r_up, r_down = _eigen_spinors(e, m, math.sqrt(2.0 * e * m))  # incident_momentum
@@ -251,7 +246,6 @@ def _continuity_matrix(problem: StepProblem):
     if e > v0:  # the branch and transmitted_momentum, as the properties derive them
         v1, v2, _, _ = _eigen_spinors(e - v0, m, math.sqrt(2.0 * (e - v0) * m))
     else:
-        _check_mass_pole(v0 - e, m)
         s = math.sqrt(v0 - e)
         r = math.sqrt(m)
         v1 = (s + r, s + r, 1j * (s - r), -1j * (s - r))
@@ -353,8 +347,7 @@ def _amplitudes(branch: Branch, energy, v0, mass, spin: Spin, sqrt):
         c = 2 k1 [k1 (m + V0 - E) + i s (E - m)] / ((E+m) V0).
 
     Spin-down incidence relabels (b, b', c, c') as (b', b, c', c).  c and
-    c' are the upper components of psi_II(0).  The caller refuses the
-    evanescent mass pole.
+    c' are the upper components of psi_II(0).
     """
     k1 = sqrt(energy)
     if branch is Branch.PROPAGATING:
@@ -386,14 +379,11 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
     ulps relative over the whole domain, with solve_amplitudes_linear as its
     oracle.  It evaluates on floats the expressions run_sweep evaluates on
     a grid, so a point and its sweep row agree bit for bit.  c and c' are
-    the upper components of psi_II(0).  The evanescent mass pole is
-    refused, as on every route, and so, with PrecisionError, are inputs so
-    small that a denominator of the closed forms underflows to 0.
+    the upper components of psi_II(0).  Inputs so small that a denominator
+    of the closed forms underflows to 0 are refused with PrecisionError.
     """
     energy, v0, mass, spin = problem
     branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT  # as StepProblem.branch
-    if branch is Branch.EVANESCENT:
-        _check_mass_pole(v0 - energy, mass)
     try:
         (b, b_im), (b_prime, b_prime_im), (c, c_im), (c_prime, c_prime_im) = _amplitudes(
             branch, energy, v0, mass, spin, math.sqrt

@@ -40,8 +40,8 @@ from .scattering import (
     _abs2,
     _amplitudes,
     _at_threshold,
-    _check_mass_pole,
     _curves,
+    _positive_finite,
 )
 
 if TYPE_CHECKING:
@@ -86,7 +86,8 @@ class SweepSpec(_SweepFields):
     """Description of one energy sweep.
 
     The grid ranges over x = E/V0 from e_over_v0_min to e_over_v0_max with
-    `points` samples, an integer (Python or numpy).  An explicit regime
+    `points` samples, an integer (Python or numpy); v0, mass and the bounds
+    are at most the largest double.  An explicit regime
     constrains the range to its side of x = 1; AUTO admits ranges straddling
     1 and splits the rows.  The constructor refuses anything else, and
     spacing, regime or incident_spin values that are not members of their
@@ -97,11 +98,9 @@ class SweepSpec(_SweepFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not 0.0 < self.v0 <= _MAX:
-            raise ValueError(f"v0 must be positive and finite, got {self.v0}")
-        if not 0.0 < self.mass <= _MAX:
-            raise ValueError(f"mass must be positive and finite, got {self.mass}")
-        if not -math.inf < self.e_over_v0_min < self.e_over_v0_max < math.inf:
+        _positive_finite("v0", self.v0)
+        _positive_finite("mass", self.mass)
+        if not -math.inf < self.e_over_v0_min < self.e_over_v0_max <= _MAX:
             raise ValueError(
                 f"grid range is empty or not finite: [{self.e_over_v0_min}, {self.e_over_v0_max}]"
             )
@@ -158,8 +157,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Grid energies E = x*V0 inside the threshold band, which StepProblem
     refuses by the same predicate, are skipped and counted; a sweep whose
-    every point is degenerate raises ThresholdDegeneracyError, and one with
-    an evanescent point on the mass pole raises MassPoleError.  The columns are
+    every point is degenerate raises ThresholdDegeneracyError.  The columns are
     computed on arrays by the expressions that closed_form_amplitudes and
     coefficients evaluate on floats for one point, so every row equals its
     point's coefficients bit for bit, but for e_over_v0: the grid value here,
@@ -186,9 +184,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             if not where.any():
                 continue
             e = energy[where]
-            if branch is Branch.EVANESCENT:
-                gap = v0 - e
-                _check_mass_pole(gap[np.abs(gap - mass).argmin()], mass)
             amps = _amplitudes(branch, e, v0, mass, spec.incident_spin, np.sqrt)
             curves = _curves(branch, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
             columns = [e, x[where], *curves]

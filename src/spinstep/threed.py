@@ -54,7 +54,7 @@ from .algebra import (
     eta,
     eta_dagger,
 )
-from .scattering import PrecisionError
+from .scattering import PrecisionError, _positive_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -167,15 +167,10 @@ def verify_continuity_identities(
     return AlgebraReport(tuple(checks))
 
 
-def _positive_finite(energy: float, mass: float):
-    if not (0 < energy < math.inf and 0 < mass < math.inf):
-        raise ValueError(f"energy and mass must be positive and finite, got {energy}, {mass}")
-
-
 def _momentum(momentum) -> tuple:
     try:
         p = tuple(map(float, momentum))
-    except TypeError:  # not a sequence
+    except (TypeError, OverflowError):  # not a sequence, or an int beyond the double range
         p = ()
     if len(p) != 3 or not all(map(math.isfinite, p)):
         raise ValueError(f"momentum must be a finite real 3-vector, got {momentum!r}")
@@ -204,7 +199,8 @@ def shell_determinant(energy: float, mass: float, momentum, mass_sign: int = +1)
     LAPACK's determinant is not finite (an exactly zero complex pivot,
     where E*eta and m*eta_dagger lie too many decades apart to add).
     """
-    _positive_finite(energy, mass)
+    _positive_finite("energy", energy)
+    _positive_finite("mass", mass)
     if mass_sign not in (+1, -1):
         raise ValueError(f"mass_sign must be +1 or -1, got {mass_sign}")
     import numpy as np
@@ -254,7 +250,8 @@ def squared_operator_check(
     is a finite real 3-vector, PrecisionError if the scaled 2*E*m
     underflows.
     """
-    _positive_finite(energy, mass)
+    _positive_finite("energy", energy)
+    _positive_finite("mass", mass)
     p = _scaled(*_momentum(momentum))
     mp = _sum(*zip(p, _MU))
     p_squared = sum(x * x for x in p)

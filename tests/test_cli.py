@@ -10,6 +10,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -80,7 +81,10 @@ REPORT_CHECKS = {
     ("verify", "rep1"): (
         ALGEBRA_CHECKS + REP1_GAMMA_CHECKS + DISPERSION_CHECKS + THREED_CHECKS + SQUARED_CHECKS
     ),
-    ("verify", "rep2"): ALGEBRA_CHECKS + DISPERSION_CHECKS + THREED_CHECKS + SQUARED_CHECKS,
+    # REP2 runs no closed-form state check, so it reports only the square
+    ("verify", "rep2"): (
+        ALGEBRA_CHECKS + DISPERSION_CHECKS[:1] + THREED_CHECKS + SQUARED_CHECKS
+    ),
     ("threed-check", "rep1"): THREED_CHECKS,
     ("threed-check", "rep2"): THREED_CHECKS,
 }
@@ -169,23 +173,45 @@ def test_coefficients_threshold_exit_2(capsys):
     assert out == ""
 
 
-def test_coefficients_mass_pole_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys, "coefficients", "--e", "1000", "--v0", str(1000.0 + 510998.95)
+def on_pole_reflection(energy, spin):
+    """(R1', R2') at the electron mass, (E-m)^2/(E+m)^2 kept and 4Em/(E+m)^2
+    flipped, at 50 digits, for the incident spin."""
+    with mpmath.workdps(50):
+        e, m = mpmath.mpf(energy), mpmath.mpf(ELECTRON_MASS_EV)
+        keep, flip = (e - m) ** 2 / (e + m) ** 2, 4 * e * m / (e + m) ** 2
+    return (keep, flip) if spin == "up" else (flip, keep)
+
+
+@pytest.mark.parametrize("spin", ("up", "down"))
+def test_coefficients_on_mass_pole_exit_0(capsys, spin):
+    # V0 - E = m exactly: a result, not a refusal
+    assert 511998.95 - 1000.0 == ELECTRON_MASS_EV
+    code, out, err = run_cli(
+        capsys, "coefficients", "--e", "1000", "--v0", "511998.95", "--spin", spin
     )
-    assert code == 2
-    assert "mass pole" in err
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    for name, want in zip(("r1_prime", "r2_prime"), on_pole_reflection(1000.0, spin)):
+        assert abs(payload[name] - want) <= 1e-15, name
+    assert payload["j_trans_up"] == payload["j_trans_down"] == 0.0
+    assert payload["j_inc"] > 0
 
 
-def test_sweep_mass_pole_exit_2(capsys, tmp_path):
+def test_sweep_on_mass_pole_exit_0(capsys, tmp_path):
+    # the middle grid point has E = m and V0 - E = m: R1' = 0 and R2' = 1
     out = tmp_path / "pole.csv"
-    code, _, err = run_cli(
+    code, stdout, err = run_cli(
         capsys, "sweep", "--v0", "1021997.9", "--from", "0.25", "--to", "0.75",
         "--points", "3", "--spacing", "linear", "--regime", "evanescent", "--out", str(out),
     )
-    assert code == 2
-    assert "invalid sweep" in err
-    assert not out.exists()
+    assert (code, err) == (0, "")
+    assert json.loads(stdout) == {"rows": 3, "skipped": 0, "files": [str(out)]}
+    header, *lines = out.read_text().splitlines()
+    assert header == "E_eV,E_over_V0,R1_prime,R2_prime,sum"
+    assert len(lines) == 3
+    energy, x, r1, r2, total = map(float, lines[1].split(","))
+    assert (energy, x) == (ELECTRON_MASS_EV, 0.5)
+    assert (r1, r2, total) == (0.0, 1.0, 1.0)
 
 
 def test_coefficients_near_mass_pole_spin_down(capsys):
@@ -571,7 +597,7 @@ def test_point_commands_exit_0_or_2_for_every_positive_double(command, energy, v
         # that fail the unit sum where a closed-form denominator overflows,
         # prints "invalid input"
         prefix, _, message = err.getvalue().partition(": ")
-        kinds = ("threshold degeneracy", "mass pole", "beyond double precision", "invalid input")
+        kinds = ("threshold degeneracy", "beyond double precision", "invalid input")
         assert prefix in kinds, prefix
         if prefix == "beyond double precision":
             assert PRECISION in message, message
@@ -626,3 +652,22 @@ def test_cli_uses_no_private_name_of_another_module():
             if not node.attr.startswith("__") and node.attr not in NAMEDTUPLE_API:
                 private.add(node.attr)
     assert private == set()
+
+
+def test_refusal_kinds_are_the_exported_errors_raised_and_documented():
+    # the ValueError subclasses the package exports are exactly the kinds the
+    # point commands prefix, each is raised somewhere in the package, and the
+    # README names exactly those prefixes and the two generic ones: a kind
+    # that nothing raises, or a stale prefix, fails here
+    import spinstep
+
+    exported = {getattr(spinstep, name) for name in spinstep.__all__}
+    kinds = {v for v in exported if isinstance(v, type) and issubclass(v, ValueError)}
+    assert kinds == set(cli._REFUSALS)
+    package = Path(cli.__file__).parent
+    source = "".join(path.read_text(encoding="utf-8") for path in package.glob("*.py"))
+    for kind in kinds:
+        assert f"raise {kind.__name__}(" in source, kind
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    documented = set(re.findall(r"`([a-z ]+):`", readme))
+    assert documented == {*cli._REFUSALS.values(), "invalid input", "invalid sweep"}

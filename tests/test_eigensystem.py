@@ -143,7 +143,7 @@ def test_dispersion_passes_or_refuses_across_the_double_range(rep):
     # none reports a failed check (1e300 once failed the LAPACK eigenvalues).
     # REP1's eigen-equation residual rounds to about eps*2*hypot(E, m)/p, so
     # it resolves E/m within about [1e-7, 1e7] and refuses the rest; REP2
-    # checks no states and refuses nothing
+    # checks no states, reports none, and refuses nothing
     passed = []
     for k in range(601):
         energy = 10.0 ** (k - 300)
@@ -152,6 +152,7 @@ def test_dispersion_passes_or_refuses_across_the_double_range(rep):
         except PrecisionError:
             continue
         assert report.passed, (energy, report.as_dicts())
+        assert len(report.checks) == (4 if rep is EtaRepresentation.REP1 else 1)
         passed.append(k - 300)
     expected = range(-1, 13) if rep is EtaRepresentation.REP1 else range(-300, 301)
     assert passed == list(expected)
@@ -183,8 +184,16 @@ def test_eigen_equation_residual_fails_or_refuses_across_the_double_range(monkey
 
 
 def test_dispersion_report_both_reps():
-    assert verify_dispersion(EtaRepresentation.REP1).passed
-    assert verify_dispersion(EtaRepresentation.REP2).passed
+    # REP2 runs only the operator square: the closed-form states are REP1's,
+    # so its report omits the three state checks rather than pass them unrun
+    rep1 = verify_dispersion(EtaRepresentation.REP1)
+    rep2 = verify_dispersion(EtaRepresentation.REP2)
+    assert rep1.passed and rep2.passed
+    assert [c.name for c in rep1.checks] == [
+        "operator_square_is_2Em_identity", "state_norm_is_2",
+        "states_orthogonal_per_direction", "eigen_equation_residual",
+    ]
+    assert [c.name for c in rep2.checks] == ["operator_square_is_2Em_identity"]
 
 
 @pytest.mark.filterwarnings("error")

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import spinstep
 
 SUBMODULES = ("algebra", "eigensystem", "scattering", "sweep_io", "threed")
@@ -12,7 +14,7 @@ SUBMODULES = ("algebra", "eigensystem", "scattering", "sweep_io", "threed")
 def test_every_exported_name_resolves_and_is_listed():
     # the package resolves its names on first use; star imports and dir()
     # still see every one of them
-    assert len(spinstep.__all__) == len(set(spinstep.__all__)) == 50
+    assert len(spinstep.__all__) == len(set(spinstep.__all__)) == 49
     assert set(SUBMODULES) <= set(spinstep.__all__)
     listed = dir(spinstep)
     for name in spinstep.__all__:
@@ -22,6 +24,8 @@ def test_every_exported_name_resolves_and_is_listed():
     exec("from spinstep import *", namespace)
     assert set(spinstep.__all__) <= set(namespace)
     assert spinstep.Spin is spinstep.eigensystem.Spin is spinstep.scattering.Spin
+    # the evanescent mass pole is accepted: its former refusal is not exported
+    assert "MassPoleError" not in listed
 
 
 def test_each_name_is_listed_once_by_the_module_that_defines_it():
@@ -101,3 +105,37 @@ def test_readme_quick_start_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(code, {})
     assert abs(float(capsys.readouterr().out) - 1.0) <= 1e-12
+
+
+BEYOND = 10**400  # an int no double holds: float() and frexp raise OverflowError on it
+P = (0.6, 0.0, 0.8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: spinstep.StepProblem(BEYOND, 1.0), id="StepProblem"),
+    pytest.param(lambda: spinstep.shell_determinant(BEYOND, 1.0, P), id="shell-energy"),
+    pytest.param(lambda: spinstep.shell_determinant(1.0, BEYOND, P), id="shell-mass"),
+    pytest.param(lambda: spinstep.shell_determinant(1.0, 1.0, (0, 0, BEYOND)), id="shell-p"),
+    pytest.param(lambda: spinstep.schrodinger_reduction_check(BEYOND, 1.0, P), id="reduction"),
+    pytest.param(lambda: spinstep.squared_operator_check(P, energy=BEYOND), id="squared-energy"),
+    pytest.param(lambda: spinstep.squared_operator_check(P, mass=BEYOND), id="squared-mass"),
+    pytest.param(lambda: spinstep.squared_operator_check((0, 0, BEYOND)), id="squared-p"),
+    pytest.param(lambda: spinstep.momentum_operator(BEYOND, 1.0), id="operator-energy"),
+    pytest.param(lambda: spinstep.momentum_operator(1.0, BEYOND), id="operator-mass"),
+    pytest.param(lambda: spinstep.analytic_eigenstate(1, BEYOND, 1.0), id="eigenstate-energy"),
+    pytest.param(lambda: spinstep.analytic_eigenstate(1, 1.0, BEYOND), id="eigenstate-mass"),
+    pytest.param(lambda: spinstep.verify_dispersion(energies=[BEYOND]), id="dispersion"),
+    pytest.param(lambda: spinstep.run_sweep(spinstep.SweepSpec(v0=BEYOND)), id="sweep-v0"),
+    pytest.param(lambda: spinstep.run_sweep(spinstep.SweepSpec(v0=1.0, mass=BEYOND)),
+                 id="sweep-mass"),
+    *(pytest.param(lambda spacing=spacing: spinstep.run_sweep(spinstep.SweepSpec(
+        v0=100.0, e_over_v0_min=1.5, e_over_v0_max=BEYOND, spacing=spacing,
+    )), id=f"sweep-{spacing.value}") for spacing in spinstep.Spacing),
+])
+def test_an_int_beyond_the_double_range_is_a_value_error(call):
+    # one positive-finite check, in scattering, refuses it before any float()
+    # or frexp: never an OverflowError, nor numpy's TypeError in a sweep
+    with pytest.raises(ValueError, match="finite") as refused:
+        call()
+    assert type(refused.value) is ValueError

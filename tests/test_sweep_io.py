@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from spinstep.eigensystem import ELECTRON_MASS_EV
 from spinstep.scattering import (
-    MassPoleError,
     Spin,
     StepProblem,
     ThresholdDegeneracyError,
@@ -169,14 +168,23 @@ def test_auto_sweep_splits_and_skips_threshold():
     assert len(result.propagating_rows) == 20
 
 
-def test_sweep_refuses_mass_pole():
-    # the middle grid point has E = m and V0 - E = m
+@pytest.mark.parametrize("spin", (Spin.UP, Spin.DOWN))
+def test_sweep_on_mass_pole_row_equals_its_point_query(spin):
+    # the middle grid point has E = m and V0 - E = m: a row, equal to its
+    # point query field for field, with R1' = (E-m)^2/(E+m)^2 = 0 for spin up
     spec = SweepSpec(
         v0=2 * ELECTRON_MASS_EV, mass=ELECTRON_MASS_EV, e_over_v0_min=0.25,
         e_over_v0_max=0.75, points=3, spacing=Spacing.LINEAR, regime=Regime.EVANESCENT,
+        incident_spin=spin,
     )
-    with pytest.raises(MassPoleError):
-        run_sweep(spec)
+    result = run_sweep(spec)
+    assert (len(result.rows), result.skipped) == (3, 0)
+    row = result.rows[1]
+    assert spec.v0 - row.e_ev == row.e_ev == ELECTRON_MASS_EV
+    problem = StepProblem(row.e_ev, spec.v0, spec.mass, spin)
+    assert row == coefficients(problem, closed_form_amplitudes(problem))
+    keep_flip = (0.0, 1.0) if spin is Spin.UP else (1.0, 0.0)
+    assert (row.r1_prime, row.r2_prime, row.total) == (*keep_flip, 1.0)
 
 
 @pytest.mark.parametrize("spec", [

@@ -73,14 +73,12 @@ def is_zero(expr) -> bool:
 
 @pytest.fixture(autouse=True)
 def symbolic_scattering(monkeypatch):
-    # the point route on symbols: an exact sqrt(2), sympy's square root and
-    # finiteness in place of math's, and no mass-pole band, a float
-    # comparison that symbols cannot decide
+    # the point route on symbols: an exact sqrt(2), and sympy's square root
+    # and finiteness in place of math's
     monkeypatch.setattr(scattering, "_SQRT2", sympy.sqrt(2))
     monkeypatch.setattr(
         scattering, "math", SimpleNamespace(sqrt=sqrt, isfinite=lambda x: x.is_finite)
     )
-    monkeypatch.setattr(scattering, "_check_mass_pole", lambda gap, mass: None)
 
 
 def step(branch: Branch, spin: Spin):
