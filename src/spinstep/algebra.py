@@ -13,7 +13,7 @@ generator pair's identity report,
 and, for REP1, eta + eta^dagger = -i*sqrt(2)*gamma2 and eta^dagger @ eta =
 I + i*gamma3, has every deviation exactly 0.  Every check is bounded by
 IDENTITY_TOL, fixed here; verify_eta_matrix runs the suite on any candidate
-in floating point.  pauli, gamma, eta and eta_dagger return read-only numpy
+in floating point.  gamma, eta and eta_dagger return read-only numpy
 arrays built from the tables on first call; numpy is imported by the
 functions that take or return arrays, not by the module.  Every function is
 pure, so the module is safe for concurrent use.
@@ -35,7 +35,6 @@ __all__ = [
     "EtaRepresentation",
     "AlgebraCheck",
     "AlgebraReport",
-    "pauli",
     "gamma",
     "eta",
     "eta_dagger",
@@ -140,13 +139,6 @@ def _array(table, divisor=1):
     return m
 
 
-def pauli(index: int):
-    """Pauli matrix sigma_index, index in {0, 1, 2, 3} (0 is the identity)."""
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"pauli index must be 0..3, got {index}")
-    return _array(_PAULI[index])
-
-
 def gamma(index: int):
     """Dirac-basis gamma matrix for index in {0, 1, 2, 3, 5}."""
     try:
@@ -230,7 +222,7 @@ class AlgebraCheck(NamedTuple):
 
 
 class AlgebraReport:
-    """Ordered collection of AlgebraCheck results, looked up by name."""
+    """Ordered collection of AlgebraCheck results."""
 
     __slots__ = ("checks",)
 
@@ -244,12 +236,6 @@ class AlgebraReport:
     @property
     def max_deviation(self) -> float:
         return _worst(c.max_deviation for c in self.checks)
-
-    def __getitem__(self, name: str) -> AlgebraCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
     def as_dicts(self) -> list[dict]:
         return [
@@ -270,7 +256,6 @@ def _check(name: str, deviation: float, tol: float = IDENTITY_TOL) -> AlgebraChe
 def _generator_checks(n, norm) -> tuple[AlgebraCheck, ...]:
     """The defining identity suite of a generator n = s*eta given as a 4x4
     table, s*s = norm, each deviation measured in eta's own units."""
-    nd = _adj(n)
     s = math.sqrt(norm)
     square, cross, dagger_square = _square_terms(n, norm)
     coeffs = _char_poly_coeffs(n)
@@ -279,7 +264,6 @@ def _generator_checks(n, norm) -> tuple[AlgebraCheck, ...]:
         _check("dagger_square_is_zero", _dev(dagger_square, norm)),
         _check("anticommutator_is_2I", _dev(cross, norm)),
         _check("symmetric", _dev(_sum((1, n), (-1, tuple(zip(*n)))), s)),
-        _check("dagger_is_entrywise_conjugate", _dev(_sum((1, nd), (-1, _adj(zip(*n)))), s)),
         _check("trace_is_zero", abs(coeffs[0]) / s),
         _check("determinant_is_zero", abs(coeffs[3]) / (norm * norm)),
         # c_k of n is s^k times c_k of eta

@@ -115,13 +115,15 @@ def verify_dispersion(
     checks, so its report omits them.  That residual rounds to about
     eps*|A|/p, |A| = 2*hypot(E, m) the Frobenius norm, which exceeds its
     bound unless E/m lies within about [1e-7, 1e7] ([0.05 eV, 5e12 eV] at
-    the electron mass).  Raises ValueError unless every energy is positive
-    and finite, PrecisionError if a scaled 2*E*m underflows or, for REP1,
-    the residual's rounding exceeds its bound.
+    the electron mass).  Raises ValueError if energies is empty or an energy
+    is not positive and finite, PrecisionError if a scaled 2*E*m underflows
+    or, for REP1, the residual's rounding exceeds its bound.
     """
     if energies is None:
         energies = [10.0 ** (7.0 * k / 99) for k in range(100)]
     energies = [float(_positive_finite("energy", energy)) for energy in energies]
+    if not energies:
+        raise ValueError("energies is empty: a report of no energy would check nothing")
     n = _SQRT2_ETA[rep]
     # each row of sqrt(2)*eta beside the same row of sqrt(2)*eta_dagger, entry by entry
     rows = [tuple(zip(*pair)) for pair in zip(n, _adj(n))]

@@ -34,8 +34,8 @@ its mode, is proven exactly, on symbols, in tests/test_symbolic_identities.py.
 coefficients returns one fixed-field row per branch, PropagatingRow or
 EvanescentRow: the type, and the values, of the sweep row at that energy.
 A row type is a NamedTuple built from its FIELDS table, which lists its
-fields once, for every output.  Unitarity is checked once, in
-_probabilities; StepProblem validates in its constructor, _replace included.
+fields once, for every output.  Unitarity is checked once, in _curves;
+StepProblem validates in its constructor, _replace included.
 
 Each kind of domain refusal is a ValueError subclass, worded in one place:
 ThresholdDegeneracyError and PrecisionError (valid inputs whose result
@@ -148,7 +148,8 @@ class StepProblem(_StepFields):
 
     The constructor, which _replace and _make call too, refuses an energy,
     v0 or mass that is not positive and finite, an incident_spin that is not
-    a Spin, and E within THRESHOLD_EPS*V0 of V0; it binds the fields once."""
+    a Spin, and E within THRESHOLD_EPS*V0 of V0; it binds the fields once,
+    energy, v0 and mass as Python floats."""
 
     __slots__ = ()
 
@@ -156,6 +157,7 @@ class StepProblem(_StepFields):
         if not (0.0 < energy <= _MAX and 0.0 < v0 <= _MAX and 0.0 < mass <= _MAX):
             for name, value in (("energy", energy), ("v0", v0), ("mass", mass)):
                 _positive_finite(name, value)
+        energy, v0, mass = float(energy), float(v0), float(mass)
         if not isinstance(incident_spin, Spin):
             raise ValueError(f"incident_spin must be a Spin, got {incident_spin!r}")
         if _at_threshold(energy, v0):
@@ -168,19 +170,6 @@ class StepProblem(_StepFields):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    @property
-    def branch(self) -> Branch:
-        return Branch.PROPAGATING if self.energy > self.v0 else Branch.EVANESCENT
-
-    @property
-    def incident_momentum(self) -> float:
-        return math.sqrt(2.0 * self.energy * self.mass)
-
-    @property
-    def transmitted_momentum(self) -> float:
-        """Real momentum p2 (propagating) or decay constant p2' (evanescent)."""
-        return math.sqrt(2.0 * abs(self.energy - self.v0) * self.mass)
 
 
 class AmplitudeSet(NamedTuple):
@@ -241,9 +230,9 @@ def _continuity_matrix(problem: StepProblem):
     side is minus the incident mode.
     """
     e, v0, m, spin = problem
-    u1, u2, r_up, r_down = _eigen_spinors(e, m, math.sqrt(2.0 * e * m))  # incident_momentum
+    u1, u2, r_up, r_down = _eigen_spinors(e, m, math.sqrt(2.0 * e * m))
     incident = u1 if spin is Spin.UP else u2
-    if e > v0:  # the branch and transmitted_momentum, as the properties derive them
+    if e > v0:
         v1, v2, _, _ = _eigen_spinors(e - v0, m, math.sqrt(2.0 * (e - v0) * m))
     else:
         s = math.sqrt(v0 - e)
@@ -317,7 +306,7 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
             f"{CONTINUITY_TOL:g} after linear solve"
         )
     c, c_prime = -(a2 * x2 + a3 * x3), -(b2 * x2 + b3 * x3)
-    branch = Branch.PROPAGATING if e > v0 else Branch.EVANESCENT  # as StepProblem.branch
+    branch = Branch.PROPAGATING if e > v0 else Branch.EVANESCENT
     up = spin is Spin.UP
     mismatch = abs(x1 - c_prime) if up else abs(x0 - c)
     if branch is Branch.PROPAGATING and mismatch > 1e-12:
@@ -383,7 +372,7 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
     of the closed forms underflows to 0 are refused with PrecisionError.
     """
     energy, v0, mass, spin = problem
-    branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT  # as StepProblem.branch
+    branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT
     try:
         (b, b_im), (b_prime, b_prime_im), (c, c_im), (c_prime, c_prime_im) = _amplitudes(
             branch, energy, v0, mass, spin, math.sqrt
@@ -399,50 +388,6 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
 def _abs2(re, im):
     """|z|^2 of z = re + i*im, in the same operations for floats and arrays."""
     return re * re + im * im
-
-
-def _probabilities(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
-    """The probabilities of coefficients in the row's FIELDS order, their
-    sum, the row's `total`, last, from abs2 = (|b|^2, |b'|^2, |c|^2, |c'|^2).
-    energy and abs2 are floats (sqrt = math.sqrt) or arrays
-    (sqrt = numpy.sqrt), as for _amplitudes.  Unitarity is checked here,
-    once per point or sweep row: each value within CLAMP_EPS of [0, 1]
-    before it is clamped onto [0, 1], and their clamped sum within
-    COEFFICIENT_SUM_TOL of 1.  A failure with a non-finite value raises
-    PrecisionError.
-    """
-    r_up, r_down, t_up, t_down = abs2
-    if branch is Branch.PROPAGATING:
-        flux = (energy + mass) * sqrt(energy - v0) / ((energy - v0 + mass) * sqrt(energy))
-        parts = [flux * t_up, flux * t_down, r_up, r_down]
-    else:
-        parts = [r_up, r_down]
-    valid = True
-    for value in parts:
-        valid = valid & (value >= -CLAMP_EPS) & (value <= 1.0 + CLAMP_EPS)
-    arrays = hasattr(valid, "all")  # numpy arrays (or numpy scalars)
-    if arrays:
-        probs = [v.clip(0.0, 1.0) for v in parts]
-    else:  # min(max(v, 0.0), 1.0), without the builtins' call cost
-        probs = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in parts]
-    total = reduce(add, probs)
-    valid = valid & (abs(total - 1.0) <= COEFFICIENT_SUM_TOL)
-    if not (valid.all() if arrays else valid):
-        row_type = PropagatingRow if branch is Branch.PROPAGATING else EvanescentRow
-        named = dict(zip(row_type._fields[len(_GRID_FIELDS) :], parts))
-        at = ""
-        if arrays and total.ndim:  # name the first failing grid point, not whole columns
-            i = (~valid).argmax()
-            named = {name: float(v[i]) for name, v in named.items()}
-            energy = float(energy[i])
-            at = f" at E = {energy!r} eV"
-        if not all(map(math.isfinite, named.values())):  # overflow, not physics
-            raise PrecisionError(f"probabilities {named} are not finite", E=energy, V0=v0, m=mass)
-        raise ValueError(
-            f"probabilities {named}{at} violate unitarity: the sum must be within "
-            f"{COEFFICIENT_SUM_TOL:g} of 1 and each within {CLAMP_EPS:g} of [0, 1]"
-        )
-    return [*probs, total]
 
 
 # The grid columns that lead every row; the columns after them are curves.
@@ -518,14 +463,54 @@ EvanescentRow = _row_type(
 
 
 def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
-    """The curve columns of the branch's row, in FIELDS order: the
-    probabilities, their sum and, above the step, the spinless T and R.
-    Arguments as for _probabilities; the same operations on floats and on
-    arrays give the same bits."""
-    curves = _probabilities(branch, energy, v0, mass, abs2, sqrt)
-    if branch is Branch.PROPAGATING:
-        curves += _spinless(energy, v0, sqrt)
-    return curves
+    """The curve columns of the branch's row, in FIELDS order, from abs2 =
+    (|b|^2, |b'|^2, |c|^2, |c'|^2): the probabilities, their sum, the row's
+    `total`, and, above the step, the spinless T and R.  energy and abs2 are
+    floats (sqrt = math.sqrt) or arrays (sqrt = numpy.sqrt), as for
+    _amplitudes; the same operations give the same bits.  Above the step
+    k1 = sqrt(E) and k2 = sqrt(E - V0) are taken once, for the flux factor
+    and for _spinless.  Unitarity is checked here, once per point or sweep
+    row: each probability within CLAMP_EPS of [0, 1] before it is clamped
+    onto [0, 1], and their clamped sum within COEFFICIENT_SUM_TOL of 1.  A
+    failure with a non-finite value raises PrecisionError.
+    """
+    r_up, r_down, t_up, t_down = abs2
+    propagating = branch is Branch.PROPAGATING
+    if propagating:
+        k1 = sqrt(energy)
+        k2 = sqrt(energy - v0)
+        flux = (energy + mass) * k2 / ((energy - v0 + mass) * k1)
+        parts = [flux * t_up, flux * t_down, r_up, r_down]
+    else:
+        parts = [r_up, r_down]
+    valid = True
+    for value in parts:
+        valid = valid & (value >= -CLAMP_EPS) & (value <= 1.0 + CLAMP_EPS)
+    arrays = hasattr(valid, "all")  # numpy arrays (or numpy scalars)
+    if arrays:
+        probs = [v.clip(0.0, 1.0) for v in parts]
+    else:  # min(max(v, 0.0), 1.0), without the builtins' call cost
+        probs = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in parts]
+    total = reduce(add, probs)
+    valid = valid & (abs(total - 1.0) <= COEFFICIENT_SUM_TOL)
+    if not (valid.all() if arrays else valid):
+        row_type = PropagatingRow if propagating else EvanescentRow
+        named = dict(zip(row_type._fields[len(_GRID_FIELDS) :], parts))
+        at = ""
+        if arrays and total.ndim:  # name the first failing grid point, not whole columns
+            i = (~valid).argmax()
+            named = {name: float(v[i]) for name, v in named.items()}
+            energy = float(energy[i])
+            at = f" at E = {energy!r} eV"
+        if not all(map(math.isfinite, named.values())):  # overflow, not physics
+            raise PrecisionError(f"probabilities {named} are not finite", E=energy, V0=v0, m=mass)
+        raise ValueError(
+            f"probabilities {named}{at} violate unitarity: the sum must be within "
+            f"{COEFFICIENT_SUM_TOL:g} of 1 and each within {CLAMP_EPS:g} of [0, 1]"
+        )
+    if propagating:
+        return [*probs, total, *_spinless(k1, k2, v0)]
+    return [*probs, total]
 
 
 def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | EvanescentRow:
@@ -535,11 +520,10 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
 
     Propagating transmission carries the flux factor
     (E+m)*sqrt(E-V0) / ((E-V0+m)*sqrt(E)) relating region-II to region-I
-    current per unit amplitude.  _probabilities asserts the range before
-    the values are clamped onto [0, 1], and the unit sum of the clamped
-    values, the row's total; a genuine violation raises ValueError, and an
-    E/V0 beyond the double range PrecisionError.  The branch is
-    StepProblem.branch's expression, E > V0, on the unpacked fields.
+    current per unit amplitude.  _curves asserts the range before the
+    values are clamped onto [0, 1], and the unit sum of the clamped values,
+    the row's total; a genuine violation raises ValueError, and an E/V0
+    beyond the double range PrecisionError.
     """
     e, v0, mass, spin = problem
     branch, b, b_prime, c, c_prime, amps_spin = amps
@@ -556,21 +540,19 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
     if e_over_v0 == math.inf:
         raise PrecisionError("E/V0 overflows", E=e, V0=v0)
     row_type = PropagatingRow if propagating else EvanescentRow
-    return tuple.__new__(row_type, map(float, (e, e_over_v0, *curves)))
+    return tuple.__new__(row_type, (e, e_over_v0, *curves))
 
 
-def _spinless(energy, v0, sqrt):
+def _spinless(k1, k2, v0):
     """The spinless step coefficients (T, R) above the step, the t_qm and
-    r_qm columns of a propagating row.
+    r_qm columns of a propagating row, from k1 = sqrt(E) and k2 = sqrt(E-V0),
+    floats or arrays.
 
-    With k1 = sqrt(E) and k2 = sqrt(E-V0), T = 4*k1*k2/(k1+k2)^2 and
-    R = ((k1-k2)/(k1+k2))^2, evaluated as (V0/(k1+k2)^2)^2 so that no
-    nearly equal numbers are subtracted as V0/E -> 0.  The spin sums of the
-    4-component solution reproduce these values, independent of the mass.
-    energy is a float (sqrt = math.sqrt) or an array (sqrt = numpy.sqrt).
+    T = 4*k1*k2/(k1+k2)^2 and R = ((k1-k2)/(k1+k2))^2, evaluated as
+    (V0/(k1+k2)^2)^2 so that no nearly equal numbers are subtracted as
+    V0/E -> 0.  The spin sums of the 4-component solution reproduce these
+    values, independent of the mass.
     """
-    k1 = sqrt(energy)
-    k2 = sqrt(energy - v0)
     k_sum2 = (k1 + k2) * (k1 + k2)
     ratio = v0 / k_sum2
     return 4.0 * k1 * k2 / k_sum2, ratio * ratio
@@ -609,10 +591,9 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
     Closed forms of the bilinears u^dagger (eta+eta^dagger) u:
     j_inc = 4*p1/(E+m), reflected -j_inc*|b|^2 and -j_inc*|b'|^2,
     transmitted 4*p2*|c|^2/(E+m-V0) when propagating and exactly 0 in the
-    evanescent branch.  A current that overflows, or that an overflowing
-    amplitude leaves undefined, raises PrecisionError.  The branch (E > V0),
-    p1 and p2 are StepProblem's branch, incident_momentum and
-    transmitted_momentum, in their expressions, on the unpacked fields.
+    evanescent branch, with p1 = sqrt(2 E m) and p2 = sqrt(2 (E - V0) m).  A
+    current that overflows, or that an overflowing amplitude leaves
+    undefined, raises PrecisionError.
     """
     e, v0, m, spin = problem
     branch, b, b_prime, c, c_prime, amps_spin = amps
@@ -622,7 +603,7 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
         raise ValueError("amplitude set was produced for a different problem")
     j_inc = 4.0 * math.sqrt(2.0 * e * m) / (e + m)
     j_trans_up = j_trans_down = 0.0
-    if propagating:  # abs(e - v0) is e - v0 above the step
+    if propagating:
         per_amplitude = 4.0 * math.sqrt(2.0 * (e - v0) * m) / (e + m - v0)
         j_trans_up = per_amplitude * _abs2(c.real, c.imag)
         j_trans_down = per_amplitude * _abs2(c_prime.real, c_prime.imag)

@@ -9,7 +9,7 @@ attribute, CSV header and SVG colour; the CSV header line, the JSON keys
 (the attribute, except `total`, written as "sum"), the SVG column names and
 colours, the CLI's default SVG columns and its point JSON all read it.
 Rows are NamedTuples of their FIELDS, in order; unitarity is checked once,
-by scattering._probabilities on a branch's columns, before any is built.
+by scattering._curves on a branch's columns, before any is built.
 
 Emission is deterministic: the same spec always produces byte-identical
 output.  Numbers are printed with 17 significant digits, which round-trips
@@ -86,12 +86,12 @@ class SweepSpec(_SweepFields):
     """Description of one energy sweep.
 
     The grid ranges over x = E/V0 from e_over_v0_min to e_over_v0_max with
-    `points` samples, an integer (Python or numpy); v0, mass and the bounds
-    are at most the largest double.  An explicit regime
-    constrains the range to its side of x = 1; AUTO admits ranges straddling
-    1 and splits the rows.  The constructor refuses anything else, and
-    spacing, regime or incident_spin values that are not members of their
-    enums; _replace and _make build through it too.
+    `points` samples, an integer (Python or numpy); v0, mass, the bounds
+    and the top energy e_over_v0_max * v0 are at most the largest double.
+    An explicit regime constrains the range to its side of x = 1; AUTO
+    admits ranges straddling 1 and splits the rows.  The constructor
+    refuses anything else, and spacing, regime or incident_spin values that
+    are not members of their enums; _replace and _make build through it too.
     """
 
     __slots__ = ()
@@ -106,6 +106,11 @@ class SweepSpec(_SweepFields):
             )
         if self.e_over_v0_min <= 0:
             raise ValueError("e_over_v0_min must be positive")
+        if float(self.e_over_v0_max) * float(self.v0) > _MAX:
+            raise ValueError(
+                f"the top energy e_over_v0_max * v0 = {self.e_over_v0_max} * {self.v0} eV "
+                "exceeds the largest double"
+            )
         try:
             operator.index(self.points)
         except TypeError:

@@ -61,9 +61,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MuTriple",
-    "ContinuityObjects",
     "mu_matrices",
-    "continuity_objects",
     "verify_continuity_identities",
     "shell_determinant",
     "schrodinger_reduction_check",
@@ -86,20 +84,6 @@ class MuTriple(NamedTuple):
     mu3: np.ndarray
 
 
-class ContinuityObjects(NamedTuple):
-    """Hermitian current kernels Sigma_i and density kernel Gamma of the 3D
-    continuity equation."""
-
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    sigma3: np.ndarray
-    density: np.ndarray
-
-    @property
-    def sigmas(self):
-        return (self.sigma1, self.sigma2, self.sigma3)
-
-
 def mu_matrices() -> MuTriple:
     """mu1 = i*gamma1*gamma2, mu2 = gamma0*gamma2, mu3 = gamma2*gamma5, as
     read-only arrays of algebra's block-form tables diag(sigma3, sigma3),
@@ -116,12 +100,6 @@ def _continuity_tables(rep: EtaRepresentation):
     g3 = _GAMMA[3]
     sigmas = tuple(_sum((1j, _mul(_mul(mu, total), g3))) for mu in _MU)
     return sigmas, _sum((1j, _mul(_mul(nd, n), g3)))
-
-
-def continuity_objects(rep: EtaRepresentation = EtaRepresentation.REP1) -> ContinuityObjects:
-    """The Hermitian kernels of the 3D continuity equation, as arrays."""
-    sigmas, density = _continuity_tables(rep)
-    return ContinuityObjects(*(_array(s, SQRT2) for s in sigmas), _array(density, 2))
 
 
 def verify_continuity_identities(

@@ -14,6 +14,7 @@ being weakened (details in the test bodies and printed output):
   on-shell singularity exists only for the flipped mass-term sign.
 """
 
+import math
 import time
 
 import numpy as np
@@ -286,8 +287,8 @@ def test_criterion_7_current_conservation():
             amps = solve_amplitudes_linear(problem)
             j = currents(problem, amps)
             worst_ratio = max(worst_ratio, abs(j.conservation_sum - 1.0))
-            p1 = problem.incident_momentum
-            p2 = problem.transmitted_momentum
+            p1 = math.sqrt(2.0 * energy * ME)
+            p2 = math.sqrt(2.0 * abs(energy - v0) * ME)
             closed = {
                 "j_inc": 4 * p1 / (energy + ME),
                 "j_refl_up": -4 * p1 * abs(amps.b) ** 2 / (energy + ME),

@@ -11,7 +11,6 @@ from spinstep.algebra import (
     eta,
     eta_dagger,
     gamma,
-    pauli,
     verify_eta_algebra,
     verify_eta_matrix,
 )
@@ -19,6 +18,10 @@ from spinstep.algebra import (
 REPS = [EtaRepresentation.REP1, EtaRepresentation.REP2]
 SQRT2 = np.sqrt(2.0)
 I4 = np.eye(4, dtype=complex)
+# the Pauli matrices, written out as an independent reference
+SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA2 = np.array([[0, -1j], [1j, 0]])
+SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def max_abs(m) -> float:
@@ -53,7 +56,7 @@ def test_eta_rep1_entries():
 
 def test_eta_rep1_matches_pauli_block_form():
     blocks = (-1j / SQRT2) * np.block(
-        [[pauli(1), pauli(2)], [-pauli(2), pauli(1)]]
+        [[SIGMA1, SIGMA2], [-SIGMA2, SIGMA1]]
     )
     assert max_abs(eta(EtaRepresentation.REP1) - blocks) == 0.0
 
@@ -114,7 +117,7 @@ def test_gamma_matrices_dirac_basis():
     assert max_abs(gamma(0) - np.diag([1, 1, -1, -1])) == 0.0
     assert gamma(5)[0, 2] == 1
     # mu1 calibration product
-    block = np.block([[pauli(3), np.zeros((2, 2))], [np.zeros((2, 2)), pauli(3)]])
+    block = np.block([[SIGMA3, np.zeros((2, 2))], [np.zeros((2, 2)), SIGMA3]])
     assert max_abs(1j * gamma(1) @ gamma(2) - block) == 0.0
     for k in (1, 2, 3):
         assert max_abs(gamma(k) @ gamma(k) + I4) == 0.0
@@ -177,7 +180,7 @@ def test_perturbed_eta_fails_with_matching_deviation():
     perturbed[0, 1] += 1e-6
     report = verify_eta_matrix(perturbed)
     assert not report.passed
-    check = report["square_is_zero"]
+    check = {c.name: c for c in report.checks}["square_is_zero"]
     assert not check.passed
     # oracle: recompute the square of the perturbed matrix directly
     assert check.max_deviation == max_abs(perturbed @ perturbed)
@@ -214,8 +217,9 @@ def test_gamma_relations_are_checked_with_rep1_signs(monkeypatch):
     monkeypatch.setitem(algebra._SQRT2_ETA, EtaRepresentation.REP1, negated)
     report = verify_eta_algebra(EtaRepresentation.REP1)
     assert not report.passed
-    assert not report["eta_plus_dagger_equals_-i*sqrt2*gamma2"].passed
-    assert report["dagger_times_eta_equals_I+i*gamma3"].passed
+    checks = {c.name: c for c in report.checks}
+    assert not checks["eta_plus_dagger_equals_-i*sqrt2*gamma2"].passed
+    assert checks["dagger_times_eta_equals_I+i*gamma3"].passed
     assert [c.name for c in report.checks if not c.passed] == [
         "eta_plus_dagger_equals_-i*sqrt2*gamma2"
     ]

@@ -58,8 +58,7 @@ def test_verify_rep1_passes(capsys):
 # the check names the report commands print, in order
 ALGEBRA_CHECKS = [
     "square_is_zero", "dagger_square_is_zero", "anticommutator_is_2I", "symmetric",
-    "dagger_is_entrywise_conjugate", "trace_is_zero", "determinant_is_zero",
-    "eigenvalues_all_zero",
+    "trace_is_zero", "determinant_is_zero", "eigenvalues_all_zero",
 ]
 REP1_GAMMA_CHECKS = [
     "eta_plus_dagger_equals_-i*sqrt2*gamma2", "dagger_times_eta_equals_I+i*gamma3",
@@ -372,7 +371,8 @@ def test_sweep_invalid_grid_exit_2(tmp_path, capsys):
     ("--v0", "100", "--to", "inf"),
     ("--v0", "100", "--from=-inf"),
     ("--v0", "100", "--from", "nan"),
-    # overflow: every column is nan, which the unitarity check refuses
+    # overflow: every column is nan, which the unitarity check refuses, or
+    # the top energy 10 * V0 exceeds the largest double, which SweepSpec does
     ("--v0", "1e300"),
     ("--v0", "1e308"),
 ], ids=" ".join)
@@ -384,6 +384,20 @@ def test_sweep_out_of_range_exit_2_with_one_line(tmp_path, capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("invalid sweep: ") and err.count("\n") == 1
     assert len(err) < 400
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_top_energy_beyond_the_double_range_exit_2(tmp_path, capsys):
+    # refused by the spec, named by its inputs, before any grid energy is inf
+    code, out, err = run_cli(
+        capsys, "sweep", "--v0", "100", "--from", "1.5", "--to", "1e308", "--points", "3",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "invalid sweep: the top energy e_over_v0_max * v0 = 1e+308 * 100.0 eV "
+        "exceeds the largest double\n"
+    )
     assert list(tmp_path.iterdir()) == []
 
 

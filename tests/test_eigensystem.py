@@ -114,7 +114,8 @@ def test_eigen_equation_residual_is_relative_to_the_eigenvalue_and_state(monkeyp
     # of 2 relative to |p| |u3|
     monkeypatch.setattr(eigensystem, "_eigen_spinors", _swapped_spinors)
     report = verify_dispersion(energies=[1.0, 100.0, 1e6])
-    assert report["eigen_equation_residual"].max_deviation == pytest.approx(2.0, rel=1e-12)
+    check = {c.name: c for c in report.checks}["eigen_equation_residual"]
+    assert check.max_deviation == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("rep", [EtaRepresentation.REP1, EtaRepresentation.REP2])
@@ -131,7 +132,7 @@ def test_bent_table_fails_the_operator_square_check(monkeypatch, rep):
         for energy in energies
         for op in [energy * bent_eta + ME * bent_eta.conj().T]
     )
-    check = report["operator_square_is_2Em_identity"]
+    check = {c.name: c for c in report.checks}["operator_square_is_2Em_identity"]
     assert not check.passed
     assert check.max_deviation == pytest.approx(expected, rel=1e-9)
 
@@ -179,7 +180,7 @@ def test_eigen_equation_residual_fails_or_refuses_across_the_double_range(monkey
             report = verify_dispersion(energies=[energy])
         except PrecisionError:
             continue
-        check = report["eigen_equation_residual"]
+        check = {c.name: c for c in report.checks}["eigen_equation_residual"]
         assert check.max_deviation == pytest.approx(2.0, rel=1e-6), energy
 
 
@@ -203,6 +204,14 @@ def test_dispersion_refuses_bad_energies():
         with pytest.raises(ValueError, match="positive and finite") as refused:
             verify_dispersion(energies=energies)
         assert type(refused.value) is ValueError
+
+
+@pytest.mark.parametrize("rep", [EtaRepresentation.REP1, EtaRepresentation.REP2])
+def test_dispersion_refuses_an_empty_grid(rep):
+    # a grid of no energy would report checks that never ran as passed
+    for energies in ([], (), iter([])):
+        with pytest.raises(ValueError, match="energies is empty"):
+            verify_dispersion(rep, energies=energies)
 
 
 def test_eigenstate_kind_validation():

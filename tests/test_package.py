@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import subprocess
@@ -14,7 +15,7 @@ SUBMODULES = ("algebra", "eigensystem", "scattering", "sweep_io", "threed")
 def test_every_exported_name_resolves_and_is_listed():
     # the package resolves its names on first use; star imports and dir()
     # still see every one of them
-    assert len(spinstep.__all__) == len(set(spinstep.__all__)) == 49
+    assert len(spinstep.__all__) == len(set(spinstep.__all__)) == 46
     assert set(SUBMODULES) <= set(spinstep.__all__)
     listed = dir(spinstep)
     for name in spinstep.__all__:
@@ -38,6 +39,58 @@ def test_each_name_is_listed_once_by_the_module_that_defines_it():
         for name in module.__all__:
             owner = getattr(getattr(module, name), "__module__", module.__name__)
             assert owner == module.__name__, name
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# exported names whose only callers are tests, each with its reason
+TEST_ONLY_EXPORTS = {
+    "continuity_residual": "the tests' continuity measure for amplitudes from any route",
+    "schrodinger_reduction_check": "the entry point of the known red acceptance check 8b",
+}
+
+
+def _names_read(tree: ast.Module) -> set:
+    """The names a module imports or reads, as a Name or an Attribute,
+    outside the top-level statement that defines each of them."""
+    read = set()
+    for statement in tree.body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            defined = {statement.name}
+        elif isinstance(statement, ast.Assign):
+            targets = ast.walk(ast.Tuple(statement.targets))
+            defined = {node.id for node in targets if isinstance(node, ast.Name)}
+        else:
+            defined = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom):
+                module = (node.module or "").split(".")[-1]
+                names = {module, *(alias.name for alias in node.names)}
+            elif isinstance(node, ast.Import):
+                names = {alias.name.split(".")[-1] for alias in node.names}
+            else:
+                continue
+            read |= names - defined
+    return read
+
+
+def test_every_exported_name_has_a_caller_outside_tests():
+    # the package, the demos or the benchmark harness imports or reads every
+    # exported name; a public name that only tests read is dead surface
+    files = [
+        *(ROOT / "src" / "spinstep").glob("*.py"),
+        *(ROOT / "demos").glob("*.py"),
+        *(ROOT / "perfbench").glob("*.py"),
+    ]
+    read = set().union(*(_names_read(ast.parse(f.read_text(encoding="utf-8"))) for f in files))
+    uncalled = sorted(set(spinstep.__all__) - read - set(TEST_ONLY_EXPORTS))
+    assert uncalled == []
+    # the allowlist names exported names that really have no other caller
+    assert set(TEST_ONLY_EXPORTS) <= set(spinstep.__all__) - read
 
 
 def test_point_names_and_cli_resolve_without_numpy():

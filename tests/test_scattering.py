@@ -28,7 +28,7 @@ from spinstep.scattering import (
     currents,
     _abs2,
     _amplitudes,
-    _probabilities,
+    _curves,
     solve_amplitudes_linear,
 )
 from spinstep.sweep_io import SweepSpec, run_sweep
@@ -55,8 +55,28 @@ def closed_form_row(energy, v0, **fields):
 
 
 def test_branch_classification():
-    assert StepProblem(energy=200.0, v0=100.0).branch is Branch.PROPAGATING
-    assert StepProblem(energy=50.0, v0=100.0).branch is Branch.EVANESCENT
+    # both amplitude routes and the row type classify E > V0 as propagating
+    for energy, branch, row_type in (
+        (200.0, Branch.PROPAGATING, PropagatingRow), (50.0, Branch.EVANESCENT, EvanescentRow)
+    ):
+        problem = StepProblem(energy=energy, v0=100.0)
+        assert closed_form_amplitudes(problem).branch is branch
+        assert solve_amplitudes_linear(problem).branch is branch
+        assert type(closed_form_row(energy, 100.0)) is row_type
+
+
+def test_fields_are_bound_as_python_floats():
+    # an int or numpy field is converted once, in the constructor, so the
+    # point route's results hold Python floats, bit for bit those of floats
+    reference = StepProblem(2.0, 1.0)
+    for problem in (StepProblem(2, 1), StepProblem(np.float64(2.0), 1)):
+        assert all(type(field) is float for field in problem[:3])
+        assert problem == reference
+        row = coefficients(problem, closed_form_amplitudes(problem))
+        assert all(type(value) is float for value in row)
+        assert [_bits(value) for value in row] == [
+            _bits(value) for value in coefficients(reference, closed_form_amplitudes(reference))
+        ]
 
 
 def test_threshold_band_rejected():
@@ -126,15 +146,25 @@ def test_replace_validates_like_the_constructor():
 
 
 def test_transmitted_momentum_propagating():
+    # the transmitted current per unit |c|^2 is 4*p2/(E+m-V0)
     problem = StepProblem(energy=200.0, v0=100.0, mass=ME)
+    amps = closed_form_amplitudes(problem)
+    p2 = currents(problem, amps).j_trans_up * (200.0 + ME - 100.0) / (4.0 * abs(amps.c) ** 2)
     # frozen oracle: sqrt(2*(200-100)*510998.95)
-    assert problem.transmitted_momentum == pytest.approx(10109.391178503283, rel=1e-14)
+    assert p2 == pytest.approx(10109.391178503283, rel=1e-14)
 
 
 def test_decay_constant_evanescent():
+    # the oracle's pole-free pair spans the region-II modes that decay as
+    # exp(-p2' z); a p2' off by 1e-9 relative leaves a residual near 1e-11
     problem = StepProblem(energy=50.0, v0=100.0, mass=ME)
+    rows, _ = _continuity_matrix(problem)
+    basis = np.array(rows)[:, 2:]
     # frozen oracle: sqrt(2*510998.95*50)
-    assert problem.transmitted_momentum == pytest.approx(7148.419055987135, rel=1e-14)
+    for mode in _eigen_spinors(50.0 - 100.0, ME, 1j * 7148.419055987135)[:2]:
+        mode = np.array(mode)
+        coef, *_ = np.linalg.lstsq(basis, mode, rcond=None)
+        assert np.abs(basis @ coef - mode).max() <= 1e-14 * np.abs(mode).max()
 
 
 def on_pole_reflection(energy, mass, spin):
@@ -617,16 +647,16 @@ def test_property_kernel_bits_equal_on_floats_and_arrays(
     grid = _amplitudes(branch, np.array([energy]), v0, mass, spin, np.sqrt)
     for scalar, array in zip(point, grid):
         assert [_bits(part) for part in scalar] == [_bits(part) for part in array]
-    point_probs = _probabilities(
+    point_curves = _curves(
         branch, energy, v0, mass, [_abs2(*pair) for pair in point], math.sqrt
     )
-    grid_probs = _probabilities(
+    grid_curves = _curves(
         branch, np.array([energy]), v0, mass, [_abs2(*pair) for pair in grid], np.sqrt
     )
     row_type = PropagatingRow if branch is Branch.PROPAGATING else EvanescentRow
-    names = row_type._fields[2 : 2 + len(point_probs)]
-    assert names[-1] == "total" and len(grid_probs) == len(point_probs)
-    for name, value, array in zip(names, point_probs, grid_probs):
+    names = row_type._fields[2:]
+    assert len(names) == len(point_curves) == len(grid_curves)
+    for name, value, array in zip(names, point_curves, grid_curves):
         assert _bits(value) == _bits(array), name
 
 
@@ -652,7 +682,7 @@ def test_unitarity_refusal_names_one_point():
     # instead of printing whole columns
     bad = (0.5, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError) as point:
-        _probabilities(Branch.EVANESCENT, 50.0, 100.0, ME, bad, math.sqrt)
+        _curves(Branch.EVANESCENT, 50.0, 100.0, ME, bad, math.sqrt)
     assert str(point.value) == (
         "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} violate unitarity: the "
         "sum must be within 1e-12 of 1 and each within 1e-12 of [0, 1]"
@@ -660,7 +690,7 @@ def test_unitarity_refusal_names_one_point():
     energy = np.array([10.0, 20.0, 30.0])
     grid = [np.array(v) for v in ((1.0, 0.5, np.nan), (0.0, 0.0, 0.0), (0, 0, 0), (0, 0, 0))]
     with pytest.raises(ValueError) as sweep:
-        _probabilities(Branch.EVANESCENT, energy, 100.0, ME, grid, np.sqrt)
+        _curves(Branch.EVANESCENT, energy, 100.0, ME, grid, np.sqrt)
     assert str(sweep.value).startswith(
         "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} at E = 20.0 eV violate unitarity"
     )
@@ -921,18 +951,18 @@ def test_point_route_returns_or_refuses_every_positive_double(energy, v0, mass, 
     assert abs(row.total - 1.0) <= 1e-12
     assert all(map(math.isfinite, (*row, *current)))
     # the route derives the branch and momenta inline and builds its results
-    # with tuple.__new__: bit for bit the properties' values, and the types
-    # and values of the generated constructors
-    branch = problem.branch
+    # with tuple.__new__: bit for bit these expressions' values, and the
+    # types and values of the generated constructors
+    branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT
     assert type(amps) is AmplitudeSet
     assert amps == AmplitudeSet(branch, *amps[1:5], spin)
     assert type(row) is (PropagatingRow if branch is Branch.PROPAGATING else EvanescentRow)
     assert row == type(row)(*row)
     r_up, r_down, t_up, t_down = (_abs2(z.real, z.imag) for z in amps[1:5])
-    j_inc = 4.0 * problem.incident_momentum / (energy + mass)
+    j_inc = 4.0 * math.sqrt(2.0 * energy * mass) / (energy + mass)
     j_trans = (0.0, 0.0)
     if branch is Branch.PROPAGATING:
-        per_amplitude = 4.0 * problem.transmitted_momentum / (energy + mass - v0)
+        per_amplitude = 4.0 * math.sqrt(2.0 * abs(energy - v0) * mass) / (energy + mass - v0)
         j_trans = (per_amplitude * t_up, per_amplitude * t_down)
     expected = CurrentDensities(j_inc, -j_inc * r_up, -j_inc * r_down, *j_trans)
     assert type(current) is CurrentDensities
@@ -960,7 +990,8 @@ def test_oracle_returns_or_refuses_every_positive_double(energy, v0, mass, spin)
         return
     assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in amps[1:5])
     assert type(amps) is AmplitudeSet
-    assert amps == AmplitudeSet(problem.branch, *amps[1:5], spin)
+    branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT
+    assert amps == AmplitudeSet(branch, *amps[1:5], spin)
 
 
 def _point_route(energy, v0, mass=ME):

@@ -64,15 +64,29 @@ def test_spec_validation():
         with pytest.raises(ValueError):
             small_prop_spec(**bad)
     # an int beyond the double range is refused, not an OverflowError, and
-    # the largest double is accepted
+    # the largest double is accepted (as v0 on a grid below the step, whose
+    # top energy stays within the double range)
+    below = dict(e_over_v0_min=0.1, e_over_v0_max=0.5, regime=Regime.EVANESCENT)
     for name in ("v0", "mass"):
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             small_prop_spec(**{name: 10**400})
-        assert getattr(small_prop_spec(**{name: sys.float_info.max}), name) == sys.float_info.max
+        largest = small_prop_spec(**below, **{name: sys.float_info.max})
+        assert getattr(largest, name) == sys.float_info.max
     with pytest.raises(ValueError, match="not finite"):
         small_prop_spec(e_over_v0_min=-math.inf, regime=Regime.AUTO)
     # the first double above the step is a propagating sweep's lowest bound
     assert small_prop_spec(e_over_v0_min=math.nextafter(1.0, 2.0)).e_over_v0_min > 1.0
+
+
+def test_spec_refuses_a_top_energy_beyond_the_double_range():
+    # e_over_v0_max * v0 overflows: refused with both values, not left for
+    # run_sweep to report E = inf
+    with pytest.raises(ValueError, match=r"e_over_v0_max \* v0 = 1e\+308 \* 100.0 eV") as refused:
+        SweepSpec(v0=100.0, e_over_v0_min=1.5, e_over_v0_max=1e308, points=3)
+    assert type(refused.value) is ValueError
+    with pytest.raises(ValueError, match="exceeds the largest double"):
+        SweepSpec(v0=2.0, e_over_v0_min=1.5, e_over_v0_max=sys.float_info.max)
+    assert SweepSpec(v0=2.0, e_over_v0_min=1.5, e_over_v0_max=sys.float_info.max / 2)
 
 
 def test_spec_defaults():

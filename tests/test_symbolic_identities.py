@@ -2,12 +2,13 @@
 
 Every formula is the code's own, evaluated on positive sympy symbols: the
 closed-form amplitudes of _amplitudes, the mode spinors of _eigen_spinors,
-the spinless T and R of _spinless, StepProblem's momenta, the pole-free
-decaying pair of _continuity_matrix and the closed-form currents of
-`currents`.  Float literals are made exact by nsimplify.  Each energy is
-the square of a symbol, so every square root the code takes is a symbol
-too and each identity's residual is a rational function, whose numerator
-expands to exactly 0, for both branches and both incident spins:
+the spinless T and R of _spinless, the pole-free decaying pair of
+_continuity_matrix and the closed-form currents of `currents`; the mode
+momenta are the point route's p1 = sqrt(2Em) and p2 = sqrt(2|E-V0|m).
+Float literals are made exact by nsimplify.  Each energy is the square of a
+symbol, so every square root the code takes is a symbol too and each
+identity's residual is a rational function, whose numerator expands to
+exactly 0, for both branches and both incident spins:
 
 * continuity at z = 0, u_inc + b u3 + b' u4 = c u1(E-V0) + c' u2(E-V0),
   multiplied through by E - V0 + m so that it holds at the mass pole too;
@@ -85,16 +86,15 @@ def step(branch: Branch, spin: Spin):
     """The problem on the branch's symbols, built past StepProblem's float
     checks, and its closed-form (b, b', c, c') as (real, imaginary) pairs."""
     problem = tuple.__new__(StepProblem, (E, STEP_HEIGHT[branch], m, spin))
-    assert problem.branch is branch
     return problem, _amplitudes(branch, E, problem.v0, m, spin, sqrt)
 
 
 def modes(problem: StepProblem) -> tuple:
     """(u_inc, u3, u4, u1(E-V0), u2(E-V0)); below the step the region-II
     modes decay, at the imaginary momentum i*p2'."""
-    u1, u2, u3, u4 = _eigen_spinors(E, m, problem.incident_momentum)
-    p2 = problem.transmitted_momentum
-    if problem.branch is Branch.EVANESCENT:
+    u1, u2, u3, u4 = _eigen_spinors(E, m, sqrt(2 * E * m))
+    p2 = sqrt(2 * abs(E - problem.v0) * m)
+    if E < problem.v0:
         p2 = sympy.I * p2
     w1, w2, _, _ = _eigen_spinors(E - problem.v0, m, p2)
     return (u1 if problem.incident_spin is Spin.UP else u2), u3, u4, w1, w2
@@ -159,7 +159,7 @@ def test_spin_sums_are_the_spinless_coefficients(spin):
     t_sum, r_sum = spin_sums(Branch.PROPAGATING, spin)
     assert is_zero(t_sum - textbook_t)
     assert is_zero(r_sum - textbook_r)
-    t_qm, r_qm = _spinless(E, STEP_HEIGHT[Branch.PROPAGATING], sqrt)
+    t_qm, r_qm = _spinless(k1, k2, STEP_HEIGHT[Branch.PROPAGATING])
     assert is_zero(t_qm - textbook_t)
     assert is_zero(r_qm - textbook_r)
 

@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from spinstep.algebra import EtaRepresentation, eta, eta_dagger, gamma, pauli
+from spinstep.algebra import EtaRepresentation, eta, eta_dagger, gamma
 from spinstep.eigensystem import ELECTRON_MASS_EV
 from spinstep.scattering import PrecisionError
 from spinstep.threed import (
     SINGULARITY_TOL,
+    _continuity_tables,
     _momentum_matrix,
-    continuity_objects,
     mu_matrices,
     schrodinger_reduction_check,
     shell_determinant,
@@ -20,6 +20,15 @@ from spinstep.threed import (
 ME = ELECTRON_MASS_EV
 REPS = [EtaRepresentation.REP1, EtaRepresentation.REP2]
 I4 = np.eye(4, dtype=complex)
+# the Pauli matrices, written out as an independent reference
+SIGMA2 = np.array([[0, -1j], [1j, 0]])
+SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
+Z2 = np.zeros((2, 2), dtype=complex)
+MU_BLOCKS = (
+    np.block([[SIGMA3, Z2], [Z2, SIGMA3]]),
+    np.block([[Z2, SIGMA2], [SIGMA2, Z2]]),
+    np.block([[SIGMA2, Z2], [Z2, -SIGMA2]]),
+)
 
 
 def max_abs(m) -> float:
@@ -39,10 +48,8 @@ def test_mu_block_entries():
 
 def test_mu_block_forms_match_gamma_products():
     mus = mu_matrices()
-    z = np.zeros((2, 2), dtype=complex)
-    assert max_abs(mus.mu1 - np.block([[pauli(3), z], [z, pauli(3)]])) == 0.0
-    assert max_abs(mus.mu2 - np.block([[z, pauli(2)], [pauli(2), z]])) == 0.0
-    assert max_abs(mus.mu3 - np.block([[pauli(2), z], [z, -pauli(2)]])) == 0.0
+    for mu, block in zip(mus, MU_BLOCKS):
+        assert max_abs(mu - block) == 0.0
     assert max_abs(mus.mu1 - 1j * gamma(1) @ gamma(2)) == 0.0
     assert max_abs(mus.mu2 - gamma(0) @ gamma(2)) == 0.0
     assert max_abs(mus.mu3 - gamma(2) @ gamma(5)) == 0.0
@@ -52,10 +59,7 @@ def test_momentum_matrix_is_p_dot_mu_of_the_block_forms():
     # the operator itself, not only identities that hold for either sign of
     # a term: p . mu with mu1 = diag(s3, s3), mu2 = antidiag(s2, s2) and
     # mu3 = diag(s2, -s2)
-    z = np.zeros((2, 2), dtype=complex)
-    mu1 = np.block([[pauli(3), z], [z, pauli(3)]])
-    mu2 = np.block([[z, pauli(2)], [pauli(2), z]])
-    mu3 = np.block([[pauli(2), z], [z, -pauli(2)]])
+    mu1, mu2, mu3 = MU_BLOCKS
     p = np.array([0.3, -0.5, 0.7])
     assert max_abs(_momentum_matrix(p) - (0.3 * mu1 - 0.5 * mu2 + 0.7 * mu3)) == 0.0
 
@@ -88,19 +92,30 @@ def test_continuity_identity_report(rep):
     assert "density_kernel_hermitian" in names
 
 
+def continuity_kernels(rep):
+    """Sigma_1..3 and Gamma as arrays, from the tables the report checks."""
+    sigmas, density = _continuity_tables(rep)
+    return [np.array(s) / np.sqrt(2.0) for s in sigmas], np.array(density) / 2.0
+
+
 @pytest.mark.parametrize("rep", REPS)
 def test_continuity_kernels_hermitian(rep):
-    objs = continuity_objects(rep)
-    for sigma in objs.sigmas:
+    # the tables are Sigma_i = i mu_i (eta + eta^dagger) gamma3 and
+    # Gamma = i eta^dagger eta gamma3, and each is Hermitian
+    sigmas, density = continuity_kernels(rep)
+    e, ed, g3 = eta(rep), eta_dagger(rep), gamma(3)
+    for sigma, mu in zip(sigmas, mu_matrices()):
+        assert max_abs(sigma - 1j * mu @ (e + ed) @ g3) <= 1e-15
         assert max_abs(sigma - sigma.conj().T) <= 1e-15
-    assert max_abs(objs.density - objs.density.conj().T) <= 1e-15
+    assert max_abs(density - 1j * ed @ e @ g3) <= 1e-15
+    assert max_abs(density - density.conj().T) <= 1e-15
 
 
 def test_density_kernel_is_dagger_product():
     # Gamma = i*eta^dagger*eta*gamma3 collapses to eta^dagger*eta itself
-    objs = continuity_objects(EtaRepresentation.REP1)
+    _, density = continuity_kernels(EtaRepresentation.REP1)
     e, ed = eta(), eta_dagger()
-    assert max_abs(objs.density - ed @ e) <= 1e-15
+    assert max_abs(density - ed @ e) <= 1e-15
 
 
 def test_squared_operator_identities():
