@@ -42,7 +42,6 @@ for name, (spec, columns) in sweeps.items():
     svg_path = out_dir / f"{name}.svg"
     emit_csv(result.rows, csv_path)
     emit_svg(result.rows, svg_path, columns)
-    print(f"{name}: {len(result.rows)} rows "
-          f"({result.skipped} skipped) -> {csv_path.name}, {svg_path.name}")
+    print(f"{name}: {len(result.rows)} rows -> {csv_path.name}, {svg_path.name}")
 
 print(f"\nfiles in {out_dir}")

@@ -22,6 +22,7 @@ from spinstep import (
     coefficients,
     eta,
     eta_dagger,
+    momentum_operator,
 )
 
 REP = EtaRepresentation.REP2
@@ -29,7 +30,7 @@ REP = EtaRepresentation.REP2
 
 def eigenspace_basis(energy, mass, sign):
     """Orthonormal 4x2 basis of the sign*sqrt(2*E*m) eigenspace."""
-    operator = energy * eta(REP) + mass * eta_dagger(REP)
+    operator = momentum_operator(energy, mass, REP)
     p = np.sqrt(2 * energy * mass)
     values, vectors = np.linalg.eig(operator)
     q, _ = np.linalg.qr(vectors[:, np.abs(values - sign * p) < 1e-6 * p])

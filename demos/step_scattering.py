@@ -4,7 +4,8 @@ Above the step (E > V0) the electron transmits and reflects with either
 spin; the four probabilities T1, T2, R1, R2 sum to one and their spin sums
 reproduce the spinless textbook coefficients.  Below the step (E < V0)
 nothing is transmitted and the two reflection probabilities depend only on
-E and m, not on the barrier height.
+E and m, not on the barrier height.  At the threshold E = V0 the two
+regimes meet: T1 and T2 fall to 0, and R1 and R2 reach R1' and R2'.
 """
 
 from spinstep import (
@@ -55,10 +56,15 @@ for v0 in (100.0, 1e4, 1e6):
     coeff = coefficients(problem, solve_amplitudes_linear(problem))
     print(f"  V0 = {v0:>8.0f} eV: R1' = {coeff.r1_prime:.15f}")
 
-print("\napproach to the threshold from above (V0 = 100 eV):")
-print(f"{'E/V0 - 1':>10}  {'T1+T2':>12}  {'R1+R2':>12}")
-for offset in (1e-1, 1e-2, 1e-4, 1e-6, 1e-8):
+print("\napproach to the threshold from above, and on it (V0 = 100 eV):")
+print(f"{'E/V0 - 1':>10}  {'T1+T2':>12}  {'R1':>12}  {'R2':>12}")
+for offset in (1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 0.0):
     problem = StepProblem(energy=100.0 * (1 + offset), v0=100.0)
     coeff = coefficients(problem, solve_amplitudes_linear(problem))
-    print(f"{offset:>10.0e}  {coeff.t1 + coeff.t2:>12.6e}  "
-          f"{coeff.r1 + coeff.r2:>12.10f}")
+    if offset:
+        transmitted, r1, r2 = coeff.t1 + coeff.t2, coeff.r1, coeff.r2
+    else:  # E = V0 is a row of the evanescent branch
+        transmitted, r1, r2 = 0.0, coeff.r1_prime, coeff.r2_prime
+    print(f"{offset:>10.0e}  {transmitted:>12.6e}  {r1:>12.10f}  {r2:>12.6e}")
+print(f"limit: T1, T2 -> 0, R1 -> (E-m)^2/(E+m)^2 = {(100 - m) ** 2 / (100 + m) ** 2:.10f}, "
+      f"R2 -> 4Em/(E+m)^2 = {4 * 100 * m / (100 + m) ** 2:.6e}")

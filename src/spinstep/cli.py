@@ -27,7 +27,6 @@ from .scattering import (
     PrecisionError,
     Spin,
     StepProblem,
-    ThresholdDegeneracyError,
     closed_form_amplitudes,
     coefficients,
     currents,
@@ -146,8 +145,7 @@ def _threed_suites(rep) -> tuple:
 
 
 # The stderr prefix of each refusal kind; any other ValueError is invalid input.
-_REFUSALS = {ThresholdDegeneracyError: "threshold degeneracy",
-             PrecisionError: "beyond double precision"}
+_REFUSALS = {PrecisionError: "beyond double precision"}
 
 
 def _point(args) -> int:
@@ -217,10 +215,9 @@ def _sweep(args) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
-    summary = {"rows": len(result.rows), "skipped": result.skipped, "files": files}
+    summary = {"rows": len(result.rows), "files": files}
     if args.pretty:
-        print(f"rows={summary['rows']} skipped={summary['skipped']} "
-              f"files={' '.join(files)}")
+        print(f"rows={summary['rows']} files={' '.join(files)}")
     else:
         print(json.dumps(summary))
     return EXIT_OK

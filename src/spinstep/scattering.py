@@ -8,7 +8,7 @@ both energy regimes:
   p2 = sqrt(2*(E - V0)*m); spin-resolved transmission and reflection
   probabilities T1, T2, R1, R2 summing to 1, whose spin sums reproduce the
   textbook spinless coefficients and are independent of the mass.
-* evanescent (E < V0): transmitted amplitude decays as exp(-p2'*z) with
+* evanescent (E <= V0): transmitted amplitude decays as exp(-p2'*z) with
   p2' = sqrt(2*m*(V0 - E)), carries exactly zero probability current, and the
   reflection probabilities reduce to R1' = (E-m)^2/(E+m)^2 and
   R2' = 4*E*m/(E+m)^2, independent of the barrier height.
@@ -37,11 +37,12 @@ A row type is a NamedTuple built from its FIELDS table, which lists its
 fields once, for every output.  Unitarity is checked once, in _curves;
 StepProblem validates in its constructor, _replace included.
 
-Each kind of domain refusal is a ValueError subclass, worded in one place:
-ThresholdDegeneracyError and PrecisionError (valid inputs whose result
-underflows or overflows; eigensystem and threed raise it too).  An input
-that is not positive and finite is a plain ValueError, from the one check
-every module's entry points call, _positive_finite.
+The one kind of domain refusal is PrecisionError, a ValueError subclass
+worded in one place: valid inputs whose result underflows or overflows
+(eigensystem and threed raise it too).  The threshold E = V0 is no
+refusal: it takes the evanescent branch, where nothing divides by
+V0 - E.  An input that is not positive and finite is a plain ValueError,
+from the one check every module's entry points call, _positive_finite.
 
 numpy is imported only by continuity_residual, for its QR projection, so
 that StepProblem, both amplitude routes, coefficients and currents run
@@ -61,7 +62,6 @@ __all__ = [
     "ELECTRON_MASS_EV",
     "Spin",
     "Branch",
-    "ThresholdDegeneracyError",
     "PrecisionError",
     "StepProblem",
     "AmplitudeSet",
@@ -74,11 +74,6 @@ __all__ = [
     "currents",
     "continuity_residual",
 ]
-
-# Inputs with |E - V0| <= THRESHOLD_EPS * V0 are rejected (_at_threshold):
-# the transmitted momentum vanishes and both regimes' formulas are singular
-# there.
-THRESHOLD_EPS = 1e-9
 
 # Bound on the relative backward error |Mx - b| / (|M| |x| + |b|), infinity
 # norms, of the z = 0 continuity solve M x = b.
@@ -108,14 +103,14 @@ class Spin(Enum):
 
 class Branch(Enum):
     PROPAGATING = "propagating"  # E > V0
-    EVANESCENT = "evanescent"  # E < V0
+    EVANESCENT = "evanescent"  # E <= V0
 
 
+# Never raised, and not exported: perfbench reads them until ROADMAP item 8a
 class ThresholdDegeneracyError(ValueError):
-    """E is too close to V0: the transmitted momentum degenerates to zero."""
+    pass
 
 
-# Never raised, and not exported: perfbench reads it until ROADMAP item 8a
 class MassPoleError(ValueError):
     pass
 
@@ -129,13 +124,6 @@ class PrecisionError(ValueError):
         super().__init__(f"{values} eV are beyond what double precision resolves: {what}")
 
 
-def _at_threshold(energy, v0):
-    """Whether E lies in the threshold band |E - V0| <= THRESHOLD_EPS*V0,
-    which StepProblem refuses and a sweep skips: a bool for floats, a mask
-    for an array of energies."""
-    return abs(energy - v0) <= THRESHOLD_EPS * v0
-
-
 class _StepFields(NamedTuple):
     energy: float
     v0: float
@@ -147,9 +135,9 @@ class StepProblem(_StepFields):
     """Physical configuration of one step-scattering computation.
 
     The constructor, which _replace and _make call too, refuses an energy,
-    v0 or mass that is not positive and finite, an incident_spin that is not
-    a Spin, and E within THRESHOLD_EPS*V0 of V0; it binds the fields once,
-    energy, v0 and mass as Python floats."""
+    v0 or mass that is not positive and finite and an incident_spin that is
+    not a Spin; it binds the fields once, energy, v0 and mass as Python
+    floats.  Every such E is accepted, E = V0 included."""
 
     __slots__ = ()
 
@@ -160,11 +148,6 @@ class StepProblem(_StepFields):
         energy, v0, mass = float(energy), float(v0), float(mass)
         if not isinstance(incident_spin, Spin):
             raise ValueError(f"incident_spin must be a Spin, got {incident_spin!r}")
-        if _at_threshold(energy, v0):
-            raise ThresholdDegeneracyError(
-                f"E = {energy} is within {THRESHOLD_EPS:g}*V0 of the step "
-                f"height V0 = {v0}; the transmitted momentum degenerates"
-            )
         return tuple.__new__(cls, (energy, v0, mass, incident_spin))
 
     @classmethod

@@ -36,10 +36,8 @@ from .scattering import (
     EvanescentRow,
     PropagatingRow,
     Spin,
-    ThresholdDegeneracyError,
     _abs2,
     _amplitudes,
-    _at_threshold,
     _curves,
     _positive_finite,
 )
@@ -142,10 +140,9 @@ class SweepSpec(_SweepFields):
 
 
 class SweepResult(NamedTuple):
-    """Rows in strictly increasing energy plus grid bookkeeping."""
+    """One row per grid point, in strictly increasing energy."""
 
     rows: tuple
-    skipped: int
 
     @property
     def propagating_rows(self) -> tuple:
@@ -160,13 +157,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the sweep grid in one pass of the closed-form amplitudes per
     branch.
 
-    Grid energies E = x*V0 inside the threshold band, which StepProblem
-    refuses by the same predicate, are skipped and counted; a sweep whose
-    every point is degenerate raises ThresholdDegeneracyError.  The columns are
-    computed on arrays by the expressions that closed_form_amplitudes and
-    coefficients evaluate on floats for one point, so every row equals its
-    point's coefficients bit for bit, but for e_over_v0: the grid value here,
-    E/V0 there.  Rows come out in strictly increasing energy.
+    Every grid energy E = x*V0 gives a row, split by E > V0 as a point
+    query splits it, so E = V0 is evanescent.  The columns are computed on
+    arrays by the expressions that closed_form_amplitudes and coefficients
+    evaluate on floats for one point, so every row equals its point's
+    coefficients bit for bit, but for e_over_v0: the grid value here, E/V0
+    there.  Rows come out in strictly increasing energy.
     """
     import numpy as np
 
@@ -176,15 +172,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     # overflow leaves non-finite columns; the unitarity refusal reports it
     with np.errstate(all="ignore"):
         energy = x * v0
-        inside = _at_threshold(energy, v0)
-        if inside.all():
-            raise ThresholdDegeneracyError(
-                "every grid point fell inside the threshold band around E = V0"
-            )
-        x, energy = x[~inside], energy[~inside]
+        above = energy > v0
         for row_type, branch, where in (
-            (EvanescentRow, Branch.EVANESCENT, energy < v0),
-            (PropagatingRow, Branch.PROPAGATING, energy > v0),
+            (EvanescentRow, Branch.EVANESCENT, ~above),
+            (PropagatingRow, Branch.PROPAGATING, above),
         ):
             if not where.any():
                 continue
@@ -194,7 +185,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             columns = [e, x[where], *curves]
             # tuple.__new__: the row constructors check nothing, the columns fix the arity
             rows += map(tuple.__new__, repeat(row_type), zip(*(c.tolist() for c in columns)))
-    return SweepResult(rows=tuple(rows), skipped=int(inside.sum()))
+    return SweepResult(rows=tuple(rows))
 
 
 def format_float(value: float) -> str:

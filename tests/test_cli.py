@@ -19,7 +19,8 @@ from spinstep import algebra, cli
 from spinstep.algebra import EtaRepresentation
 from spinstep.cli import main, parse_energy
 from spinstep.eigensystem import ELECTRON_MASS_EV, Spin
-from spinstep.scattering import StepProblem, coefficients, solve_amplitudes_linear
+from spinstep.scattering import PrecisionError, StepProblem, coefficients, solve_amplitudes_linear
+from spinstep.sweep_io import format_float
 
 ROOT = Path(__file__).resolve().parents[1]
 # a fresh interpreter sees the checkout's package, as with `pip install -e .`
@@ -165,20 +166,28 @@ def test_coefficients_evanescent_fields(capsys):
     assert payload["j_trans_up"] == 0.0
 
 
-def test_coefficients_threshold_exit_2(capsys):
-    code, out, err = run_cli(capsys, "coefficients", "--e", "100", "--v0", "100")
-    assert code == 2
-    assert "threshold degeneracy" in err
-    assert out == ""
-
-
-def on_pole_reflection(energy, spin):
+def evanescent_reflection(energy, spin):
     """(R1', R2') at the electron mass, (E-m)^2/(E+m)^2 kept and 4Em/(E+m)^2
     flipped, at 50 digits, for the incident spin."""
     with mpmath.workdps(50):
         e, m = mpmath.mpf(energy), mpmath.mpf(ELECTRON_MASS_EV)
         keep, flip = (e - m) ** 2 / (e + m) ** 2, 4 * e * m / (e + m) ** 2
     return (keep, flip) if spin == "up" else (flip, keep)
+
+
+def test_coefficients_at_threshold_exit_0(capsys):
+    # E = V0 is a result of the evanescent branch, the limit of both
+    # branches there: R1' and R2' as below the step, and no transmission
+    for spin in ("up", "down"):
+        code, out, err = run_cli(
+            capsys, "coefficients", "--e", "100", "--v0", "100", "--spin", spin
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        for name, want in zip(("r1_prime", "r2_prime"), evanescent_reflection(100.0, spin)):
+            assert abs(payload[name] - want) <= 1e-13 * want, name
+        assert payload["j_trans_up"] == payload["j_trans_down"] == 0.0
+        assert payload["j_inc"] > 0
 
 
 @pytest.mark.parametrize("spin", ("up", "down"))
@@ -190,7 +199,7 @@ def test_coefficients_on_mass_pole_exit_0(capsys, spin):
     )
     assert (code, err) == (0, "")
     payload = json.loads(out)
-    for name, want in zip(("r1_prime", "r2_prime"), on_pole_reflection(1000.0, spin)):
+    for name, want in zip(("r1_prime", "r2_prime"), evanescent_reflection(1000.0, spin)):
         assert abs(payload[name] - want) <= 1e-15, name
     assert payload["j_trans_up"] == payload["j_trans_down"] == 0.0
     assert payload["j_inc"] > 0
@@ -204,13 +213,33 @@ def test_sweep_on_mass_pole_exit_0(capsys, tmp_path):
         "--points", "3", "--spacing", "linear", "--regime", "evanescent", "--out", str(out),
     )
     assert (code, err) == (0, "")
-    assert json.loads(stdout) == {"rows": 3, "skipped": 0, "files": [str(out)]}
+    assert json.loads(stdout) == {"rows": 3, "files": [str(out)]}
     header, *lines = out.read_text().splitlines()
     assert header == "E_eV,E_over_V0,R1_prime,R2_prime,sum"
     assert len(lines) == 3
     energy, x, r1, r2, total = map(float, lines[1].split(","))
     assert (energy, x) == (ELECTRON_MASS_EV, 0.5)
     assert (r1, r2, total) == (0.0, 1.0, 1.0)
+
+
+def test_sweep_through_threshold_row_equals_point_query(capsys, tmp_path):
+    # the grid point x = 1 is a row of the evanescent file, with the
+    # values `coefficients` prints at E = V0
+    out = tmp_path / "t.csv"
+    code, stdout, err = run_cli(
+        capsys, "sweep", "--v0", "100", "--from", "0.5", "--to", "1.5",
+        "--points", "3", "--spacing", "linear", "--out", str(out),
+    )
+    assert (code, err) == (0, "")
+    files = [str(tmp_path / "t_evanescent.csv"), str(tmp_path / "t_propagating.csv")]
+    assert json.loads(stdout) == {"rows": 3, "files": files}
+    header, *lines = Path(files[0]).read_text().splitlines()
+    assert header == "E_eV,E_over_V0,R1_prime,R2_prime,sum"
+    assert lines[-1].split(",")[:2] == ["100", "1"]
+    _, point, _ = run_cli(capsys, "coefficients", "--e", "100", "--v0", "100")
+    payload = json.loads(point)
+    assert lines[-1].split(",")[2:4] == [format_float(payload[k]) for k in ("r1_prime", "r2_prime")]
+    assert len(Path(files[1]).read_text().splitlines()) == 2
 
 
 def test_coefficients_near_mass_pole_spin_down(capsys):
@@ -249,7 +278,6 @@ def test_sweep_writes_csv(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["rows"] == 40
-    assert summary["skipped"] == 0
     lines = out_file.read_text().strip().split("\n")
     assert len(lines) == 41
     assert lines[0] == "E_eV,E_over_V0,T1,T2,R1,R2,sum,T_QM,R_QM"
@@ -312,16 +340,19 @@ def test_sweep_auto_straddling_writes_two_files(tmp_path, capsys):
 
 
 def test_sweep_with_no_rows_names_no_file(tmp_path, capsys):
-    # with a subnormal V0 every x*V0 rounds back to V0, an energy that
-    # `coefficients` refuses as a threshold degeneracy: the sweep skips every
-    # point, refuses, and writes nothing
+    # with a subnormal V0 every x*V0 rounds back to V0, where the reflected
+    # amplitudes overflow: the sweep refuses with a PrecisionError, as
+    # `coefficients` does at that point, and writes nothing
     code, out, err = run_cli(
         capsys, "sweep", "--v0", "5e-324", "--from", "1.01", "--to", "1.4",
         "--out", str(tmp_path / "x.csv"),
     )
     assert (code, out) == (2, "")
-    assert err == "invalid sweep: every grid point fell inside the threshold band around E = V0\n"
+    assert err.startswith("invalid sweep: E = 5e-324, V0 = 5e-324, m = 510998.95")
+    assert PRECISION + "probabilities {'r1_prime': nan" in err
     assert list(tmp_path.iterdir()) == []
+    code, _, err = run_cli(capsys, "coefficients", "--e", "5e-324", "--v0", "5e-324")
+    assert code == 2 and err.startswith("beyond double precision: ")
 
 
 def test_sweep_svg_format(tmp_path, capsys):
@@ -611,7 +642,7 @@ def test_point_commands_exit_0_or_2_for_every_positive_double(command, energy, v
         # that fail the unit sum where a closed-form denominator overflows,
         # prints "invalid input"
         prefix, _, message = err.getvalue().partition(": ")
-        kinds = ("threshold degeneracy", "beyond double precision", "invalid input")
+        kinds = ("beyond double precision", "invalid input")
         assert prefix in kinds, prefix
         if prefix == "beyond double precision":
             assert PRECISION in message, message
@@ -670,14 +701,14 @@ def test_cli_uses_no_private_name_of_another_module():
 
 def test_refusal_kinds_are_the_exported_errors_raised_and_documented():
     # the ValueError subclasses the package exports are exactly the kinds the
-    # point commands prefix, each is raised somewhere in the package, and the
-    # README names exactly those prefixes and the two generic ones: a kind
-    # that nothing raises, or a stale prefix, fails here
+    # point commands prefix, PrecisionError alone, each is raised somewhere
+    # in the package, and the README names exactly those prefixes and the two
+    # generic ones: a kind that nothing raises, or a stale prefix, fails here
     import spinstep
 
     exported = {getattr(spinstep, name) for name in spinstep.__all__}
     kinds = {v for v in exported if isinstance(v, type) and issubclass(v, ValueError)}
-    assert kinds == set(cli._REFUSALS)
+    assert kinds == set(cli._REFUSALS) == {PrecisionError}
     package = Path(cli.__file__).parent
     source = "".join(path.read_text(encoding="utf-8") for path in package.glob("*.py"))
     for kind in kinds:

@@ -12,7 +12,6 @@ from spinstep.eigensystem import ELECTRON_MASS_EV
 from spinstep.scattering import (
     Spin,
     StepProblem,
-    ThresholdDegeneracyError,
     closed_form_amplitudes,
     coefficients,
     currents,
@@ -143,7 +142,6 @@ def test_value_types_are_read_only():
 def test_run_sweep_row_count_and_order():
     result = run_sweep(small_prop_spec(points=33))
     assert len(result.rows) == 33
-    assert result.skipped == 0
     energies = [row.e_ev for row in result.rows]
     assert energies == sorted(energies)
     assert all(type(r) is PropagatingRow for r in result.rows)
@@ -169,17 +167,29 @@ def test_evanescent_sweep_rows():
     assert all(b > a for a, b in zip(r2, r2[1:]))
 
 
-def test_auto_sweep_splits_and_skips_threshold():
+def test_auto_sweep_splits_at_threshold_into_point_query_rows():
     spec = SweepSpec(
         v0=100.0, e_over_v0_min=0.5, e_over_v0_max=2.0, points=31,
         spacing=Spacing.LINEAR, regime=Regime.AUTO,
     )
-    # linear grid from 0.5 to 2.0 with 31 points hits x = 1.0 exactly
+    # linear grid from 0.5 to 2.0 with 31 points hits x = 1.0 exactly: E = V0
+    # is a row of the evanescent branch, as its point query is
     result = run_sweep(spec)
-    assert result.skipped == 1
-    assert len(result.rows) == 30
-    assert len(result.evanescent_rows) == 10
+    assert len(result.rows) == 31
+    assert len(result.evanescent_rows) == 11
     assert len(result.propagating_rows) == 20
+    row = result.evanescent_rows[-1]
+    assert (row.e_ev, row.e_over_v0) == (100.0, 1.0)
+    assert_rows_are_point_queries(spec, result.rows)
+
+
+def assert_rows_are_point_queries(spec, rows):
+    """Each row is its point query's, bit for bit, but for e_over_v0: the
+    grid value in a row, E/V0 for a point."""
+    for row in rows:
+        problem = StepProblem(row.e_ev, spec.v0, spec.mass, spec.incident_spin)
+        point = coefficients(problem, closed_form_amplitudes(problem))
+        assert np.array(row).tobytes() == np.array(point._replace(e_over_v0=row.e_over_v0)).tobytes()
 
 
 @pytest.mark.parametrize("spin", (Spin.UP, Spin.DOWN))
@@ -192,7 +202,7 @@ def test_sweep_on_mass_pole_row_equals_its_point_query(spin):
         incident_spin=spin,
     )
     result = run_sweep(spec)
-    assert (len(result.rows), result.skipped) == (3, 0)
+    assert len(result.rows) == 3
     row = result.rows[1]
     assert spec.v0 - row.e_ev == row.e_ev == ELECTRON_MASS_EV
     problem = StepProblem(row.e_ev, spec.v0, spec.mass, spin)
@@ -210,43 +220,37 @@ def test_sweep_on_mass_pole_row_equals_its_point_query(spin):
               spacing=Spacing.LINEAR, regime=Regime.EVANESCENT),
 ], ids=["fig2", "fig3", "fig4"])
 def test_sweep_rows_equal_point_queries(spec):
-    # the vectorized sweep and the scalar point route agree bit for bit,
-    # but for e_over_v0: the grid value in a row, E/V0 for a point
-    for row in run_sweep(spec).rows:
-        problem = StepProblem(energy=row.e_ev, v0=spec.v0, mass=spec.mass)
-        point = coefficients(problem, closed_form_amplitudes(problem))
-        assert row == point._replace(e_over_v0=row.e_over_v0)
+    # the vectorized sweep and the scalar point route agree bit for bit
+    assert_rows_are_point_queries(spec, run_sweep(spec).rows)
 
 
-def test_entirely_degenerate_grid_raises():
+def test_sweep_rows_next_to_threshold_equal_their_point_queries():
+    # the branch is decided on E = x*V0, as a point query decides it: each
+    # grid point next to E = V0 is a row, on whichever side of the
+    # threshold its energy falls; the first grid's last energy rounds to
+    # within 1e-9 of V0, the second's not
+    for v0, x_max in ((0.0022254112628702933, 0.9999999989999999),
+                      (36951.74852416012, 0.999999999)):
+        spec = SweepSpec(
+            v0=v0, e_over_v0_min=0.5, e_over_v0_max=x_max,
+            points=2, spacing=Spacing.LINEAR, regime=Regime.EVANESCENT,
+        )
+        result = run_sweep(spec)
+        assert len(result.evanescent_rows) == 2
+        assert_rows_are_point_queries(spec, result.rows)
+
+
+def test_grid_straddling_threshold_within_1e_10_is_all_rows():
+    # every point of a grid within 1e-10 of E = V0 is a row, E = V0 itself
+    # on the evanescent branch, as its point query is
     spec = SweepSpec(
         v0=100.0, e_over_v0_min=1 - 1e-10, e_over_v0_max=1 + 1e-10,
         points=3, spacing=Spacing.LINEAR, regime=Regime.AUTO,
     )
-    with pytest.raises(ThresholdDegeneracyError):
-        run_sweep(spec)
-
-
-def test_sweep_skips_the_energies_a_point_query_refuses():
-    # the threshold band is decided on E = x*V0, by StepProblem's own
-    # predicate: here the last grid value lies outside the band as a ratio,
-    # and its energy inside it
-    spec = SweepSpec(
-        v0=0.0022254112628702933, e_over_v0_min=0.5, e_over_v0_max=0.9999999989999999,
-        points=2, spacing=Spacing.LINEAR, regime=Regime.EVANESCENT,
-    )
     result = run_sweep(spec)
-    assert (len(result.rows), result.skipped) == (1, 1)
-    with pytest.raises(ThresholdDegeneracyError):
-        StepProblem(energy=0.002225411260644882, v0=spec.v0)
-    # and here the other way round: the row is the point's, bit for bit
-    spec = spec._replace(v0=36951.74852416012, e_over_v0_max=0.999999999)
-    result = run_sweep(spec)
-    assert (len(result.rows), result.skipped) == (2, 0)
-    row = result.rows[-1]
-    problem = StepProblem(energy=row.e_ev, v0=spec.v0)
-    point = coefficients(problem, closed_form_amplitudes(problem))
-    assert np.array(row).tobytes() == np.array(point._replace(e_over_v0=row.e_over_v0)).tobytes()
+    assert [len(result.evanescent_rows), len(result.propagating_rows)] == [2, 1]
+    assert result.evanescent_rows[-1].e_ev == spec.v0
+    assert_rows_are_point_queries(spec, result.rows)
 
 
 def test_format_float_round_trips():

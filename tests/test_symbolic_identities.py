@@ -8,7 +8,8 @@ momenta are the point route's p1 = sqrt(2Em) and p2 = sqrt(2|E-V0|m).
 Float literals are made exact by nsimplify.  Each energy is the square of a
 symbol, so every square root the code takes is a symbol too and each
 identity's residual is a rational function, whose numerator expands to
-exactly 0, for both branches and both incident spins:
+exactly 0, for both branches and both incident spins, and at the
+threshold E = V0, which takes the evanescent branch:
 
 * continuity at z = 0, u_inc + b u3 + b' u4 = c u1(E-V0) + c' u2(E-V0),
   multiplied through by E - V0 + m so that it holds at the mass pole too;
@@ -23,7 +24,8 @@ exactly 0, for both branches and both incident spins:
 
 With E = k1^2 and m = r^2: above the step V0 = E - k2^2, so that
 sqrt(E - V0) = k2; below it V0 = E + s^2, so that the mass pole
-V0 - E = m is s = r.
+V0 - E = m is s = r and the threshold is s = 0, where the evanescent
+denominator (E+m)V0 does not vanish.
 """
 
 from itertools import combinations
@@ -49,7 +51,8 @@ from spinstep.scattering import (
 
 k1, k2, s, r = sympy.symbols("k1 k2 s r", positive=True)
 E, m = k1**2, r**2
-STEP_HEIGHT = {Branch.PROPAGATING: E - k2**2, Branch.EVANESCENT: E + s**2}
+# each branch's step heights: the evanescent branch's at s = 0 is E itself
+STEP_HEIGHTS = {Branch.PROPAGATING: (E - k2**2,), Branch.EVANESCENT: (E + s**2, E)}
 BRANCHES = pytest.mark.parametrize("branch", Branch, ids=lambda branch: branch.value)
 SPINS = pytest.mark.parametrize("spin", Spin, ids=lambda spin: spin.value)
 
@@ -82,11 +85,14 @@ def symbolic_scattering(monkeypatch):
     )
 
 
-def step(branch: Branch, spin: Spin):
-    """The problem on the branch's symbols, built past StepProblem's float
-    checks, and its closed-form (b, b', c, c') as (real, imaginary) pairs."""
-    problem = tuple.__new__(StepProblem, (E, STEP_HEIGHT[branch], m, spin))
-    return problem, _amplitudes(branch, E, problem.v0, m, spin, sqrt)
+def steps(branch: Branch, spin: Spin) -> list:
+    """(problem, closed-form (b, b', c, c') as (real, imaginary) pairs) at
+    each step height of the branch, the problem built past StepProblem's
+    float checks."""
+    return [
+        (tuple.__new__(StepProblem, (E, v0, m, spin)), _amplitudes(branch, E, v0, m, spin, sqrt))
+        for v0 in STEP_HEIGHTS[branch]
+    ]
 
 
 def modes(problem: StepProblem) -> tuple:
@@ -115,31 +121,30 @@ def psi_left(problem: StepProblem, pairs) -> list:
 @BRANCHES
 @SPINS
 def test_closed_forms_solve_continuity(branch, spin):
-    problem, pairs = step(branch, spin)
-    _, _, _, w1, w2 = modes(problem)
-    c, c_prime = (re + sympy.I * im for re, im in pairs[2:])
-    pole = E - problem.v0 + m  # the region-II modes' denominator
-    for left, right1, right2 in zip(psi_left(problem, pairs), w1, w2):
-        assert is_zero(pole * (left - c * right1 - c_prime * right2))
+    for problem, pairs in steps(branch, spin):
+        _, _, _, w1, w2 = modes(problem)
+        c, c_prime = (re + sympy.I * im for re, im in pairs[2:])
+        pole = E - problem.v0 + m  # the region-II modes' denominator
+        for left, right1, right2 in zip(psi_left(problem, pairs), w1, w2):
+            assert is_zero(pole * (left - c * right1 - c_prime * right2))
 
 
 @SPINS
 def test_evanescent_wave_lies_in_the_pole_free_span(spin):
     # psi_I(0) is a combination of the oracle's decaying pair, with no
     # denominator at all, so the match holds at V0 - E = m itself
-    problem, pairs = step(Branch.EVANESCENT, spin)
-    rows, _ = _continuity_matrix(problem)
-    columns = [[row[2] for row in rows], [row[3] for row in rows], psi_left(problem, pairs)]
-    for picked in combinations(range(4), 3):  # every 3x3 minor of [v1 v2 psi]
-        v1, v2, left = (sympy.Matrix([column[i] for i in picked]) for column in columns)
-        assert is_zero(left.dot(v1.cross(v2)))
+    for problem, pairs in steps(Branch.EVANESCENT, spin):
+        rows, _ = _continuity_matrix(problem)
+        columns = [[row[2] for row in rows], [row[3] for row in rows], psi_left(problem, pairs)]
+        for picked in combinations(range(4), 3):  # every 3x3 minor of [v1 v2 psi]
+            v1, v2, left = (sympy.Matrix([column[i] for i in picked]) for column in columns)
+            assert is_zero(left.dot(v1.cross(v2)))
 
 
-def spin_sums(branch: Branch, spin: Spin) -> tuple:
+def spin_sums(problem: StepProblem, pairs) -> tuple:
     """(T1 + T2, R1 + R2) of the closed forms, each |c|^2 weighted by the
     ratio of its mode's current to the incident mode's (0 for a decaying
     mode)."""
-    problem, pairs = step(branch, spin)
     r_up, r_down, t_up, t_down = (_abs2(re, im) for re, im in pairs)
     incident, _, _, w1, w2 = modes(problem)
     transmitted = (t_up * mode_current(w1) + t_down * mode_current(w2)) / mode_current(incident)
@@ -149,42 +154,44 @@ def spin_sums(branch: Branch, spin: Spin) -> tuple:
 @BRANCHES
 @SPINS
 def test_probabilities_sum_to_one(branch, spin):
-    assert is_zero(sum(spin_sums(branch, spin)) - 1)
+    for problem, pairs in steps(branch, spin):
+        assert is_zero(sum(spin_sums(problem, pairs)) - 1)
 
 
 @SPINS
 def test_spin_sums_are_the_spinless_coefficients(spin):
     textbook_t = 4 * k1 * k2 / (k1 + k2) ** 2
     textbook_r = ((k1 - k2) / (k1 + k2)) ** 2
-    t_sum, r_sum = spin_sums(Branch.PROPAGATING, spin)
+    [(problem, pairs)] = steps(Branch.PROPAGATING, spin)
+    t_sum, r_sum = spin_sums(problem, pairs)
     assert is_zero(t_sum - textbook_t)
     assert is_zero(r_sum - textbook_r)
-    t_qm, r_qm = _spinless(k1, k2, STEP_HEIGHT[Branch.PROPAGATING])
+    t_qm, r_qm = _spinless(k1, k2, problem.v0)
     assert is_zero(t_qm - textbook_t)
     assert is_zero(r_qm - textbook_r)
 
 
 @SPINS
 def test_evanescent_spin_preserving_reflection(spin):
-    _, pairs = step(Branch.EVANESCENT, spin)
-    kept = pairs[0] if spin is Spin.UP else pairs[1]
-    assert is_zero(_abs2(*kept) - (E - m) ** 2 / (E + m) ** 2)
+    for _, pairs in steps(Branch.EVANESCENT, spin):
+        kept = pairs[0] if spin is Spin.UP else pairs[1]
+        assert is_zero(_abs2(*kept) - (E - m) ** 2 / (E + m) ** 2)
 
 
 @BRANCHES
 @SPINS
 def test_currents_are_the_mode_bilinears(branch, spin):
     # unit amplitudes leave each closed-form current per unit |amplitude|^2
-    problem, _ = step(branch, spin)
-    incident, u3, u4, w1, w2 = modes(problem)
-    j = currents(problem, AmplitudeSet(branch, 1.0, 1.0, 1.0, 1.0, spin))
-    assert is_zero(j.j_inc - mode_current(incident))
-    assert is_zero(j.j_refl_up - mode_current(u3))
-    assert is_zero(j.j_refl_down - mode_current(u4))
-    assert is_zero(j.j_trans_up - mode_current(w1))
-    assert is_zero(j.j_trans_down - mode_current(w2))
-    if branch is Branch.EVANESCENT:
-        assert j.j_trans_up == j.j_trans_down == 0.0
-        rows, _ = _continuity_matrix(problem)
-        for k in (2, 3):
-            assert is_zero(mode_current([row[k] for row in rows]))
+    for problem, _ in steps(branch, spin):
+        incident, u3, u4, w1, w2 = modes(problem)
+        j = currents(problem, AmplitudeSet(branch, 1.0, 1.0, 1.0, 1.0, spin))
+        assert is_zero(j.j_inc - mode_current(incident))
+        assert is_zero(j.j_refl_up - mode_current(u3))
+        assert is_zero(j.j_refl_down - mode_current(u4))
+        assert is_zero(j.j_trans_up - mode_current(w1))
+        assert is_zero(j.j_trans_down - mode_current(w2))
+        if branch is Branch.EVANESCENT:
+            assert j.j_trans_up == j.j_trans_down == 0.0
+            rows, _ = _continuity_matrix(problem)
+            for k in (2, 3):
+                assert is_zero(mode_current([row[k] for row in rows]))
