@@ -35,7 +35,7 @@ from .sweep_io import Regime, Spacing, SweepSpec, run_sweep
 
 # Only the report commands import algebra, eigensystem and threed, and --rep
 # spells its choices, so a point command loads no more than it runs.  No
-# command but sweep imports numpy.
+# command but a log-grid sweep imports numpy.
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1

@@ -16,12 +16,12 @@ both energy regimes:
 Amplitudes come from closed forms factored over k1 = sqrt(E) and
 k2 = sqrt(E - V0) (k2 = i*sqrt(V0 - E) below the step), written once per
 branch in real arithmetic: the same expressions run on Python floats for a
-point and on numpy arrays for a sweep grid, and give the same bits.  The
-factored forms subtract no nearly equal numbers, so every amplitude is
-accurate to a few ulps over the whole domain, on the mass pole V0 - E = m
-too, and for arbitrarily small V0/E.  c and c' are the upper
-components of psi_II(0) in both branches.  A Gaussian elimination of the
-wavefunction continuity condition at z = 0, on one pole-free mode basis,
+point or a linear sweep and on numpy arrays for a log sweep, with the same
+bits.  The factored forms subtract no nearly equal numbers, so every
+amplitude is accurate to a few ulps over the whole domain, on the mass
+pole V0 - E = m too, and for arbitrarily small V0/E.  c and c' are the
+upper components of psi_II(0) in both branches.  A Gaussian elimination
+of the wavefunction continuity condition at z = 0, on one pole-free mode basis,
 is kept as the independent oracle the tests compare against, and
 continuity_residual measures any amplitudes against the same basis.  The
 spinor formulas of that basis, the closed-form eigenstates of the momentum
@@ -46,7 +46,7 @@ from the one check every module's entry points call, _positive_finite.
 
 numpy is imported only by continuity_residual, for its QR projection, so
 that StepProblem, both amplitude routes, coefficients and currents run
-without it; a sweep passes numpy arrays and numpy.sqrt to the closed forms.
+without it; a log sweep passes numpy arrays and numpy.sqrt to the closed forms.
 """
 
 from __future__ import annotations
@@ -304,9 +304,9 @@ def _amplitudes(branch: Branch, energy, v0, mass, spin: Spin, sqrt):
     """Closed-form amplitudes (b, b', c, c') as (real, imaginary) pairs.
 
     energy is a float, with sqrt = math.sqrt, or an array of energies of one
-    branch, with sqrt = numpy.sqrt.  The arithmetic is real, so both give
-    the same bits.  For spin-up incidence, with k1 = sqrt(E): above the
-    step, with k2 = sqrt(E - V0),
+    branch of a log sweep, with sqrt = numpy.sqrt.  The arithmetic is real,
+    so both give the same bits.  For spin-up incidence, with k1 = sqrt(E):
+    above the step, with k2 = sqrt(E - V0),
 
         b = (m - E) V0 / ((E+m)(k1+k2)^2)
         b' = c' = i 2 sqrt(E m) V0 / ((E+m)(k1+k2)^2)
@@ -445,7 +445,7 @@ EvanescentRow = _row_type(
 )
 
 
-def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
+def _curves(branch: Branch, energy, v0, mass, abs2, sqrt, grid=False) -> list:
     """The curve columns of the branch's row, in FIELDS order, from abs2 =
     (|b|^2, |b'|^2, |c|^2, |c'|^2): the probabilities, their sum, the row's
     `total`, and, above the step, the spinless T and R.  energy and abs2 are
@@ -455,7 +455,8 @@ def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
     and for _spinless.  Unitarity is checked here, once per point or sweep
     row: each probability within CLAMP_EPS of [0, 1] before it is clamped
     onto [0, 1], and their clamped sum within COEFFICIENT_SUM_TOL of 1.  A
-    failure with a non-finite value raises PrecisionError.
+    failure with a non-finite value raises PrecisionError; one on a grid
+    (arrays, or a float with grid=True) names its energy.
     """
     r_up, r_down, t_up, t_down = abs2
     propagating = branch is Branch.PROPAGATING
@@ -479,12 +480,12 @@ def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list:
     if not (valid.all() if arrays else valid):
         row_type = PropagatingRow if propagating else EvanescentRow
         named = dict(zip(row_type._fields[len(_GRID_FIELDS) :], parts))
-        at = ""
         if arrays and total.ndim:  # name the first failing grid point, not whole columns
             i = (~valid).argmax()
             named = {name: float(v[i]) for name, v in named.items()}
             energy = float(energy[i])
-            at = f" at E = {energy!r} eV"
+            grid = True
+        at = f" at E = {energy!r} eV" if grid else ""
         if not all(map(math.isfinite, named.values())):  # overflow, not physics
             raise PrecisionError(f"probabilities {named} are not finite", E=energy, V0=v0, m=mass)
         raise ValueError(

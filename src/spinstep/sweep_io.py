@@ -9,7 +9,8 @@ attribute, CSV header and SVG colour; the CSV header line, the JSON keys
 (the attribute, except `total`, written as "sum"), the SVG column names and
 colours, the CLI's default SVG columns and its point JSON all read it.
 Rows are NamedTuples of their FIELDS, in order; unitarity is checked once,
-by scattering._curves on a branch's columns, before any is built.
+by scattering._curves, before a row is built.  A linear grid runs on Python
+floats without numpy, a log grid on numpy arrays.
 
 Emission is deterministic: the same spec always produces byte-identical
 output.  Numbers are printed with 17 significant digits, which round-trips
@@ -34,6 +35,7 @@ from .scattering import (
     ELECTRON_MASS_EV,
     Branch,
     EvanescentRow,
+    PrecisionError,
     PropagatingRow,
     Spin,
     _abs2,
@@ -129,11 +131,16 @@ class SweepSpec(_SweepFields):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def grid(self) -> np.ndarray:
+    def grid(self) -> list | np.ndarray:
+        """np.linspace's E/V0 grid as floats, by its formula, or np.logspace's."""
+        if self.spacing is Spacing.LINEAR:
+            lo, hi = float(self.e_over_v0_min), float(self.e_over_v0_max)
+            span, div = hi - lo, operator.index(self.points) - 1
+            step = span / div
+            # a subnormal span steps by 0: numpy then scales i/div by the span
+            return [i * step + lo if step else i / div * span + lo for i in range(div)] + [hi]
         import numpy as np
 
-        if self.spacing is Spacing.LINEAR:
-            return np.linspace(self.e_over_v0_min, self.e_over_v0_max, self.points)
         return np.logspace(
             np.log10(self.e_over_v0_min), np.log10(self.e_over_v0_max), self.points
         )
@@ -153,30 +160,47 @@ class SweepResult(NamedTuple):
         return tuple(r for r in self.rows if isinstance(r, EvanescentRow))
 
 
+_ABOVE, _BELOW = (Branch.PROPAGATING, PropagatingRow), (Branch.EVANESCENT, EvanescentRow)
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep grid in one pass of the closed-form amplitudes per
-    branch.
+    """Evaluate the sweep grid with the closed-form amplitudes.
 
     Every grid energy E = x*V0 gives a row, split by E > V0 as a point
-    query splits it, so E = V0 is evanescent.  The columns are computed on
-    arrays by the expressions that closed_form_amplitudes and coefficients
-    evaluate on floats for one point, so every row equals its point's
-    coefficients bit for bit, but for e_over_v0: the grid value here, E/V0
-    there.  Rows come out in strictly increasing energy.
+    query splits it, so E = V0 is evanescent.  A linear grid runs point by
+    point through the _amplitudes and _curves a point query calls on
+    floats, a log grid through the same on arrays, one pass per branch, so
+    every row equals its point's coefficients bit for bit, but for
+    e_over_v0: the grid value here, E/V0 there.  Rows come out in strictly
+    increasing energy.
     """
+    if spec.spacing is Spacing.LOG:
+        return SweepResult(rows=_array_rows(spec.grid(), spec))
+    v0, mass, spin = float(spec.v0), float(spec.mass), spec.incident_spin
+    rows = []
+    for x_i in spec.grid():
+        e = x_i * v0
+        branch, row_type = _ABOVE if e > v0 else _BELOW
+        try:
+            amps = _amplitudes(branch, e, v0, mass, spin, math.sqrt)
+            curves = _curves(branch, e, v0, mass, [_abs2(*a) for a in amps], math.sqrt, True)
+        except ZeroDivisionError:  # as closed_form_amplitudes refuses it
+            raise PrecisionError("a denominator underflows to 0", E=e, V0=v0, m=mass) from None
+        rows.append(tuple.__new__(row_type, (e, x_i, *curves)))
+    return SweepResult(rows=tuple(rows))
+
+
+def _array_rows(x: np.ndarray, spec: SweepSpec) -> tuple:
+    """The rows of the grid array x, from the closed forms on arrays."""
     import numpy as np
 
-    x = spec.grid()
     v0, mass = spec.v0, spec.mass
     rows = []
     # overflow leaves non-finite columns; the unitarity refusal reports it
     with np.errstate(all="ignore"):
         energy = x * v0
         above = energy > v0
-        for row_type, branch, where in (
-            (EvanescentRow, Branch.EVANESCENT, ~above),
-            (PropagatingRow, Branch.PROPAGATING, above),
-        ):
+        for (branch, row_type), where in ((_BELOW, ~above), (_ABOVE, above)):
             if not where.any():
                 continue
             e = energy[where]
@@ -185,7 +209,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             columns = [e, x[where], *curves]
             # tuple.__new__: the row constructors check nothing, the columns fix the arity
             rows += map(tuple.__new__, repeat(row_type), zip(*(c.tolist() for c in columns)))
-    return SweepResult(rows=tuple(rows))
+    return tuple(rows)
 
 
 def format_float(value: float) -> str:

@@ -572,6 +572,26 @@ def test_report_commands_never_import_numpy(command, rep, bare_interpreter_modul
     _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
 
 
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--v0", "100", "--from", "0.5", "--to", "2", "--points", "31",
+     "--spacing", "linear", "--out", "straddle.json"),
+    ("sweep", "--regime", "evanescent", "--v0", "1mev", "--mass", "1kev", "--from", "0.001",
+     "--to", "0.999", "--points", "200", "--spacing", "linear", "--out", "below.svg"),
+], ids=lambda argv: argv[-1])
+def test_linear_sweeps_never_import_numpy(argv, tmp_path, bare_interpreter_modules):
+    # a linear grid is built and evaluated on Python floats; only a log grid
+    # imports numpy
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "spinstep", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=CHILD_ENV,
+    )
+    assert result.returncode == 0
+    summary = json.loads(result.stdout)
+    assert summary["rows"] == int(argv[argv.index("--points") + 1])
+    assert all((tmp_path / name).stat().st_size for name in summary["files"])
+    _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
+
+
 def _readme_commands() -> list:
     """The argument lists of the README "Command line" block, after
     `spinstep`: continuation lines joined, comments dropped."""
@@ -586,11 +606,11 @@ def _readme_commands() -> list:
 def test_readme_command_line_block_runs(tmp_path, bare_interpreter_modules):
     # every command as a user runs it, in a fresh interpreter with warnings
     # as errors: exit 0, nothing on stderr, the pinned point stdout, no
-    # numpy or dataclasses imported (-X importtime) but by a sweep, and
-    # figure sweeps byte-equal to the goldens
+    # numpy or dataclasses imported (-X importtime) but by a log-grid sweep,
+    # and figure sweeps byte-equal to the goldens
     commands = _readme_commands()
     for argv in commands:
-        numpy_free = argv[0] != "sweep"
+        numpy_free = argv[0] != "sweep" or "linear" in argv
         importtime = ["-X", "importtime"] if numpy_free else []
         result = subprocess.run(
             [sys.executable, "-W", "error", *importtime, "-m", "spinstep", *argv],
@@ -606,6 +626,10 @@ def test_readme_command_line_block_runs(tmp_path, bare_interpreter_modules):
         if numpy_free:
             _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
     assert sum(argv[0] == "sweep" for argv in commands) == 3
+    # the fig4 sweep is the linear one, checked without numpy above
+    assert [argv[-1] for argv in commands if argv[0] == "sweep" and "linear" in argv] == [
+        "fig4.csv"
+    ]
     for fig in ("fig2", "fig3", "fig4"):
         golden = (ROOT / "tests" / "golden" / f"{fig}.csv").read_bytes()
         assert (tmp_path / f"{fig}.csv").read_bytes() == golden, fig

@@ -727,6 +727,26 @@ def test_unitarity_refusal_names_one_point():
     assert str(sweep.value).startswith(
         "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} at E = 20.0 eV violate unitarity"
     )
+    # a linear sweep's grid point, on floats, names its energy as a grid does
+    with pytest.raises(ValueError) as grid_point:
+        _curves(Branch.EVANESCENT, 20.0, 100.0, ME, bad, math.sqrt, True)
+    assert str(grid_point.value).startswith(
+        "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} at E = 20.0 eV violate unitarity"
+    )
+
+
+@pytest.mark.parametrize("excess", (1e-11, 1e-7))
+@pytest.mark.parametrize("branch, energy", [(Branch.PROPAGATING, 200.0), (Branch.EVANESCENT, 50.0)])
+def test_a_probability_just_above_1_is_refused_on_floats_and_arrays(branch, energy, excess):
+    # past CLAMP_EPS = 1e-12 above 1 a probability is refused, not clamped
+    # onto 1, however little past: on floats (a point, a linear sweep) and
+    # on arrays (a log sweep)
+    bad = (1.0 + excess, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="violate unitarity") as point:
+        _curves(branch, energy, 100.0, ME, bad, math.sqrt)
+    with pytest.raises(ValueError, match="violate unitarity") as grid:
+        _curves(branch, np.array([energy]), 100.0, ME, [np.array([v]) for v in bad], np.sqrt)
+    assert type(point.value) is type(grid.value) is ValueError
 
 
 # ------------------------------------------------------- around the pole

@@ -5,11 +5,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from spinstep.eigensystem import ELECTRON_MASS_EV
 from spinstep.scattering import (
+    PrecisionError,
     Spin,
     StepProblem,
     closed_form_amplitudes,
@@ -26,6 +27,7 @@ from spinstep.sweep_io import (
     emit_json,
     emit_svg,
     format_float,
+    _array_rows,
     run_sweep,
 )
 
@@ -220,7 +222,8 @@ def test_sweep_on_mass_pole_row_equals_its_point_query(spin):
               spacing=Spacing.LINEAR, regime=Regime.EVANESCENT),
 ], ids=["fig2", "fig3", "fig4"])
 def test_sweep_rows_equal_point_queries(spec):
-    # the vectorized sweep and the scalar point route agree bit for bit
+    # a sweep, on arrays (log grids) or floats (linear), and the scalar point
+    # route agree bit for bit
     assert_rows_are_point_queries(spec, run_sweep(spec).rows)
 
 
@@ -251,6 +254,77 @@ def test_grid_straddling_threshold_within_1e_10_is_all_rows():
     assert [len(result.evanescent_rows), len(result.propagating_rows)] == [2, 1]
     assert result.evanescent_rows[-1].e_ev == spec.v0
     assert_rows_are_point_queries(spec, result.rows)
+
+
+# every positive double, subnormals and the largest included
+POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def _linspace(lo, hi, points):
+    # near the largest double numpy's last point, (n - 1)*step + lo, can
+    # overflow before it is set to hi
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, points)
+
+
+@settings(max_examples=300, deadline=None)
+# a subnormal span: the step (hi - lo)/(n - 1) is 0, and numpy scales i/div
+# by the span instead
+@example(bounds=(5e-324, 1.5e-323), points=100)
+@example(bounds=(0.01, 0.99), points=np.int64(100))
+@given(bounds=st.tuples(POSITIVE_DOUBLES, POSITIVE_DOUBLES), points=st.integers(2, 2000))
+def test_linear_grid_is_np_linspace_bit_for_bit(bounds, points):
+    lo, hi = sorted(bounds)
+    assume(lo < hi)
+    grid = SweepSpec(v0=1.0, e_over_v0_min=lo, e_over_v0_max=hi, points=points,
+                     spacing=Spacing.LINEAR).grid()
+    assert type(grid) is list and {type(x) for x in grid} == {float}
+    assert np.array(grid).tobytes() == _linspace(lo, hi, points).tobytes()
+
+
+def _outcome(evaluate):
+    """Rows as (type, value bits), or a refusal: its kind, and for a
+    unitarity refusal its message too."""
+    try:
+        rows = evaluate()
+    except ValueError as exc:
+        return type(exc), None if isinstance(exc, PrecisionError) else str(exc)
+    assert all(type(v) is float for row in rows for v in row)
+    return [(type(row), tuple(map(float.hex, row))) for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+# a denominator underflows to 0: PrecisionError, as the array kernel's
+# non-finite probabilities are
+@example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spin=Spin.UP)
+# finite probabilities that fail the unit sum: the message names E
+@example(v0=1.5733035492803722e234, mass=2.5821339805390623e211, bounds=(1e-186, 1e-185),
+         points=3, spin=Spin.DOWN)
+@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=31, spin=Spin.DOWN)
+@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=np.int64(7), spin=Spin.UP)
+@given(
+    v0=POSITIVE_DOUBLES,
+    mass=POSITIVE_DOUBLES,
+    bounds=st.one_of(
+        st.tuples(POSITIVE_DOUBLES, POSITIVE_DOUBLES),
+        # straddling x = 1: both branches in one AUTO sweep
+        st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.floats(1.0, 1e300)),
+    ),
+    points=st.integers(2, 40),
+    spin=st.sampled_from(Spin),
+)
+def test_linear_sweep_on_floats_equals_the_array_kernel(v0, mass, bounds, points, spin):
+    # the float route gives the rows, or the refusal kind, of the closed
+    # forms run on arrays over np.linspace's grid, for both spins and the
+    # whole double range
+    lo, hi = sorted(bounds)
+    try:
+        spec = SweepSpec(v0=v0, mass=mass, e_over_v0_min=lo, e_over_v0_max=hi,
+                         points=points, spacing=Spacing.LINEAR, incident_spin=spin)
+    except ValueError:
+        reject()
+    want = _outcome(lambda: _array_rows(_linspace(lo, hi, points), spec))
+    assert _outcome(lambda: run_sweep(spec).rows) == want
 
 
 def test_format_float_round_trips():
