@@ -5,12 +5,13 @@ The engine is organized around a symmetric nilpotent 4x4 generator pair
 (eta, eta^dagger) whose algebra reproduces the free Schrodinger equation on
 squaring.  Submodules:
 
-  algebra      matrix constructors, identity verification
-  eigensystem  momentum-space operator and its plane-wave eigenstates
+  algebra      exact matrix tables and their array constructors, every
+               identity suite (generator, dispersion, 3D continuity,
+               squared operator) and the 3D shell-determinant probes
+  eigensystem  momentum-space operator and its plane-wave eigenstates as arrays
   scattering   step-potential amplitudes (factored closed forms on floats
                or arrays, with a continuity-solve oracle), coefficients as
                one row type per branch, currents
-  threed       3D operator algebra and continuity-equation identities
   sweep_io     energy-grid sweeps of those rows, CSV/JSON/SVG emission
   cli          command-line interface (`spinstep ...` or `python -m spinstep`)
 
@@ -25,7 +26,7 @@ time.  __all__, dir() and a name that no module lists import every module.
 from importlib import import_module as _import_module
 
 # the point route's modules first
-_MODULES = ("scattering", "sweep_io", "algebra", "eigensystem", "threed")
+_MODULES = ("scattering", "sweep_io", "algebra", "eigensystem")
 
 __version__ = "0.1.0"
 

@@ -1,22 +1,35 @@
-"""Complex 4x4 matrix kernel.
+"""Exact 4x4 tables of the generator algebra, and every identity suite.
 
 The Pauli, Dirac gamma and mu matrices, and the symmetric nilpotent
 generator pair (eta, eta^dagger) that factorizes the free Schrodinger
 equation, are held here as exact tables: tuples of rows of Python numbers
 with entries in {0, +-1, +-i}, eta scaled by sqrt(2) to get there.
-Python's complex arithmetic is exact on such Gaussian integers, so the
-generator pair's identity report,
+Python's complex arithmetic is exact on such Gaussian integers, so each
+suite has every deviation of the tables exactly 0: verify_eta_algebra
+(eta^2 = 0, (eta^dagger)^2 = 0, {eta, eta^dagger} = 2I, eta symmetric,
+traceless, singular, all eigenvalues zero, and, for REP1, eta + eta^dagger
+= -i*sqrt(2)*gamma2 and eta^dagger @ eta = I + i*gamma3), verify_dispersion
+(the plane-wave spectrum +-sqrt(2*E*m) and its closed-form eigenstates),
+verify_continuity_identities (the relations behind the continuity equation
+of the 3D form, whose z-derivative becomes mu_i d_i for three Hermitian
+mu_i with {mu_i, mu_j} = 2*delta_ij*I) and squared_operator_check.  Each
+check's bound is fixed where the check is defined; verify_eta_matrix runs
+the generator suite on any candidate in floating point.
 
-    eta^2 = 0,  (eta^dagger)^2 = 0,  {eta, eta^dagger} = 2I,
-    eta symmetric, traceless, singular, all eigenvalues zero,
+shell_determinant and schrodinger_reduction_check probe the momentum-space
+operator mu.p - E*eta - m*eta_dagger, built in REP1.  A fact worth knowing
+before reading them: each mu_i anticommutes with both eta and eta_dagger
+(in the default representation), so (mu.p - E*eta - m*eta_dagger)^2 =
+(|p|^2 + 2*E*m)*I.  With that mass-term sign the operator is nonsingular
+for every real momentum; flipping the sign of the mass term yields
+(|p|^2 - 2*E*m)*I instead, which is singular exactly on the Schrodinger
+shell |p|^2 = 2*E*m.  shell_determinant exposes both signs.
 
-and, for REP1, eta + eta^dagger = -i*sqrt(2)*gamma2 and eta^dagger @ eta =
-I + i*gamma3, has every deviation exactly 0.  Every check is bounded by
-IDENTITY_TOL, fixed here; verify_eta_matrix runs the suite on any candidate
-in floating point.  gamma, eta and eta_dagger return read-only numpy
-arrays built from the tables on first call; numpy is imported by the
-functions that take or return arrays, not by the module.  Every function is
-pure, so the module is safe for concurrent use.
+gamma, eta, eta_dagger and mu_matrices return read-only numpy arrays built
+from the tables on first call; numpy is imported only by them and by
+shell_determinant's LAPACK determinant.  Every entry point looks its rep up
+in one place, which refuses a non-member with a ValueError naming it.
+Every function is pure, so the module is safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -27,9 +40,12 @@ from enum import Enum
 from functools import cache
 from itertools import chain
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .scattering import PrecisionError
+from .scattering import ELECTRON_MASS_EV, PrecisionError, _eigen_spinors, _positive_finite
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EtaRepresentation",
@@ -40,6 +56,13 @@ __all__ = [
     "eta_dagger",
     "verify_eta_matrix",
     "verify_eta_algebra",
+    "verify_dispersion",
+    "MuTriple",
+    "mu_matrices",
+    "verify_continuity_identities",
+    "shell_determinant",
+    "schrodinger_reduction_check",
+    "squared_operator_check",
 ]
 
 SQRT2 = math.sqrt(2.0)
@@ -47,6 +70,15 @@ SQRT2 = math.sqrt(2.0)
 # Absolute bound of every exact algebraic identity check.  On the tables the
 # deviations are exactly 0; a candidate's are its own rounding.
 IDENTITY_TOL = 1e-14
+
+# Bound of verify_dispersion's state checks.
+_STATE_TOL = 1e-12
+
+# A normalized shell_determinant at or below this value counts as singular.
+SINGULARITY_TOL = 1e-10
+
+# Relative bound of squared_operator_check's two identities.
+_SQUARED_OPERATOR_TOL = 1e-12
 
 
 class EtaRepresentation(Enum):
@@ -115,7 +147,7 @@ _GAMMA = {
 _GAMMA[5] = _sum((1j, _mul(_mul(_GAMMA[0], _GAMMA[1]), _mul(_GAMMA[2], _GAMMA[3]))))
 
 # The block forms diag(sigma3, sigma3), antidiag(sigma2, sigma2) and
-# diag(sigma2, -sigma2) of the 3D equation's mu1, mu2, mu3 (see threed).
+# diag(sigma2, -sigma2) of the 3D equation's mu1, mu2, mu3.
 _MU = (
     _block(_PAULI[3], _Z2, _Z2, _PAULI[3]),
     _block(_Z2, _PAULI[2], _PAULI[2], _Z2),
@@ -127,6 +159,14 @@ _SQRT2_ETA = {
     EtaRepresentation.REP1: ((0, -1j, 0, -1), (-1j, 0, 1, 0), (0, 1, 0, -1j), (-1, 0, -1j, 0)),
     EtaRepresentation.REP2: ((0, 0, 1j, 1), (0, 0, -1, 1j), (1j, -1, 0, 0), (1, 1j, 0, 0)),
 }
+
+
+def _sqrt2_eta(rep) -> tuple:
+    """The table sqrt(2)*eta of rep, the one lookup of every entry point
+    that takes a rep."""
+    if not isinstance(rep, EtaRepresentation):
+        raise ValueError(f"rep must be an EtaRepresentation, got {rep!r}")
+    return _SQRT2_ETA[rep]
 
 
 @cache
@@ -142,9 +182,10 @@ def _array(table, divisor=1):
 def gamma(index: int):
     """Dirac-basis gamma matrix for index in {0, 1, 2, 3, 5}."""
     try:
-        return _array(_GAMMA[index])
-    except KeyError:
+        table = _GAMMA[index]
+    except (KeyError, TypeError):  # not an index, or unhashable
         raise ValueError(f"gamma index must be one of 0,1,2,3,5, got {index}") from None
+    return _array(table)
 
 
 def eta(rep: EtaRepresentation = EtaRepresentation.REP1):
@@ -153,13 +194,29 @@ def eta(rep: EtaRepresentation = EtaRepresentation.REP1):
     A 4x4 complex matrix with eta^2 = 0, {eta, eta^dagger} = 2I, eta^T = eta,
     zero trace and determinant, and all eigenvalues zero.
     """
-    return _array(_SQRT2_ETA[rep], SQRT2)
+    return _array(_sqrt2_eta(rep), SQRT2)
 
 
 def eta_dagger(rep: EtaRepresentation = EtaRepresentation.REP1):
     """Conjugate transpose of eta(rep); equals the entrywise conjugate
     because eta is symmetric."""
-    return _array(_adj(_SQRT2_ETA[rep]), SQRT2)
+    return _array(_adj(_sqrt2_eta(rep)), SQRT2)
+
+
+class MuTriple(NamedTuple):
+    """The three Hermitian generators of the spatial derivative terms."""
+
+    mu1: np.ndarray
+    mu2: np.ndarray
+    mu3: np.ndarray
+
+
+def mu_matrices() -> MuTriple:
+    """mu1 = i*gamma1*gamma2, mu2 = gamma0*gamma2, mu3 = gamma2*gamma5, as
+    read-only arrays of the block-form tables diag(sigma3, sigma3),
+    antidiag(sigma2, sigma2) and diag(sigma2, -sigma2), which
+    verify_continuity_identities compares with the gamma products."""
+    return MuTriple(*map(_array, _MU))
 
 
 def _char_poly_coeffs(m) -> tuple:
@@ -291,7 +348,7 @@ def verify_eta_algebra(rep: EtaRepresentation = EtaRepresentation.REP1) -> Algeb
     eta^dagger @ eta = I + i*gamma3.  REP2 realizes neither, with either
     sign, so its report omits them.
     """
-    n = _SQRT2_ETA[rep]
+    n = _sqrt2_eta(rep)
     checks = _generator_checks(n, 2)
     if rep is not EtaRepresentation.REP1:
         return AlgebraReport(checks)
@@ -303,3 +360,219 @@ def verify_eta_algebra(rep: EtaRepresentation = EtaRepresentation.REP1) -> Algeb
         _check("eta_plus_dagger_equals_-i*sqrt2*gamma2", _dev(plus, SQRT2)),
         _check("dagger_times_eta_equals_I+i*gamma3", _dev(times, 2)),
     ))
+
+
+def verify_dispersion(
+    rep: EtaRepresentation = EtaRepresentation.REP1,
+    energies=None,
+) -> AlgebraReport:
+    """The plane-wave sector at the electron mass over a log grid of energies
+    (default 100 points in [1 eV, 10 MeV]), each (E, m) scaled by a power of
+    two, which leaves every check as it is.
+
+    (E*eta + m*eta_dagger)^2 = 2*E*m*I is checked exactly, on the square
+    expanded over the tables.  With the zero trace verify_eta_algebra
+    checks, it proves the spectrum +-sqrt(2*E*m), each value twice, on a
+    diagonalizable operator.  For REP1, the basis of the closed-form states,
+    each state is checked, within 1e-12, for norm 2, orthogonality per
+    direction, and the residual |A u - lambda u| / (|lambda| |u|), 2 for a
+    state of the opposite eigenvalue; REP2 runs none of these three
+    checks, so its report omits them.  That residual rounds to about
+    eps*|A|/p, |A| = 2*hypot(E, m) the Frobenius norm, which exceeds its
+    bound unless E/m lies within about [1e-7, 1e7] ([0.05 eV, 5e12 eV] at
+    the electron mass).  Raises ValueError if energies is empty or an energy
+    is not positive and finite, PrecisionError if a scaled 2*E*m underflows
+    or, for REP1, the residual's rounding exceeds its bound.
+    """
+    if energies is None:
+        energies = [10.0 ** (7.0 * k / 99) for k in range(100)]
+    energies = [float(_positive_finite("energy", energy)) for energy in energies]
+    if not energies:
+        raise ValueError("energies is empty: a report of no energy would check nothing")
+    n = _sqrt2_eta(rep)
+    # each row of sqrt(2)*eta beside the same row of sqrt(2)*eta_dagger, entry by entry
+    rows = [tuple(zip(*pair)) for pair in zip(n, _adj(n))]
+    pairs, norms, overlaps, residuals = [], [], [], []
+    for energy in energies:
+        e, m = _scaled(energy, ELECTRON_MASS_EV)
+        p = math.sqrt(_normal(2.0 * e * m, "2*E*m", E=energy, m=ELECTRON_MASS_EV))
+        pairs.append((e, m))
+        if rep is not EtaRepresentation.REP1:
+            continue
+        if sys.float_info.epsilon * 2.0 * math.hypot(e, m) / p > _STATE_TOL:
+            raise PrecisionError(
+                "the eigen-equation residual rounds above its bound", E=energy, m=ELECTRON_MASS_EV
+            )
+        a, b = e / SQRT2, m / SQRT2
+        op = [[a * x + b * y for x, y in row] for row in rows]
+        states = _eigen_spinors(e, m, p)
+        for u, lam in zip(states, (p, p, -p, -p)):
+            u_norm = math.hypot(*map(abs, u))
+            residual = [sum(map(mul, row, u)) - lam * x for row, x in zip(op, u)]
+            norms.append(abs(u_norm * u_norm - 2.0))
+            residuals.append(math.hypot(*map(abs, residual)) / (p * u_norm))
+        for up, down in (states[:2], states[2:]):
+            overlaps.append(abs(sum(x.conjugate() * y for x, y in zip(up, down))))
+    square = (_check("operator_square_is_2Em_identity", _square_deviation(n, pairs)),)
+    if rep is not EtaRepresentation.REP1:
+        return AlgebraReport(square)
+    return AlgebraReport(square + (
+        _check("state_norm_is_2", _worst(norms), _STATE_TOL),
+        _check("states_orthogonal_per_direction", _worst(overlaps), _STATE_TOL),
+        _check("eigen_equation_residual", _worst(residuals), _STATE_TOL),
+    ))
+
+
+def _continuity_tables(rep: EtaRepresentation):
+    """sqrt(2)*Sigma_1..3 and 2*Gamma as tables, from sqrt(2)*eta."""
+    n = _sqrt2_eta(rep)
+    nd = _adj(n)
+    total = _sum((1, n), (1, nd))
+    g3 = _GAMMA[3]
+    sigmas = tuple(_sum((1j, _mul(_mul(mu, total), g3))) for mu in _MU)
+    return sigmas, _sum((1j, _mul(_mul(nd, n), g3)))
+
+
+def verify_continuity_identities(
+    rep: EtaRepresentation = EtaRepresentation.REP1,
+) -> AlgebraReport:
+    """Verify all relations the 3D continuity derivation uses, exactly, on
+    the tables, each within IDENTITY_TOL.
+
+    Covers, for i, j in 1..3: Hermiticity of mu_i, the Clifford relation
+    {mu_i, mu_j} = 2*delta_ij*I, block-form agreement, [mu_i, gamma3] = 0,
+    {mu_i, eta + eta^dagger} = 0, plus [eta*eta^dagger, gamma3] = 0,
+    {eta + eta^dagger, gamma3} = 0, and Hermiticity of every Sigma_i and of
+    Gamma.  Deviations are in the units of eta, whose table is sqrt(2)*eta.
+    """
+    n = _sqrt2_eta(rep)
+    total = _sum((1, n), (1, _adj(n)))
+    g = _GAMMA
+    products = (_sum((1j, _mul(g[1], g[2]))), _mul(g[0], g[2]), _mul(g[2], g[5]))
+    checks = []
+
+    def add(name, table, scale=1):
+        checks.append(_check(name, _dev(table, scale)))
+
+    def add_hermitian(name, table, scale=1):
+        add(name, _sum((1, table), (-1, _adj(table))), scale)
+
+    for k, (mu, product) in enumerate(zip(_MU, products), start=1):
+        add_hermitian(f"mu{k}_hermitian", mu)
+        add(f"mu{k}_matches_block_form", _sum((1, product), (-1, mu)))
+    for i in range(3):
+        for j in range(i, 3):
+            clifford = _sum((1, _bracket(_MU[i], _MU[j], 1)), (-2 if i == j else 0, _EYE))
+            add(f"anticommutator_mu{i + 1}_mu{j + 1}", clifford)
+    for k, mu in enumerate(_MU, start=1):
+        add(f"commutator_mu{k}_gamma3", _bracket(mu, g[3], -1))
+        add(f"anticommutator_mu{k}_eta_plus_dagger", _bracket(mu, total, 1), SQRT2)
+    add("commutator_eta_etadagger_gamma3", _bracket(_mul(n, _adj(n)), g[3], -1), 2)
+    add("anticommutator_eta_plus_dagger_gamma3", _bracket(total, g[3], 1), SQRT2)
+    sigmas, density = _continuity_tables(rep)
+    for k, sigma in enumerate(sigmas, start=1):
+        add_hermitian(f"sigma{k}_hermitian", sigma, SQRT2)
+    add_hermitian("density_kernel_hermitian", density, 2)
+    return AlgebraReport(tuple(checks))
+
+
+def _momentum(momentum) -> tuple:
+    try:
+        p = tuple(map(float, momentum))
+    except (TypeError, OverflowError):  # not a sequence, or an int beyond the double range
+        p = ()
+    if len(p) != 3 or not all(map(math.isfinite, p)):
+        raise ValueError(f"momentum must be a finite real 3-vector, got {momentum!r}")
+    return p
+
+
+def _momentum_matrix(p) -> np.ndarray:
+    mus = mu_matrices()
+    return p[0] * mus.mu1 + p[1] * mus.mu2 + p[2] * mus.mu3
+
+
+def shell_determinant(energy: float, mass: float, momentum, mass_sign: int = +1) -> float:
+    """Normalized |det(mu.p - E*eta - mass_sign*m*eta_dagger)|.
+
+    The determinant is divided by max(|p|^2, 2*E*m)^2, the operator's own
+    spectral scale, making the value dimensionless and comparable across eV
+    magnitudes (a row-norm normalization would drown the determinant in
+    mass-dominated rows whenever E << m).  With mass_sign = +1 the raw
+    determinant magnitude equals (|p|^2 + 2*E*m)^2, so the normalized value
+    is bounded below by 1 for every real momentum; with mass_sign = -1 it is
+    (|p|^2 - 2*E*m)^2, vanishing exactly on the shell |p|^2 = 2*E*m.  The
+    operator is built in REP1, on (p, E, m) scaled together by a power of
+    two (the value is homogeneous of degree 0).  Raises ValueError unless
+    energy and mass are positive and finite and momentum is a finite real
+    3-vector, PrecisionError if the scaled normalization underflows or
+    LAPACK's determinant is not finite (an exactly zero complex pivot,
+    where E*eta and m*eta_dagger lie too many decades apart to add).
+    """
+    _positive_finite("energy", energy)
+    _positive_finite("mass", mass)
+    if mass_sign not in (+1, -1):
+        raise ValueError(f"mass_sign must be +1 or -1, got {mass_sign}")
+    import numpy as np
+
+    p = list(_momentum(momentum))
+    e, m, *p_scaled = _scaled(energy, mass, *p)
+    op = _momentum_matrix(p_scaled) - e * eta() - mass_sign * m * eta_dagger()
+    scale = max(sum(x * x for x in p_scaled), 2.0 * e * m)
+    _normal(scale * scale, "max(|p|^2, 2*E*m)^2", E=energy, m=mass, p=p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = abs(np.linalg.det(op))
+    if not math.isfinite(det):
+        raise PrecisionError("the determinant is not finite", E=energy, m=mass, p=p)
+    return float(det / scale**2)
+
+
+def schrodinger_reduction_check(energy: float, mass: float, momentum) -> tuple[bool, float]:
+    """Probe the momentum-space operator mu.p - E*eta - m*eta_dagger for
+    plane-wave solvability at the given real momentum.
+
+    Returns (is_singular, normalized_det) where is_singular means the
+    normalized determinant falls below SINGULARITY_TOL.  See the module
+    docstring: with the mass-term sign as built here the operator is never
+    singular for real momenta, so is_singular is False both on and off the
+    shell |p|^2 = 2*E*m; the on-shell singularity appears only for the
+    flipped mass sign (shell_determinant with mass_sign=-1).
+    """
+    value = shell_determinant(energy, mass, momentum, mass_sign=+1)
+    return value <= SINGULARITY_TOL, value
+
+
+def squared_operator_check(
+    momentum,
+    energy: float = 1.0,
+    mass: float = 1.0,
+    rep: EtaRepresentation = EtaRepresentation.REP1,
+) -> AlgebraReport:
+    """Verify the two squared-operator identities behind the free-particle
+    dispersion: (mu.p)^2 = |p|^2 * I and (E*eta + m*eta_dagger)^2 = 2*E*m*I.
+
+    Deviations are measured relative to the respective scale (|p|^2 and
+    2*E*m) and bounded by 1e-12.  Each identity is homogeneous, so p, and
+    (E, m) together, are scaled by a power of two first, which leaves the
+    deviations as they are.  Both run on the tables in Python numbers;
+    the second is expanded over them, which makes it exact.  Raises
+    ValueError unless energy and mass are positive and finite and momentum
+    is a finite real 3-vector, PrecisionError if the scaled 2*E*m
+    underflows.
+    """
+    _positive_finite("energy", energy)
+    _positive_finite("mass", mass)
+    p = _scaled(*_momentum(momentum))
+    mp = _sum(*zip(p, _MU))
+    p_squared = sum(x * x for x in p)
+    dev_momentum = _dev(
+        _sum((1, _mul(mp, mp)), (-p_squared, _EYE)), max(p_squared, sys.float_info.min)
+    )
+    e, m = _scaled(energy, mass)
+    _normal(2.0 * e * m, "2*E*m", E=energy, m=mass)
+    dev_energy = _square_deviation(_sqrt2_eta(rep), [(e, m)])
+    return AlgebraReport(
+        (
+            _check("momentum_square_is_p2_identity", dev_momentum, _SQUARED_OPERATOR_TOL),
+            _check("energy_mass_square_is_2Em_identity", dev_energy, _SQUARED_OPERATOR_TOL),
+        )
+    )

@@ -33,9 +33,9 @@ from .scattering import (
 )
 from .sweep_io import Regime, Spacing, SweepSpec, run_sweep
 
-# Only the report commands import algebra, eigensystem and threed, and --rep
-# spells its choices, so a point command loads no more than it runs.  No
-# command but a log-grid sweep imports numpy.
+# Only the report commands import algebra, which holds every identity suite,
+# and --rep spells its choices, so a point command loads no more than it runs.
+# No command but a log-grid sweep imports numpy.
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -128,20 +128,20 @@ def _report(args) -> int:
 
 
 def _all_suites(rep) -> tuple:
-    from . import algebra, eigensystem, threed
+    from . import algebra
 
     return (
         algebra.verify_eta_algebra(rep),
-        eigensystem.verify_dispersion(rep),
-        threed.verify_continuity_identities(rep),
-        threed.squared_operator_check((0.6, 0.0, 0.8), energy=1.0, mass=1.0, rep=rep),
+        algebra.verify_dispersion(rep),
+        algebra.verify_continuity_identities(rep),
+        algebra.squared_operator_check((0.6, 0.0, 0.8), energy=1.0, mass=1.0, rep=rep),
     )
 
 
 def _threed_suites(rep) -> tuple:
-    from . import threed
+    from . import algebra
 
-    return (threed.verify_continuity_identities(rep),)
+    return (algebra.verify_continuity_identities(rep),)
 
 
 # The stderr prefix of each refusal kind; any other ValueError is invalid input.

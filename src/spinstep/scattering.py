@@ -25,11 +25,12 @@ of the wavefunction continuity condition at z = 0, on one pole-free mode basis,
 is kept as the independent oracle the tests compare against, and
 continuity_residual measures any amplitudes against the same basis.  The
 spinor formulas of that basis, the closed-form eigenstates of the momentum
-operator, are written once, in _eigen_spinors, which eigensystem reads too.
-Probability currents come from their closed forms.  That the closed forms
-solve the continuity condition, sum to 1, reduce to the spinless T and R,
-and that each current equals the bilinear u^dagger (eta + eta^dagger) u of
-its mode, is proven exactly, on symbols, in tests/test_symbolic_identities.py.
+operator, are written once, in _eigen_spinors, which algebra and
+eigensystem read too.  Probability currents come from their closed forms.
+That the closed forms solve the continuity condition, sum to 1, reduce to
+the spinless T and R, and that each current equals the bilinear u^dagger
+(eta + eta^dagger) u of its mode, is proven exactly, on symbols, in
+tests/test_symbolic_identities.py.
 
 coefficients returns one fixed-field row per branch, PropagatingRow or
 EvanescentRow: the type, and the values, of the sweep row at that energy.
@@ -39,7 +40,7 @@ StepProblem validates in its constructor, _replace included.
 
 The one kind of domain refusal is PrecisionError, a ValueError subclass
 worded in one place: valid inputs whose result underflows or overflows
-(eigensystem and threed raise it too).  The threshold E = V0 is no
+(algebra and eigensystem raise it too).  The threshold E = V0 is no
 refusal: it takes the evanescent branch, where nothing divides by
 V0 - E.  An input that is not positive and finite is a plain ValueError,
 from the one check every module's entry points call, _positive_finite.

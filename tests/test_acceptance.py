@@ -19,13 +19,17 @@ import time
 
 import numpy as np
 
-from spinstep.algebra import EtaRepresentation, verify_eta_algebra
-from spinstep.eigensystem import (
-    ELECTRON_MASS_EV,
-    analytic_eigenstate,
-    momentum_operator,
+from spinstep.algebra import (
+    EtaRepresentation,
+    schrodinger_reduction_check,
+    shell_determinant,
+    squared_operator_check,
+    verify_continuity_identities,
+    verify_eta_algebra,
 )
+from spinstep.eigensystem import analytic_eigenstate, momentum_operator
 from spinstep.scattering import (
+    ELECTRON_MASS_EV,
     StepProblem,
     closed_form_amplitudes,
     coefficients,
@@ -34,12 +38,6 @@ from spinstep.scattering import (
     solve_amplitudes_linear,
 )
 from spinstep.sweep_io import Regime, Spacing, SweepSpec, emit_csv, run_sweep
-from spinstep.threed import (
-    schrodinger_reduction_check,
-    shell_determinant,
-    squared_operator_check,
-    verify_continuity_identities,
-)
 
 ME = ELECTRON_MASS_EV
 REPS = (EtaRepresentation.REP1, EtaRepresentation.REP2)

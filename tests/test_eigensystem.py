@@ -4,15 +4,10 @@ import sys
 import numpy as np
 import pytest
 
-from spinstep import algebra, eigensystem
-from spinstep.algebra import EtaRepresentation, eta, eta_dagger
-from spinstep.eigensystem import (
-    ELECTRON_MASS_EV,
-    analytic_eigenstate,
-    momentum_operator,
-    verify_dispersion,
-)
-from spinstep.scattering import PrecisionError, _eigen_spinors
+from spinstep import algebra
+from spinstep.algebra import EtaRepresentation, eta, eta_dagger, verify_dispersion
+from spinstep.eigensystem import analytic_eigenstate, momentum_operator
+from spinstep.scattering import ELECTRON_MASS_EV, PrecisionError, _eigen_spinors
 
 ME = ELECTRON_MASS_EV
 
@@ -112,7 +107,7 @@ def _swapped_spinors(energy, mass, momentum):
 def test_eigen_equation_residual_is_relative_to_the_eigenvalue_and_state(monkeypatch):
     # u^(3), a -p state, in u^(1)'s +p slot: (A - p) u3 = -2p u3, a residual
     # of 2 relative to |p| |u3|
-    monkeypatch.setattr(eigensystem, "_eigen_spinors", _swapped_spinors)
+    monkeypatch.setattr(algebra, "_eigen_spinors", _swapped_spinors)
     report = verify_dispersion(energies=[1.0, 100.0, 1e6])
     check = {c.name: c for c in report.checks}["eigen_equation_residual"]
     assert check.max_deviation == pytest.approx(2.0, rel=1e-12)
@@ -173,7 +168,7 @@ def test_dispersion_refuses_where_the_residual_rounding_exceeds_its_bound():
 def test_eigen_equation_residual_fails_or_refuses_across_the_double_range(monkeypatch):
     # the residual can fail wherever it passes: a -p state in a +p slot fails
     # at every energy the suite accepts
-    monkeypatch.setattr(eigensystem, "_eigen_spinors", _swapped_spinors)
+    monkeypatch.setattr(algebra, "_eigen_spinors", _swapped_spinors)
     for k in range(601):
         energy = 10.0 ** (k - 300)
         try:

@@ -9,13 +9,13 @@ import pytest
 
 import spinstep
 
-SUBMODULES = ("algebra", "eigensystem", "scattering", "sweep_io", "threed")
+SUBMODULES = ("algebra", "eigensystem", "scattering", "sweep_io")
 
 
 def test_every_exported_name_resolves_and_is_listed():
     # the package resolves its names on first use; star imports and dir()
     # still see every one of them
-    assert len(spinstep.__all__) == len(set(spinstep.__all__)) == 45
+    assert len(spinstep.__all__) == len(set(spinstep.__all__)) == 44
     assert set(SUBMODULES) <= set(spinstep.__all__)
     listed = dir(spinstep)
     for name in spinstep.__all__:
@@ -47,6 +47,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ONLY_EXPORTS = {
     "continuity_residual": "the tests' continuity measure for amplitudes from any route",
     "schrodinger_reduction_check": "the entry point of the known red acceptance check 8b",
+    "eigensystem": "read outside tests only as the string in perfbench's "
+    'load_spinstep(..., "spinstep.eigensystem")',
 }
 
 
@@ -120,7 +122,7 @@ def test_library_modules_and_identity_suites_run_without_numpy():
     # package's full name list resolves without it, and the identity suites
     # run on the exact tables in Python numbers
     code = (
-        "import sys, spinstep, spinstep.algebra, spinstep.threed, spinstep.eigensystem\n"
+        "import sys, spinstep, spinstep.algebra, spinstep.eigensystem\n"
         "spinstep.__all__\n"
         "for rep in spinstep.EtaRepresentation:\n"
         "    assert spinstep.verify_eta_algebra(rep).passed\n"
@@ -192,3 +194,27 @@ def test_an_int_beyond_the_double_range_is_a_value_error(call):
     with pytest.raises(ValueError, match="finite") as refused:
         call()
     assert type(refused.value) is ValueError
+
+
+NOT_A_REP = "rep must be an EtaRepresentation, got 'rep1'"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", [
+    *(pytest.param(lambda name=name: getattr(spinstep, name)("rep1"), NOT_A_REP, id=name)
+      for name in ("eta", "eta_dagger", "verify_eta_algebra", "verify_dispersion",
+                   "verify_continuity_identities")),
+    pytest.param(lambda: spinstep.squared_operator_check(P, rep="rep1"), NOT_A_REP,
+                 id="squared_operator_check"),
+    pytest.param(lambda: spinstep.momentum_operator(1.0, 1.0, rep="rep1"), NOT_A_REP,
+                 id="momentum_operator"),
+    pytest.param(lambda: spinstep.gamma([1]), "gamma index must be one of 0,1,2,3,5, got [1]",
+                 id="gamma-unhashable"),
+])
+def test_a_rep_or_gamma_index_of_the_wrong_kind_is_a_value_error_naming_it(call, message):
+    # refused as StepProblem refuses an incident_spin that is not a Spin: never
+    # a bare KeyError, nor the TypeError of an unhashable key
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert type(refused.value) is ValueError
+    assert str(refused.value) == message

@@ -8,15 +8,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinstep.algebra import eta, eta_dagger
-from spinstep.eigensystem import ELECTRON_MASS_EV, Spin, analytic_eigenstate, verify_dispersion
+from spinstep.algebra import (
+    eta,
+    eta_dagger,
+    shell_determinant,
+    squared_operator_check,
+    verify_dispersion,
+)
+from spinstep.eigensystem import analytic_eigenstate
 from spinstep.scattering import (
+    ELECTRON_MASS_EV,
     AmplitudeSet,
     Branch,
     CurrentDensities,
     EvanescentRow,
     PrecisionError,
     PropagatingRow,
+    Spin,
     StepProblem,
     _continuity_matrix,
     _eigen_spinors,
@@ -30,7 +38,6 @@ from spinstep.scattering import (
     solve_amplitudes_linear,
 )
 from spinstep.sweep_io import SweepSpec, run_sweep
-from spinstep.threed import shell_determinant, squared_operator_check
 
 ME = ELECTRON_MASS_EV
 

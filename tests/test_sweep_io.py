@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from spinstep.eigensystem import ELECTRON_MASS_EV
 from spinstep.scattering import (
+    ELECTRON_MASS_EV,
     PrecisionError,
     Spin,
     StepProblem,

@@ -3,19 +3,21 @@ import warnings
 import numpy as np
 import pytest
 
-from spinstep.algebra import EtaRepresentation, eta, eta_dagger, gamma
-from spinstep.eigensystem import ELECTRON_MASS_EV
-from spinstep.scattering import PrecisionError
-from spinstep.threed import (
+from spinstep.algebra import (
     SINGULARITY_TOL,
+    EtaRepresentation,
     _continuity_tables,
     _momentum_matrix,
+    eta,
+    eta_dagger,
+    gamma,
     mu_matrices,
     schrodinger_reduction_check,
     shell_determinant,
     squared_operator_check,
     verify_continuity_identities,
 )
+from spinstep.scattering import ELECTRON_MASS_EV, PrecisionError
 
 ME = ELECTRON_MASS_EV
 REPS = [EtaRepresentation.REP1, EtaRepresentation.REP2]
@@ -257,11 +259,11 @@ def test_probes_refuse_what_double_precision_cannot_resolve():
 def test_squared_operator_deviations_are_relative_to_their_scales(monkeypatch):
     # with bent tables each deviation is |A^2 - s*I| / s, s = |p|^2 and
     # 2*E*m, whatever power of two the inputs were scaled by
-    from spinstep import algebra, threed
+    from spinstep import algebra
 
-    bent_mu1 = algebra._sum((1, threed._MU[0]), (1e-3, algebra._EYE))
+    bent_mu1 = algebra._sum((1, algebra._MU[0]), (1e-3, algebra._EYE))
     bent_eta = algebra._sum((1, algebra._SQRT2_ETA[EtaRepresentation.REP1]), (1e-3, algebra._EYE))
-    monkeypatch.setattr(threed, "_MU", (bent_mu1, *threed._MU[1:]))
+    monkeypatch.setattr(algebra, "_MU", (bent_mu1, *algebra._MU[1:]))
     monkeypatch.setitem(algebra._SQRT2_ETA, EtaRepresentation.REP1, bent_eta)
     report = squared_operator_check((3.0, 0.0, 4.0), energy=3.0, mass=5.0)
     mp = 3.0 * np.array(bent_mu1) + 4.0 * mu_matrices().mu3

@@ -1,6 +1,6 @@
 """Mutation probe: how many small wrong versions of a module does tier-1 catch?
 
-    python tools/mutation_probe.py [--modules scattering threed cli]
+    python tools/mutation_probe.py [--modules scattering algebra cli]
                                    [--workdir DIR]
 
 A mutant changes one site of one module of src/spinstep and nothing else:
@@ -122,7 +122,7 @@ def run_tier1(copy: Path) -> tuple[bool, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--modules", nargs="+", default=["scattering", "threed", "cli"])
+    parser.add_argument("--modules", nargs="+", default=["scattering", "algebra", "cli"])
     parser.add_argument("--workdir", default=None, help="where the copy is made")
     args = parser.parse_args(argv)
 
