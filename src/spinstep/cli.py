@@ -8,11 +8,12 @@ Subcommands:
   threed-check  3D identity suite only
 
 Exit codes are a contract: 0 success, 1 verification failure, 2 usage or
-domain error, 3 I/O error.  A refused input prints the stderr prefix of its
-kind, "beyond double precision" for a PrecisionError.  Output is JSON unless --pretty
-is given.  Energy flags accept plain eV values or ev/kev/mev suffixes
-(case-insensitive), e.g. --v0 100kev.  Option defaults and choices are
-read from the library: StepProblem's and SweepSpec's _field_defaults and enums.
+domain error, 3 I/O error.  A refused point or sweep prints the stderr
+prefix of its kind, "beyond double precision" for a PrecisionError.
+Output is JSON unless --pretty is given.  Energy flags accept plain eV
+values or ev/kev/mev suffixes (case-insensitive), e.g. --v0 100kev.  Option
+defaults and choices are read from the library: StepProblem's and
+SweepSpec's _field_defaults and enums.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def _threed_suites(rep) -> tuple:
     return (algebra.verify_continuity_identities(rep),)
 
 
-# The stderr prefix of each refusal kind; any other ValueError is invalid input.
+# The stderr prefix of each refusal kind; any other ValueError is an invalid input or sweep.
 _REFUSALS = {PrecisionError: "beyond double precision"}
 
 
@@ -201,7 +202,7 @@ def _sweep(args) -> int:
         # check the SVG columns against every regime before any file is opened
         columns = [[check(type(g[0]), args.columns)] if check else [] for g in groups]
     except ValueError as exc:
-        print(f"invalid sweep: {exc}", file=sys.stderr)
+        print(f"{_REFUSALS.get(type(exc), 'invalid sweep')}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     files = [args.out]  # run_sweep returns at least one row or refuses

@@ -35,7 +35,8 @@ tests/test_symbolic_identities.py.
 coefficients returns one fixed-field row per branch, PropagatingRow or
 EvanescentRow: the type, and the values, of the sweep row at that energy.
 A row type is a NamedTuple built from its FIELDS table, which lists its
-fields once, for every output.  Unitarity is checked once, in _curves;
+fields once, for every output.  _rows, the grid kernel, runs the same
+_amplitudes and _curves.  Unitarity is checked once, in _curves;
 StepProblem validates in its constructor, _replace included.
 
 The one kind of domain refusal is PrecisionError, a ValueError subclass
@@ -45,9 +46,9 @@ refusal: it takes the evanescent branch, where nothing divides by
 V0 - E.  An input that is not positive and finite is a plain ValueError,
 from the one check every module's entry points call, _positive_finite.
 
-numpy is imported only by continuity_residual, for its QR projection, so
-that StepProblem, both amplitude routes, coefficients and currents run
-without it; a log sweep passes numpy arrays and numpy.sqrt to the closed forms.
+numpy is imported only by continuity_residual, for its QR projection, and
+by _rows for a log grid's array pass; StepProblem, both amplitude routes,
+coefficients, currents and a linear sweep run without it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ import math
 import sys
 from enum import Enum
 from functools import reduce
+from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
@@ -176,21 +178,18 @@ class AmplitudeSet(NamedTuple):
 def _eigen_spinors(energy, mass: float, momentum) -> tuple:
     """The closed-form eigenstates u^(1)..u^(4) of the momentum operator in
     REP1 (see eigensystem.analytic_eigenstate), at p = momentum, each a tuple
-    of its four components: Python scalars for a point, arrays of N for
-    arrays of N energies and momenta."""
+    of its four components, Python numbers."""
     a = 1.0 / (energy + mass)
     e_minus_m = energy - mass
-    zero = 0.0 * a  # shaped like the energies
-    one = zero + 1.0
     # not -plus_i: CPython's complex products give its zeros another sign
     plus_i = 1j * a * e_minus_m
     minus_i = -1j * a * e_minus_m
     ap = _SQRT2 * a * momentum
     return (
-        (one, zero, plus_i, -ap),
-        (zero, one, ap, minus_i),
-        (one, zero, plus_i, ap),
-        (zero, one, -ap, minus_i),
+        (1.0, 0.0, plus_i, -ap),
+        (0.0, 1.0, ap, minus_i),
+        (1.0, 0.0, plus_i, ap),
+        (0.0, 1.0, -ap, minus_i),
     )
 
 
@@ -320,26 +319,30 @@ def _amplitudes(branch: Branch, energy, v0, mass, spin: Spin, sqrt):
         c = 2 k1 [k1 (m + V0 - E) + i s (E - m)] / ((E+m) V0).
 
     Spin-down incidence relabels (b, b', c, c') as (b', b, c', c).  c and
-    c' are the upper components of psi_II(0).
+    c' are the upper components of psi_II(0).  Inputs so small that a
+    denominator underflows to 0 are refused with PrecisionError.
     """
     k1 = sqrt(energy)
-    if branch is Branch.PROPAGATING:
-        k2 = sqrt(energy - v0)
-        k_sum = k1 + k2
-        denom = (energy + mass) * (k_sum * k_sum)
-        b = ((mass - energy) * v0 / denom, 0.0)
-        b_prime = (0.0, 2.0 * sqrt(energy * mass) * v0 / denom)
-        c = (2.0 * k1 * (mass + k1 * k2) / ((energy + mass) * k_sum), 0.0)
-    else:
-        gap = v0 - energy
-        scale = (energy + mass) * v0
-        re_sq = 2.0 * energy - v0  # (k1 + k2)^2 = re_sq + i im_sq
-        im_sq = 2.0 * sqrt(energy * gap)
-        keep = (mass - energy) / scale
-        flip = 2.0 * sqrt(energy * mass) / scale
-        b = (keep * re_sq, -keep * im_sq)
-        b_prime = (flip * im_sq, flip * re_sq)
-        c = (2.0 * energy * ((mass + gap) / scale), im_sq * (energy - mass) / scale)
+    try:
+        if branch is Branch.PROPAGATING:
+            k2 = sqrt(energy - v0)
+            k_sum = k1 + k2
+            denom = (energy + mass) * (k_sum * k_sum)
+            b = ((mass - energy) * v0 / denom, 0.0)
+            b_prime = (0.0, 2.0 * sqrt(energy * mass) * v0 / denom)
+            c = (2.0 * k1 * (mass + k1 * k2) / ((energy + mass) * k_sum), 0.0)
+        else:
+            gap = v0 - energy
+            scale = (energy + mass) * v0
+            re_sq = 2.0 * energy - v0  # (k1 + k2)^2 = re_sq + i im_sq
+            im_sq = 2.0 * sqrt(energy * gap)
+            keep = (mass - energy) / scale
+            flip = 2.0 * sqrt(energy * mass) / scale
+            b = (keep * re_sq, -keep * im_sq)
+            b_prime = (flip * im_sq, flip * re_sq)
+            c = (2.0 * energy * ((mass + gap) / scale), im_sq * (energy - mass) / scale)
+    except ZeroDivisionError:  # floats only: arrays divide to inf or nan
+        raise PrecisionError("a denominator underflows to 0", E=energy, V0=v0, m=mass) from None
     if spin is Spin.UP:
         return b, b_prime, c, b_prime
     return b_prime, b, b_prime, c
@@ -352,17 +355,13 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
     ulps relative over the whole domain, with solve_amplitudes_linear as its
     oracle.  It evaluates on floats the expressions run_sweep evaluates on
     a grid, so a point and its sweep row agree bit for bit.  c and c' are
-    the upper components of psi_II(0).  Inputs so small that a denominator
-    of the closed forms underflows to 0 are refused with PrecisionError.
+    the upper components of psi_II(0).
     """
     energy, v0, mass, spin = problem
     branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT
-    try:
-        (b, b_im), (b_prime, b_prime_im), (c, c_im), (c_prime, c_prime_im) = _amplitudes(
-            branch, energy, v0, mass, spin, math.sqrt
-        )
-    except ZeroDivisionError:
-        raise PrecisionError("a denominator underflows to 0", E=energy, V0=v0, m=mass) from None
+    (b, b_im), (b_prime, b_prime_im), (c, c_im), (c_prime, c_prime_im) = _amplitudes(
+        branch, energy, v0, mass, spin, math.sqrt
+    )
     return tuple.__new__(AmplitudeSet, (
         branch, complex(b, b_im), complex(b_prime, b_prime_im), complex(c, c_im),
         complex(c_prime, c_prime_im), spin,
@@ -446,7 +445,7 @@ EvanescentRow = _row_type(
 )
 
 
-def _curves(branch: Branch, energy, v0, mass, abs2, sqrt, grid=False) -> list:
+def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list | None:
     """The curve columns of the branch's row, in FIELDS order, from abs2 =
     (|b|^2, |b'|^2, |c|^2, |c'|^2): the probabilities, their sum, the row's
     `total`, and, above the step, the spinless T and R.  energy and abs2 are
@@ -456,8 +455,8 @@ def _curves(branch: Branch, energy, v0, mass, abs2, sqrt, grid=False) -> list:
     and for _spinless.  Unitarity is checked here, once per point or sweep
     row: each probability within CLAMP_EPS of [0, 1] before it is clamped
     onto [0, 1], and their clamped sum within COEFFICIENT_SUM_TOL of 1.  A
-    failure with a non-finite value raises PrecisionError; one on a grid
-    (arrays, or a float with grid=True) names its energy.
+    failure on floats names its energy, in a PrecisionError if a value is
+    not finite; on arrays it returns None, for _rows to rerun on floats.
     """
     r_up, r_down, t_up, t_down = abs2
     propagating = branch is Branch.PROPAGATING
@@ -478,20 +477,17 @@ def _curves(branch: Branch, energy, v0, mass, abs2, sqrt, grid=False) -> list:
         probs = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in parts]
     total = reduce(add, probs)
     valid = valid & (abs(total - 1.0) <= COEFFICIENT_SUM_TOL)
-    if not (valid.all() if arrays else valid):
+    if arrays:
+        if not valid.all():
+            return None
+    elif not valid:
         row_type = PropagatingRow if propagating else EvanescentRow
         named = dict(zip(row_type._fields[len(_GRID_FIELDS) :], parts))
-        if arrays and total.ndim:  # name the first failing grid point, not whole columns
-            i = (~valid).argmax()
-            named = {name: float(v[i]) for name, v in named.items()}
-            energy = float(energy[i])
-            grid = True
-        at = f" at E = {energy!r} eV" if grid else ""
-        if not all(map(math.isfinite, named.values())):  # overflow, not physics
+        if not all(map(math.isfinite, parts)):  # overflow, not physics
             raise PrecisionError(f"probabilities {named} are not finite", E=energy, V0=v0, m=mass)
         raise ValueError(
-            f"probabilities {named}{at} violate unitarity: the sum must be within "
-            f"{COEFFICIENT_SUM_TOL:g} of 1 and each within {CLAMP_EPS:g} of [0, 1]"
+            f"probabilities {named} at E = {energy!r} eV violate unitarity: the sum must be "
+            f"within {COEFFICIENT_SUM_TOL:g} of 1 and each within {CLAMP_EPS:g} of [0, 1]"
         )
     if propagating:
         return [*probs, total, *_spinless(k1, k2, v0)]
@@ -526,6 +522,48 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
         raise PrecisionError("E/V0 overflows", E=e, V0=v0)
     row_type = PropagatingRow if propagating else EvanescentRow
     return tuple.__new__(row_type, (e, e_over_v0, *curves))
+
+
+_ABOVE, _BELOW = (Branch.PROPAGATING, PropagatingRow), (Branch.EVANESCENT, EvanescentRow)
+
+
+def _rows(x, v0: float, mass: float, spin: Spin) -> tuple:
+    """The rows of a grid x of E/V0 values: each E = x*V0, split by E > V0,
+    gives its point query's row bit for bit, but for e_over_v0, the grid
+    value.  A list of floats runs point by point through the functions a
+    point query calls, so it refuses as the point query at its first
+    failing energy does.  An array (a log grid) runs in one numpy pass per
+    branch, in the same operations, and reruns on floats if any point fails.
+    """
+    rows = []
+    if isinstance(x, list):
+        for x_i in x:
+            e = x_i * v0
+            if not 0.0 < e <= _MAX:  # a log grid's top can round to inf, which StepProblem refuses
+                _positive_finite("energy", e)
+            branch, row_type = _ABOVE if e > v0 else _BELOW
+            amps = _amplitudes(branch, e, v0, mass, spin, math.sqrt)
+            curves = _curves(branch, e, v0, mass, [_abs2(*a) for a in amps], math.sqrt)
+            rows.append(tuple.__new__(row_type, (e, x_i, *curves)))
+        return tuple(rows)
+    import numpy as np
+
+    # overflow leaves non-finite columns, which _curves finds
+    with np.errstate(all="ignore"):
+        energy = x * v0
+        above = energy > v0
+        for (branch, row_type), where in ((_BELOW, ~above), (_ABOVE, above)):
+            if not where.any():
+                continue
+            e = energy[where]
+            amps = _amplitudes(branch, e, v0, mass, spin, np.sqrt)
+            curves = _curves(branch, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
+            if curves is None:
+                return _rows(x.tolist(), v0, mass, spin)
+            columns = [e, x[where], *curves]
+            # tuple.__new__: the row constructors check nothing, the columns fix the arity
+            rows += map(tuple.__new__, repeat(row_type), zip(*(c.tolist() for c in columns)))
+    return tuple(rows)
 
 
 def _spinless(k1, k2, v0):

@@ -8,9 +8,9 @@ type carries one ordered field table, FIELDS, naming every column's
 attribute, CSV header and SVG colour; the CSV header line, the JSON keys
 (the attribute, except `total`, written as "sum"), the SVG column names and
 colours, the CLI's default SVG columns and its point JSON all read it.
-Rows are NamedTuples of their FIELDS, in order; unitarity is checked once,
-by scattering._curves, before a row is built.  A linear grid runs on Python
-floats without numpy, a log grid on numpy arrays.
+Rows are NamedTuples of their FIELDS, in order.  This module owns grids
+and files only: scattering._rows builds the rows, on Python floats for a
+linear grid, without numpy, and on numpy arrays for a log grid.
 
 Emission is deterministic: the same spec always produces byte-identical
 output.  Numbers are printed with 17 significant digits, which round-trips
@@ -26,22 +26,17 @@ from __future__ import annotations
 import math
 import operator
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from .scattering import (
     _MAX,
     ELECTRON_MASS_EV,
-    Branch,
     EvanescentRow,
-    PrecisionError,
     PropagatingRow,
     Spin,
-    _abs2,
-    _amplitudes,
-    _curves,
     _positive_finite,
+    _rows,
 )
 
 if TYPE_CHECKING:
@@ -87,7 +82,8 @@ class SweepSpec(_SweepFields):
 
     The grid ranges over x = E/V0 from e_over_v0_min to e_over_v0_max with
     `points` samples, an integer (Python or numpy); v0, mass, the bounds
-    and the top energy e_over_v0_max * v0 are at most the largest double.
+    and the top energy e_over_v0_max * v0 are at most the largest double,
+    and the bottom energy e_over_v0_min * v0 does not underflow to 0.
     An explicit regime constrains the range to its side of x = 1; AUTO
     admits ranges straddling 1 and splits the rows.  The constructor
     refuses anything else, and spacing, regime or incident_spin values that
@@ -110,6 +106,11 @@ class SweepSpec(_SweepFields):
             raise ValueError(
                 f"the top energy e_over_v0_max * v0 = {self.e_over_v0_max} * {self.v0} eV "
                 "exceeds the largest double"
+            )
+        if float(self.e_over_v0_min) * float(self.v0) == 0.0:
+            raise ValueError(
+                f"the bottom energy e_over_v0_min * v0 = {self.e_over_v0_min} * {self.v0} eV "
+                "underflows to 0"
             )
         try:
             operator.index(self.points)
@@ -141,9 +142,11 @@ class SweepSpec(_SweepFields):
             return [i * step + lo if step else i / div * span + lo for i in range(div)] + [hi]
         import numpy as np
 
-        return np.logspace(
-            np.log10(self.e_over_v0_min), np.log10(self.e_over_v0_max), self.points
-        )
+        # an end past the largest double is inf, which run_sweep refuses
+        with np.errstate(over="ignore"):
+            return np.logspace(
+                np.log10(self.e_over_v0_min), np.log10(self.e_over_v0_max), self.points
+            )
 
 
 class SweepResult(NamedTuple):
@@ -160,56 +163,10 @@ class SweepResult(NamedTuple):
         return tuple(r for r in self.rows if isinstance(r, EvanescentRow))
 
 
-_ABOVE, _BELOW = (Branch.PROPAGATING, PropagatingRow), (Branch.EVANESCENT, EvanescentRow)
-
-
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the sweep grid with the closed-form amplitudes.
-
-    Every grid energy E = x*V0 gives a row, split by E > V0 as a point
-    query splits it, so E = V0 is evanescent.  A linear grid runs point by
-    point through the _amplitudes and _curves a point query calls on
-    floats, a log grid through the same on arrays, one pass per branch, so
-    every row equals its point's coefficients bit for bit, but for
-    e_over_v0: the grid value here, E/V0 there.  Rows come out in strictly
-    increasing energy.
-    """
-    if spec.spacing is Spacing.LOG:
-        return SweepResult(rows=_array_rows(spec.grid(), spec))
-    v0, mass, spin = float(spec.v0), float(spec.mass), spec.incident_spin
-    rows = []
-    for x_i in spec.grid():
-        e = x_i * v0
-        branch, row_type = _ABOVE if e > v0 else _BELOW
-        try:
-            amps = _amplitudes(branch, e, v0, mass, spin, math.sqrt)
-            curves = _curves(branch, e, v0, mass, [_abs2(*a) for a in amps], math.sqrt, True)
-        except ZeroDivisionError:  # as closed_form_amplitudes refuses it
-            raise PrecisionError("a denominator underflows to 0", E=e, V0=v0, m=mass) from None
-        rows.append(tuple.__new__(row_type, (e, x_i, *curves)))
-    return SweepResult(rows=tuple(rows))
-
-
-def _array_rows(x: np.ndarray, spec: SweepSpec) -> tuple:
-    """The rows of the grid array x, from the closed forms on arrays."""
-    import numpy as np
-
-    v0, mass = spec.v0, spec.mass
-    rows = []
-    # overflow leaves non-finite columns; the unitarity refusal reports it
-    with np.errstate(all="ignore"):
-        energy = x * v0
-        above = energy > v0
-        for (branch, row_type), where in ((_BELOW, ~above), (_ABOVE, above)):
-            if not where.any():
-                continue
-            e = energy[where]
-            amps = _amplitudes(branch, e, v0, mass, spec.incident_spin, np.sqrt)
-            curves = _curves(branch, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
-            columns = [e, x[where], *curves]
-            # tuple.__new__: the row constructors check nothing, the columns fix the arity
-            rows += map(tuple.__new__, repeat(row_type), zip(*(c.tolist() for c in columns)))
-    return tuple(rows)
+    """The grid's rows from scattering._rows, in strictly increasing energy,
+    each its point query's, or the refusal of the first refused point."""
+    return SweepResult(_rows(spec.grid(), float(spec.v0), float(spec.mass), spec.incident_spin))
 
 
 def format_float(value: float) -> str:

@@ -347,18 +347,36 @@ def test_sweep_auto_straddling_writes_two_files(tmp_path, capsys):
 
 def test_sweep_with_no_rows_names_no_file(tmp_path, capsys):
     # with a subnormal V0 every x*V0 rounds back to V0, where the reflected
-    # amplitudes overflow: the sweep refuses with a PrecisionError, as
-    # `coefficients` does at that point, and writes nothing
+    # amplitudes overflow: the sweep refuses with the stderr line of
+    # `coefficients` at that point, and writes nothing
     code, out, err = run_cli(
         capsys, "sweep", "--v0", "5e-324", "--from", "1.01", "--to", "1.4",
         "--out", str(tmp_path / "x.csv"),
     )
     assert (code, out) == (2, "")
-    assert err.startswith("invalid sweep: E = 5e-324, V0 = 5e-324, m = 510998.95")
+    assert err.startswith("beyond double precision: E = 5e-324, V0 = 5e-324, m = 510998.95")
     assert PRECISION + "probabilities {'r1_prime': nan" in err
     assert list(tmp_path.iterdir()) == []
-    code, _, err = run_cli(capsys, "coefficients", "--e", "5e-324", "--v0", "5e-324")
-    assert code == 2 and err.startswith("beyond double precision: ")
+    assert run_cli(capsys, "coefficients", "--e", "5e-324", "--v0", "5e-324") == (2, "", err)
+
+
+@pytest.mark.parametrize("spacing", ("log", "linear"))
+def test_refused_sweep_prints_the_line_of_its_first_refused_point(tmp_path, capsys, spacing):
+    # every closed-form denominator underflows to 0: the sweep's stderr line
+    # is the `coefficients` line at its first energy, on either grid
+    code, out, err = run_cli(
+        capsys, "sweep", "--v0", "1e-300", "--mass", "1e-300", "--from", "0.1", "--to", "0.5",
+        "--points", "5", "--spacing", spacing, "--regime", "evanescent",
+        "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "beyond double precision: E = 1e-301, V0 = 1e-300, m = 1e-300" + PRECISION
+        + "a denominator underflows to 0\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+    point = run_cli(capsys, "coefficients", "--e", "1e-301", "--v0", "1e-300", "--mass", "1e-300")
+    assert point == (2, "", err)
 
 
 def test_sweep_svg_format(tmp_path, capsys):
@@ -404,24 +422,52 @@ def test_sweep_invalid_grid_exit_2(tmp_path, capsys):
     assert "invalid sweep" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("--v0", "100", "--to", "inf"),
-    ("--v0", "100", "--from=-inf"),
-    ("--v0", "100", "--from", "nan"),
-    # overflow: every column is nan, which the unitarity check refuses, or
-    # the top energy 10 * V0 exceeds the largest double, which SweepSpec does
-    ("--v0", "1e300"),
-    ("--v0", "1e308"),
-], ids=" ".join)
-def test_sweep_out_of_range_exit_2_with_one_line(tmp_path, capsys, argv):
+# each sweep's options and the start of its one stderr line
+OUT_OF_RANGE_SWEEPS = [
+    (("--v0", "100", "--to", "inf"), "invalid sweep: "),
+    (("--v0", "100", "--from=-inf"), "invalid sweep: "),
+    (("--v0", "100", "--from", "nan"), "invalid sweep: "),
+    # overflow: every column is nan, a PrecisionError as at its first point,
+    # or the top energy 10 * V0 exceeds the largest double, which SweepSpec
+    # refuses
+    (("--v0", "1e300"), "beyond double precision: "),
+    (("--v0", "1e308"), "invalid sweep: "),
+    # the log grid's top rounds past the largest double: refused as the
+    # point query at E = inf is, and numpy's overflow warning stays silent
+    (("--v0", "1", "--from", "1.5", "--to", "1.7976931348622103e308", "--points", "2"),
+     "invalid sweep: energy must be positive and finite, got inf"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, prefix", [pytest.param(*sweep, id=" ".join(sweep[0])) for sweep in OUT_OF_RANGE_SWEEPS]
+)
+def test_sweep_out_of_range_exit_2_with_one_line(tmp_path, capsys, argv, prefix):
     # a warning raised as an error would escape main() instead of exiting 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "sweep", *argv, "--out", str(tmp_path / "x.csv"))
     assert (code, out) == (2, "")
-    assert err.startswith("invalid sweep: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert len(err) < 400
     assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_bottom_energy_underflowing_to_0_exit_2(tmp_path, capsys):
+    # x*V0 = 1e-350 rounds to 0: refused by the spec, as `coefficients
+    # --e 0` is refused, where the sweep wrote an E = 0 row and exited 0
+    code, out, err = run_cli(
+        capsys, "sweep", "--v0", "1e-100", "--mass", "1e-100", "--from", "1e-250", "--to", "0.5",
+        "--points", "3", "--regime", "evanescent", "--out", str(tmp_path / "x.csv"),
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "invalid sweep: the bottom energy e_over_v0_min * v0 = 1e-250 * 1e-100 eV "
+        "underflows to 0\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+    code, _, err = run_cli(capsys, "coefficients", "--e", "0", "--v0", "1e-100")
+    assert code == 2 and err.startswith("invalid input: energy must be positive")
 
 
 def test_sweep_top_energy_beyond_the_double_range_exit_2(tmp_path, capsys):
@@ -528,15 +574,38 @@ COLD_POINT_STDOUT = {
 }
 
 
-def _imported(importtime_stderr: str) -> set:
-    """The modules named by `-X importtime` lines."""
-    return {line.rsplit("|", 1)[-1].strip() for line in importtime_stderr.splitlines()}
+# `python -m spinstep ARGS` run through runpy, as -m runs it, which at exit
+# writes the names in its sys.modules, one a line, to the file named by its
+# first argument: -X importtime does not list the submodules the package
+# __getattr__ loads through importlib.import_module, sys.modules holds them
+RUN_AND_LIST_MODULES = (
+    "import atexit, runpy, sys\n"
+    "listing = sys.argv.pop(1)\n"
+    "@atexit.register\n"
+    "def write():\n"
+    "    with open(listing, 'w') as out:\n"
+    "        out.write('\\n'.join(list(sys.modules)))\n"
+    "runpy.run_module('spinstep', run_name='__main__', alter_sys=True)\n"
+)
 
 
-def _assert_cli_without_numpy(importtime_stderr: str, bare_modules: set):
+def _run_listing_modules(argv, cwd, *flags):
+    """The finished `python FLAGS -m spinstep ARGV` child, run in cwd, and
+    the names in its sys.modules at exit."""
+    listing = cwd / "sys.modules.txt"
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", RUN_AND_LIST_MODULES, str(listing), *argv],
+        capture_output=True, text=True, cwd=cwd, env=CHILD_ENV,
+    )
+    modules = set(listing.read_text().splitlines())
+    listing.unlink()
+    return result, modules
+
+
+def _assert_cli_without_numpy(modules: set, bare_modules: set):
     # neither numpy nor dataclasses (with the inspect it pulls in) among the
     # modules a bare interpreter does not import already
-    imported = _imported(importtime_stderr) - bare_modules
+    imported = modules - bare_modules
     assert "spinstep.cli" in imported
     assert not [
         m for m in imported if m in ("numpy", "dataclasses") or m.startswith("numpy.")
@@ -548,34 +617,31 @@ def bare_interpreter_modules() -> set:
     # what a bare interpreter in this environment imports anyway (site and
     # its .pth files included), so that only the command's own imports count
     result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-c", "pass"],
+        [sys.executable, "-c", "import sys; print('\\n'.join(list(sys.modules)))"],
         capture_output=True, text=True, env=CHILD_ENV,
     )
-    return _imported(result.stderr)
+    return set(result.stdout.splitlines())
 
 
 @pytest.mark.parametrize("argv", list(COLD_POINT_STDOUT), ids=" ".join)
-def test_point_commands_never_import_numpy(argv, bare_interpreter_modules):
-    # a fresh interpreter, as a user runs it; -X importtime lists every
-    # module imported, on stderr
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "spinstep", *argv],
-        capture_output=True, text=True, env=CHILD_ENV,
-    )
-    assert (result.returncode, result.stdout) == (0, COLD_POINT_STDOUT[argv])
-    _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
+def test_point_commands_never_import_numpy(argv, tmp_path, bare_interpreter_modules):
+    # a fresh interpreter, as a user runs it; a point command loads neither
+    # numpy nor the identity suites of algebra
+    result, modules = _run_listing_modules(argv, tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, COLD_POINT_STDOUT[argv], "")
+    _assert_cli_without_numpy(modules, bare_interpreter_modules)
+    assert "spinstep.algebra" not in modules
 
 
 @pytest.mark.parametrize("command, rep", list(REPORT_CHECKS), ids="-".join)
-def test_report_commands_never_import_numpy(command, rep, bare_interpreter_modules):
-    # the identity suites run on algebra's tables in Python numbers
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "spinstep", command, "--rep", rep],
-        capture_output=True, text=True, env=CHILD_ENV,
-    )
+def test_report_commands_never_import_numpy(command, rep, tmp_path, bare_interpreter_modules):
+    # the identity suites run on algebra's tables in Python numbers, and
+    # neither report command loads the array functions of eigensystem
+    result, modules = _run_listing_modules([command, "--rep", rep], tmp_path)
     assert result.returncode == 0
     assert json.loads(result.stdout)["pass"] is True
-    _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
+    _assert_cli_without_numpy(modules, bare_interpreter_modules)
+    assert "spinstep.algebra" in modules and "spinstep.eigensystem" not in modules
 
 
 @pytest.mark.parametrize("argv", [
@@ -586,16 +652,14 @@ def test_report_commands_never_import_numpy(command, rep, bare_interpreter_modul
 ], ids=lambda argv: argv[-1])
 def test_linear_sweeps_never_import_numpy(argv, tmp_path, bare_interpreter_modules):
     # a linear grid is built and evaluated on Python floats; only a log grid
-    # imports numpy
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "spinstep", *argv],
-        capture_output=True, text=True, cwd=tmp_path, env=CHILD_ENV,
-    )
+    # imports numpy, and no sweep loads algebra
+    result, modules = _run_listing_modules(argv, tmp_path)
     assert result.returncode == 0
     summary = json.loads(result.stdout)
     assert summary["rows"] == int(argv[argv.index("--points") + 1])
     assert all((tmp_path / name).stat().st_size for name in summary["files"])
-    _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
+    _assert_cli_without_numpy(modules, bare_interpreter_modules)
+    assert "spinstep.algebra" not in modules
 
 
 def _readme_commands() -> list:
@@ -612,25 +676,23 @@ def _readme_commands() -> list:
 def test_readme_command_line_block_runs(tmp_path, bare_interpreter_modules):
     # every command as a user runs it, in a fresh interpreter with warnings
     # as errors: exit 0, nothing on stderr, the pinned point stdout, no
-    # numpy or dataclasses imported (-X importtime) but by a log-grid sweep,
-    # and figure sweeps byte-equal to the goldens
+    # numpy or dataclasses in sys.modules but after a log-grid sweep, which
+    # shows that the listing sees numpy, no algebra but after a report
+    # command, no eigensystem at all, and figure sweeps byte-equal to the
+    # goldens
     commands = _readme_commands()
     for argv in commands:
-        numpy_free = argv[0] != "sweep" or "linear" in argv
-        importtime = ["-X", "importtime"] if numpy_free else []
-        result = subprocess.run(
-            [sys.executable, "-W", "error", *importtime, "-m", "spinstep", *argv],
-            capture_output=True, text=True, cwd=tmp_path, env=CHILD_ENV,
-        )
-        stderr = [
-            line for line in result.stderr.splitlines()
-            if not (numpy_free and line.startswith("import time:"))
-        ]
-        assert (result.returncode, stderr) == (0, []), argv
+        result, modules = _run_listing_modules(argv, tmp_path, "-W", "error")
+        assert (result.returncode, result.stderr) == (0, ""), argv
         if argv[0] in ("coefficients", "currents"):
             assert result.stdout == README_POINT_STDOUT[tuple(argv)]
-        if numpy_free:
-            _assert_cli_without_numpy(result.stderr, bare_interpreter_modules)
+        if argv[0] != "sweep" or "linear" in argv:
+            _assert_cli_without_numpy(modules, bare_interpreter_modules)
+        else:
+            assert "numpy" in modules, argv
+        report = argv[0] in ("verify", "threed-check")
+        assert ("spinstep.algebra" in modules) == report, argv
+        assert "spinstep.eigensystem" not in modules, argv
     assert sum(argv[0] == "sweep" for argv in commands) == 3
     # the fig4 sweep is the linear one, checked without numpy above
     assert [argv[-1] for argv in commands if argv[0] == "sweep" and "linear" in argv] == [
@@ -715,11 +777,11 @@ def test_overflowing_point_commands_exit_2(capsys, argv):
 NAMEDTUPLE_API = {"_fields", "_field_defaults", "_asdict", "_replace", "_make"}
 
 # (module, name): the only private names a module reads of another, all
-# scattering's: the point kernel a sweep runs, the check every entry point
+# scattering's: the grid kernel a sweep runs, the check every entry point
 # calls, the rows' shared CSV text and JSON template, and the one spinor builder
 SCATTERING_PRIVATE_READS = {
     *(("sweep_io", name) for name in (
-        "_MAX", "_abs2", "_amplitudes", "_curves", "_positive_finite", "_csv_text", "_JSON_LINE",
+        "_MAX", "_positive_finite", "_rows", "_csv_text", "_JSON_LINE",
     )),
     *((module, name) for module in ("algebra", "eigensystem")
       for name in ("_positive_finite", "_eigen_spinors")),

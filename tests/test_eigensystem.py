@@ -165,6 +165,30 @@ def test_dispersion_refuses_where_the_residual_rounding_exceeds_its_bound():
             verify_dispersion(energies=[r / inward * ME])
 
 
+def test_dispersion_default_grid_is_100_log_points_from_1_ev_to_10_mev(monkeypatch):
+    # the energies the report prints deviations for: 10**(7k/99) eV, k = 0..99,
+    # bit for bit
+    scaled = algebra._scaled
+    seen = []
+
+    def recording(energy, mass):
+        seen.append(energy)
+        return scaled(energy, mass)
+
+    monkeypatch.setattr(algebra, "_scaled", recording)
+    assert verify_dispersion().passed
+    assert list(map(float.hex, seen)) == [float.hex(10.0 ** (7.0 * k / 99)) for k in range(100)]
+
+
+def test_dispersion_residual_rounding_refusal_at_its_lower_edge():
+    # eps*2*hypot(E, m)/p rounds to exactly 1e-12 at this energy, which is
+    # accepted, and above it at the double just below, which is refused
+    edge = 0.05038838678299881
+    assert verify_dispersion(energies=[edge]).passed
+    with pytest.raises(PrecisionError, match="residual rounds above its bound"):
+        verify_dispersion(energies=[math.nextafter(edge, 0.0)])
+
+
 def test_eigen_equation_residual_fails_or_refuses_across_the_double_range(monkeypatch):
     # the residual can fail wherever it passes: a -p state in a +p slot fails
     # at every energy the suite accepts

@@ -157,6 +157,17 @@ def test_decay_constant_evanescent():
         assert np.abs(basis @ coef - mode).max() <= 1e-14 * np.abs(mode).max()
 
 
+@pytest.mark.parametrize("v0, mass", [(100.0, ME), (ME, ME), (2.5e-3, 1e12)])
+def test_threshold_region_ii_columns_are_the_pole_free_pair_at_s_0(v0, mass):
+    # at E = V0 the oracle stays on the evanescent basis: its region-II
+    # columns are minus the pole-free pair at s = sqrt(V0 - E) = 0, not the
+    # propagating modes u^(1), u^(2) at p = 0
+    rows, _ = _continuity_matrix(StepProblem(energy=v0, v0=v0, mass=mass))
+    r = math.sqrt(mass)
+    columns = [[row[k] for row in rows] for k in (2, 3)]
+    assert columns == [[-r, -r, 1j * r, -1j * r], [r, -r, -1j * r, -1j * r]]
+
+
 def on_pole_reflection(energy, mass, spin):
     """(R1', R2') of the evanescent closed forms, (E-m)^2/(E+m)^2 kept and
     4Em/(E+m)^2 flipped, at 50 digits, for the incident spin."""
@@ -703,57 +714,45 @@ def test_property_kernel_bits_equal_on_floats_and_arrays(
 @settings(max_examples=300, deadline=None)
 @given(log_e=log_ev, log_m=log_ev)
 def test_property_eigen_spinors_bits_equal_on_floats_and_arrays(log_e, log_m):
-    # the point route (floats) and the dispersion grid (arrays) build the
-    # four spinors from the same arithmetic; analytic_eigenstate is the
-    # spinor of its kind
+    # analytic_eigenstate is, bit for bit, the spinor of its kind that the
+    # point route builds on floats
     energy, mass = 10.0**log_e, 10.0**log_m
     momentum = math.sqrt(2.0 * energy * mass)
     point = _eigen_spinors(energy, mass, momentum)
-    grid = _eigen_spinors(np.array([energy]), mass, np.array([momentum]))
-    assert len(point) == len(grid) == 4
-    for kind, (scalar, array) in enumerate(zip(point, grid), start=1):
-        assert [_bits(z) for z in scalar] == [_bits(z) for z in array], kind
+    assert len(point) == 4
+    for kind, scalar in enumerate(point, start=1):
         state = analytic_eigenstate(kind, energy, mass)
         assert state.tobytes() == np.array(scalar, dtype=complex).tobytes(), kind
 
 
 def test_unitarity_refusal_names_one_point():
-    # a point keeps its message; a grid names its first failing energy
-    # instead of printing whole columns
+    # a refusal on floats, a point or a sweep's grid point, names its
+    # energy; the array pass words none: it returns None, and the grid
+    # kernel reruns the grid on floats
     bad = (0.5, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError) as point:
         _curves(Branch.EVANESCENT, 50.0, 100.0, ME, bad, math.sqrt)
     assert str(point.value) == (
-        "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} violate unitarity: the "
-        "sum must be within 1e-12 of 1 and each within 1e-12 of [0, 1]"
+        "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} at E = 50.0 eV violate unitarity: "
+        "the sum must be within 1e-12 of 1 and each within 1e-12 of [0, 1]"
     )
     energy = np.array([10.0, 20.0, 30.0])
     grid = [np.array(v) for v in ((1.0, 0.5, np.nan), (0.0, 0.0, 0.0), (0, 0, 0), (0, 0, 0))]
-    with pytest.raises(ValueError) as sweep:
-        _curves(Branch.EVANESCENT, energy, 100.0, ME, grid, np.sqrt)
-    assert str(sweep.value).startswith(
-        "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} at E = 20.0 eV violate unitarity"
-    )
-    # a linear sweep's grid point, on floats, names its energy as a grid does
-    with pytest.raises(ValueError) as grid_point:
-        _curves(Branch.EVANESCENT, 20.0, 100.0, ME, bad, math.sqrt, True)
-    assert str(grid_point.value).startswith(
-        "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} at E = 20.0 eV violate unitarity"
-    )
+    assert _curves(Branch.EVANESCENT, energy, 100.0, ME, grid, np.sqrt) is None
 
 
 @pytest.mark.parametrize("excess", (1e-11, 1e-7))
 @pytest.mark.parametrize("branch, energy", [(Branch.PROPAGATING, 200.0), (Branch.EVANESCENT, 50.0)])
 def test_a_probability_just_above_1_is_refused_on_floats_and_arrays(branch, energy, excess):
     # past CLAMP_EPS = 1e-12 above 1 a probability is refused, not clamped
-    # onto 1, however little past: on floats (a point, a linear sweep) and
-    # on arrays (a log sweep)
+    # onto 1, however little past: on floats (a point, a sweep's rerun) and
+    # on arrays (a log sweep's pass, which returns None for the rerun)
     bad = (1.0 + excess, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="violate unitarity") as point:
+    with pytest.raises(ValueError, match=f"at E = {energy!r} eV violate unitarity") as point:
         _curves(branch, energy, 100.0, ME, bad, math.sqrt)
-    with pytest.raises(ValueError, match="violate unitarity") as grid:
-        _curves(branch, np.array([energy]), 100.0, ME, [np.array([v]) for v in bad], np.sqrt)
-    assert type(point.value) is type(grid.value) is ValueError
+    assert type(point.value) is ValueError
+    grid = [np.array([v]) for v in bad]
+    assert _curves(branch, np.array([energy]), 100.0, ME, grid, np.sqrt) is None
 
 
 # ------------------------------------------------------- around the pole

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from spinstep.scattering import (
     ELECTRON_MASS_EV,
-    PrecisionError,
     Spin,
     StepProblem,
     closed_form_amplitudes,
     coefficients,
     currents,
+    _rows,
 )
 from spinstep.sweep_io import (
     EvanescentRow,
@@ -27,7 +27,6 @@ from spinstep.sweep_io import (
     emit_json,
     emit_svg,
     format_float,
-    _array_rows,
     run_sweep,
 )
 
@@ -88,6 +87,27 @@ def test_spec_refuses_a_top_energy_beyond_the_double_range():
     with pytest.raises(ValueError, match="exceeds the largest double"):
         SweepSpec(v0=2.0, e_over_v0_min=1.5, e_over_v0_max=sys.float_info.max)
     assert SweepSpec(v0=2.0, e_over_v0_min=1.5, e_over_v0_max=sys.float_info.max / 2)
+    # the largest double itself is a top bound, where the top energy fits
+    assert SweepSpec(v0=0.5, e_over_v0_min=1.5, e_over_v0_max=sys.float_info.max)
+
+
+def test_spec_refuses_a_bottom_energy_that_underflows_to_0():
+    # e_over_v0_min * v0 rounds to 0: refused with both values, as the top
+    # energy is, where the sweep would write an E = 0 row that a point query
+    # refuses; a subnormal bottom energy is still a row
+    for spacing in Spacing:
+        with pytest.raises(
+            ValueError, match=r"e_over_v0_min \* v0 = 1e-250 \* 1e-100 eV underflows to 0"
+        ) as refused:
+            SweepSpec(v0=1e-100, mass=1e-100, e_over_v0_min=1e-250, e_over_v0_max=0.5,
+                      points=3, spacing=spacing, regime=Regime.EVANESCENT)
+        assert type(refused.value) is ValueError
+    # the grid kernel refuses such an energy as StepProblem does
+    with pytest.raises(ValueError, match="^energy must be positive and finite, got 0.0$"):
+        _rows([1e-250, 0.5], 1e-100, 1e-100, Spin.UP)
+    spec = SweepSpec(v0=1e-100, mass=1e-100, e_over_v0_min=1e-220, e_over_v0_max=0.5,
+                     points=3, spacing=Spacing.LINEAR, regime=Regime.EVANESCENT)
+    assert run_sweep(spec).rows[0].e_ev == 1e-220 * 1e-100 > 0.0
 
 
 def test_spec_defaults():
@@ -283,26 +303,16 @@ def test_linear_grid_is_np_linspace_bit_for_bit(bounds, points):
 
 
 def _outcome(evaluate):
-    """Rows as (type, value bits), or a refusal: its kind, and for a
-    unitarity refusal its message too."""
+    """Rows as (type, value bits), or a refusal: its kind and its message."""
     try:
         rows = evaluate()
     except ValueError as exc:
-        return type(exc), None if isinstance(exc, PrecisionError) else str(exc)
+        return type(exc), str(exc)
     assert all(type(v) is float for row in rows for v in row)
     return [(type(row), tuple(map(float.hex, row))) for row in rows]
 
 
-@settings(max_examples=300, deadline=None)
-# a denominator underflows to 0: PrecisionError, as the array kernel's
-# non-finite probabilities are
-@example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spin=Spin.UP)
-# finite probabilities that fail the unit sum: the message names E
-@example(v0=1.5733035492803722e234, mass=2.5821339805390623e211, bounds=(1e-186, 1e-185),
-         points=3, spin=Spin.DOWN)
-@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=31, spin=Spin.DOWN)
-@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=np.int64(7), spin=Spin.UP)
-@given(
+SPEC_VALUES = dict(
     v0=POSITIVE_DOUBLES,
     mass=POSITIVE_DOUBLES,
     bounds=st.one_of(
@@ -313,17 +323,67 @@ def _outcome(evaluate):
     points=st.integers(2, 40),
     spin=st.sampled_from(Spin),
 )
+
+
+@settings(max_examples=300, deadline=None)
+# a denominator underflows to 0: PrecisionError, as the array pass's
+# non-finite probabilities are after its rerun on floats
+@example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spin=Spin.UP)
+# finite probabilities that fail the unit sum: the message names E
+@example(v0=1.5733035492803722e234, mass=2.5821339805390623e211, bounds=(1e-186, 1e-185),
+         points=3, spin=Spin.DOWN)
+@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=31, spin=Spin.DOWN)
+@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=np.int64(7), spin=Spin.UP)
+@given(**SPEC_VALUES)
 def test_linear_sweep_on_floats_equals_the_array_kernel(v0, mass, bounds, points, spin):
-    # the float route gives the rows, or the refusal kind, of the closed
-    # forms run on arrays over np.linspace's grid, for both spins and the
-    # whole double range
+    # the float route gives the rows, or the refusal, of the grid kernel's
+    # array pass over np.linspace's grid, for both spins and the whole
+    # double range
     lo, hi = sorted(bounds)
     try:
         spec = SweepSpec(v0=v0, mass=mass, e_over_v0_min=lo, e_over_v0_max=hi,
                          points=points, spacing=Spacing.LINEAR, incident_spin=spin)
     except ValueError:
         reject()
-    want = _outcome(lambda: _array_rows(_linspace(lo, hi, points), spec))
+    grid = _linspace(lo, hi, points)
+    want = _outcome(lambda: _rows(grid, float(v0), float(mass), spin))
+    assert _outcome(lambda: run_sweep(spec).rows) == want
+
+
+def _point_queries(spec) -> list:
+    """The point route over the spec's grid values: each point query's row,
+    with the grid value as its e_over_v0, up to the first refusal."""
+    rows = []
+    for x in map(float, spec.grid()):
+        problem = StepProblem(x * float(spec.v0), spec.v0, spec.mass, spec.incident_spin)
+        rows.append(coefficients(problem, closed_form_amplitudes(problem))._replace(e_over_v0=x))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+# every grid point's denominator underflows to 0: the log grid's array pass
+# sees non-finite probabilities, and the sweep says what the first point says
+@example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spin=Spin.UP,
+         spacing=Spacing.LOG)
+@example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spin=Spin.DOWN,
+         spacing=Spacing.LINEAR)
+# finite probabilities that fail the unit sum, named at their energy
+@example(v0=1.5733035492803722e234, mass=2.5821339805390623e211, bounds=(1e-186, 1e-185),
+         points=3, spin=Spin.DOWN, spacing=Spacing.LOG)
+@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=31, spin=Spin.DOWN,
+         spacing=Spacing.LOG)
+@given(**SPEC_VALUES, spacing=st.sampled_from(Spacing))
+def test_sweep_returns_or_refuses_as_its_point_queries(v0, mass, bounds, points, spin, spacing):
+    # linear and log grids across the double range, both spins: a sweep's
+    # rows are its point queries' over the same grid values, bit for bit,
+    # or it raises the refusal of the first refused point, type and message
+    lo, hi = sorted(bounds)
+    try:
+        spec = SweepSpec(v0=v0, mass=mass, e_over_v0_min=lo, e_over_v0_max=hi,
+                         points=points, spacing=spacing, incident_spin=spin)
+    except ValueError:
+        reject()
+    want = _outcome(lambda: _point_queries(spec))
     assert _outcome(lambda: run_sweep(spec).rows) == want
 
 
