@@ -46,9 +46,9 @@ refusal: it takes the evanescent branch, where nothing divides by
 V0 - E.  An input that is not positive and finite is a plain ValueError,
 from the one check every module's entry points call, _positive_finite.
 
-numpy is imported only by continuity_residual, for its QR projection, and
-by _rows for a log grid's array pass; StepProblem, both amplitude routes,
-coefficients, currents and a linear sweep run without it.
+numpy is imported only by _rows, for a log grid's array pass; StepProblem,
+both amplitude routes, coefficients, currents, continuity_residual and a
+linear sweep run without it.
 """
 
 from __future__ import annotations
@@ -205,9 +205,11 @@ def _continuity_matrix(problem: StepProblem):
     decaying space is spanned instead by the pole-free pair
     (s = sqrt(V0 - E), r = sqrt(m))
 
-        v1 = [s+r, s+r, i(s-r), -i(s-r)],  v2 = [s-r, r-s, i(s+r), i(s+r)],
+        v1 = [s+r, s+r, i(s-r), -i(s-r)],  v2 = [s-r, r-s, i(s+r), i(s+r)].
 
-    which stay at least 60 degrees apart for every V0 - E and m.  The mode
+    In both branches the two region-II columns are orthogonal and of equal
+    norm, sqrt(2) above the step and 2 sqrt(s^2 + r^2) below it, for every
+    V0 - E and m (tests/test_symbolic_identities.py).  The mode
     components come from _eigen_spinors, where their formulas are written,
     built once at E and, above the step, once at E - V0.  The right-hand
     side is minus the incident mode.
@@ -223,6 +225,17 @@ def _continuity_matrix(problem: StepProblem):
         v1 = (s + r, s + r, 1j * (s - r), -1j * (s - r))
         v2 = (s - r, r - s, 1j * (s + r), 1j * (s + r))
     return [(a, b, -c, -d) for a, b, c, d in zip(r_up, r_down, v1, v2)], [-z for z in incident]
+
+
+def _parts(vector) -> list:
+    """The real and imaginary parts of a vector of Python numbers, in order."""
+    return [x for z in vector for x in (z.real, z.imag)]
+
+
+def _not_finite(problem: StepProblem) -> PrecisionError:
+    """The refusal of a continuity system with an entry that is not finite."""
+    e, v0, m, _ = problem
+    return PrecisionError("the continuity system is not finite", E=e, V0=v0, m=m)
 
 
 def _solve_continuity(rows, rhs) -> list:
@@ -256,14 +269,16 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
     (c = alpha(s+r) + beta(s-r) and c' = alpha(s+r) - beta(s-r) on the
     pole-free basis).  The solution is rejected if its relative backward
     error |Mx - b| / (|M| |x| + |b|), infinity norms on the full M (Higham,
-    ch. 7), exceeds CONTINUITY_TOL, and so is a propagating solution whose
-    amplitudes differ across the step by more than 1e-12 in the spin channel
-    carrying no incident wave (b' == c' for spin-up incidence, b == c for
-    spin-down).  Its accuracy is backward, not relative: small amplitudes
-    (V0 << E, or E, V0 and m decades apart) can carry large relative errors,
-    and M, well conditioned through V0 - E = m, reaches an infinity-norm
-    condition number of 9.8e14 where E/m is extreme (E = 1.66e-6,
-    V0 = 2.61e-6, m = 7.9e11 eV: 8.7e-9 from a 50-digit solve).
+    ch. 7), exceeds CONTINUITY_TOL: with a RuntimeError, or a PrecisionError
+    if it is nan, which an entry of M that overflows leaves.  So is a
+    propagating solution whose amplitudes differ across the step by more
+    than 1e-12 in the spin channel carrying no incident wave (b' == c' for
+    spin-up incidence, b == c for spin-down).  Its accuracy is backward,
+    not relative: small amplitudes (V0 << E, or E, V0 and m decades apart)
+    can carry large relative errors, and M, well conditioned through
+    V0 - E = m, reaches an infinity-norm condition number of 9.8e14 where
+    E/m is extreme (E = 1.66e-6, V0 = 2.61e-6, m = 7.9e11 eV: 8.7e-9 from a
+    50-digit solve).
     """
     e, v0, m, spin = problem
     rows, rhs = _continuity_matrix(problem)
@@ -284,6 +299,8 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
         abs(d0 * x0 + d1 * x1 + d2 * x2 + d3 * x3 - y3),
     ) / scale
     if not backward_error <= CONTINUITY_TOL:
+        if backward_error != backward_error:  # nan: an entry of the system overflows
+            raise _not_finite(problem)
         raise RuntimeError(
             f"continuity backward error {backward_error:.3e} exceeds "
             f"{CONTINUITY_TOL:g} after linear solve"
@@ -644,17 +661,26 @@ def continuity_residual(problem: StepProblem, amps: AmplitudeSet) -> float:
 
     With left = psi_I(0), the incident mode plus b and b' times the
     reflected modes, this is the larger of the distance of left from the
-    span of the region-II columns (by orthogonal projection) and
-    |left[:2] - (c, c')|, since c and c' are the upper components of
-    psi_II(0).  Nothing divides by V0 - E - m, so the residual stays at the
-    rounding level through the mass pole.  Zero amplitudes give 1.
+    span of the region-II columns and |left[:2] - (c, c')|, since c and c'
+    are the upper components of psi_II(0), both 2-norms.  The columns are
+    orthogonal (_continuity_matrix), so the projection removes each one
+    once, normalized by math.hypot, in Python numbers: no factorization and
+    no squared norm to overflow.  Nothing divides by V0 - E - m, so the
+    residual stays at the rounding level through the mass pole.  Zero
+    amplitudes give 1, non-finite ones nan or inf; a system with an entry
+    that is not finite raises PrecisionError.
     """
-    import numpy as np
-
     rows, rhs = _continuity_matrix(problem)
-    matrix = np.array(rows, dtype=complex)
-    left = matrix[:, :2] @ [amps.b, amps.b_prime] - rhs
-    q, _ = np.linalg.qr(matrix[:, 2:])
-    off_span = left - q @ (q.conj().T @ left)
-    upper = left[:2] - [amps.c, amps.c_prime]
-    return float(max(np.linalg.norm(off_span), np.linalg.norm(upper)))
+    if not all(map(math.isfinite, _parts(z for row in rows for z in row))):
+        raise _not_finite(problem)
+    b, b_prime = amps.b, amps.b_prime
+    left = [up * b + down * b_prime - y for (up, down, _, _), y in zip(rows, rhs)]
+    off_span = left
+    for column in list(zip(*rows))[2:]:
+        norm = math.hypot(*_parts(column))
+        unit = [z / norm for z in column]
+        overlap = reduce(add, [q.conjugate() * w for q, w in zip(unit, off_span)])
+        off_span = [w - q * overlap for q, w in zip(unit, off_span)]
+    upper = (left[0] - amps.c, left[1] - amps.c_prime)
+    # upper first: a non-finite amplitude leaves it nan or inf, which max keeps
+    return max(math.hypot(*_parts(upper)), math.hypot(*_parts(off_span)))

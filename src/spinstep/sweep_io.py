@@ -150,7 +150,10 @@ class SweepSpec(_SweepFields):
 
 
 class SweepResult(NamedTuple):
-    """One row per grid point, in strictly increasing energy."""
+    """One row per grid point, in grid order: increasing E/V0 up to
+    rounding.  A span of a few ulps repeats values, and a linear grid with a
+    near-subnormal step can put its last point, the top bound itself, below
+    the one before it."""
 
     rows: tuple
 
@@ -164,7 +167,7 @@ class SweepResult(NamedTuple):
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """The grid's rows from scattering._rows, in strictly increasing energy,
+    """The grid's rows from scattering._rows, in grid order (SweepResult),
     each its point query's, or the refusal of the first refused point."""
     return SweepResult(_rows(spec.grid(), float(spec.v0), float(spec.mass), spec.incident_spin))
 

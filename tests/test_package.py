@@ -45,7 +45,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # exported names whose only callers are tests, each with its reason
 TEST_ONLY_EXPORTS = {
-    "continuity_residual": "the tests' continuity measure for amplitudes from any route",
     "schrodinger_reduction_check": "the entry point of the known red acceptance check 8b",
     "eigensystem": "read outside tests only as the string in perfbench's "
     'load_spinstep(..., "spinstep.eigensystem")',
@@ -98,15 +97,18 @@ def test_every_exported_name_has_a_caller_outside_tests():
 def test_point_names_and_cli_resolve_without_numpy():
     # in a fresh interpreter: the lazy search stops at the numpy-free
     # modules, `from spinstep import cli` does not search at all, and the
-    # oracle route solves both branches without numpy
+    # oracle route solves both branches, and continuity_residual measures
+    # them, without numpy
     code = (
         "import sys, spinstep; spinstep.StepProblem; spinstep.run_sweep; "
         "from spinstep import cli; "
-        "from spinstep import StepProblem, solve_amplitudes_linear, coefficients, currents\n"
+        "from spinstep import StepProblem, solve_amplitudes_linear, coefficients, currents, "
+        "continuity_residual\n"
         "for energy in (200.0, 50.0):\n"
         "    problem = StepProblem(energy, 100.0)\n"
         "    amps = solve_amplitudes_linear(problem)\n"
         "    coefficients(problem, amps), currents(problem, amps)\n"
+        "    assert continuity_residual(problem, amps) <= 1e-12\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -969,6 +969,16 @@ def test_continuity_residual_zero_amplitudes():
     assert continuity_residual(problem, zero) >= 1.0
 
 
+def test_continuity_residual_of_non_finite_amplitudes_is_not_finite():
+    # a nan or an infinite amplitude, in any slot, never reads as continuous
+    problem = StepProblem(energy=200.0, v0=100.0)
+    amps = closed_form_amplitudes(problem)
+    for field in ("b", "b_prime", "c", "c_prime"):
+        for bad in (math.nan, math.inf):
+            residual = continuity_residual(problem, amps._replace(**{field: complex(bad, 0.0)}))
+            assert not math.isfinite(residual), (field, bad)
+
+
 def test_continuity_residual_closed_form_path():
     for energy, v0 in [(200.0, 100.0), (50.0, 100.0), (2e6, 1e6)]:
         problem = StepProblem(energy=energy, v0=v0)
@@ -978,6 +988,51 @@ def test_continuity_residual_closed_form_path():
 
 # every positive double, subnormals and the largest included
 POSITIVE_DOUBLES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def qr_residual(problem, amps) -> float:
+    """continuity_residual's measure with the projection onto the region-II
+    columns taken from numpy's Householder QR, which assumes nothing of the
+    columns."""
+    rows, rhs = _continuity_matrix(problem)
+    matrix = np.array(rows, dtype=complex)
+    left = matrix[:, :2] @ [amps.b, amps.b_prime] - rhs
+    q, _ = np.linalg.qr(matrix[:, 2:])
+    off_span = left - q @ (q.conj().T @ left)
+    upper = left[:2] - [amps.c, amps.c_prime]
+    return float(max(np.linalg.norm(off_span), np.linalg.norm(upper)))
+
+
+@settings(max_examples=300, deadline=None)
+@example(1e3, 1e3 + ME, ME, Spin.UP)  # the mass pole V0 - E = m
+@example(1e3, 1e3 + ME, ME, Spin.DOWN)
+@example(100.0, 100.0, ME, Spin.UP)  # the threshold E = V0
+@example(4.474999244675128e-52, 4.474999244675128e-52, 8.213591773403413e-300, Spin.DOWN)
+# 2*E*m overflows: the system is not finite, the closed forms are
+@example(2.661956350506187e56, 2.147996056811728e-171, 4.537048608995691e251, Spin.UP)
+@given(energy=POSITIVE_DOUBLES, v0=POSITIVE_DOUBLES, mass=POSITIVE_DOUBLES,
+       spin=st.sampled_from((Spin.UP, Spin.DOWN)))
+def test_continuity_residual_is_the_qr_projection(energy, v0, mass, spin):
+    # the region-II columns are orthogonal and of equal norm, so removing
+    # each normalized column once is the orthogonal projection: on both
+    # routes' finite amplitudes, wherever the system is finite, the residual
+    # is within 1e-14 of the one projected through numpy's QR; where an
+    # entry of the system is not finite it is refused
+    problem = StepProblem(energy, v0, mass, spin)
+    rows, _ = _continuity_matrix(problem)
+    finite = np.isfinite(np.array(rows, dtype=complex)).all()
+    for route in (closed_form_amplitudes, solve_amplitudes_linear):
+        try:
+            amps = route(problem)
+        except (PrecisionError, RuntimeError):
+            continue
+        if not all(math.isfinite(x) for z in amps[1:5] for x in (z.real, z.imag)):
+            continue
+        if not finite:
+            with pytest.raises(PrecisionError, match="the continuity system is not finite"):
+                continuity_residual(problem, amps)
+            continue
+        assert abs(continuity_residual(problem, amps) - qr_residual(problem, amps)) <= 1e-14
 
 
 @settings(max_examples=300, deadline=None)
@@ -1030,21 +1085,24 @@ def test_point_route_returns_or_refuses_every_positive_double(energy, v0, mass, 
 @settings(max_examples=300, deadline=None)
 # a zero pivot of the elimination
 @example(4.474999244675128e-52, 3.160220296519332e90, 8.213591773403413e-300, Spin.UP)
-# a backward error above CONTINUITY_TOL
+# an entry of the system overflows: a nan backward error
 @example(1.900779840119371e279, 3.6026157030657704e-09, 8.721658367086122e250, Spin.DOWN)
 @given(energy=POSITIVE_DOUBLES, v0=POSITIVE_DOUBLES, mass=POSITIVE_DOUBLES,
        spin=st.sampled_from((Spin.UP, Spin.DOWN)))
 def test_oracle_returns_or_refuses_every_positive_double(energy, v0, mass, spin):
     # StepProblem -> solve_amplitudes_linear ends in finite amplitudes, a
-    # typed refusal or the backward-error refusal: never an untyped
-    # exception, and never nan or inf accepted
+    # typed refusal or the refusal of a finite backward error above the
+    # bound: never an untyped exception, never a nan backward error, and
+    # never nan or inf accepted
     try:
         problem = StepProblem(energy, v0, mass, spin)
         amps = solve_amplitudes_linear(problem)
     except PrecisionError:
         return
     except RuntimeError as exc:
-        assert "continuity backward error" in str(exc)
+        words = str(exc).split()
+        assert words[:3] == ["continuity", "backward", "error"]
+        assert math.isfinite(float(words[3]))
         return
     assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in amps[1:5])
     assert type(amps) is AmplitudeSet
@@ -1073,9 +1131,18 @@ def _point_route(energy, v0, mass=ME):
     (lambda: solve_amplitudes_linear(
         StepProblem(4.474999244675128e-52, 3.160220296519332e90, 8.213591773403413e-300)),
      "a pivot of the continuity solve is 0"),
+    (lambda: solve_amplitudes_linear(
+        StepProblem(1.900779840119371e279, 3.6026157030657704e-09, 8.721658367086122e250)),
+     "the continuity system is not finite"),
+    # 2*E*m overflows, so the reflected modes' lower components are not finite
+    (lambda: continuity_residual(
+        StepProblem(2.661956350506187e56, 2.147996056811728e-171, 4.537048608995691e251),
+        AmplitudeSet(Branch.PROPAGATING, 0j, 0j, 0j, 0j)),
+     "the continuity system is not finite"),
     (lambda: verify_dispersion(energies=[1e-3]), "the eigen-equation residual rounds above"),
 ], ids=["underflow", "probabilities", "E/V0", "current", "sweep", "eigenstate",
-        "shell_determinant", "squared_operator_check", "oracle_pivot", "dispersion_residual"])
+        "shell_determinant", "squared_operator_check", "oracle_pivot", "oracle_overflow",
+        "residual_overflow", "dispersion_residual"])
 def test_every_precision_refusal_is_one_kind_with_one_wording(refused, what):
     with pytest.raises(PrecisionError) as info:
         refused()

@@ -14,6 +14,8 @@ threshold E = V0, which takes the evanescent branch:
 * continuity at z = 0, u_inc + b u3 + b' u4 = c u1(E-V0) + c' u2(E-V0),
   multiplied through by E - V0 + m so that it holds at the mass pole too;
 * below the step, psi_I(0) in the span of the oracle's pole-free pair;
+* the oracle's two region-II columns are orthogonal and of equal norm, on
+  which continuity_residual's projection rests;
 * the unit sum of the probabilities, transmission weighted by the ratio of
   the transmitted to the incident mode current;
 * T1 + T2 and R1 + R2 equal the textbook spinless 4 k1 k2/(k1+k2)^2 and
@@ -139,6 +141,24 @@ def test_evanescent_wave_lies_in_the_pole_free_span(spin):
         for picked in combinations(range(4), 3):  # every 3x3 minor of [v1 v2 psi]
             v1, v2, left = (sympy.Matrix([column[i] for i in picked]) for column in columns)
             assert is_zero(left.dot(v1.cross(v2)))
+
+
+@BRANCHES
+def test_region_two_columns_are_orthogonal_and_of_equal_norm(branch):
+    # removing each normalized column once is the orthogonal projection onto
+    # their span only if they are orthogonal: above the step |u1|^2 = |u2|^2
+    # = 2, below it |v1|^2 = |v2|^2 = 4(s^2 + r^2) = 4(V0 - E + m), at the
+    # threshold s = 0 and on the mass pole s = r too
+    heights = STEP_HEIGHTS[branch]
+    if branch is Branch.EVANESCENT:
+        heights += (E + m,)
+    for v0 in heights:
+        rows, _ = _continuity_matrix(tuple.__new__(StepProblem, (E, v0, m, Spin.UP)))
+        v1, v2 = (sympy.Matrix([row[k] for row in rows]) for k in (2, 3))
+        norm2 = 2 if branch is Branch.PROPAGATING else 4 * (v0 - E + m)
+        assert is_zero((v1.H * v2)[0])
+        assert is_zero((v1.H * v1)[0] - norm2)
+        assert is_zero((v2.H * v2)[0] - norm2)
 
 
 def spin_sums(problem: StepProblem, pairs) -> tuple:
