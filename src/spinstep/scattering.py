@@ -32,12 +32,14 @@ the spinless T and R, and that each current equals the bilinear u^dagger
 (eta + eta^dagger) u of its mode, is proven exactly, on symbols, in
 tests/test_symbolic_identities.py.
 
-coefficients returns one fixed-field row per branch, PropagatingRow or
-EvanescentRow: the type, and the values, of the sweep row at that energy.
-A row type is a NamedTuple built from its FIELDS table, which lists its
-fields once, for every output.  _rows, the grid kernel, runs the same
-_amplitudes and _curves.  Unitarity is checked once, in _curves;
-StepProblem validates in its constructor, _replace included.
+An AmplitudeSet carries the StepProblem it was computed for, whose E > V0
+is its branch; coefficients and currents refuse amplitudes of any other
+problem.  coefficients returns one fixed-field row per branch,
+PropagatingRow or EvanescentRow: the type, and the values, of the sweep
+row at that energy.  A row type is a NamedTuple built from its FIELDS
+table, which lists its fields once, for every output.  _rows, the grid
+kernel, runs the same _amplitudes and _curves.  Unitarity is checked once,
+in _curves; StepProblem validates in its constructor, _replace included.
 
 The one kind of domain refusal is PrecisionError, a ValueError subclass
 worded in one place: valid inputs whose result underflows or overflows
@@ -64,7 +66,6 @@ from typing import NamedTuple
 __all__ = [
     "ELECTRON_MASS_EV",
     "Spin",
-    "Branch",
     "PrecisionError",
     "StepProblem",
     "AmplitudeSet",
@@ -102,11 +103,6 @@ def _positive_finite(name: str, value):
 class Spin(Enum):
     UP = "up"
     DOWN = "down"
-
-
-class Branch(Enum):
-    PROPAGATING = "propagating"  # E > V0
-    EVANESCENT = "evanescent"  # E <= V0
 
 
 # Never raised, and not exported: perfbench reads them until ROADMAP item 8a
@@ -159,20 +155,22 @@ class StepProblem(_StepFields):
 
 
 class AmplitudeSet(NamedTuple):
-    """Mode amplitudes relative to a unit incident amplitude.
+    """Mode amplitudes relative to a unit incident amplitude, of `problem`.
 
-    b and b_prime multiply the spin-up and spin-down reflected modes; c and
-    c_prime are the upper components of psi_II(0), the region-II wave at
-    the step (the transmitted plane-wave amplitudes when propagating).  For
-    the default spin-up incidence, b preserves the spin and b_prime flips it.
+    problem is the StepProblem the amplitudes were computed for, whose
+    E > V0 is their branch; coefficients and currents refuse them for any
+    other problem (an equal StepProblem is the same problem).  b and b_prime
+    multiply the spin-up and spin-down reflected modes; c and c_prime are
+    the upper components of psi_II(0), the region-II wave at the step (the
+    transmitted plane-wave amplitudes when propagating).  For spin-up
+    incidence, b preserves the spin and b_prime flips it.
     """
 
-    branch: Branch
+    problem: StepProblem
     b: complex
     b_prime: complex
     c: complex
     c_prime: complex
-    incident_spin: Spin = Spin.UP
 
 
 def _eigen_spinors(energy, mass: float, momentum) -> tuple:
@@ -270,17 +268,17 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
     pole-free basis).  The solution is rejected if its relative backward
     error |Mx - b| / (|M| |x| + |b|), infinity norms on the full M (Higham,
     ch. 7), exceeds CONTINUITY_TOL: with a RuntimeError, or a PrecisionError
-    if it is nan, which an entry of M that overflows leaves.  So is a
-    propagating solution whose amplitudes differ across the step by more
-    than 1e-12 in the spin channel carrying no incident wave (b' == c' for
-    spin-up incidence, b == c for spin-down).  Its accuracy is backward,
-    not relative: small amplitudes (V0 << E, or E, V0 and m decades apart)
-    can carry large relative errors, and M, well conditioned through
-    V0 - E = m, reaches an infinity-norm condition number of 9.8e14 where
-    E/m is extreme (E = 1.66e-6, V0 = 2.61e-6, m = 7.9e11 eV: 8.7e-9 from a
-    50-digit solve).
+    if it is nan, which an entry of M that overflows leaves.  In the spin
+    channel with no incident wave, whose right-hand side is -0.0, b' == c'
+    (spin-up incidence) or b == c (spin-down) holds exactly: both are one
+    rounded sum, negated.  The returned set carries problem.  Its accuracy
+    is backward, not relative: small amplitudes (V0 << E, or E, V0 and m
+    decades apart) can carry large relative errors, and M, well conditioned
+    through V0 - E = m, reaches an infinity-norm condition number of 9.8e14
+    where E/m is extreme (E = 1.66e-6, V0 = 2.61e-6, m = 7.9e11 eV: 8.7e-9
+    from a 50-digit solve).
     """
-    e, v0, m, spin = problem
+    e, v0, m, _ = problem
     rows, rhs = _continuity_matrix(problem)
     try:
         x0, x1, x2, x3 = _solve_continuity(rows, rhs)
@@ -306,19 +304,12 @@ def solve_amplitudes_linear(problem: StepProblem) -> AmplitudeSet:
             f"{CONTINUITY_TOL:g} after linear solve"
         )
     c, c_prime = -(a2 * x2 + a3 * x3), -(b2 * x2 + b3 * x3)
-    branch = Branch.PROPAGATING if e > v0 else Branch.EVANESCENT
-    up = spin is Spin.UP
-    mismatch = abs(x1 - c_prime) if up else abs(x0 - c)
-    if branch is Branch.PROPAGATING and mismatch > 1e-12:
-        relation = "b_prime == c_prime" if up else "b == c"
-        raise ValueError(
-            f"propagating amplitudes must satisfy {relation}, got difference {mismatch:.3e}"
-        )
-    return tuple.__new__(AmplitudeSet, (branch, x0, x1, c, c_prime, spin))
+    return tuple.__new__(AmplitudeSet, (problem, x0, x1, c, c_prime))
 
 
-def _amplitudes(branch: Branch, energy, v0, mass, spin: Spin, sqrt):
-    """Closed-form amplitudes (b, b', c, c') as (real, imaginary) pairs.
+def _amplitudes(propagating: bool, energy, v0, mass, spin: Spin, sqrt):
+    """Closed-form amplitudes (b, b', c, c') as (real, imaginary) pairs, on
+    the branch propagating = E > V0, which the caller decides.
 
     energy is a float, with sqrt = math.sqrt, or an array of energies of one
     branch of a log sweep, with sqrt = numpy.sqrt.  The arithmetic is real,
@@ -341,7 +332,7 @@ def _amplitudes(branch: Branch, energy, v0, mass, spin: Spin, sqrt):
     """
     k1 = sqrt(energy)
     try:
-        if branch is Branch.PROPAGATING:
+        if propagating:
             k2 = sqrt(energy - v0)
             k_sum = k1 + k2
             denom = (energy + mass) * (k_sum * k_sum)
@@ -375,13 +366,12 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
     the upper components of psi_II(0).
     """
     energy, v0, mass, spin = problem
-    branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT
     (b, b_im), (b_prime, b_prime_im), (c, c_im), (c_prime, c_prime_im) = _amplitudes(
-        branch, energy, v0, mass, spin, math.sqrt
+        energy > v0, energy, v0, mass, spin, math.sqrt
     )
     return tuple.__new__(AmplitudeSet, (
-        branch, complex(b, b_im), complex(b_prime, b_prime_im), complex(c, c_im),
-        complex(c_prime, c_prime_im), spin,
+        problem, complex(b, b_im), complex(b_prime, b_prime_im), complex(c, c_im),
+        complex(c_prime, c_prime_im),
     ))
 
 
@@ -462,7 +452,7 @@ EvanescentRow = _row_type(
 )
 
 
-def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list | None:
+def _curves(propagating: bool, energy, v0, mass, abs2, sqrt) -> list | None:
     """The curve columns of the branch's row, in FIELDS order, from abs2 =
     (|b|^2, |b'|^2, |c|^2, |c'|^2): the probabilities, their sum, the row's
     `total`, and, above the step, the spinless T and R.  energy and abs2 are
@@ -476,7 +466,6 @@ def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list | None:
     not finite; on arrays it returns None, for _rows to rerun on floats.
     """
     r_up, r_down, t_up, t_down = abs2
-    propagating = branch is Branch.PROPAGATING
     if propagating:
         k1 = sqrt(energy)
         k2 = sqrt(energy - v0)
@@ -514,7 +503,8 @@ def _curves(branch: Branch, energy, v0, mass, abs2, sqrt) -> list | None:
 def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | EvanescentRow:
     """Probabilities from amplitudes, as the branch's row: the type, and
     field for field the values, of the sweep row at this energy, with
-    e_over_v0 = E/V0.
+    e_over_v0 = E/V0.  Amplitudes of any problem but this one (or an equal
+    one) are refused with a ValueError.
 
     Propagating transmission carries the flux factor
     (E+m)*sqrt(E-V0) / ((E-V0+m)*sqrt(E)) relating region-II to region-I
@@ -523,17 +513,16 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
     the row's total; a genuine violation raises ValueError, and an E/V0
     beyond the double range PrecisionError.
     """
-    e, v0, mass, spin = problem
-    branch, b, b_prime, c, c_prime, amps_spin = amps
-    propagating = e > v0
-    problem_branch = Branch.PROPAGATING if propagating else Branch.EVANESCENT
-    if branch is not problem_branch or amps_spin is not spin:
+    e, v0, mass, _ = problem
+    source, b, b_prime, c, c_prime = amps
+    if source is not problem and source != problem:
         raise ValueError("amplitude set was produced for a different problem")
+    propagating = e > v0
     abs2 = [
         _abs2(b.real, b.imag), _abs2(b_prime.real, b_prime.imag),
         _abs2(c.real, c.imag), _abs2(c_prime.real, c_prime.imag),
     ]
-    curves = _curves(branch, e, v0, mass, abs2, math.sqrt)
+    curves = _curves(propagating, e, v0, mass, abs2, math.sqrt)
     e_over_v0 = e / v0
     if e_over_v0 == math.inf:
         raise PrecisionError("E/V0 overflows", E=e, V0=v0)
@@ -541,7 +530,7 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
     return tuple.__new__(row_type, (e, e_over_v0, *curves))
 
 
-_ABOVE, _BELOW = (Branch.PROPAGATING, PropagatingRow), (Branch.EVANESCENT, EvanescentRow)
+_ABOVE, _BELOW = (True, PropagatingRow), (False, EvanescentRow)
 
 
 def _rows(x, v0: float, mass: float, spin: Spin) -> tuple:
@@ -558,9 +547,9 @@ def _rows(x, v0: float, mass: float, spin: Spin) -> tuple:
             e = x_i * v0
             if not 0.0 < e <= _MAX:  # a log grid's top can round to inf, which StepProblem refuses
                 _positive_finite("energy", e)
-            branch, row_type = _ABOVE if e > v0 else _BELOW
-            amps = _amplitudes(branch, e, v0, mass, spin, math.sqrt)
-            curves = _curves(branch, e, v0, mass, [_abs2(*a) for a in amps], math.sqrt)
+            propagating, row_type = _ABOVE if e > v0 else _BELOW
+            amps = _amplitudes(propagating, e, v0, mass, spin, math.sqrt)
+            curves = _curves(propagating, e, v0, mass, [_abs2(*a) for a in amps], math.sqrt)
             rows.append(tuple.__new__(row_type, (e, x_i, *curves)))
         return tuple(rows)
     import numpy as np
@@ -569,12 +558,12 @@ def _rows(x, v0: float, mass: float, spin: Spin) -> tuple:
     with np.errstate(all="ignore"):
         energy = x * v0
         above = energy > v0
-        for (branch, row_type), where in ((_BELOW, ~above), (_ABOVE, above)):
+        for (propagating, row_type), where in ((_BELOW, ~above), (_ABOVE, above)):
             if not where.any():
                 continue
             e = energy[where]
-            amps = _amplitudes(branch, e, v0, mass, spin, np.sqrt)
-            curves = _curves(branch, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
+            amps = _amplitudes(propagating, e, v0, mass, spin, np.sqrt)
+            curves = _curves(propagating, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
             if curves is None:
                 return _rows(x.tolist(), v0, mass, spin)
             columns = [e, x[where], *curves]
@@ -631,16 +620,16 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
     Closed forms of the bilinears u^dagger (eta+eta^dagger) u:
     j_inc = 4*p1/(E+m), reflected -j_inc*|b|^2 and -j_inc*|b'|^2,
     transmitted 4*p2*|c|^2/(E+m-V0) when propagating and exactly 0 in the
-    evanescent branch, with p1 = sqrt(2 E m) and p2 = sqrt(2 (E - V0) m).  A
-    current that overflows, or that an overflowing amplitude leaves
-    undefined, raises PrecisionError.
+    evanescent branch, with p1 = sqrt(2 E m) and p2 = sqrt(2 (E - V0) m).
+    Amplitudes of any problem but this one (or an equal one) are refused
+    with a ValueError; a current that overflows, or that an overflowing
+    amplitude leaves undefined, raises PrecisionError.
     """
-    e, v0, m, spin = problem
-    branch, b, b_prime, c, c_prime, amps_spin = amps
-    propagating = e > v0
-    problem_branch = Branch.PROPAGATING if propagating else Branch.EVANESCENT
-    if branch is not problem_branch or amps_spin is not spin:
+    e, v0, m, _ = problem
+    source, b, b_prime, c, c_prime = amps
+    if source is not problem and source != problem:
         raise ValueError("amplitude set was produced for a different problem")
+    propagating = e > v0
     j_inc = 4.0 * math.sqrt(2.0 * e * m) / (e + m)
     j_trans_up = j_trans_down = 0.0
     if propagating:
@@ -659,7 +648,8 @@ def currents(problem: StepProblem, amps: AmplitudeSet) -> CurrentDensities:
 def continuity_residual(problem: StepProblem, amps: AmplitudeSet) -> float:
     """Continuity mismatch of amps at z = 0, on the basis of the oracle.
 
-    With left = psi_I(0), the incident mode plus b and b' times the
+    It measures any amplitudes against problem, whatever problem amps
+    carries (zero amplitudes, say).  With left = psi_I(0), the incident mode plus b and b' times the
     reflected modes, this is the larger of the distance of left from the
     span of the region-II columns and |left[:2] - (c, c')|, since c and c'
     are the upper components of psi_II(0), both 2-norms.  The columns are

@@ -187,6 +187,16 @@ def test_perturbed_eta_fails_with_matching_deviation():
     assert 1e-7 < check.max_deviation < 1e-5
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (4, 3), (4, 5), (5, 4)])
+def test_candidate_that_is_not_4x4_is_refused(shape):
+    # without the check the kernel would index past a short side
+    # (IndexError) or drop a long one and report on the rest: any other
+    # shape is a ValueError before a check runs
+    rows, columns = shape
+    with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+        verify_eta_matrix([[0.0] * columns for _ in range(rows)])
+
+
 def test_nan_candidate_fails_every_check():
     # a nan after the first entry is carried through every deviation, not
     # skipped by the reduction, so no check passes on it

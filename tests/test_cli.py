@@ -345,6 +345,18 @@ def test_sweep_auto_straddling_writes_two_files(tmp_path, capsys):
     assert (tmp_path / "both_propagating.csv").exists()
 
 
+def test_sweep_pretty_summary_is_one_line(tmp_path, capsys):
+    # --pretty prints the summary as `rows=N files=...`, the files space
+    # separated, here one per regime of a straddling sweep
+    out_file = tmp_path / "both.csv"
+    code, out, err = run_cli(
+        capsys, "sweep", "--v0", "100", "--from", "0.5", "--to", "2.0",
+        "--points", "10", "--spacing", "linear", "--out", str(out_file), "--pretty",
+    )
+    files = [tmp_path / "both_evanescent.csv", tmp_path / "both_propagating.csv"]
+    assert (code, out, err) == (0, f"rows=10 files={files[0]} {files[1]}\n", "")
+
+
 def test_sweep_with_no_rows_names_no_file(tmp_path, capsys):
     # with a subnormal V0 every x*V0 rounds back to V0, where the reflected
     # amplitudes overflow: the sweep refuses with the stderr line of

@@ -19,7 +19,6 @@ from spinstep.eigensystem import analytic_eigenstate
 from spinstep.scattering import (
     ELECTRON_MASS_EV,
     AmplitudeSet,
-    Branch,
     CurrentDensities,
     EvanescentRow,
     PrecisionError,
@@ -60,14 +59,16 @@ def closed_form_row(energy, v0, **fields):
 
 
 def test_branch_classification():
-    # both amplitude routes and the row type classify E > V0 as propagating
-    for energy, branch, row_type in (
-        (200.0, Branch.PROPAGATING, PropagatingRow), (50.0, Branch.EVANESCENT, EvanescentRow)
+    # both amplitude routes carry the problem they were computed for, whose
+    # E > V0 decides the branch: the threshold E = V0 is evanescent
+    for energy, row_type in (
+        (200.0, PropagatingRow), (100.0, EvanescentRow), (50.0, EvanescentRow)
     ):
         problem = StepProblem(energy=energy, v0=100.0)
-        assert closed_form_amplitudes(problem).branch is branch
-        assert solve_amplitudes_linear(problem).branch is branch
-        assert type(closed_form_row(energy, 100.0)) is row_type
+        for route in (closed_form_amplitudes, solve_amplitudes_linear):
+            amps = route(problem)
+            assert amps.problem is problem
+            assert type(coefficients(problem, amps)) is row_type
 
 
 def test_fields_are_bound_as_python_floats():
@@ -213,24 +214,6 @@ def test_linear_solve_continuity_and_bprime_cprime():
     amps = solve_amplitudes_linear(problem)
     assert amps.b_prime == amps.c_prime  # row of the continuity system
     assert continuity_residual(problem, amps) <= 1e-12
-
-
-def test_oracle_enforces_bprime_equals_cprime(monkeypatch):
-    # the oracle is the route that can miss the relation: with the reflected
-    # amplitude of the non-incident spin shifted by 5e-12, the solution
-    # stays within the backward-error bound (a RuntimeError would not match
-    # here), but that channel's b no longer equals its c
-    from spinstep import scattering
-
-    solve = scattering._solve_continuity
-
-    def shifted(index):
-        return lambda rows, rhs: [z + 5e-12 * (j == index) for j, z in enumerate(solve(rows, rhs))]
-
-    for spin, index, relation in ((Spin.UP, 1, "b_prime == c_prime"), (Spin.DOWN, 0, "b == c")):
-        monkeypatch.setattr(scattering, "_solve_continuity", shifted(index))
-        with pytest.raises(ValueError, match=relation):
-            solve_amplitudes_linear(StepProblem(energy=200.0, v0=100.0, incident_spin=spin))
 
 
 def test_oracle_refuses_a_large_backward_error(monkeypatch):
@@ -509,21 +492,34 @@ def test_evanescent_barrier_height_independence():
 
 
 def test_coefficients_branch_mismatch_rejected():
-    # coefficients and currents both refuse amplitudes of another branch or
-    # of the other incident spin
-    prop = StepProblem(energy=200.0, v0=100.0)
-    evan = StepProblem(energy=50.0, v0=100.0)
-    for problem, other in (
-        (prop, evan),
-        (evan, prop),
-        (prop, prop._replace(incident_spin=Spin.DOWN)),
-        (evan._replace(incident_spin=Spin.DOWN), evan),
-    ):
-        amps = solve_amplitudes_linear(other)
-        for route in (coefficients, currents):
-            with pytest.raises(ValueError) as refused:
-                route(problem, amps)
-            assert str(refused.value) == "amplitude set was produced for a different problem"
+    # coefficients and currents refuse amplitudes of any other problem, from
+    # either route, in each branch and for either spin: another energy on
+    # the same branch, another V0 or mass, the other incident spin and the
+    # other branch; an equal but distinct StepProblem is the same problem
+    routes = (closed_form_amplitudes, solve_amplitudes_linear)
+    for spin, flipped in ((Spin.UP, Spin.DOWN), (Spin.DOWN, Spin.UP)):
+        for energy, same_branch, v0, other_branch in ((200.0, 300.0, 150.0, 50.0),
+                                                      (50.0, 10.0, 200.0, 200.0)):
+            problem = StepProblem(energy, 100.0, ME, spin)
+            for other in (
+                problem._replace(energy=same_branch),
+                problem._replace(v0=v0),
+                problem._replace(mass=2.0 * ME),
+                problem._replace(incident_spin=flipped),
+                problem._replace(energy=other_branch),
+            ):
+                for amps in (route(other) for route in routes):
+                    for use in (coefficients, currents):
+                        with pytest.raises(ValueError) as refused:
+                            use(problem, amps)
+                        assert str(refused.value) == (
+                            "amplitude set was produced for a different problem"
+                        )
+            twin = StepProblem(*problem)
+            assert twin is not problem and twin == problem
+            for amps in (route(problem) for route in routes):
+                assert coefficients(twin, amps) == coefficients(problem, amps)
+                assert currents(twin, amps) == currents(problem, amps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -693,18 +689,18 @@ def test_property_kernel_bits_equal_on_floats_and_arrays(
         v0 = energy + mass * (1.0 + sign * np.exp(log_delta))
     if near_threshold:
         energy = v0 * (1.0 + side * math.exp(log_offset))
-    branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT
-    point = _amplitudes(branch, energy, v0, mass, spin, math.sqrt)
-    grid = _amplitudes(branch, np.array([energy]), v0, mass, spin, np.sqrt)
+    propagating = energy > v0
+    point = _amplitudes(propagating, energy, v0, mass, spin, math.sqrt)
+    grid = _amplitudes(propagating, np.array([energy]), v0, mass, spin, np.sqrt)
     for scalar, array in zip(point, grid):
         assert [_bits(part) for part in scalar] == [_bits(part) for part in array]
     point_curves = _curves(
-        branch, energy, v0, mass, [_abs2(*pair) for pair in point], math.sqrt
+        propagating, energy, v0, mass, [_abs2(*pair) for pair in point], math.sqrt
     )
     grid_curves = _curves(
-        branch, np.array([energy]), v0, mass, [_abs2(*pair) for pair in grid], np.sqrt
+        propagating, np.array([energy]), v0, mass, [_abs2(*pair) for pair in grid], np.sqrt
     )
-    row_type = PropagatingRow if branch is Branch.PROPAGATING else EvanescentRow
+    row_type = PropagatingRow if propagating else EvanescentRow
     names = row_type._fields[2:]
     assert len(names) == len(point_curves) == len(grid_curves)
     for name, value, array in zip(names, point_curves, grid_curves):
@@ -731,28 +727,30 @@ def test_unitarity_refusal_names_one_point():
     # kernel reruns the grid on floats
     bad = (0.5, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError) as point:
-        _curves(Branch.EVANESCENT, 50.0, 100.0, ME, bad, math.sqrt)
+        _curves(False, 50.0, 100.0, ME, bad, math.sqrt)
     assert str(point.value) == (
         "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} at E = 50.0 eV violate unitarity: "
         "the sum must be within 1e-12 of 1 and each within 1e-12 of [0, 1]"
     )
     energy = np.array([10.0, 20.0, 30.0])
     grid = [np.array(v) for v in ((1.0, 0.5, np.nan), (0.0, 0.0, 0.0), (0, 0, 0), (0, 0, 0))]
-    assert _curves(Branch.EVANESCENT, energy, 100.0, ME, grid, np.sqrt) is None
+    assert _curves(False, energy, 100.0, ME, grid, np.sqrt) is None
 
 
 @pytest.mark.parametrize("excess", (1e-11, 1e-7))
-@pytest.mark.parametrize("branch, energy", [(Branch.PROPAGATING, 200.0), (Branch.EVANESCENT, 50.0)])
-def test_a_probability_just_above_1_is_refused_on_floats_and_arrays(branch, energy, excess):
+@pytest.mark.parametrize("energy", (200.0, 50.0))
+def test_a_probability_just_above_1_is_refused_on_floats_and_arrays(energy, excess):
     # past CLAMP_EPS = 1e-12 above 1 a probability is refused, not clamped
-    # onto 1, however little past: on floats (a point, a sweep's rerun) and
-    # on arrays (a log sweep's pass, which returns None for the rerun)
+    # onto 1, however little past, in both branches: on floats (a point, a
+    # sweep's rerun) and on arrays (a log sweep's pass, which returns None
+    # for the rerun)
     bad = (1.0 + excess, 0.0, 0.0, 0.0)
+    propagating = energy > 100.0
     with pytest.raises(ValueError, match=f"at E = {energy!r} eV violate unitarity") as point:
-        _curves(branch, energy, 100.0, ME, bad, math.sqrt)
+        _curves(propagating, energy, 100.0, ME, bad, math.sqrt)
     assert type(point.value) is ValueError
     grid = [np.array([v]) for v in bad]
-    assert _curves(branch, np.array([energy]), 100.0, ME, grid, np.sqrt) is None
+    assert _curves(propagating, np.array([energy]), 100.0, ME, grid, np.sqrt) is None
 
 
 # ------------------------------------------------------- around the pole
@@ -963,10 +961,12 @@ def test_continuity_basis_is_the_eigenstates(energy, v0, mass, spin):
     assert np.array_equal(np.array(rhs), -incident)
 
 
+def residual_of_zero_amplitudes(problem: StepProblem) -> float:
+    return continuity_residual(problem, AmplitudeSet(problem, 0j, 0j, 0j, 0j))
+
+
 def test_continuity_residual_zero_amplitudes():
-    problem = StepProblem(energy=200.0, v0=100.0)
-    zero = AmplitudeSet(branch=Branch.PROPAGATING, b=0.0, b_prime=0.0, c=0.0, c_prime=0.0)
-    assert continuity_residual(problem, zero) >= 1.0
+    assert residual_of_zero_amplitudes(StepProblem(energy=200.0, v0=100.0)) >= 1.0
 
 
 def test_continuity_residual_of_non_finite_amplitudes_is_not_finite():
@@ -1026,7 +1026,7 @@ def test_continuity_residual_is_the_qr_projection(energy, v0, mass, spin):
             amps = route(problem)
         except (PrecisionError, RuntimeError):
             continue
-        if not all(math.isfinite(x) for z in amps[1:5] for x in (z.real, z.imag)):
+        if not all(math.isfinite(x) for z in amps[1:] for x in (z.real, z.imag)):
             continue
         if not finite:
             with pytest.raises(PrecisionError, match="the continuity system is not finite"):
@@ -1066,15 +1066,15 @@ def test_point_route_returns_or_refuses_every_positive_double(energy, v0, mass, 
     # the route derives the branch and momenta inline and builds its results
     # with tuple.__new__: bit for bit these expressions' values, and the
     # types and values of the generated constructors
-    branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT
+    propagating = energy > v0
     assert type(amps) is AmplitudeSet
-    assert amps == AmplitudeSet(branch, *amps[1:5], spin)
-    assert type(row) is (PropagatingRow if branch is Branch.PROPAGATING else EvanescentRow)
+    assert amps == AmplitudeSet(problem, *amps[1:]) and amps.problem is problem
+    assert type(row) is (PropagatingRow if propagating else EvanescentRow)
     assert row == type(row)(*row)
-    r_up, r_down, t_up, t_down = (_abs2(z.real, z.imag) for z in amps[1:5])
+    r_up, r_down, t_up, t_down = (_abs2(z.real, z.imag) for z in amps[1:])
     j_inc = 4.0 * math.sqrt(2.0 * energy * mass) / (energy + mass)
     j_trans = (0.0, 0.0)
-    if branch is Branch.PROPAGATING:
+    if propagating:
         per_amplitude = 4.0 * math.sqrt(2.0 * abs(energy - v0) * mass) / (energy + mass - v0)
         j_trans = (per_amplitude * t_up, per_amplitude * t_down)
     expected = CurrentDensities(j_inc, -j_inc * r_up, -j_inc * r_down, *j_trans)
@@ -1104,10 +1104,29 @@ def test_oracle_returns_or_refuses_every_positive_double(energy, v0, mass, spin)
         assert words[:3] == ["continuity", "backward", "error"]
         assert math.isfinite(float(words[3]))
         return
-    assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in amps[1:5])
+    assert all(math.isfinite(z.real) and math.isfinite(z.imag) for z in amps[1:])
     assert type(amps) is AmplitudeSet
-    branch = Branch.PROPAGATING if energy > v0 else Branch.EVANESCENT
-    assert amps == AmplitudeSet(branch, *amps[1:5], spin)
+    assert amps == AmplitudeSet(problem, *amps[1:]) and amps.problem is problem
+
+
+@settings(max_examples=300, deadline=None)
+@example(200.0, 100.0, ME, Spin.UP)
+@example(200.0, 100.0, ME, Spin.DOWN)
+@given(energy=POSITIVE_DOUBLES, v0=POSITIVE_DOUBLES, mass=POSITIVE_DOUBLES,
+       spin=st.sampled_from((Spin.UP, Spin.DOWN)))
+def test_oracle_channel_without_incident_wave_is_continuous_exactly(energy, v0, mass, spin):
+    # row 1 (row 0 for spin down) of the continuity system has a zero
+    # right-hand side, -0.0, so the elimination's b' = (-0.0 - b2 x2) - b3 x3
+    # and c' = -(b2 x2 + b3 x3) are one rounded sum, negated: equal under
+    # ==, in both branches, wherever the oracle returns
+    try:
+        amps = solve_amplitudes_linear(StepProblem(energy, v0, mass, spin))
+    except (PrecisionError, RuntimeError):
+        return
+    if spin is Spin.UP:
+        assert amps.b_prime == amps.c_prime
+    else:
+        assert amps.b == amps.c
 
 
 def _point_route(energy, v0, mass=ME):
@@ -1135,9 +1154,8 @@ def _point_route(energy, v0, mass=ME):
         StepProblem(1.900779840119371e279, 3.6026157030657704e-09, 8.721658367086122e250)),
      "the continuity system is not finite"),
     # 2*E*m overflows, so the reflected modes' lower components are not finite
-    (lambda: continuity_residual(
-        StepProblem(2.661956350506187e56, 2.147996056811728e-171, 4.537048608995691e251),
-        AmplitudeSet(Branch.PROPAGATING, 0j, 0j, 0j, 0j)),
+    (lambda: residual_of_zero_amplitudes(
+        StepProblem(2.661956350506187e56, 2.147996056811728e-171, 4.537048608995691e251)),
      "the continuity system is not finite"),
     (lambda: verify_dispersion(energies=[1e-3]), "the eigen-equation residual rounds above"),
 ], ids=["underflow", "probabilities", "E/V0", "current", "sweep", "eigenstate",

@@ -28,6 +28,7 @@ from spinstep.sweep_io import (
     emit_svg,
     format_float,
     run_sweep,
+    svg_columns,
 )
 
 
@@ -451,6 +452,17 @@ def test_emit_rejects_empty_and_mixed(tmp_path):
         emit_csv(list(prop) + list(evan), tmp_path / "mixed.csv")
 
 
+def test_emit_refuses_rows_that_are_not_a_row_type(tmp_path):
+    # tuples of the right length are not rows: each emitter raises
+    # TypeError before it writes anything
+    rows = [tuple(run_sweep(small_prop_spec(points=3)).rows[0])]
+    for emit, extra in ((emit_csv, ()), (emit_json, ()), (emit_svg, (None,))):
+        target = tmp_path / f"never.{emit.__name__}"
+        with pytest.raises(TypeError, match="^unsupported row type tuple$"):
+            emit(rows, target, *extra)
+        assert not target.exists()
+
+
 def test_emission_aborts_on_bad_row_without_partial_file(tmp_path):
     rows = list(run_sweep(small_prop_spec(points=3)).rows)
     evan = run_sweep(SweepSpec(
@@ -515,10 +527,12 @@ FIGURE_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(FIGURE_DIGESTS))
 def test_json_and_svg_bytes_are_pinned(name, tmp_path):
+    # the figures draw the default columns: every curve but the sum, sorted
     spec, columns, json_digest, svg_digest = FIGURE_DIGESTS[name]
     rows = run_sweep(spec).rows
+    assert svg_columns(type(rows[0])) == columns
     emit_json(rows, tmp_path / "out.json")
-    emit_svg(rows, tmp_path / "out.svg", columns)
+    emit_svg(rows, tmp_path / "out.svg", None)
     for path, want in ((tmp_path / "out.json", json_digest), (tmp_path / "out.svg", svg_digest)):
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:12] == want
 

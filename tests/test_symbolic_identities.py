@@ -40,7 +40,6 @@ from spinstep import scattering
 from spinstep.algebra import eta, eta_dagger
 from spinstep.scattering import (
     AmplitudeSet,
-    Branch,
     Spin,
     StepProblem,
     _abs2,
@@ -53,9 +52,10 @@ from spinstep.scattering import (
 
 k1, k2, s, r = sympy.symbols("k1 k2 s r", positive=True)
 E, m = k1**2, r**2
-# each branch's step heights: the evanescent branch's at s = 0 is E itself
-STEP_HEIGHTS = {Branch.PROPAGATING: (E - k2**2,), Branch.EVANESCENT: (E + s**2, E)}
-BRANCHES = pytest.mark.parametrize("branch", Branch, ids=lambda branch: branch.value)
+# each branch's step heights, keyed by E > V0, the flag _amplitudes takes:
+# the evanescent branch's at s = 0 is E itself
+STEP_HEIGHTS = {True: (E - k2**2,), False: (E + s**2, E)}
+BRANCHES = pytest.mark.parametrize("propagating", (True, False), ids=("propagating", "evanescent"))
 SPINS = pytest.mark.parametrize("spin", Spin, ids=lambda spin: spin.value)
 
 # eta + eta^dagger in REP1, the representation of the mode spinors
@@ -87,13 +87,16 @@ def symbolic_scattering(monkeypatch):
     )
 
 
-def steps(branch: Branch, spin: Spin) -> list:
+def steps(propagating: bool, spin: Spin) -> list:
     """(problem, closed-form (b, b', c, c') as (real, imaginary) pairs) at
     each step height of the branch, the problem built past StepProblem's
     float checks."""
+    # positive symbols decide E > V0 at each height, as the point route does
+    assert all(bool(E > v0) is propagating for v0 in STEP_HEIGHTS[propagating])
     return [
-        (tuple.__new__(StepProblem, (E, v0, m, spin)), _amplitudes(branch, E, v0, m, spin, sqrt))
-        for v0 in STEP_HEIGHTS[branch]
+        (tuple.__new__(StepProblem, (E, v0, m, spin)),
+         _amplitudes(propagating, E, v0, m, spin, sqrt))
+        for v0 in STEP_HEIGHTS[propagating]
     ]
 
 
@@ -122,8 +125,8 @@ def psi_left(problem: StepProblem, pairs) -> list:
 
 @BRANCHES
 @SPINS
-def test_closed_forms_solve_continuity(branch, spin):
-    for problem, pairs in steps(branch, spin):
+def test_closed_forms_solve_continuity(propagating, spin):
+    for problem, pairs in steps(propagating, spin):
         _, _, _, w1, w2 = modes(problem)
         c, c_prime = (re + sympy.I * im for re, im in pairs[2:])
         pole = E - problem.v0 + m  # the region-II modes' denominator
@@ -135,7 +138,7 @@ def test_closed_forms_solve_continuity(branch, spin):
 def test_evanescent_wave_lies_in_the_pole_free_span(spin):
     # psi_I(0) is a combination of the oracle's decaying pair, with no
     # denominator at all, so the match holds at V0 - E = m itself
-    for problem, pairs in steps(Branch.EVANESCENT, spin):
+    for problem, pairs in steps(False, spin):
         rows, _ = _continuity_matrix(problem)
         columns = [[row[2] for row in rows], [row[3] for row in rows], psi_left(problem, pairs)]
         for picked in combinations(range(4), 3):  # every 3x3 minor of [v1 v2 psi]
@@ -144,18 +147,18 @@ def test_evanescent_wave_lies_in_the_pole_free_span(spin):
 
 
 @BRANCHES
-def test_region_two_columns_are_orthogonal_and_of_equal_norm(branch):
+def test_region_two_columns_are_orthogonal_and_of_equal_norm(propagating):
     # removing each normalized column once is the orthogonal projection onto
     # their span only if they are orthogonal: above the step |u1|^2 = |u2|^2
     # = 2, below it |v1|^2 = |v2|^2 = 4(s^2 + r^2) = 4(V0 - E + m), at the
     # threshold s = 0 and on the mass pole s = r too
-    heights = STEP_HEIGHTS[branch]
-    if branch is Branch.EVANESCENT:
+    heights = STEP_HEIGHTS[propagating]
+    if not propagating:
         heights += (E + m,)
     for v0 in heights:
         rows, _ = _continuity_matrix(tuple.__new__(StepProblem, (E, v0, m, Spin.UP)))
         v1, v2 = (sympy.Matrix([row[k] for row in rows]) for k in (2, 3))
-        norm2 = 2 if branch is Branch.PROPAGATING else 4 * (v0 - E + m)
+        norm2 = 2 if propagating else 4 * (v0 - E + m)
         assert is_zero((v1.H * v2)[0])
         assert is_zero((v1.H * v1)[0] - norm2)
         assert is_zero((v2.H * v2)[0] - norm2)
@@ -173,8 +176,8 @@ def spin_sums(problem: StepProblem, pairs) -> tuple:
 
 @BRANCHES
 @SPINS
-def test_probabilities_sum_to_one(branch, spin):
-    for problem, pairs in steps(branch, spin):
+def test_probabilities_sum_to_one(propagating, spin):
+    for problem, pairs in steps(propagating, spin):
         assert is_zero(sum(spin_sums(problem, pairs)) - 1)
 
 
@@ -182,7 +185,7 @@ def test_probabilities_sum_to_one(branch, spin):
 def test_spin_sums_are_the_spinless_coefficients(spin):
     textbook_t = 4 * k1 * k2 / (k1 + k2) ** 2
     textbook_r = ((k1 - k2) / (k1 + k2)) ** 2
-    [(problem, pairs)] = steps(Branch.PROPAGATING, spin)
+    [(problem, pairs)] = steps(True, spin)
     t_sum, r_sum = spin_sums(problem, pairs)
     assert is_zero(t_sum - textbook_t)
     assert is_zero(r_sum - textbook_r)
@@ -193,24 +196,24 @@ def test_spin_sums_are_the_spinless_coefficients(spin):
 
 @SPINS
 def test_evanescent_spin_preserving_reflection(spin):
-    for _, pairs in steps(Branch.EVANESCENT, spin):
+    for _, pairs in steps(False, spin):
         kept = pairs[0] if spin is Spin.UP else pairs[1]
         assert is_zero(_abs2(*kept) - (E - m) ** 2 / (E + m) ** 2)
 
 
 @BRANCHES
 @SPINS
-def test_currents_are_the_mode_bilinears(branch, spin):
+def test_currents_are_the_mode_bilinears(propagating, spin):
     # unit amplitudes leave each closed-form current per unit |amplitude|^2
-    for problem, _ in steps(branch, spin):
+    for problem, _ in steps(propagating, spin):
         incident, u3, u4, w1, w2 = modes(problem)
-        j = currents(problem, AmplitudeSet(branch, 1.0, 1.0, 1.0, 1.0, spin))
+        j = currents(problem, AmplitudeSet(problem, 1.0, 1.0, 1.0, 1.0))
         assert is_zero(j.j_inc - mode_current(incident))
         assert is_zero(j.j_refl_up - mode_current(u3))
         assert is_zero(j.j_refl_down - mode_current(u4))
         assert is_zero(j.j_trans_up - mode_current(w1))
         assert is_zero(j.j_trans_down - mode_current(w2))
-        if branch is Branch.EVANESCENT:
+        if not propagating:
             assert j.j_trans_up == j.j_trans_down == 0.0
             rows, _ = _continuity_matrix(problem)
             for k in (2, 3):
