@@ -8,8 +8,9 @@ Subcommands:
   threed-check  3D identity suite only
 
 Exit codes are a contract: 0 success, 1 verification failure, 2 usage or
-domain error, 3 I/O error.  A refused point or sweep prints the stderr
-prefix of its kind, "beyond double precision" for a PrecisionError.
+domain error, 3 I/O error (an output file, or a closed stdout).  A refused
+point or sweep prints the stderr prefix of its kind, "beyond double
+precision" for a PrecisionError.
 Output is JSON unless --pretty is given.  Energy flags accept plain eV
 values or ev/kev/mev suffixes (case-insensitive), e.g. --v0 100kev.  Option
 defaults and choices are read from the library: StepProblem's and
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -36,7 +38,7 @@ from .sweep_io import Regime, Spacing, SweepSpec, run_sweep
 
 # Only the report commands import algebra, which holds every identity suite,
 # and --rep spells its choices, so a point command loads no more than it runs.
-# No command but a log-grid sweep imports numpy.
+# No command imports numpy.
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -233,7 +235,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    return args.run(args)
+    try:
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError as exc:
+        # stdout to devnull, so that the interpreter's final flush does not
+        # raise again (the Python docs' advice on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -15,12 +15,11 @@ both energy regimes:
 
 Amplitudes come from closed forms factored over k1 = sqrt(E) and
 k2 = sqrt(E - V0) (k2 = i*sqrt(V0 - E) below the step), written once per
-branch in real arithmetic: the same expressions run on Python floats for a
-point or a linear sweep and on numpy arrays for a log sweep, with the same
-bits.  The factored forms subtract no nearly equal numbers, so every
-amplitude is accurate to a few ulps over the whole domain, on the mass
-pole V0 - E = m too, and for arbitrarily small V0/E.  c and c' are the
-upper components of psi_II(0) in both branches.  A Gaussian elimination
+branch in real arithmetic, on Python floats.  The factored forms subtract
+no nearly equal numbers, so every amplitude is accurate to a few ulps over
+the whole domain, on the mass pole V0 - E = m too, and for arbitrarily
+small V0/E.  c and c' are the upper components of psi_II(0) in both
+branches.  A Gaussian elimination
 of the wavefunction continuity condition at z = 0, on one pole-free mode basis,
 is kept as the independent oracle the tests compare against, and
 continuity_residual measures any amplitudes against the same basis.  The
@@ -38,8 +37,12 @@ problem.  coefficients returns one fixed-field row per branch,
 PropagatingRow or EvanescentRow: the type, and the values, of the sweep
 row at that energy.  A row type is a NamedTuple built from its FIELDS
 table, which lists its fields once, for every output.  _rows, the grid
-kernel, runs the same _amplitudes and _curves.  Unitarity is checked once,
-in _curves; StepProblem validates in its constructor, _replace included.
+kernel of every sweep, evaluates each point in one inline loop body per
+branch, a copy of _amplitudes' and _curves' expressions, and sends a point
+that fails its checks through _amplitudes and _curves themselves, so a
+sweep row is its point query's row bit for bit.  Unitarity is worded
+once, in _curves; StepProblem validates in its constructor, _replace
+included.
 
 The one kind of domain refusal is PrecisionError, a ValueError subclass
 worded in one place: valid inputs whose result underflows or overflows
@@ -48,9 +51,9 @@ refusal: it takes the evanescent branch, where nothing divides by
 V0 - E.  An input that is not positive and finite is a plain ValueError,
 from the one check every module's entry points call, _positive_finite.
 
-numpy is imported only by _rows, for a log grid's array pass; StepProblem,
-both amplitude routes, coefficients, currents, continuity_residual and a
-linear sweep run without it.
+Nothing here imports numpy: StepProblem, both amplitude routes,
+coefficients, currents, continuity_residual and every sweep run on Python
+numbers.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ import math
 import sys
 from enum import Enum
 from functools import reduce
-from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
@@ -311,10 +313,10 @@ def _amplitudes(propagating: bool, energy, v0, mass, spin: Spin, sqrt):
     """Closed-form amplitudes (b, b', c, c') as (real, imaginary) pairs, on
     the branch propagating = E > V0, which the caller decides.
 
-    energy is a float, with sqrt = math.sqrt, or an array of energies of one
-    branch of a log sweep, with sqrt = numpy.sqrt.  The arithmetic is real,
-    so both give the same bits.  For spin-up incidence, with k1 = sqrt(E):
-    above the step, with k2 = sqrt(E - V0),
+    energy is a float, with sqrt = math.sqrt; the sympy proofs of
+    tests/test_symbolic_identities.py pass symbols and sympy's sqrt.  _rows
+    copies these expressions inline.  For spin-up incidence, with
+    k1 = sqrt(E): above the step, with k2 = sqrt(E - V0),
 
         b = (m - E) V0 / ((E+m)(k1+k2)^2)
         b' = c' = i 2 sqrt(E m) V0 / ((E+m)(k1+k2)^2)
@@ -349,7 +351,7 @@ def _amplitudes(propagating: bool, energy, v0, mass, spin: Spin, sqrt):
             b = (keep * re_sq, -keep * im_sq)
             b_prime = (flip * im_sq, flip * re_sq)
             c = (2.0 * energy * ((mass + gap) / scale), im_sq * (energy - mass) / scale)
-    except ZeroDivisionError:  # floats only: arrays divide to inf or nan
+    except ZeroDivisionError:
         raise PrecisionError("a denominator underflows to 0", E=energy, V0=v0, m=mass) from None
     if spin is Spin.UP:
         return b, b_prime, c, b_prime
@@ -361,8 +363,8 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
 
     This is the primary route, for either incident spin: accurate to a few
     ulps relative over the whole domain, with solve_amplitudes_linear as its
-    oracle.  It evaluates on floats the expressions run_sweep evaluates on
-    a grid, so a point and its sweep row agree bit for bit.  c and c' are
+    oracle.  A sweep's grid kernel evaluates the same expressions, so a
+    point and its sweep row agree bit for bit.  c and c' are
     the upper components of psi_II(0).
     """
     energy, v0, mass, spin = problem
@@ -376,7 +378,7 @@ def closed_form_amplitudes(problem: StepProblem) -> AmplitudeSet:
 
 
 def _abs2(re, im):
-    """|z|^2 of z = re + i*im, in the same operations for floats and arrays."""
+    """|z|^2 of z = re + i*im, floats or symbols."""
     return re * re + im * im
 
 
@@ -452,41 +454,32 @@ EvanescentRow = _row_type(
 )
 
 
-def _curves(propagating: bool, energy, v0, mass, abs2, sqrt) -> list | None:
+def _curves(propagating: bool, energy: float, v0: float, mass: float, abs2) -> list:
     """The curve columns of the branch's row, in FIELDS order, from abs2 =
-    (|b|^2, |b'|^2, |c|^2, |c'|^2): the probabilities, their sum, the row's
-    `total`, and, above the step, the spinless T and R.  energy and abs2 are
-    floats (sqrt = math.sqrt) or arrays (sqrt = numpy.sqrt), as for
-    _amplitudes; the same operations give the same bits.  Above the step
-    k1 = sqrt(E) and k2 = sqrt(E - V0) are taken once, for the flux factor
-    and for _spinless.  Unitarity is checked here, once per point or sweep
-    row: each probability within CLAMP_EPS of [0, 1] before it is clamped
-    onto [0, 1], and their clamped sum within COEFFICIENT_SUM_TOL of 1.  A
-    failure on floats names its energy, in a PrecisionError if a value is
-    not finite; on arrays it returns None, for _rows to rerun on floats.
+    (|b|^2, |b'|^2, |c|^2, |c'|^2), floats: the probabilities, their sum,
+    the row's `total`, and, above the step, the spinless T and R.  Above
+    the step k1 = sqrt(E) and k2 = sqrt(E - V0) are taken once, for the flux
+    factor and for _spinless.  Unitarity is checked here, once per point or
+    refused sweep point: each probability within CLAMP_EPS of [0, 1] before
+    it is clamped onto [0, 1], and their clamped sum, added left to right,
+    within COEFFICIENT_SUM_TOL of 1.  A failure names its energy, in a
+    PrecisionError if a value is not finite.
     """
     r_up, r_down, t_up, t_down = abs2
     if propagating:
-        k1 = sqrt(energy)
-        k2 = sqrt(energy - v0)
+        k1 = math.sqrt(energy)
+        k2 = math.sqrt(energy - v0)
         flux = (energy + mass) * k2 / ((energy - v0 + mass) * k1)
         parts = [flux * t_up, flux * t_down, r_up, r_down]
     else:
         parts = [r_up, r_down]
-    valid = True
-    for value in parts:
-        valid = valid & (value >= -CLAMP_EPS) & (value <= 1.0 + CLAMP_EPS)
-    arrays = hasattr(valid, "all")  # numpy arrays (or numpy scalars)
-    if arrays:
-        probs = [v.clip(0.0, 1.0) for v in parts]
-    else:  # min(max(v, 0.0), 1.0), without the builtins' call cost
-        probs = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in parts]
+    # min(max(v, 0.0), 1.0), without the builtins' call cost
+    probs = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in parts]
     total = reduce(add, probs)
-    valid = valid & (abs(total - 1.0) <= COEFFICIENT_SUM_TOL)
-    if arrays:
-        if not valid.all():
-            return None
-    elif not valid:
+    valid = abs(total - 1.0) <= COEFFICIENT_SUM_TOL
+    for value in parts:
+        valid = valid and -CLAMP_EPS <= value <= 1.0 + CLAMP_EPS
+    if not valid:
         row_type = PropagatingRow if propagating else EvanescentRow
         named = dict(zip(row_type._fields[len(_GRID_FIELDS) :], parts))
         if not all(map(math.isfinite, parts)):  # overflow, not physics
@@ -522,7 +515,7 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
         _abs2(b.real, b.imag), _abs2(b_prime.real, b_prime.imag),
         _abs2(c.real, c.imag), _abs2(c_prime.real, c_prime.imag),
     ]
-    curves = _curves(propagating, e, v0, mass, abs2, math.sqrt)
+    curves = _curves(propagating, e, v0, mass, abs2)
     e_over_v0 = e / v0
     if e_over_v0 == math.inf:
         raise PrecisionError("E/V0 overflows", E=e, V0=v0)
@@ -530,52 +523,84 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
     return tuple.__new__(row_type, (e, e_over_v0, *curves))
 
 
-_ABOVE, _BELOW = (True, PropagatingRow), (False, EvanescentRow)
+def _rows(grid: list, v0: float, mass: float, spin: Spin) -> tuple:
+    """The rows of a grid of E/V0 values, Python floats: each E = x*V0,
+    split by E > V0, gives its point query's row bit for bit, but for
+    e_over_v0, the grid value, or the sweep refuses as the point query at
+    its first failing energy does.
 
-
-def _rows(x, v0: float, mass: float, spin: Spin) -> tuple:
-    """The rows of a grid x of E/V0 values: each E = x*V0, split by E > V0,
-    gives its point query's row bit for bit, but for e_over_v0, the grid
-    value.  A list of floats runs point by point through the functions a
-    point query calls, so it refuses as the point query at its first
-    failing energy does.  An array (a log grid) runs in one numpy pass per
-    branch, in the same operations, and reruns on floats if any point fails.
+    Each branch's loop body copies the expressions of _amplitudes and
+    _curves for that branch and spin, in their operations and order, but
+    for the zero parts and the sign of b's imaginary part, which leave
+    |b|^2, |b'|^2 and |c|^2 as they are.  Every probability it forms is
+    >= 0 or nan, so a point whose probabilities are all <= 1 and whose
+    sum is within COEFFICIENT_SUM_TOL of 1 is the row _curves returns,
+    unclamped.  Any other point, and one that divides by zero, runs
+    through _amplitudes and _curves themselves, which clamp it or word its
+    refusal: a check stricter than _curves' only sends more points there.
+    test_sweep_rows_equal_point_queries, test_sweep_returns_or_refuses_as_
+    its_point_queries and test_figure_sweeps_never_leave_the_inline_loop
+    hold the copy bit-equal to the point route.
     """
     rows = []
-    if isinstance(x, list):
-        for x_i in x:
-            e = x_i * v0
-            if not 0.0 < e <= _MAX:  # a log grid's top can round to inf, which StepProblem refuses
-                _positive_finite("energy", e)
-            propagating, row_type = _ABOVE if e > v0 else _BELOW
-            amps = _amplitudes(propagating, e, v0, mass, spin, math.sqrt)
-            curves = _curves(propagating, e, v0, mass, [_abs2(*a) for a in amps], math.sqrt)
-            rows.append(tuple.__new__(row_type, (e, x_i, *curves)))
-        return tuple(rows)
-    import numpy as np
-
-    # overflow leaves non-finite columns, which _curves finds
-    with np.errstate(all="ignore"):
-        energy = x * v0
-        above = energy > v0
-        for (propagating, row_type), where in ((_BELOW, ~above), (_ABOVE, above)):
-            if not where.any():
-                continue
-            e = energy[where]
-            amps = _amplitudes(propagating, e, v0, mass, spin, np.sqrt)
-            curves = _curves(propagating, e, v0, mass, [_abs2(*a) for a in amps], np.sqrt)
-            if curves is None:
-                return _rows(x.tolist(), v0, mass, spin)
-            columns = [e, x[where], *curves]
-            # tuple.__new__: the row constructors check nothing, the columns fix the arity
-            rows += map(tuple.__new__, repeat(row_type), zip(*(c.tolist() for c in columns)))
+    append, new, sqrt, tol = rows.append, tuple.__new__, math.sqrt, COEFFICIENT_SUM_TOL
+    up = spin is Spin.UP
+    for x in grid:
+        e = x * v0
+        if not 0.0 < e <= _MAX:  # a log-grid point past the largest double is inf
+            _positive_finite("energy", e)
+        propagating = e > v0
+        e_m = e + mass
+        try:
+            if propagating:
+                k1 = sqrt(e)
+                k2 = sqrt(e - v0)
+                k_sum = k1 + k2
+                k_sum2 = k_sum * k_sum
+                denom = e_m * k_sum2
+                b = (mass - e) * v0 / denom
+                b_flip = 2.0 * sqrt(e * mass) * v0 / denom  # b' = c' = i b_flip
+                c = 2.0 * k1 * (mass + k1 * k2) / (e_m * k_sum)
+                flux = e_m * k2 / ((e - v0 + mass) * k1)
+                r_keep, r_flip = b * b, b_flip * b_flip
+                t_keep, t_flip = flux * (c * c), flux * r_flip
+                if up:
+                    p0, p1, p2, p3 = t_keep, t_flip, r_keep, r_flip
+                else:
+                    p0, p1, p2, p3 = t_flip, t_keep, r_flip, r_keep
+                total = p0 + p1 + p2 + p3
+                if p0 <= 1.0 and p1 <= 1.0 and p2 <= 1.0 and p3 <= 1.0 and abs(total - 1.0) <= tol:
+                    ratio = v0 / k_sum2
+                    append(new(PropagatingRow, (
+                        e, x, p0, p1, p2, p3, total, 4.0 * k1 * k2 / k_sum2, ratio * ratio
+                    )))
+                    continue
+            else:
+                scale = e_m * v0
+                re_sq = 2.0 * e - v0
+                im_sq = 2.0 * sqrt(e * (v0 - e))
+                keep = (mass - e) / scale
+                flip = 2.0 * sqrt(e * mass) / scale
+                b_re, b_im, f_re, f_im = keep * re_sq, keep * im_sq, flip * im_sq, flip * re_sq
+                r_keep, r_flip = b_re * b_re + b_im * b_im, f_re * f_re + f_im * f_im
+                p0, p1 = (r_keep, r_flip) if up else (r_flip, r_keep)
+                total = p0 + p1
+                if p0 <= 1.0 and p1 <= 1.0 and abs(total - 1.0) <= tol:
+                    append(new(EvanescentRow, (e, x, p0, p1, total)))
+                    continue
+        except ZeroDivisionError:
+            pass
+        # to clamp or to refuse, as its point query does
+        amps = _amplitudes(propagating, e, v0, mass, spin, sqrt)
+        curves = _curves(propagating, e, v0, mass, [_abs2(*a) for a in amps])
+        append(new(PropagatingRow if propagating else EvanescentRow, (e, x, *curves)))
     return tuple(rows)
 
 
 def _spinless(k1, k2, v0):
     """The spinless step coefficients (T, R) above the step, the t_qm and
     r_qm columns of a propagating row, from k1 = sqrt(E) and k2 = sqrt(E-V0),
-    floats or arrays.
+    floats or symbols.
 
     T = 4*k1*k2/(k1+k2)^2 and R = ((k1-k2)/(k1+k2))^2, evaluated as
     (V0/(k1+k2)^2)^2 so that no nearly equal numbers are subtracted as

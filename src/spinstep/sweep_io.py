@@ -9,8 +9,8 @@ attribute, CSV header and SVG colour; the CSV header line, the JSON keys
 (the attribute, except `total`, written as "sum"), the SVG column names and
 colours, the CLI's default SVG columns and its point JSON all read it.
 Rows are NamedTuples of their FIELDS, in order.  This module owns grids
-and files only: scattering._rows builds the rows, on Python floats for a
-linear grid, without numpy, and on numpy arrays for a log grid.
+and files only: a grid is a list of Python floats, linear or log, and
+scattering._rows builds its rows; no sweep imports numpy.
 
 Emission is deterministic: the same spec always produces byte-identical
 output.  Numbers are printed with 17 significant digits, which round-trips
@@ -27,7 +27,7 @@ import math
 import operator
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .scattering import (
     _MAX,
@@ -38,9 +38,6 @@ from .scattering import (
     _positive_finite,
     _rows,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "Spacing",
@@ -132,21 +129,33 @@ class SweepSpec(_SweepFields):
     def _make(cls, iterable):
         return cls(*iterable)
 
-    def grid(self) -> list | np.ndarray:
-        """np.linspace's E/V0 grid as floats, by its formula, or np.logspace's."""
+    def grid(self) -> list:
+        """The E/V0 grid as Python floats, from e_over_v0_min to
+        e_over_v0_max: np.linspace's, by its formula, or, for a log grid,
+        10.0 ** y over np.linspace's exponents between the bounds' log10,
+        with the bounds themselves as its ends."""
+        lo, hi = float(self.e_over_v0_min), float(self.e_over_v0_max)
+        points = operator.index(self.points)
         if self.spacing is Spacing.LINEAR:
-            lo, hi = float(self.e_over_v0_min), float(self.e_over_v0_max)
-            span, div = hi - lo, operator.index(self.points) - 1
-            step = span / div
-            # a subnormal span steps by 0: numpy then scales i/div by the span
-            return [i * step + lo if step else i / div * span + lo for i in range(div)] + [hi]
-        import numpy as np
+            return _linspace(lo, hi, points)
+        exponents = _linspace(math.log10(lo), math.log10(hi), points)[1:-1]
+        return [lo, *map(_exp10, exponents), hi]
 
-        # an end past the largest double is inf, which run_sweep refuses
-        with np.errstate(over="ignore"):
-            return np.logspace(
-                np.log10(self.e_over_v0_min), np.log10(self.e_over_v0_max), self.points
-            )
+
+def _linspace(lo: float, hi: float, points: int) -> list:
+    """np.linspace(lo, hi, points) as Python floats, bit for bit."""
+    span, div = hi - lo, points - 1
+    step = span / div
+    # a subnormal span steps by 0: numpy then scales i/div by the span
+    return [i * step + lo if step else i / div * span + lo for i in range(div)] + [hi]
+
+
+def _exp10(y: float) -> float:
+    """10.0 ** y, or inf past the largest double, which run_sweep refuses."""
+    try:
+        return 10.0 ** y
+    except OverflowError:
+        return math.inf
 
 
 class SweepResult(NamedTuple):

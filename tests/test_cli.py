@@ -444,10 +444,12 @@ OUT_OF_RANGE_SWEEPS = [
     # refuses
     (("--v0", "1e300"), "beyond double precision: "),
     (("--v0", "1e308"), "invalid sweep: "),
-    # the log grid's top rounds past the largest double: refused as the
-    # point query at E = inf is, and numpy's overflow warning stays silent
+    # a log grid's top is its bound, within the double range, and refused as
+    # its point query is: its probabilities overflow
     (("--v0", "1", "--from", "1.5", "--to", "1.7976931348622103e308", "--points", "2"),
-     "invalid sweep: energy must be positive and finite, got inf"),
+     "beyond double precision: E = 1.7976931348622103e+308, V0 = 1.0, m = 510998.95 eV are "
+     "beyond what double precision resolves: probabilities {'t1': nan, 't2': nan, 'r1': 0.0, "
+     "'r2': nan} are not finite"),
 ]
 
 
@@ -503,6 +505,30 @@ def test_sweep_unwritable_path_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "cannot write" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("coefficients", "--e", "200", "--v0", "100"),
+    ("verify",),
+    ("sweep", "--v0", "100", "--points", "5", "--out", "fig.csv"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("unbuffered", ("1", ""), ids=("unbuffered", "buffered"))
+def test_a_closed_stdout_exits_3_with_one_line(argv, unbuffered, tmp_path):
+    # the read end of the pipe is closed before the command prints: an I/O
+    # error, exit 3 and one stderr line, not a traceback and exit 1, the
+    # code of a failed verification; with stdout unbuffered the print
+    # raises, buffered the flush at the end of the command
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "spinstep", *argv], stdout=write_end, stderr=subprocess.PIPE,
+            text=True, cwd=tmp_path, env={**CHILD_ENV, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 3
+    assert result.stderr == "cannot write output: [Errno 32] Broken pipe\n"
 
 
 def test_threed_check(capsys):
@@ -663,8 +689,24 @@ def test_report_commands_never_import_numpy(command, rep, tmp_path, bare_interpr
      "--to", "0.999", "--points", "200", "--spacing", "linear", "--out", "below.svg"),
 ], ids=lambda argv: argv[-1])
 def test_linear_sweeps_never_import_numpy(argv, tmp_path, bare_interpreter_modules):
-    # a linear grid is built and evaluated on Python floats; only a log grid
-    # imports numpy, and no sweep loads algebra
+    # a linear grid is built and evaluated on Python floats, and no sweep
+    # loads algebra
+    _assert_sweep_without_numpy(argv, tmp_path, bare_interpreter_modules)
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--v0", "100", "--from", "1.001", "--to", "10", "--points", "500",
+     "--out", "fig2.csv"),
+    ("sweep", "--v0", "100", "--from", "0.5", "--to", "2", "--points", "31", "--regime", "auto",
+     "--out", "straddle.csv"),
+], ids=lambda argv: argv[-1])
+def test_log_sweeps_never_import_numpy(argv, tmp_path, bare_interpreter_modules):
+    # a log grid too, the README fig2 sweep and one across E = V0: 10.0 ** y
+    # on Python floats, evaluated by the grid kernel's inline loop
+    _assert_sweep_without_numpy(argv, tmp_path, bare_interpreter_modules)
+
+
+def _assert_sweep_without_numpy(argv, tmp_path, bare_interpreter_modules):
     result, modules = _run_listing_modules(argv, tmp_path)
     assert result.returncode == 0
     summary = json.loads(result.stdout)
@@ -688,8 +730,7 @@ def _readme_commands() -> list:
 def test_readme_command_line_block_runs(tmp_path, bare_interpreter_modules):
     # every command as a user runs it, in a fresh interpreter with warnings
     # as errors: exit 0, nothing on stderr, the pinned point stdout, no
-    # numpy or dataclasses in sys.modules but after a log-grid sweep, which
-    # shows that the listing sees numpy, no algebra but after a report
+    # numpy or dataclasses in sys.modules, no algebra but after a report
     # command, no eigensystem at all, and figure sweeps byte-equal to the
     # goldens
     commands = _readme_commands()
@@ -698,18 +739,15 @@ def test_readme_command_line_block_runs(tmp_path, bare_interpreter_modules):
         assert (result.returncode, result.stderr) == (0, ""), argv
         if argv[0] in ("coefficients", "currents"):
             assert result.stdout == README_POINT_STDOUT[tuple(argv)]
-        if argv[0] != "sweep" or "linear" in argv:
-            _assert_cli_without_numpy(modules, bare_interpreter_modules)
-        else:
-            assert "numpy" in modules, argv
+        _assert_cli_without_numpy(modules, bare_interpreter_modules)
         report = argv[0] in ("verify", "threed-check")
         assert ("spinstep.algebra" in modules) == report, argv
         assert "spinstep.eigensystem" not in modules, argv
-    assert sum(argv[0] == "sweep" for argv in commands) == 3
-    # the fig4 sweep is the linear one, checked without numpy above
-    assert [argv[-1] for argv in commands if argv[0] == "sweep" and "linear" in argv] == [
-        "fig4.csv"
+    # fig2 and fig3 on the default log grid, fig4 on a linear one
+    assert [argv[-1] for argv in commands if argv[0] == "sweep"] == [
+        "fig2.csv", "fig3.csv", "fig4.csv"
     ]
+    assert [argv[-1] for argv in commands if "linear" in argv] == ["fig4.csv"]
     for fig in ("fig2", "fig3", "fig4"):
         golden = (ROOT / "tests" / "golden" / f"{fig}.csv").read_bytes()
         assert (tmp_path / f"{fig}.csv").read_bytes() == golden, fig

@@ -32,8 +32,8 @@ from spinstep.scattering import (
     continuity_residual,
     currents,
     _abs2,
-    _amplitudes,
     _curves,
+    _rows,
     solve_amplitudes_linear,
 )
 from spinstep.sweep_io import SweepSpec, run_sweep
@@ -80,9 +80,9 @@ def test_fields_are_bound_as_python_floats():
         assert problem == reference
         row = coefficients(problem, closed_form_amplitudes(problem))
         assert all(type(value) is float for value in row)
-        assert [_bits(value) for value in row] == [
-            _bits(value) for value in coefficients(reference, closed_form_amplitudes(reference))
-        ]
+        assert list(map(float.hex, row)) == list(
+            map(float.hex, coefficients(reference, closed_form_amplitudes(reference)))
+        )
 
 
 def test_positivity_validation():
@@ -662,12 +662,6 @@ def test_threshold_values_match_mpmath():
                     assert continuity_residual(problem, amps) <= 1e-12
 
 
-def _bits(value) -> bytes:
-    """The IEEE bytes, as a complex, of a float, a complex or a one-element
-    array."""
-    return np.asarray(value, dtype=complex).reshape(-1).tobytes()
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     log_e=log_ev, log_v0=log_ev, log_m=log_ev,
@@ -677,34 +671,25 @@ def _bits(value) -> bytes:
     sign=st.sampled_from((1.0, -1.0, 0.0)),
     **NEAR_THRESHOLD,
 )
-def test_property_kernel_bits_equal_on_floats_and_arrays(
+def test_property_grid_kernel_bits_equal_the_point_route(
     log_e, log_v0, log_m, spin, near_pole, log_delta, sign, near_threshold, log_offset, side
 ):
-    # the point route (floats, math.sqrt) and the sweep route (arrays,
-    # np.sqrt) run the same real arithmetic; near_pole puts V0 - E at
-    # m * (1 + sign * delta), on the pole for sign 0, and near_threshold E
-    # at V0 * (1 + side * offset), at V0 for side 0
+    # the grid kernel's inline loop copies _amplitudes' and _curves'
+    # expressions: its row at x = E/V0 is the point query's at x*V0, bit
+    # for bit; near_pole puts V0 - E at m * (1 + sign * delta), on the pole
+    # for sign 0, and near_threshold E at V0 * (1 + side * offset), at V0
+    # for side 0
     energy, v0, mass = 10.0**log_e, 10.0**log_v0, 10.0**log_m
     if near_pole:
         v0 = energy + mass * (1.0 + sign * np.exp(log_delta))
     if near_threshold:
         energy = v0 * (1.0 + side * math.exp(log_offset))
-    propagating = energy > v0
-    point = _amplitudes(propagating, energy, v0, mass, spin, math.sqrt)
-    grid = _amplitudes(propagating, np.array([energy]), v0, mass, spin, np.sqrt)
-    for scalar, array in zip(point, grid):
-        assert [_bits(part) for part in scalar] == [_bits(part) for part in array]
-    point_curves = _curves(
-        propagating, energy, v0, mass, [_abs2(*pair) for pair in point], math.sqrt
-    )
-    grid_curves = _curves(
-        propagating, np.array([energy]), v0, mass, [_abs2(*pair) for pair in grid], np.sqrt
-    )
-    row_type = PropagatingRow if propagating else EvanescentRow
-    names = row_type._fields[2:]
-    assert len(names) == len(point_curves) == len(grid_curves)
-    for name, value, array in zip(names, point_curves, grid_curves):
-        assert _bits(value) == _bits(array), name
+    x = energy / v0
+    (row,) = _rows([x], v0, mass, spin)
+    problem = StepProblem(x * v0, v0, mass, spin)
+    point = coefficients(problem, closed_form_amplitudes(problem))._replace(e_over_v0=x)
+    assert type(row) is type(point)
+    assert list(map(float.hex, row)) == list(map(float.hex, point))
 
 
 @settings(max_examples=300, deadline=None)
@@ -722,35 +707,27 @@ def test_property_eigen_spinors_bits_equal_on_floats_and_arrays(log_e, log_m):
 
 
 def test_unitarity_refusal_names_one_point():
-    # a refusal on floats, a point or a sweep's grid point, names its
-    # energy; the array pass words none: it returns None, and the grid
-    # kernel reruns the grid on floats
+    # a refusal, of a point or of a sweep's grid point, names its energy
     bad = (0.5, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError) as point:
-        _curves(False, 50.0, 100.0, ME, bad, math.sqrt)
+        _curves(False, 50.0, 100.0, ME, bad)
     assert str(point.value) == (
         "probabilities {'r1_prime': 0.5, 'r2_prime': 0.0} at E = 50.0 eV violate unitarity: "
         "the sum must be within 1e-12 of 1 and each within 1e-12 of [0, 1]"
     )
-    energy = np.array([10.0, 20.0, 30.0])
-    grid = [np.array(v) for v in ((1.0, 0.5, np.nan), (0.0, 0.0, 0.0), (0, 0, 0), (0, 0, 0))]
-    assert _curves(False, energy, 100.0, ME, grid, np.sqrt) is None
 
 
 @pytest.mark.parametrize("excess", (1e-11, 1e-7))
 @pytest.mark.parametrize("energy", (200.0, 50.0))
-def test_a_probability_just_above_1_is_refused_on_floats_and_arrays(energy, excess):
+def test_a_probability_just_above_1_is_refused(energy, excess):
     # past CLAMP_EPS = 1e-12 above 1 a probability is refused, not clamped
-    # onto 1, however little past, in both branches: on floats (a point, a
-    # sweep's rerun) and on arrays (a log sweep's pass, which returns None
-    # for the rerun)
+    # onto 1, however little past, in both branches, at a point or at a
+    # sweep's grid point that the grid kernel's inline loop leaves to _curves
     bad = (1.0 + excess, 0.0, 0.0, 0.0)
     propagating = energy > 100.0
     with pytest.raises(ValueError, match=f"at E = {energy!r} eV violate unitarity") as point:
-        _curves(propagating, energy, 100.0, ME, bad, math.sqrt)
+        _curves(propagating, energy, 100.0, ME, bad)
     assert type(point.value) is ValueError
-    grid = [np.array([v]) for v in bad]
-    assert _curves(propagating, np.array([energy]), 100.0, ME, grid, np.sqrt) is None
 
 
 # ------------------------------------------------------- around the pole

@@ -3,11 +3,13 @@ import json
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from spinstep import scattering
 from spinstep.scattering import (
     ELECTRON_MASS_EV,
     Spin,
@@ -15,7 +17,6 @@ from spinstep.scattering import (
     closed_form_amplitudes,
     coefficients,
     currents,
-    _rows,
 )
 from spinstep.sweep_io import (
     EvanescentRow,
@@ -105,7 +106,7 @@ def test_spec_refuses_a_bottom_energy_that_underflows_to_0():
         assert type(refused.value) is ValueError
     # the grid kernel refuses such an energy as StepProblem does
     with pytest.raises(ValueError, match="^energy must be positive and finite, got 0.0$"):
-        _rows([1e-250, 0.5], 1e-100, 1e-100, Spin.UP)
+        scattering._rows([1e-250, 0.5], 1e-100, 1e-100, Spin.UP)
     spec = SweepSpec(v0=1e-100, mass=1e-100, e_over_v0_min=1e-220, e_over_v0_max=0.5,
                      points=3, spacing=Spacing.LINEAR, regime=Regime.EVANESCENT)
     assert run_sweep(spec).rows[0].e_ev == 1e-220 * 1e-100 > 0.0
@@ -243,8 +244,8 @@ def test_sweep_on_mass_pole_row_equals_its_point_query(spin):
               spacing=Spacing.LINEAR, regime=Regime.EVANESCENT),
 ], ids=["fig2", "fig3", "fig4"])
 def test_sweep_rows_equal_point_queries(spec):
-    # a sweep, on arrays (log grids) or floats (linear), and the scalar point
-    # route agree bit for bit
+    # a sweep, on a log or a linear grid, and the point route agree bit for
+    # bit
     assert_rows_are_point_queries(spec, run_sweep(spec).rows)
 
 
@@ -303,6 +304,47 @@ def test_linear_grid_is_np_linspace_bit_for_bit(bounds, points):
     assert np.array(grid).tobytes() == _linspace(lo, hi, points).tobytes()
 
 
+def _exp10(y: float) -> float:
+    try:
+        return 10.0 ** y
+    except OverflowError:
+        return math.inf
+
+
+@settings(max_examples=300, deadline=None)
+# 10.0 ** y of every interior exponent overflows: inf
+@example(bounds=(1.7976931348623155e308, 1.7976931348623157e308), points=4)
+@example(bounds=(5e-324, 1.7976931348623157e308), points=2000)
+@example(bounds=(1.001, 10.0), points=np.int64(500))
+@given(bounds=st.tuples(POSITIVE_DOUBLES, POSITIVE_DOUBLES), points=st.integers(2, 2000))
+def test_log_grid_is_the_bounds_around_10_to_np_linspace_exponents(bounds, points):
+    # the ends are the spec's bounds; each interior point is 10.0 ** y, a
+    # Python float (inf where that overflows), over np.linspace's exponents
+    # between math.log10 of the bounds, bit for bit
+    lo, hi = sorted(bounds)
+    assume(lo < hi)
+    grid = SweepSpec(v0=1.0, e_over_v0_min=lo, e_over_v0_max=hi, points=points,
+                     spacing=Spacing.LOG).grid()
+    exponents = np.linspace(math.log10(lo), math.log10(hi), points)[1:-1].tolist()
+    want = [lo] + [_exp10(y) for y in exponents] + [hi]
+    assert type(grid) is list and {type(x) for x in grid} == {float}
+    assert list(map(float.hex, grid)) == list(map(float.hex, want))
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3"])
+def test_figure_log_grids_are_within_1_ulp_of_10_to_their_exponents(name):
+    # each point of the README log grids, the ends included, lies within 1
+    # ulp of 10**y at 50 digits, y its exponent, as np.linspace spaces them
+    spec = FIGURE_DIGESTS[name][0]
+    lo, hi = float(spec.e_over_v0_min), float(spec.e_over_v0_max)
+    exponents = np.linspace(math.log10(lo), math.log10(hi), spec.points).tolist()
+    grid = spec.grid()
+    assert len(grid) == len(exponents) == spec.points
+    with mpmath.workdps(50):
+        for x, y in zip(grid, exponents):
+            assert abs(mpmath.mpf(x) - mpmath.power(10, mpmath.mpf(y))) <= math.ulp(x), (x, y)
+
+
 def _outcome(evaluate):
     """Rows as (type, value bits), or a refusal: its kind and its message."""
     try:
@@ -326,31 +368,6 @@ SPEC_VALUES = dict(
 )
 
 
-@settings(max_examples=300, deadline=None)
-# a denominator underflows to 0: PrecisionError, as the array pass's
-# non-finite probabilities are after its rerun on floats
-@example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spin=Spin.UP)
-# finite probabilities that fail the unit sum: the message names E
-@example(v0=1.5733035492803722e234, mass=2.5821339805390623e211, bounds=(1e-186, 1e-185),
-         points=3, spin=Spin.DOWN)
-@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=31, spin=Spin.DOWN)
-@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=np.int64(7), spin=Spin.UP)
-@given(**SPEC_VALUES)
-def test_linear_sweep_on_floats_equals_the_array_kernel(v0, mass, bounds, points, spin):
-    # the float route gives the rows, or the refusal, of the grid kernel's
-    # array pass over np.linspace's grid, for both spins and the whole
-    # double range
-    lo, hi = sorted(bounds)
-    try:
-        spec = SweepSpec(v0=v0, mass=mass, e_over_v0_min=lo, e_over_v0_max=hi,
-                         points=points, spacing=Spacing.LINEAR, incident_spin=spin)
-    except ValueError:
-        reject()
-    grid = _linspace(lo, hi, points)
-    want = _outcome(lambda: _rows(grid, float(v0), float(mass), spin))
-    assert _outcome(lambda: run_sweep(spec).rows) == want
-
-
 def _point_queries(spec) -> list:
     """The point route over the spec's grid values: each point query's row,
     with the grid value as its e_over_v0, up to the first refusal."""
@@ -362,8 +379,8 @@ def _point_queries(spec) -> list:
 
 
 @settings(max_examples=300, deadline=None)
-# every grid point's denominator underflows to 0: the log grid's array pass
-# sees non-finite probabilities, and the sweep says what the first point says
+# every grid point's denominator underflows to 0, and the sweep says what
+# the first point says
 @example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spin=Spin.UP,
          spacing=Spacing.LOG)
 @example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spin=Spin.DOWN,
@@ -373,6 +390,15 @@ def _point_queries(spec) -> list:
          points=3, spin=Spin.DOWN, spacing=Spacing.LOG)
 @example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=31, spin=Spin.DOWN,
          spacing=Spacing.LOG)
+@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=np.int64(7), spin=Spin.UP,
+         spacing=Spacing.LINEAR)
+# a log grid's top is its bound, whose probabilities overflow, and an
+# interior point whose 10.0 ** y overflows is inf: each refused as its point
+# query is
+@example(v0=1.0, mass=1.0, bounds=(1.5, 1.7976931348622103e308), points=2, spin=Spin.UP,
+         spacing=Spacing.LOG)
+@example(v0=1e-300, mass=1.0, bounds=(1.7976931348623155e308, 1.7976931348623157e308), points=4,
+         spin=Spin.UP, spacing=Spacing.LOG)
 @given(**SPEC_VALUES, spacing=st.sampled_from(Spacing))
 def test_sweep_returns_or_refuses_as_its_point_queries(v0, mass, bounds, points, spin, spacing):
     # linear and log grids across the double range, both spins: a sweep's
@@ -510,12 +536,12 @@ FIGURE_DIGESTS = {
     "fig2": (
         SweepSpec(v0=100.0, e_over_v0_min=1.001, e_over_v0_max=10.0, points=500,
                   spacing=Spacing.LOG, regime=Regime.PROPAGATING),
-        ["r1", "r2", "r_qm", "t1", "t2", "t_qm"], "40a18090f748", "d6d55d287de8",
+        ["r1", "r2", "r_qm", "t1", "t2", "t_qm"], "3c8aa165b144", "d6d55d287de8",
     ),
     "fig3": (
         SweepSpec(v0=1e6, e_over_v0_min=1.001, e_over_v0_max=3.0, points=200,
                   spacing=Spacing.LOG, regime=Regime.PROPAGATING),
-        ["r1", "r2", "r_qm", "t1", "t2", "t_qm"], "0ab4b242a84f", "9646c7e29a85",
+        ["r1", "r2", "r_qm", "t1", "t2", "t_qm"], "d8a865f81b2e", "9646c7e29a85",
     ),
     "fig4": (
         SweepSpec(v0=100.0, e_over_v0_min=0.01, e_over_v0_max=0.99, points=100,
@@ -523,6 +549,43 @@ FIGURE_DIGESTS = {
         ["r1_prime", "r2_prime"], "957f149b1dd0", "3bd884784d13",
     ),
 }
+
+
+@pytest.mark.parametrize("spin", (Spin.UP, Spin.DOWN))
+def test_figure_sweeps_never_leave_the_inline_loop(spin, monkeypatch):
+    # every point of the README figure grids, for either spin, is a row of
+    # the grid kernel's inline loop: a fault in its copy of _amplitudes' and
+    # _curves' expressions that failed its checks would otherwise be hidden
+    # by the fallback through those functions, which gives the same rows
+    def fallback(*args):
+        raise AssertionError(f"a figure grid point left the inline loop: {args}")
+
+    monkeypatch.setattr(scattering, "_curves", fallback)
+    for spec, _, _, _ in FIGURE_DIGESTS.values():
+        assert len(run_sweep(spec._replace(incident_spin=spin)).rows) == spec.points
+
+
+# (v0, mass, x, spin, field): at E = x*V0 the field's probability rounds to
+# just above 1, and _curves clamps it onto 1; above the step T1 for spin up
+# and spin down (where it is the spin-flip amplitude's), below it R1' and R2'
+ROUNDED_ABOVE_1 = [
+    (3.6362014636883506e-09, 0.0015549837736526437, 711839710623.6373, Spin.UP, "t1"),
+    (1.3517363289418365e-07, 0.029171641245609517, 28134124.424852043, Spin.DOWN, "t2"),
+    (5.261524390616726e+16, 3.2271512355345195e+37, 0.8158390539403405, Spin.UP, "r1_prime"),
+    (1.1628988062537662e+19, 1.6665856974596367e+25, 1.222501005617556e-22, Spin.DOWN,
+     "r2_prime"),
+]
+
+
+@pytest.mark.parametrize("v0, mass, x, spin, field", ROUNDED_ABOVE_1)
+def test_a_probability_rounded_above_1_is_clamped_in_a_sweep(v0, mass, x, spin, field):
+    # the inline loop keeps only probabilities <= 1 and leaves this point to
+    # _curves, which clamps it, as at its point query
+    spec = SweepSpec(v0=v0, mass=mass, e_over_v0_min=x / 2, e_over_v0_max=x, points=2,
+                     spacing=Spacing.LINEAR, incident_spin=spin)
+    rows = run_sweep(spec).rows
+    assert getattr(rows[-1], field) == 1.0
+    assert_rows_are_point_queries(spec, rows)
 
 
 @pytest.mark.parametrize("name", sorted(FIGURE_DIGESTS))
