@@ -9,9 +9,9 @@ squaring.  Submodules:
                identity suite (generator, dispersion, 3D continuity,
                squared operator) and the 3D shell-determinant probes
   eigensystem  momentum-space operator and its plane-wave eigenstates as arrays
-  scattering   step-potential amplitudes (factored closed forms on floats
-               or arrays, with a continuity-solve oracle), coefficients as
-               one row type per branch, currents
+  scattering   step-potential amplitudes (factored closed forms on Python
+               floats, with a continuity-solve oracle), coefficients as one
+               row type per branch, currents
   sweep_io     energy-grid sweeps of those rows, CSV/JSON/SVG emission
   cli          command-line interface (`spinstep ...` or `python -m spinstep`)
 

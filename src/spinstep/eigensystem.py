@@ -42,13 +42,11 @@ def momentum_operator(
     """The 4x4 momentum-space operator E*eta + m*eta_dagger.
 
     Non-Hermitian, but with real spectrum {+p, +p, -p, -p}, p = sqrt(2*E*m).
-    energy = 0 is admitted (the operator degenerates to the nilpotent
-    m*eta_dagger with all eigenvalues zero).
+    Raises ValueError unless energy and mass are positive and finite.
     """
-    if energy != 0:
-        _positive_finite("energy", energy)
+    energy = float(_positive_finite("energy", energy))
     mass = float(_positive_finite("mass", mass))
-    return float(energy) * eta(rep) + mass * eta_dagger(rep)
+    return energy * eta(rep) + mass * eta_dagger(rep)
 
 
 def analytic_eigenstate(kind: int, energy: float, mass: float) -> np.ndarray:

@@ -37,12 +37,13 @@ problem.  coefficients returns one fixed-field row per branch,
 PropagatingRow or EvanescentRow: the type, and the values, of the sweep
 row at that energy.  A row type is a NamedTuple built from its FIELDS
 table, which lists its fields once, for every output.  _rows, the grid
-kernel of every sweep, evaluates each point in one inline loop body per
-branch, a copy of _amplitudes' and _curves' expressions, and sends a point
-that fails its checks through _amplitudes and _curves themselves, so a
-sweep row is its point query's row bit for bit.  Unitarity is worded
-once, in _curves; StepProblem validates in its constructor, _replace
-included.
+kernel of every sweep, evaluates each point for spin-up incidence in one
+inline loop body per branch, a copy of _amplitudes' and _curves'
+expressions, and sends a point that fails its checks through _amplitudes
+and _curves themselves, so a sweep row is its spin-up point query's row
+bit for bit; spin-down incidence is a point query only.  Unitarity is
+worded once, in _curves; StepProblem validates in its constructor,
+_replace included.
 
 The one kind of domain refusal is PrecisionError, a ValueError subclass
 worded in one place: valid inputs whose result underflows or overflows
@@ -459,11 +460,12 @@ def _curves(propagating: bool, energy: float, v0: float, mass: float, abs2) -> l
     (|b|^2, |b'|^2, |c|^2, |c'|^2), floats: the probabilities, their sum,
     the row's `total`, and, above the step, the spinless T and R.  Above
     the step k1 = sqrt(E) and k2 = sqrt(E - V0) are taken once, for the flux
-    factor and for _spinless.  Unitarity is checked here, once per point or
-    refused sweep point: each probability within CLAMP_EPS of [0, 1] before
-    it is clamped onto [0, 1], and their clamped sum, added left to right,
-    within COEFFICIENT_SUM_TOL of 1.  A failure names its energy, in a
-    PrecisionError if a value is not finite.
+    factor and for _spinless.  Each part is |z|^2, or |z|^2 times the flux
+    factor, positive above the step, so it is >= 0 or nan.  Unitarity is
+    checked here, once per point or refused sweep point: each probability
+    at most CLAMP_EPS above 1 before it is clamped onto 1, and their clamped
+    sum, added left to right, within COEFFICIENT_SUM_TOL of 1.  A failure
+    names its energy, in a PrecisionError if a value is not finite.
     """
     r_up, r_down, t_up, t_down = abs2
     if propagating:
@@ -473,12 +475,12 @@ def _curves(propagating: bool, energy: float, v0: float, mass: float, abs2) -> l
         parts = [flux * t_up, flux * t_down, r_up, r_down]
     else:
         parts = [r_up, r_down]
-    # min(max(v, 0.0), 1.0), without the builtins' call cost
-    probs = [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in parts]
+    # min(v, 1.0), without the builtin's call cost
+    probs = [1.0 if v > 1.0 else v for v in parts]
     total = reduce(add, probs)
     valid = abs(total - 1.0) <= COEFFICIENT_SUM_TOL
     for value in parts:
-        valid = valid and -CLAMP_EPS <= value <= 1.0 + CLAMP_EPS
+        valid = valid and value <= 1.0 + CLAMP_EPS
     if not valid:
         row_type = PropagatingRow if propagating else EvanescentRow
         named = dict(zip(row_type._fields[len(_GRID_FIELDS) :], parts))
@@ -502,7 +504,7 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
     Propagating transmission carries the flux factor
     (E+m)*sqrt(E-V0) / ((E-V0+m)*sqrt(E)) relating region-II to region-I
     current per unit amplitude.  _curves asserts the range before the
-    values are clamped onto [0, 1], and the unit sum of the clamped values,
+    values are clamped onto 1, and the unit sum of the clamped values,
     the row's total; a genuine violation raises ValueError, and an E/V0
     beyond the double range PrecisionError.
     """
@@ -523,28 +525,27 @@ def coefficients(problem: StepProblem, amps: AmplitudeSet) -> PropagatingRow | E
     return tuple.__new__(row_type, (e, e_over_v0, *curves))
 
 
-def _rows(grid: list, v0: float, mass: float, spin: Spin) -> tuple:
-    """The rows of a grid of E/V0 values, Python floats: each E = x*V0,
-    split by E > V0, gives its point query's row bit for bit, but for
-    e_over_v0, the grid value, or the sweep refuses as the point query at
-    its first failing energy does.
+def _rows(grid: list, v0: float, mass: float) -> tuple:
+    """The spin-up rows of a grid of E/V0 values, Python floats: each
+    E = x*V0, split by E > V0, gives its point query's row bit for bit, but
+    for e_over_v0, the grid value, or the sweep refuses as the point query
+    at its first failing energy does.
 
     Each branch's loop body copies the expressions of _amplitudes and
-    _curves for that branch and spin, in their operations and order, but
-    for the zero parts and the sign of b's imaginary part, which leave
-    |b|^2, |b'|^2 and |c|^2 as they are.  Every probability it forms is
-    >= 0 or nan, so a point whose probabilities are all <= 1 and whose
-    sum is within COEFFICIENT_SUM_TOL of 1 is the row _curves returns,
-    unclamped.  Any other point, and one that divides by zero, runs
-    through _amplitudes and _curves themselves, which clamp it or word its
-    refusal: a check stricter than _curves' only sends more points there.
+    _curves for that branch, in their operations and order, but for the
+    zero parts and the sign of b's imaginary part, which leave |b|^2,
+    |b'|^2 and |c|^2 as they are.  Every probability it forms is >= 0 or
+    nan, so a point whose probabilities are all <= 1 and whose sum is
+    within COEFFICIENT_SUM_TOL of 1 is the row _curves returns, unclamped.
+    Any other point, and one that divides by zero, runs through _amplitudes
+    and _curves themselves, which clamp it or word its refusal: a check
+    stricter than _curves' only sends more points there.
     test_sweep_rows_equal_point_queries, test_sweep_returns_or_refuses_as_
     its_point_queries and test_figure_sweeps_never_leave_the_inline_loop
     hold the copy bit-equal to the point route.
     """
     rows = []
     append, new, sqrt, tol = rows.append, tuple.__new__, math.sqrt, COEFFICIENT_SUM_TOL
-    up = spin is Spin.UP
     for x in grid:
         e = x * v0
         if not 0.0 < e <= _MAX:  # a log-grid point past the largest double is inf
@@ -562,17 +563,13 @@ def _rows(grid: list, v0: float, mass: float, spin: Spin) -> tuple:
                 b_flip = 2.0 * sqrt(e * mass) * v0 / denom  # b' = c' = i b_flip
                 c = 2.0 * k1 * (mass + k1 * k2) / (e_m * k_sum)
                 flux = e_m * k2 / ((e - v0 + mass) * k1)
-                r_keep, r_flip = b * b, b_flip * b_flip
-                t_keep, t_flip = flux * (c * c), flux * r_flip
-                if up:
-                    p0, p1, p2, p3 = t_keep, t_flip, r_keep, r_flip
-                else:
-                    p0, p1, p2, p3 = t_flip, t_keep, r_flip, r_keep
-                total = p0 + p1 + p2 + p3
-                if p0 <= 1.0 and p1 <= 1.0 and p2 <= 1.0 and p3 <= 1.0 and abs(total - 1.0) <= tol:
+                r1, r2 = b * b, b_flip * b_flip
+                t1, t2 = flux * (c * c), flux * r2
+                total = t1 + t2 + r1 + r2
+                if t1 <= 1.0 and t2 <= 1.0 and r1 <= 1.0 and r2 <= 1.0 and abs(total - 1.0) <= tol:
                     ratio = v0 / k_sum2
                     append(new(PropagatingRow, (
-                        e, x, p0, p1, p2, p3, total, 4.0 * k1 * k2 / k_sum2, ratio * ratio
+                        e, x, t1, t2, r1, r2, total, 4.0 * k1 * k2 / k_sum2, ratio * ratio
                     )))
                     continue
             else:
@@ -582,16 +579,15 @@ def _rows(grid: list, v0: float, mass: float, spin: Spin) -> tuple:
                 keep = (mass - e) / scale
                 flip = 2.0 * sqrt(e * mass) / scale
                 b_re, b_im, f_re, f_im = keep * re_sq, keep * im_sq, flip * im_sq, flip * re_sq
-                r_keep, r_flip = b_re * b_re + b_im * b_im, f_re * f_re + f_im * f_im
-                p0, p1 = (r_keep, r_flip) if up else (r_flip, r_keep)
-                total = p0 + p1
-                if p0 <= 1.0 and p1 <= 1.0 and abs(total - 1.0) <= tol:
-                    append(new(EvanescentRow, (e, x, p0, p1, total)))
+                r1, r2 = b_re * b_re + b_im * b_im, f_re * f_re + f_im * f_im
+                total = r1 + r2
+                if r1 <= 1.0 and r2 <= 1.0 and abs(total - 1.0) <= tol:
+                    append(new(EvanescentRow, (e, x, r1, r2, total)))
                     continue
         except ZeroDivisionError:
             pass
         # to clamp or to refuse, as its point query does
-        amps = _amplitudes(propagating, e, v0, mass, spin, sqrt)
+        amps = _amplitudes(propagating, e, v0, mass, Spin.UP, sqrt)
         curves = _curves(propagating, e, v0, mass, [_abs2(*a) for a in amps])
         append(new(PropagatingRow if propagating else EvanescentRow, (e, x, *curves)))
     return tuple(rows)

@@ -1,10 +1,11 @@
 """Energy-grid sweeps and deterministic CSV/JSON/SVG emission.
 
-A sweep evaluates the spin-resolved step coefficients over a grid of E/V0
-ratios and returns one row per grid point, of the type scattering.coefficients
-returns for one point: a PropagatingRow (T1, T2, R1, R2 and the spinless
-T_QM, R_QM) above the step, an EvanescentRow (R1', R2') below it.  Each row
-type carries one ordered field table, FIELDS, naming every column's
+A sweep evaluates the spin-resolved step coefficients of an incident
+spin-up electron, as the paper's figures do, over a grid of E/V0 ratios and
+returns one row per grid point, of the type scattering.coefficients returns
+for one point: a PropagatingRow (T1, T2, R1, R2 and the spinless T_QM,
+R_QM) above the step, an EvanescentRow (R1', R2') below it.  Each row type
+carries one ordered field table, FIELDS, naming every column's
 attribute, CSV header and SVG colour; the CSV header line, the JSON keys
 (the attribute, except `total`, written as "sum"), the SVG column names and
 colours, the CLI's default SVG columns and its point JSON all read it.
@@ -34,7 +35,6 @@ from .scattering import (
     ELECTRON_MASS_EV,
     EvanescentRow,
     PropagatingRow,
-    Spin,
     _positive_finite,
     _rows,
 )
@@ -71,11 +71,10 @@ class _SweepFields(NamedTuple):
     points: int = 100
     spacing: Spacing = Spacing.LOG
     regime: Regime = Regime.AUTO
-    incident_spin: Spin = Spin.UP
 
 
 class SweepSpec(_SweepFields):
-    """Description of one energy sweep.
+    """Description of one spin-up energy sweep.
 
     The grid ranges over x = E/V0 from e_over_v0_min to e_over_v0_max with
     `points` samples, an integer (Python or numpy); v0, mass, the bounds
@@ -83,8 +82,10 @@ class SweepSpec(_SweepFields):
     and the bottom energy e_over_v0_min * v0 does not underflow to 0.
     An explicit regime constrains the range to its side of x = 1; AUTO
     admits ranges straddling 1 and splits the rows.  The constructor
-    refuses anything else, and spacing, regime or incident_spin values that
-    are not members of their enums; _replace and _make build through it too.
+    refuses anything else, and spacing or regime values that are not
+    members of their enums; _replace and _make build through it too.
+    Spin-down incidence is a point query only (StepProblem.incident_spin):
+    its sweep would be this one with T1 and T2, and R1 and R2, swapped.
     """
 
     __slots__ = ()
@@ -115,7 +116,7 @@ class SweepSpec(_SweepFields):
             raise ValueError(f"points must be an integer, got {self.points!r}") from None
         if self.points < 2:
             raise ValueError(f"points must be >= 2, got {self.points}")
-        for name, kind in (("spacing", Spacing), ("regime", Regime), ("incident_spin", Spin)):
+        for name, kind in (("spacing", Spacing), ("regime", Regime)):
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
@@ -177,8 +178,9 @@ class SweepResult(NamedTuple):
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """The grid's rows from scattering._rows, in grid order (SweepResult),
-    each its point query's, or the refusal of the first refused point."""
-    return SweepResult(_rows(spec.grid(), float(spec.v0), float(spec.mass), spec.incident_spin))
+    each its spin-up point query's, or the refusal of the first refused
+    point."""
+    return SweepResult(_rows(spec.grid(), float(spec.v0), float(spec.mass)))
 
 
 def format_float(value: float) -> str:

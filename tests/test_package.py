@@ -151,8 +151,15 @@ def test_verification_takes_no_tolerance_or_single_value_options():
             assert not params & {"tol", "check_gamma_identities", "indent"}, name
     for name in ("shell_determinant", "schrodinger_reduction_check"):
         assert "rep" not in inspect.signature(getattr(spinstep, name)).parameters, name
-    assert "mass" not in inspect.signature(spinstep.verify_dispersion).parameters
+    assert list(inspect.signature(spinstep.verify_dispersion).parameters) == ["rep"]
     assert not hasattr(spinstep.AlgebraReport, "to_json")
+    # a sweep is spin-up: spin-down incidence is a point query only
+    assert "incident_spin" not in spinstep.SweepSpec._fields
+    assert list(inspect.signature(spinstep.scattering._rows).parameters) == ["grid", "v0", "mass"]
+    # no energy option is an exception to the positive-finite check
+    with pytest.raises(ValueError, match="must be positive and finite") as refused:
+        spinstep.momentum_operator(0.0, 7.0)
+    assert type(refused.value) is ValueError
 
 
 def test_readme_quick_start_runs(capsys):
@@ -182,7 +189,6 @@ P = (0.6, 0.0, 0.8)
     pytest.param(lambda: spinstep.momentum_operator(1.0, BEYOND), id="operator-mass"),
     pytest.param(lambda: spinstep.analytic_eigenstate(1, BEYOND, 1.0), id="eigenstate-energy"),
     pytest.param(lambda: spinstep.analytic_eigenstate(1, 1.0, BEYOND), id="eigenstate-mass"),
-    pytest.param(lambda: spinstep.verify_dispersion(energies=[BEYOND]), id="dispersion"),
     pytest.param(lambda: spinstep.run_sweep(spinstep.SweepSpec(v0=BEYOND)), id="sweep-v0"),
     pytest.param(lambda: spinstep.run_sweep(spinstep.SweepSpec(v0=1.0, mass=BEYOND)),
                  id="sweep-mass"),

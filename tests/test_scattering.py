@@ -13,7 +13,6 @@ from spinstep.algebra import (
     eta_dagger,
     shell_determinant,
     squared_operator_check,
-    verify_dispersion,
 )
 from spinstep.eigensystem import analytic_eigenstate
 from spinstep.scattering import (
@@ -665,18 +664,17 @@ def test_threshold_values_match_mpmath():
 @settings(max_examples=300, deadline=None)
 @given(
     log_e=log_ev, log_v0=log_ev, log_m=log_ev,
-    spin=st.sampled_from((Spin.UP, Spin.DOWN)),
     near_pole=st.booleans(),
     log_delta=st.floats(min_value=np.log(2e-12), max_value=np.log(1e-3)),
     sign=st.sampled_from((1.0, -1.0, 0.0)),
     **NEAR_THRESHOLD,
 )
 def test_property_grid_kernel_bits_equal_the_point_route(
-    log_e, log_v0, log_m, spin, near_pole, log_delta, sign, near_threshold, log_offset, side
+    log_e, log_v0, log_m, near_pole, log_delta, sign, near_threshold, log_offset, side
 ):
     # the grid kernel's inline loop copies _amplitudes' and _curves'
-    # expressions: its row at x = E/V0 is the point query's at x*V0, bit
-    # for bit; near_pole puts V0 - E at m * (1 + sign * delta), on the pole
+    # expressions: its row at x = E/V0 is the spin-up point query's at
+    # x*V0, bit for bit; near_pole puts V0 - E at m * (1 + sign * delta), on the pole
     # for sign 0, and near_threshold E at V0 * (1 + side * offset), at V0
     # for side 0
     energy, v0, mass = 10.0**log_e, 10.0**log_v0, 10.0**log_m
@@ -685,8 +683,8 @@ def test_property_grid_kernel_bits_equal_the_point_route(
     if near_threshold:
         energy = v0 * (1.0 + side * math.exp(log_offset))
     x = energy / v0
-    (row,) = _rows([x], v0, mass, spin)
-    problem = StepProblem(x * v0, v0, mass, spin)
+    (row,) = _rows([x], v0, mass)
+    problem = StepProblem(x * v0, v0, mass)
     point = coefficients(problem, closed_form_amplitudes(problem))._replace(e_over_v0=x)
     assert type(row) is type(point)
     assert list(map(float.hex, row)) == list(map(float.hex, point))
@@ -1134,10 +1132,9 @@ def _point_route(energy, v0, mass=ME):
     (lambda: residual_of_zero_amplitudes(
         StepProblem(2.661956350506187e56, 2.147996056811728e-171, 4.537048608995691e251)),
      "the continuity system is not finite"),
-    (lambda: verify_dispersion(energies=[1e-3]), "the eigen-equation residual rounds above"),
 ], ids=["underflow", "probabilities", "E/V0", "current", "sweep", "eigenstate",
         "shell_determinant", "squared_operator_check", "oracle_pivot", "oracle_overflow",
-        "residual_overflow", "dispersion_residual"])
+        "residual_overflow"])
 def test_every_precision_refusal_is_one_kind_with_one_wording(refused, what):
     with pytest.raises(PrecisionError) as info:
         refused()

@@ -106,7 +106,7 @@ def test_spec_refuses_a_bottom_energy_that_underflows_to_0():
         assert type(refused.value) is ValueError
     # the grid kernel refuses such an energy as StepProblem does
     with pytest.raises(ValueError, match="^energy must be positive and finite, got 0.0$"):
-        scattering._rows([1e-250, 0.5], 1e-100, 1e-100, Spin.UP)
+        scattering._rows([1e-250, 0.5], 1e-100, 1e-100)
     spec = SweepSpec(v0=1e-100, mass=1e-100, e_over_v0_min=1e-220, e_over_v0_max=0.5,
                      points=3, spacing=Spacing.LINEAR, regime=Regime.EVANESCENT)
     assert run_sweep(spec).rows[0].e_ev == 1e-220 * 1e-100 > 0.0
@@ -114,7 +114,7 @@ def test_spec_refuses_a_bottom_energy_that_underflows_to_0():
 
 def test_spec_defaults():
     assert SweepSpec(v0=100.0) == SweepSpec(
-        100.0, ELECTRON_MASS_EV, 1.001, 10.0, 100, Spacing.LOG, Regime.AUTO, Spin.UP
+        100.0, ELECTRON_MASS_EV, 1.001, 10.0, 100, Spacing.LOG, Regime.AUTO
     )
 
 
@@ -127,7 +127,7 @@ def test_spec_points_must_be_an_integer():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("spacing", "linear"), ("regime", "propagating"), ("incident_spin", "up"),
+    ("spacing", "linear"), ("regime", "propagating"),
 ])
 def test_spec_enum_fields_refuse_non_members(field, value):
     # not coerced: spacing and regime are compared by identity, so a string
@@ -208,31 +208,33 @@ def test_auto_sweep_splits_at_threshold_into_point_query_rows():
 
 
 def assert_rows_are_point_queries(spec, rows):
-    """Each row is its point query's, bit for bit, but for e_over_v0: the
-    grid value in a row, E/V0 for a point."""
+    """Each row is its spin-up point query's, bit for bit, but for
+    e_over_v0: the grid value in a row, E/V0 for a point."""
     for row in rows:
-        problem = StepProblem(row.e_ev, spec.v0, spec.mass, spec.incident_spin)
+        problem = StepProblem(row.e_ev, spec.v0, spec.mass)
         point = coefficients(problem, closed_form_amplitudes(problem))
         assert np.array(row).tobytes() == np.array(point._replace(e_over_v0=row.e_over_v0)).tobytes()
 
 
 @pytest.mark.parametrize("spin", (Spin.UP, Spin.DOWN))
 def test_sweep_on_mass_pole_row_equals_its_point_query(spin):
-    # the middle grid point has E = m and V0 - E = m: a row, equal to its
-    # point query field for field, with R1' = (E-m)^2/(E+m)^2 = 0 for spin up
+    # the middle grid point has E = m and V0 - E = m: a row, with
+    # R1' = (E-m)^2/(E+m)^2 = 0, equal to its spin-up point query field for
+    # field, and to the spin-down one with R1' and R2' swapped
     spec = SweepSpec(
         v0=2 * ELECTRON_MASS_EV, mass=ELECTRON_MASS_EV, e_over_v0_min=0.25,
         e_over_v0_max=0.75, points=3, spacing=Spacing.LINEAR, regime=Regime.EVANESCENT,
-        incident_spin=spin,
     )
     result = run_sweep(spec)
     assert len(result.rows) == 3
     row = result.rows[1]
     assert spec.v0 - row.e_ev == row.e_ev == ELECTRON_MASS_EV
+    assert (row.r1_prime, row.r2_prime, row.total) == (0.0, 1.0, 1.0)
     problem = StepProblem(row.e_ev, spec.v0, spec.mass, spin)
-    assert row == coefficients(problem, closed_form_amplitudes(problem))
-    keep_flip = (0.0, 1.0) if spin is Spin.UP else (1.0, 0.0)
-    assert (row.r1_prime, row.r2_prime, row.total) == (*keep_flip, 1.0)
+    point = coefficients(problem, closed_form_amplitudes(problem))
+    if spin is Spin.DOWN:
+        point = point._replace(r1_prime=point.r2_prime, r2_prime=point.r1_prime)
+    assert row == point
 
 
 @pytest.mark.parametrize("spec", [
@@ -364,16 +366,16 @@ SPEC_VALUES = dict(
         st.tuples(st.floats(0.0, 1.0, exclude_min=True), st.floats(1.0, 1e300)),
     ),
     points=st.integers(2, 40),
-    spin=st.sampled_from(Spin),
 )
 
 
 def _point_queries(spec) -> list:
-    """The point route over the spec's grid values: each point query's row,
-    with the grid value as its e_over_v0, up to the first refusal."""
+    """The spin-up point route over the spec's grid values: each point
+    query's row, with the grid value as its e_over_v0, up to the first
+    refusal."""
     rows = []
     for x in map(float, spec.grid()):
-        problem = StepProblem(x * float(spec.v0), spec.v0, spec.mass, spec.incident_spin)
+        problem = StepProblem(x * float(spec.v0), spec.v0, spec.mass)
         rows.append(coefficients(problem, closed_form_amplitudes(problem))._replace(e_over_v0=x))
     return rows
 
@@ -381,33 +383,29 @@ def _point_queries(spec) -> list:
 @settings(max_examples=300, deadline=None)
 # every grid point's denominator underflows to 0, and the sweep says what
 # the first point says
-@example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spin=Spin.UP,
-         spacing=Spacing.LOG)
-@example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spin=Spin.DOWN,
-         spacing=Spacing.LINEAR)
+@example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spacing=Spacing.LOG)
+@example(v0=1e-300, mass=1e-300, bounds=(0.1, 0.5), points=5, spacing=Spacing.LINEAR)
 # finite probabilities that fail the unit sum, named at their energy
 @example(v0=1.5733035492803722e234, mass=2.5821339805390623e211, bounds=(1e-186, 1e-185),
-         points=3, spin=Spin.DOWN, spacing=Spacing.LOG)
-@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=31, spin=Spin.DOWN,
-         spacing=Spacing.LOG)
-@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=np.int64(7), spin=Spin.UP,
+         points=3, spacing=Spacing.LOG)
+@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=31, spacing=Spacing.LOG)
+@example(v0=100.0, mass=ELECTRON_MASS_EV, bounds=(0.5, 2.0), points=np.int64(7),
          spacing=Spacing.LINEAR)
 # a log grid's top is its bound, whose probabilities overflow, and an
 # interior point whose 10.0 ** y overflows is inf: each refused as its point
 # query is
-@example(v0=1.0, mass=1.0, bounds=(1.5, 1.7976931348622103e308), points=2, spin=Spin.UP,
-         spacing=Spacing.LOG)
+@example(v0=1.0, mass=1.0, bounds=(1.5, 1.7976931348622103e308), points=2, spacing=Spacing.LOG)
 @example(v0=1e-300, mass=1.0, bounds=(1.7976931348623155e308, 1.7976931348623157e308), points=4,
-         spin=Spin.UP, spacing=Spacing.LOG)
+         spacing=Spacing.LOG)
 @given(**SPEC_VALUES, spacing=st.sampled_from(Spacing))
-def test_sweep_returns_or_refuses_as_its_point_queries(v0, mass, bounds, points, spin, spacing):
-    # linear and log grids across the double range, both spins: a sweep's
-    # rows are its point queries' over the same grid values, bit for bit,
-    # or it raises the refusal of the first refused point, type and message
+def test_sweep_returns_or_refuses_as_its_point_queries(v0, mass, bounds, points, spacing):
+    # linear and log grids across the double range: a sweep's rows are its
+    # spin-up point queries' over the same grid values, bit for bit, or it
+    # raises the refusal of the first refused point, type and message
     lo, hi = sorted(bounds)
     try:
         spec = SweepSpec(v0=v0, mass=mass, e_over_v0_min=lo, e_over_v0_max=hi,
-                         points=points, spacing=spacing, incident_spin=spin)
+                         points=points, spacing=spacing)
     except ValueError:
         reject()
     want = _outcome(lambda: _point_queries(spec))
@@ -551,10 +549,9 @@ FIGURE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("spin", (Spin.UP, Spin.DOWN))
-def test_figure_sweeps_never_leave_the_inline_loop(spin, monkeypatch):
-    # every point of the README figure grids, for either spin, is a row of
-    # the grid kernel's inline loop: a fault in its copy of _amplitudes' and
+def test_figure_sweeps_never_leave_the_inline_loop(monkeypatch):
+    # every point of the README figure grids is a row of the grid kernel's
+    # inline loop: a fault in its copy of _amplitudes' and
     # _curves' expressions that failed its checks would otherwise be hidden
     # by the fallback through those functions, which gives the same rows
     def fallback(*args):
@@ -562,30 +559,40 @@ def test_figure_sweeps_never_leave_the_inline_loop(spin, monkeypatch):
 
     monkeypatch.setattr(scattering, "_curves", fallback)
     for spec, _, _, _ in FIGURE_DIGESTS.values():
-        assert len(run_sweep(spec._replace(incident_spin=spin)).rows) == spec.points
+        assert len(run_sweep(spec).rows) == spec.points
 
 
-# (v0, mass, x, spin, field): at E = x*V0 the field's probability rounds to
-# just above 1, and _curves clamps it onto 1; above the step T1 for spin up
-# and spin down (where it is the spin-flip amplitude's), below it R1' and R2'
+# (v0, mass, x, field): at E = x*V0 the field's probability rounds to just
+# above 1, and _curves clamps it onto 1; T1 above the step, R1' and, near
+# E = m, R2' below it
 ROUNDED_ABOVE_1 = [
-    (3.6362014636883506e-09, 0.0015549837736526437, 711839710623.6373, Spin.UP, "t1"),
-    (1.3517363289418365e-07, 0.029171641245609517, 28134124.424852043, Spin.DOWN, "t2"),
-    (5.261524390616726e+16, 3.2271512355345195e+37, 0.8158390539403405, Spin.UP, "r1_prime"),
-    (1.1628988062537662e+19, 1.6665856974596367e+25, 1.222501005617556e-22, Spin.DOWN,
-     "r2_prime"),
+    (3.6362014636883506e-09, 0.0015549837736526437, 711839710623.6373, "t1"),
+    (1.3517363289418365e-07, 0.029171641245609517, 28134124.424852043, "t1"),
+    (5.261524390616726e+16, 3.2271512355345195e+37, 0.8158390539403405, "r1_prime"),
+    (1.1628988062537662e+19, 1.6665856974596367e+25, 1.222501005617556e-22, "r1_prime"),
+    (148481539930450.2, 4959017388440.45, 0.03339820822108956, "r2_prime"),
 ]
 
 
-@pytest.mark.parametrize("v0, mass, x, spin, field", ROUNDED_ABOVE_1)
-def test_a_probability_rounded_above_1_is_clamped_in_a_sweep(v0, mass, x, spin, field):
+@pytest.mark.parametrize("v0, mass, x, field", ROUNDED_ABOVE_1)
+def test_a_probability_rounded_above_1_is_clamped_in_a_sweep(v0, mass, x, field):
     # the inline loop keeps only probabilities <= 1 and leaves this point to
     # _curves, which clamps it, as at its point query
     spec = SweepSpec(v0=v0, mass=mass, e_over_v0_min=x / 2, e_over_v0_max=x, points=2,
-                     spacing=Spacing.LINEAR, incident_spin=spin)
+                     spacing=Spacing.LINEAR)
     rows = run_sweep(spec).rows
     assert getattr(rows[-1], field) == 1.0
     assert_rows_are_point_queries(spec, rows)
+
+
+@pytest.mark.parametrize("v0, mass, x, field", ROUNDED_ABOVE_1)
+def test_a_spin_down_probability_rounded_above_1_is_clamped_at_its_point_query(v0, mass, x, field):
+    # spin-down incidence relabels the amplitudes: the same probability is
+    # T2, R2' or R1' there, clamped onto 1 as well
+    problem = StepProblem(x * v0, v0, mass, Spin.DOWN)
+    row = coefficients(problem, closed_form_amplitudes(problem))
+    swapped = {"t1": "t2", "r1_prime": "r2_prime", "r2_prime": "r1_prime"}[field]
+    assert getattr(row, swapped) == 1.0
 
 
 @pytest.mark.parametrize("name", sorted(FIGURE_DIGESTS))
